@@ -115,6 +115,10 @@ def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
     assignments = []
     cells: dict[str, list[Tweet]] = {}
     unclassified = []
+    # A tweet is seed-classifiable exactly when it shares a keyword with
+    # some category's seed vocabulary.
+    seed_words = frozenset().union(*(c.seed_keywords
+                                     for c in ontology.categories))
     seed_classified = 0
     for tweet in dataset.tweets:
         assignment = classify(tweet, ontology, use_extended)
@@ -125,17 +129,14 @@ def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
             cells.setdefault(assignment.category_id, []).append(
                 replace(tweet, category=assignment.category_id)
             )
-        if use_extended:
-            if classify(tweet, ontology, False).category_id is not None:
-                seed_classified += 1
-        elif assignment.category_id is not None:
+        if not tweet.keywords.isdisjoint(seed_words):
             seed_classified += 1
     classified = len(dataset.tweets) - len(unclassified)
     stats = CorpusStats(
         total=len(dataset.tweets),
         classified=classified,
         seed_classified=seed_classified,
-        extended_gain=classified - seed_classified if use_extended else 0,
+        extended_gain=classified - seed_classified,
     )
     partition = {cat_id: tuple(tweets) for cat_id, tweets in cells.items()}
     return ClassificationResult(

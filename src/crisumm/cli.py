@@ -1,4 +1,4 @@
-"""Command-line interface: one subcommand per pipeline phase."""
+"""Command-line interface: one subcommand per pipeline stage."""
 
 from __future__ import annotations
 
@@ -7,17 +7,22 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus, ontology as onto
 from .categorizer import classify_corpus
-from .disaster_sim import DatasetMeta, build_profile, dis_sim, most_similar
 from .embeddings import load_word2vec_text
 from .importance import (REGRESSION_KINDS, ImportanceVector, RegressionModel,
-                         build_training_pairs, fit, predict_importance)
-from .pipeline import PipelineStageError, load_config, run_pipeline
-from .rouge import score_summary
-from .selector import SELECTOR_KINDS, SIM1_MODES, SelectorConfig, summarize
+                         predict_importance)
+from .pipeline import (PipelineStageError, category_shares, coverage,
+                       evaluate, extend_vocab, load_config, load_datasets,
+                       load_resources, run_pipeline, select, selector_config,
+                       similarity_matrix, weight_categories)
+# Bound here only so that bench/spans.py can wrap them in this module.
+from .pipeline import (build_profile, build_training_pairs,  # noqa: F401
+                       dis_sim, fit, most_similar, score_summary, summarize)
+from .selector import SELECTOR_KINDS, SIM1_MODES
 
 
 def _write_text(path: str, text: str) -> None:
@@ -31,6 +36,10 @@ def _dump_json(payload, path: str) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
 def _add_resource_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ontology", required=True, help="ontology JSON file")
     parser.add_argument("--merges", help="victim->survivor merge map (JSON)")
@@ -40,211 +49,120 @@ def _add_resource_args(parser: argparse.ArgumentParser) -> None:
                         help="word<TAB>tag lexicon (default: bundled lexicon)")
 
 
-def _load_resources(args):
-    stopwords = corpus.load_stopwords(args.stopwords) if args.stopwords \
-        else corpus.default_stopwords()
-    lexicon = corpus.load_lexicon(args.lexicon) if args.lexicon \
-        else corpus.default_lexicon()
-    ontology = onto.load_ontology(args.ontology)
-    if args.merges:
-        ontology = onto.merge_categories(ontology,
-                                         onto.load_merges(args.merges))
-    return stopwords, lexicon, ontology
-
-
 def _cmd_extend_vocab(args) -> int:
-    stopwords, lexicon, ontology = _load_resources(args)
-    docs = [Path(p).read_text(encoding="utf-8") for p in args.docs]
-    candidates = onto.harvest_candidates(ontology, docs, lexicon,
-                                         min_freq=args.min_freq,
-                                         stopwords=stopwords)
-    if args.candidates_out == "-":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["category_id", "word", "frequency"])
-        for cand in candidates:
-            writer.writerow([cand.category_id, cand.word, cand.frequency])
-        sys.stdout.write(buffer.getvalue())
-    else:
-        onto.write_candidate_report(candidates, args.candidates_out)
+    if args.approvals and not args.ontology_out:
+        raise ValueError("--ontology-out is required with --approvals")
+    stopwords, lexicon, ontology = load_resources(
+        args.ontology, args.merges, args.stopwords, args.lexicon)
+    candidates, extended = extend_vocab(ontology, args.docs, args.approvals,
+                                        lexicon, stopwords, args.min_freq)
+    _write_text(args.candidates_out, onto.candidate_report(candidates))
     if args.approvals:
-        approvals = onto.load_approvals(args.approvals)
-        extended = onto.apply_approvals(ontology, candidates, approvals)
-        if not args.ontology_out:
-            raise ValueError("--ontology-out is required with --approvals")
         onto.save_ontology(extended, args.ontology_out)
     return 0
 
 
 def _cmd_categorize(args) -> int:
-    stopwords, lexicon, ontology = _load_resources(args)
+    stopwords, lexicon, ontology = load_resources(
+        args.ontology, args.merges, args.stopwords, args.lexicon)
     dataset = corpus.load_tweets(args.dataset, stopwords, lexicon)
-    result = classify_corpus(dataset, ontology,
-                             use_extended=not args.no_extended)
-    lines = []
-    for a in result.assignments:
-        lines.append(json.dumps(
-            {"tweet_id": a.tweet_id, "category_id": a.category_id,
-             "score": a.score, "matched_by": a.matched_by},
-            sort_keys=True))
-    _write_text(args.partition_out, "".join(line + "\n" for line in lines))
-    stats = {
-        "total": result.stats.total,
-        "classified": result.stats.classified,
-        "fraction_classified": result.stats.fraction_classified,
-        "fraction_seed": result.stats.fraction_seed,
-        "fraction_extended_gain": result.stats.fraction_extended_gain,
-    }
-    _dump_json(stats, args.stats_out)
+    result = classify_corpus(dataset, ontology, not args.no_extended)
+    _write_text(args.partition_out, _lines(
+        json.dumps(asdict(a), sort_keys=True) for a in result.assignments))
+    _dump_json(coverage(result.stats), args.stats_out)
     return 0
 
 
 def _cmd_similarity(args) -> int:
-    stopwords, lexicon, ontology = _load_resources(args)
-    profiles = {}
-    for path in args.datasets:
-        dataset = corpus.load_tweets(path, stopwords, lexicon)
-        if dataset.id in profiles:
-            raise ValueError(f"duplicate dataset id {dataset.id!r}")
-        result = classify_corpus(dataset, ontology,
-                                 use_extended=not args.no_extended)
-        meta = DatasetMeta(dataset_id=dataset.id,
-                           disaster_type=dataset.disaster_type,
-                           continent=dataset.continent)
-        profiles[dataset.id] = build_profile(result.partition, k=args.top_k,
-                                             meta=meta)
-    ids = sorted(profiles)
+    stopwords, lexicon, ontology = load_resources(
+        args.ontology, args.merges, args.stopwords, args.lexicon)
+    datasets = load_datasets(args.datasets, stopwords, lexicon)
+    results = {ds.id: classify_corpus(ds, ontology, not args.no_extended)
+               for ds in datasets}
+    _, matrix = similarity_matrix(datasets, results, args.top_k, args.w1,
+                                  args.w2)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["dataset"] + ids + ["most_similar"])
-    for x in ids:
-        row = [x]
-        best_id, best_score = None, -1.0
-        for y in ids:
-            if x == y:
-                row.append("")
-                continue
-            score = dis_sim(profiles[x], profiles[y], args.w1, args.w2).dis_sim
-            row.append(f"{score:.6f}")
-            if score > best_score:
-                best_id, best_score = y, score
-        row.append(best_id if best_id is not None else "")
-        writer.writerow(row)
+    writer.writerow(["dataset", *matrix, "most_similar"])
+    for x, row in matrix.items():
+        cells = [f"{row[y].dis_sim:.6f}" if y != x else "" for y in matrix]
+        best = max(row, key=lambda y: row[y].dis_sim, default="")
+        writer.writerow([x, *cells, best])
     _write_text(args.out, buffer.getvalue())
     return 0
 
 
 def _cmd_importance(args) -> int:
-    stopwords, lexicon, ontology = _load_resources(args)
+    stopwords, lexicon, ontology = load_resources(
+        args.ontology, args.merges, args.stopwords, args.lexicon)
     target = corpus.load_tweets(args.target, stopwords, lexicon)
     training = corpus.load_tweets(args.training, stopwords, lexicon)
-    use_extended = not args.no_extended
-    target_result = classify_corpus(target, ontology, use_extended)
-    training_result = classify_corpus(training, ontology, use_extended)
-    category_ids = ontology.category_ids()
-    pairs = build_training_pairs(training, training_result.partition,
-                                 category_ids)
-    model = fit(pairs, args.kind, ridge_alpha=args.ridge_alpha,
-                prior_precision=args.prior_precision,
-                noise_precision=args.noise_precision)
-    partition = target_result.partition
-    total = sum(len(c) for c in partition.values())
-    if total == 0:
-        raise ValueError(f"no classified tweets in target {target.id!r}")
-    fractions = {cid: len(partition.get(cid, ())) / total
-                 for cid in category_ids}
-    available = {cid: len(partition.get(cid, ())) for cid in category_ids}
-    importance = predict_importance(model, fractions, available, args.m)
-    model_info = {"kind": model.kind, "slope": model.slope,
-                  "intercept": model.intercept}
-    if model.kind == "bayesian":
-        model_info["predictive_variance"] = {
-            cid: model.predictive_variance(fractions[cid])
-            for cid in sorted(category_ids)
-        }
-    _dump_json({
-        "importance": dict(sorted(importance.counts.items())),
-        "m": args.m,
-        "model": model_info,
-        "training_disaster": training.id,
-    }, args.out)
+    target_result = classify_corpus(target, ontology, not args.no_extended)
+    training_result = classify_corpus(training, ontology, not args.no_extended)
+    _, fragment = weight_categories(
+        target.id, target_result.partition, training,
+        training_result.partition, ontology.category_ids(), args.m, args.kind,
+        ridge_alpha=args.ridge_alpha, prior_precision=args.prior_precision,
+        noise_precision=args.noise_precision)
+    del fragment["training_pairs"]
+    _dump_json({**fragment, "m": args.m}, args.out)
     return 0
 
 
-def _load_importance_counts(path: str) -> dict[str, int]:
+def _load_importance(path: str, category_ids) -> ImportanceVector:
+    """Read slot counts from an importance JSON file (or a bare mapping)."""
     with Path(path).open(encoding="utf-8") as fh:
         data = json.load(fh)
     counts = data.get("importance", data) if isinstance(data, dict) else None
     if not isinstance(counts, dict):
         raise ValueError(f"{path}: expected an importance JSON object")
-    return {str(k): int(v) for k, v in counts.items()}
+    unknown = set(counts) - set(category_ids)
+    if unknown:
+        raise ValueError(f"{path}: unknown categories {sorted(unknown)}")
+    for cid, count in counts.items():
+        if not isinstance(count, int) or isinstance(count, bool) \
+                or count < 0:
+            raise ValueError(f"{path}: category {cid!r}: slot count "
+                             f"{count!r} is not a non-negative integer")
+    full = {cid: counts.get(cid, 0) for cid in category_ids}
+    return ImportanceVector(counts=full, m=sum(full.values()))
 
 
 def _cmd_summarize(args) -> int:
-    stopwords, lexicon, ontology = _load_resources(args)
+    stopwords, lexicon, ontology = load_resources(
+        args.ontology, args.merges, args.stopwords, args.lexicon)
     dataset = corpus.load_tweets(args.dataset, stopwords, lexicon)
     table = load_word2vec_text(args.embeddings)
-    use_extended = not args.no_extended
-    result = classify_corpus(dataset, ontology, use_extended)
-    partition = result.partition
+    result = classify_corpus(dataset, ontology, not args.no_extended)
     category_ids = ontology.category_ids()
-    available = {cid: len(partition.get(cid, ())) for cid in category_ids}
     if args.importance:
-        counts = _load_importance_counts(args.importance)
-        unknown = set(counts) - set(category_ids)
-        if unknown:
-            raise ValueError(f"importance file names unknown categories "
-                             f"{sorted(unknown)}")
-        full = {cid: counts.get(cid, 0) for cid in category_ids}
-        importance = ImportanceVector(counts=full, m=sum(full.values()))
+        importance = _load_importance(args.importance, category_ids)
     else:
-        total = sum(available.values())
-        if total == 0:
-            raise ValueError(f"no classified tweets in {dataset.id!r}")
-        fractions = {cid: available[cid] / total for cid in category_ids}
+        fractions, available = category_shares(dataset.id, result.partition,
+                                               category_ids)
         importance = predict_importance(RegressionModel(kind="equal"),
                                         fractions, available, args.length)
-    cfg = SelectorConfig(
-        lam=args.lam,
-        sim1_mode=args.sim1_mode,
-        selector_kind=args.selector,
-        seed=args.seed,
-        diversity_same_category_only=args.same_category_diversity,
-    )
-    vocab_by_category = {c.id: c.vocabulary(use_extended)
-                         for c in ontology.categories}
-    summary = summarize(partition, importance, vocab_by_category, table, cfg)
-    tweets_by_id = {t.id: t for t in dataset.tweets}
-    text_lines = [" ".join(tweets_by_id[e.tweet_id].raw_text.split())
-                  for e in summary.entries]
-    payload = {
+    cfg = selector_config(args)
+    summary = select(dataset, result.partition, importance, ontology,
+                     not args.no_extended, table, cfg)
+    _dump_json({
         "dataset": dataset.id,
         "selector_kind": cfg.selector_kind,
         "lambda": cfg.lam,
         "sim1_mode": cfg.sim1_mode,
         "seed": cfg.seed,
         "importance": dict(sorted(importance.counts.items())),
-        "entries": [
-            {"tweet_id": e.tweet_id, "category_id": e.category_id,
-             "score": e.score}
-            for e in summary.entries
-        ],
-    }
-    _dump_json(payload, args.out_json)
-    _write_text(args.out_text, "".join(line + "\n" for line in text_lines))
+        "entries": summary["entries"],
+    }, args.out_json)
+    _write_text(args.out_text, _lines(summary["text"]))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     stopwords = corpus.load_stopwords(args.stopwords) if args.stopwords \
         else corpus.default_stopwords()
-    cand_lines = Path(args.candidate).read_text(encoding="utf-8").splitlines()
-    ref_lines = Path(args.reference).read_text(encoding="utf-8").splitlines()
-    cand = [tok for line in cand_lines
-            for tok in corpus.preprocess_text(line, stopwords)]
-    ref = [tok for line in ref_lines
-           for tok in corpus.preprocess_text(line, stopwords)]
-    _dump_json(score_summary(cand, ref).as_dict(), args.out)
+    candidate = Path(args.candidate).read_text(encoding="utf-8").splitlines()
+    _dump_json(evaluate(candidate, args.reference, stopwords), args.out)
     return 0
 
 
@@ -322,10 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="summary length for equal importance when no "
                         "--importance file is given")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--selector", choices=SELECTOR_KINDS, default="dmmr")
+    p.add_argument("--selector", dest="selector_kind", choices=SELECTOR_KINDS,
+                   default="dmmr")
     p.add_argument("--sim1-mode", choices=SIM1_MODES, default="sum")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--same-category-diversity", action="store_true",
+                   dest="diversity_same_category_only",
                    help="restrict the diversity penalty to tweets already "
                         "selected from the same category")
     p.add_argument("--out-json", default="-")
@@ -354,10 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineStageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (PipelineStageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,7 @@ approval. All builders return new values; an ontology never mutates.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -74,7 +75,6 @@ class CandidateKeyword:
     word: str
     category_id: str
     frequency: int
-    approved: bool = False
 
     def __post_init__(self) -> None:
         if self.frequency < 1:
@@ -97,11 +97,19 @@ def load_ontology(path: str | Path) -> Ontology:
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         data = json.load(fh)
-    raw_categories = data.get("categories")
+    raw_categories = data.get("categories") if isinstance(data, dict) \
+        else None
     if not isinstance(raw_categories, list):
         raise OntologyError(f"{path.name}: missing 'categories' list")
     categories = []
-    for entry in raw_categories:
+    for index, entry in enumerate(raw_categories):
+        if not isinstance(entry, dict):
+            raise OntologyError(f"{path.name}: categories[{index}] is not "
+                                f"an object")
+        for key in ("keywords", "extended_keywords"):
+            if not isinstance(entry.get(key, []), list):
+                raise OntologyError(f"{path.name}: categories[{index}]: "
+                                    f"{key!r} is not a list")
         cat_id = str(entry.get("id", "")).strip()
         if not cat_id:
             raise OntologyError(f"{path.name}: category without an id")
@@ -241,16 +249,23 @@ def harvest_candidates(ontology: Ontology, docs: list[str],
     return candidates
 
 
-def write_candidate_report(candidates: list[CandidateKeyword],
-                           path: str | Path) -> None:
-    """Write candidates as CSV rows "category_id,word,frequency"."""
+def candidate_report(candidates: list[CandidateKeyword]) -> str:
+    """Candidates as CSV text with rows "category_id,word,frequency"."""
     ordered = sorted(candidates,
                      key=lambda c: (c.category_id, -c.frequency, c.word))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["category_id", "word", "frequency"])
+    for cand in ordered:
+        writer.writerow([cand.category_id, cand.word, cand.frequency])
+    return buffer.getvalue()
+
+
+def write_candidate_report(candidates: list[CandidateKeyword],
+                           path: str | Path) -> None:
+    """Write `candidate_report(candidates)` to a file."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["category_id", "word", "frequency"])
-        for cand in ordered:
-            writer.writerow([cand.category_id, cand.word, cand.frequency])
+        fh.write(candidate_report(candidates))
 
 
 def load_approvals(path: str | Path) -> list[tuple[str, str]]:

@@ -3,20 +3,23 @@
 Every stage's intermediate artifacts and the fully materialized
 configuration are embedded in a single JSON report, so a run can be
 reproduced from its report alone. Identical inputs produce
-byte-identical reports.
+byte-identical reports. Each stage is one function below: `run_pipeline`
+chains them, and each CLI subcommand wraps one.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 from . import corpus, ontology as onto, embeddings as emb_mod
-from .categorizer import classify_corpus
+from .categorizer import ClassificationResult, CorpusStats, classify_corpus
+from .corpus import DisasterDataset
 from .disaster_sim import DatasetMeta, build_profile, dis_sim, most_similar
 from .importance import build_training_pairs, fit, predict_importance
+from .ontology import Ontology
 from .rouge import score_summary
 from .selector import SelectorConfig, summarize
 
@@ -161,16 +164,134 @@ def load_config(path: str | Path,
     return PipelineConfig(**values)
 
 
-def _load_resources(cfg: PipelineConfig):
-    stopwords = corpus.load_stopwords(cfg.stopwords) if cfg.stopwords \
+def load_resources(ontology: str | Path, merges: str | Path | None = None,
+                   stopwords: str | Path | None = None,
+                   lexicon: str | Path | None = None):
+    """(stopwords, lexicon, merged ontology); None picks a bundled list."""
+    stop = corpus.load_stopwords(stopwords) if stopwords \
         else corpus.default_stopwords()
-    lexicon = corpus.load_lexicon(cfg.lexicon) if cfg.lexicon \
+    lex = corpus.load_lexicon(lexicon) if lexicon \
         else corpus.default_lexicon()
-    ontology = onto.load_ontology(cfg.ontology)
-    if cfg.merges:
-        ontology = onto.merge_categories(ontology, onto.load_merges(cfg.merges))
-    table = emb_mod.load_word2vec_text(cfg.embeddings)
-    return stopwords, lexicon, ontology, table
+    loaded = onto.load_ontology(ontology)
+    if merges:
+        loaded = onto.merge_categories(loaded, onto.load_merges(merges))
+    return stop, lex, loaded
+
+
+def extend_vocab(ontology: Ontology, docs: list, approvals, lexicon,
+                 stopwords, min_freq: int):
+    """Return (harvested candidates, ontology with the approvals applied)."""
+    texts = [Path(p).read_text(encoding="utf-8") for p in docs]
+    candidates = onto.harvest_candidates(ontology, texts, lexicon,
+                                         min_freq=min_freq,
+                                         stopwords=stopwords)
+    if approvals:
+        ontology = onto.apply_approvals(ontology, candidates,
+                                        onto.load_approvals(approvals))
+    return candidates, ontology
+
+
+def load_datasets(paths: list, stopwords, lexicon) -> list[DisasterDataset]:
+    """Load tweet files, rejecting two datasets with the same id."""
+    datasets = [corpus.load_tweets(p, stopwords, lexicon) for p in paths]
+    ids = [d.id for d in datasets]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate dataset ids among {ids}")
+    return datasets
+
+
+def coverage(stats: CorpusStats) -> dict:
+    """The classification coverage fields of a dataset's report entry."""
+    return {
+        "total": stats.total,
+        "classified": stats.classified,
+        "fraction_classified": stats.fraction_classified,
+        "fraction_seed": stats.fraction_seed,
+        "fraction_extended_gain": stats.fraction_extended_gain,
+    }
+
+
+def similarity_matrix(datasets: list[DisasterDataset],
+                      results: dict[str, ClassificationResult], top_k: int,
+                      w1: float, w2: float):
+    """Profile each dataset and score every ordered pair of distinct ids."""
+    profiles = {ds.id: build_profile(results[ds.id].partition, k=top_k,
+                                     meta=DatasetMeta(ds.id, ds.disaster_type,
+                                                      ds.continent))
+                for ds in datasets}
+    ids = sorted(profiles)
+    matrix = {x: {y: dis_sim(profiles[x], profiles[y], w1, w2)
+                  for y in ids if y != x}
+              for x in ids}
+    return profiles, matrix
+
+
+def category_shares(dataset_id: str, partition, category_ids):
+    """(fraction of the classified tweets, tweet count) per category."""
+    available = {cid: len(partition.get(cid, ())) for cid in category_ids}
+    total = sum(available.values())
+    if total == 0:
+        raise ValueError(f"no classified tweets in {dataset_id!r}")
+    return {cid: n / total for cid, n in available.items()}, available
+
+
+def weight_categories(target_id: str, target_partition,
+                      training: DisasterDataset, training_partition,
+                      category_ids, m: int, kind: str, *,
+                      ridge_alpha: float = 1.0, prior_precision: float = 1.0,
+                      noise_precision: float = 1.0):
+    """Fit on the training disaster; return (importance, report fragment)."""
+    pairs = build_training_pairs(training, training_partition, category_ids)
+    model = fit(pairs, kind, ridge_alpha=ridge_alpha,
+                prior_precision=prior_precision,
+                noise_precision=noise_precision)
+    fractions, available = category_shares(target_id, target_partition,
+                                           category_ids)
+    importance = predict_importance(model, fractions, available, m)
+    model_info = {"kind": model.kind, "slope": model.slope,
+                  "intercept": model.intercept}
+    if model.kind == "bayesian":
+        model_info["predictive_variance"] = {
+            cid: model.predictive_variance(fractions[cid])
+            for cid in sorted(category_ids)
+        }
+    return importance, {
+        "training_disaster": training.id,
+        "training_pairs": [[x, y] for x, y in pairs],
+        "model": model_info,
+        "importance": dict(sorted(importance.counts.items())),
+    }
+
+
+def selector_config(source) -> SelectorConfig:
+    """A SelectorConfig from the same-named attributes of `source`."""
+    return SelectorConfig(**{f.name: getattr(source, f.name)
+                             for f in fields(SelectorConfig)})
+
+
+def select(dataset: DisasterDataset, partition, importance, ontology: Ontology,
+           use_extended: bool, table, cfg: SelectorConfig) -> dict:
+    """The summary's entries and its lines of whitespace-collapsed text."""
+    vocab_by_category = {c.id: c.vocabulary(use_extended)
+                         for c in ontology.categories}
+    summary = summarize(partition, importance, vocab_by_category, table, cfg)
+    tweets_by_id = {t.id: t for t in dataset.tweets}
+    return {
+        "entries": [asdict(e) for e in summary.entries],
+        "text": [" ".join(tweets_by_id[e.tweet_id].raw_text.split())
+                 for e in summary.entries],
+    }
+
+
+def evaluate(summary_lines: list[str], reference: str | Path,
+             stopwords) -> dict:
+    """ROUGE-1/2/L of the summary lines against a reference file's lines."""
+    def tokens(lines):
+        return [tok for line in lines
+                for tok in corpus.preprocess_text(line, stopwords)]
+    reference_lines = Path(reference).read_text(encoding="utf-8").splitlines()
+    return score_summary(tokens(summary_lines),
+                         tokens(reference_lines)).as_dict()
 
 
 def _write_report(report: dict, path: Path) -> None:
@@ -194,23 +315,17 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     }
     stage = "load-resources"
     try:
-        stopwords, lexicon, ontology, table = _load_resources(cfg)
+        stopwords, lexicon, ontology = load_resources(
+            cfg.ontology, cfg.merges, cfg.stopwords, cfg.lexicon)
+        table = emb_mod.load_word2vec_text(cfg.embeddings)
 
         stage = "extend-vocab"
         if cfg.vocab_docs and cfg.approvals:
-            docs = [Path(p).read_text(encoding="utf-8")
-                    for p in cfg.vocab_docs]
-            candidates = onto.harvest_candidates(
-                ontology, docs, lexicon, min_freq=cfg.min_freq,
-                stopwords=stopwords)
-            approvals = onto.load_approvals(cfg.approvals)
-            ontology = onto.apply_approvals(ontology, candidates, approvals)
+            candidates, ontology = extend_vocab(
+                ontology, cfg.vocab_docs, cfg.approvals, lexicon, stopwords,
+                cfg.min_freq)
             report["vocabulary_extension"] = {
-                "candidates": [
-                    {"category_id": c.category_id, "word": c.word,
-                     "frequency": c.frequency}
-                    for c in candidates
-                ],
+                "candidates": [asdict(c) for c in candidates],
                 "approved": {
                     c.id: sorted(c.extended_keywords)
                     for c in ontology.categories if c.extended_keywords
@@ -229,62 +344,35 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         }
 
         stage = "load-datasets"
-        target = corpus.load_tweets(cfg.target, stopwords, lexicon)
-        candidates_ds = [corpus.load_tweets(p, stopwords, lexicon)
-                         for p in cfg.candidates]
-        all_ids = [target.id] + [d.id for d in candidates_ds]
-        if len(set(all_ids)) != len(all_ids):
-            raise ValueError(f"duplicate dataset ids among {all_ids}")
+        datasets = load_datasets([cfg.target, *cfg.candidates], stopwords,
+                                 lexicon)
+        target, candidates_ds = datasets[0], datasets[1:]
 
         stage = "categorize"
-        results = {
-            ds.id: classify_corpus(ds, ontology, cfg.use_extended)
-            for ds in [target] + candidates_ds
-        }
+        results = {ds.id: classify_corpus(ds, ontology, cfg.use_extended)
+                   for ds in datasets}
         report["datasets"] = {
-            ds_id: {
-                "total": r.stats.total,
-                "classified": r.stats.classified,
-                "fraction_classified": r.stats.fraction_classified,
-                "fraction_seed": r.stats.fraction_seed,
-                "fraction_extended_gain": r.stats.fraction_extended_gain,
-                "category_counts": {cid: len(cell)
-                                    for cid, cell in r.partition.items()},
-            }
+            ds_id: {**coverage(r.stats),
+                    "category_counts": {cid: len(cell)
+                                        for cid, cell in r.partition.items()}}
             for ds_id, r in results.items()
         }
         report["target_assignments"] = [
-            {"tweet_id": a.tweet_id, "category_id": a.category_id,
-             "score": a.score, "matched_by": a.matched_by}
-            for a in results[target.id].assignments
-        ]
+            asdict(a) for a in results[target.id].assignments]
 
         stage = "similarity"
-        profiles = {}
-        for ds in [target] + candidates_ds:
-            meta = DatasetMeta(dataset_id=ds.id,
-                               disaster_type=ds.disaster_type,
-                               continent=ds.continent)
-            profiles[ds.id] = build_profile(results[ds.id].partition,
-                                            k=cfg.top_k, meta=meta)
-        matrix = {}
-        for x in sorted(profiles):
-            matrix[x] = {}
-            for y in sorted(profiles):
-                if x == y:
-                    continue
-                score = dis_sim(profiles[x], profiles[y], cfg.w1, cfg.w2)
-                matrix[x][y] = score.dis_sim
+        profiles, matrix = similarity_matrix(datasets, results, cfg.top_k,
+                                             cfg.w1, cfg.w2)
         chosen_id = most_similar(
             profiles[target.id],
             [profiles[d.id] for d in candidates_ds],
             homogeneous_only=cfg.homogeneous_only,
             w1=cfg.w1, w2=cfg.w2,
         )
-        chosen_score = dis_sim(profiles[target.id], profiles[chosen_id],
-                               cfg.w1, cfg.w2)
+        chosen_score = matrix[target.id][chosen_id]
         report["similarity"] = {
-            "matrix": matrix,
+            "matrix": {x: {y: score.dis_sim for y, score in row.items()}
+                       for x, row in matrix.items()},
             "most_similar": chosen_id,
             "most_similar_score": {
                 "dis_sim": chosen_score.dis_sim,
@@ -295,76 +383,22 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
         stage = "importance"
         training = next(d for d in candidates_ds if d.id == chosen_id)
-        category_ids = ontology.category_ids()
-        pairs = build_training_pairs(training,
-                                     results[chosen_id].partition,
-                                     category_ids)
-        model = fit(pairs, cfg.regression_kind,
-                    ridge_alpha=cfg.ridge_alpha,
-                    prior_precision=cfg.prior_precision,
-                    noise_precision=cfg.noise_precision)
-        target_partition = results[target.id].partition
-        total_classified = sum(len(c) for c in target_partition.values())
-        fractions = {cid: len(target_partition.get(cid, ())) / total_classified
-                     for cid in category_ids}
-        available = {cid: len(target_partition.get(cid, ()))
-                     for cid in category_ids}
-        importance = predict_importance(model, fractions, available, cfg.m)
-        model_info = {
-            "kind": model.kind,
-            "slope": model.slope,
-            "intercept": model.intercept,
-        }
-        if model.kind == "bayesian":
-            model_info["predictive_variance"] = {
-                cid: model.predictive_variance(fractions[cid])
-                for cid in sorted(category_ids)
-            }
-        report["importance"] = {
-            "training_disaster": chosen_id,
-            "training_pairs": [[x, y] for x, y in pairs],
-            "model": model_info,
-            "importance": dict(sorted(importance.counts.items())),
-        }
+        importance, report["importance"] = weight_categories(
+            target.id, results[target.id].partition,
+            training, results[chosen_id].partition,
+            ontology.category_ids(), cfg.m, cfg.regression_kind,
+            ridge_alpha=cfg.ridge_alpha,
+            prior_precision=cfg.prior_precision,
+            noise_precision=cfg.noise_precision)
 
         stage = "summarize"
-        selector_cfg = SelectorConfig(
-            lam=cfg.lam,
-            sim1_mode=cfg.sim1_mode,
-            selector_kind=cfg.selector_kind,
-            seed=cfg.seed,
-            diversity_same_category_only=cfg.diversity_same_category_only,
-        )
-        vocab_by_category = {
-            c.id: c.vocabulary(cfg.use_extended) for c in ontology.categories
-        }
-        summary = summarize(target_partition, importance, vocab_by_category,
-                            table, selector_cfg)
-        tweets_by_id = {t.id: t for t in target.tweets}
-        summary_lines = [
-            " ".join(tweets_by_id[e.tweet_id].raw_text.split())
-            for e in summary.entries
-        ]
-        report["summary"] = {
-            "entries": [
-                {"tweet_id": e.tweet_id, "category_id": e.category_id,
-                 "score": e.score}
-                for e in summary.entries
-            ],
-            "text": summary_lines,
-        }
+        report["summary"] = select(target, results[target.id].partition,
+                                   importance, ontology, cfg.use_extended,
+                                   table, selector_config(cfg))
 
         stage = "evaluate"
-        if cfg.reference:
-            reference_lines = Path(cfg.reference).read_text(
-                encoding="utf-8").splitlines()
-            cand_tokens = [tok for line in summary_lines
-                           for tok in corpus.preprocess_text(line, stopwords)]
-            ref_tokens = [tok for line in reference_lines
-                          for tok in corpus.preprocess_text(line, stopwords)]
-            report["rouge"] = score_summary(cand_tokens, ref_tokens).as_dict()
-        else:
-            report["rouge"] = None
+        report["rouge"] = evaluate(report["summary"]["text"], cfg.reference,
+                                   stopwords) if cfg.reference else None
     except Exception as exc:
         quarantine = out_dir / "quarantine"
         if quarantine.exists():
@@ -372,7 +406,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         _write_report(report, quarantine / "report.json")
         raise PipelineStageError(stage, exc) from exc
 
-    stage = "write-outputs"
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(report, out_dir / "report.json")
     (out_dir / "summary.txt").write_text(

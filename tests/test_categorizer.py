@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crisumm import categorizer
 from crisumm.categorizer import (CategoryAssignment, classify,
                                  classify_corpus, sem_sim)
 from crisumm.corpus import DisasterDataset
@@ -120,6 +121,39 @@ class TestClassifyCorpus:
         seed_only = classify_corpus(target_dataset, extended_ontology, False)
         assert seed_only.stats.classified == 60
         assert seed_only.stats.extended_gain == 0
+
+    def test_one_classify_call_per_tweet(self, monkeypatch, target_dataset,
+                                         extended_ontology):
+        calls = []
+        real = categorizer.classify
+        monkeypatch.setattr(categorizer, "classify",
+                            lambda *args: calls.append(args) or real(*args))
+        classify_corpus(target_dataset, extended_ontology, True)
+        assert len(calls) == len(target_dataset.tweets)
+
+    @pytest.mark.parametrize("use_extended", [True, False])
+    def test_seed_stats_match_a_seed_only_pass(self, use_extended):
+        rng = np.random.default_rng(23)
+        words = [f"w{i}" for i in range(12)]
+
+        def pick(low, high):
+            return {str(w) for w in rng.choice(
+                words, int(rng.integers(low, high)), replace=False)}
+
+        def vocab():
+            seeds = pick(1, 3)
+            return seeds, pick(0, 3) - seeds
+        for _ in range(100):
+            onto = make_ontology(a=vocab(), b=vocab())
+            tweets = [make_tweet(f"t{i}", pick(1, 4)) for i in range(8)]
+            stats = classify_corpus(self._dataset(tweets), onto,
+                                    use_extended).stats
+            seed = sum(classify(t, onto, False).category_id is not None
+                       for t in tweets)
+            assert stats.seed_classified == seed
+            assert stats.extended_gain == stats.classified - seed
+            if not use_extended:
+                assert stats.extended_gain == 0
 
     def test_extension_never_unclassifies(self):
         rng = np.random.default_rng(17)

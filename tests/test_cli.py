@@ -197,6 +197,24 @@ class TestSummarizeCommand:
         payload = json.loads(out_json.read_text(encoding="utf-8"))
         assert len(payload["entries"]) == 5
 
+    @pytest.mark.parametrize("count", [2.7, True, "2", -1])
+    def test_bad_slot_count_rejected(self, tmp_path, capsys,
+                                      data_dir, count):
+        imp = tmp_path / "imp.json"
+        imp.write_text(json.dumps({"importance": {
+            "affected_population": count, "early_warning": 1,
+        }}), encoding="utf-8")
+        code, _, err = run(capsys, "summarize",
+                           "--dataset", str(data_dir / "target.jsonl"),
+                           "--ontology", str(data_dir / "ontology.json"),
+                           "--embeddings", str(data_dir / "embeddings.txt"),
+                           "--importance", str(imp),
+                           "--out-json", str(tmp_path / "s.json"),
+                           "--out-text", str(tmp_path / "s.txt"))
+        assert code == 1
+        assert err.count("\n") == 1
+        assert str(imp) in err and "'affected_population'" in err
+
 
 class TestPipelineCommand:
     def test_end_to_end_outputs(self, tmp_path, capsys, data_dir):
@@ -298,6 +316,16 @@ class TestExitCodes:
                            "--reference", str(tmp_path / "nope.txt"))
         assert code == 1
         assert "error" in err
+
+    def test_malformed_ontology_entry_returns_one(self, tmp_path, capsys,
+                                                  data_dir):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"categories": ["x"]}), encoding="utf-8")
+        code, _, err = run(capsys, "categorize",
+                           "--dataset", str(data_dir / "target.jsonl"),
+                           "--ontology", str(bad))
+        assert code == 1
+        assert err == "error: bad.json: categories[0] is not an object\n"
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -50,6 +50,28 @@ class TestLoad:
         with pytest.raises(OntologyError, match="no keywords"):
             load_ontology(path)
 
+    @pytest.mark.parametrize("entry, message", [
+        ("x", r"o\.json: categories\[1\] is not an object"),
+        ({"id": "c", "keywords": "flood"},
+         r"o\.json: categories\[1\]: 'keywords' is not a list"),
+        ({"id": "c", "keywords": ["flood"], "extended_keywords": "levee"},
+         r"o\.json: categories\[1\]: 'extended_keywords' is not a list"),
+    ], ids=["entry", "keywords", "extended_keywords"])
+    def test_malformed_entry_rejected(self, tmp_path, entry, message):
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"categories": [
+            {"id": "a", "name": "A", "keywords": ["rain"]}, entry,
+        ]}), encoding="utf-8")
+        with pytest.raises(OntologyError, match=message):
+            load_ontology(path)
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps([{"id": "a", "keywords": ["rain"]}]),
+                        encoding="utf-8")
+        with pytest.raises(OntologyError, match="'categories' list"):
+            load_ontology(path)
+
     def test_save_load_roundtrip_with_extensions(self, tmp_path,
                                                  extended_ontology):
         path = tmp_path / "o.json"
