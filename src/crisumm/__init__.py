@@ -24,8 +24,8 @@ from .importance import (
 from .selector import (
     SelectorConfig,
     Summary,
-    ablation_select,
     dmmr_select,
+    select_category,
     sim1,
     sim2,
     summarize,
@@ -42,7 +42,7 @@ __all__ = [
     "build_profile", "cat_ic", "cat_p", "dis_sim", "most_similar",
     "ImportanceVector", "RegressionModel", "build_training_pairs", "fit",
     "predict_importance",
-    "SelectorConfig", "Summary", "ablation_select", "dmmr_select", "sim1",
+    "SelectorConfig", "Summary", "dmmr_select", "select_category", "sim1",
     "sim2", "summarize",
     "RougeReport", "rouge_l", "rouge_n", "score_summary",
     "PipelineConfig", "load_config", "run_pipeline",

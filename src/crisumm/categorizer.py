@@ -8,12 +8,10 @@ excluded from every later phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .corpus import DisasterDataset, Tweet
 from .ontology import Category, Ontology
-
-MATCHED_BY = ("seed", "extended", "both", "none")
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,6 @@ class CorpusStats:
 class ClassificationResult:
     assignments: tuple[CategoryAssignment, ...]
     partition: dict[str, tuple[Tweet, ...]]
-    unclassified: tuple[str, ...]
     stats: CorpusStats
 
 
@@ -110,11 +107,10 @@ def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
     """Classify every tweet in a dataset and partition it by category.
 
     The partition holds only categories that received at least one
-    tweet, in dataset order, with each tweet's `category` field set.
+    tweet, in dataset order.
     """
     assignments = []
     cells: dict[str, list[Tweet]] = {}
-    unclassified = []
     # A tweet is seed-classifiable exactly when it shares a keyword with
     # some category's seed vocabulary.
     seed_words = frozenset().union(*(c.seed_keywords
@@ -123,15 +119,11 @@ def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
     for tweet in dataset.tweets:
         assignment = classify(tweet, ontology, use_extended)
         assignments.append(assignment)
-        if assignment.category_id is None:
-            unclassified.append(tweet.id)
-        else:
-            cells.setdefault(assignment.category_id, []).append(
-                replace(tweet, category=assignment.category_id)
-            )
+        if assignment.category_id is not None:
+            cells.setdefault(assignment.category_id, []).append(tweet)
         if not tweet.keywords.isdisjoint(seed_words):
             seed_classified += 1
-    classified = len(dataset.tweets) - len(unclassified)
+    classified = sum(len(cell) for cell in cells.values())
     stats = CorpusStats(
         total=len(dataset.tweets),
         classified=classified,
@@ -142,6 +134,5 @@ def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
     return ClassificationResult(
         assignments=tuple(assignments),
         partition=partition,
-        unclassified=tuple(unclassified),
         stats=stats,
     )

@@ -79,8 +79,8 @@ def _cmd_similarity(args) -> int:
     datasets = load_datasets(args.datasets, stopwords, lexicon)
     results = {ds.id: classify_corpus(ds, ontology, not args.no_extended)
                for ds in datasets}
-    _, matrix = similarity_matrix(datasets, results, args.top_k, args.w1,
-                                  args.w2)
+    matrix = similarity_matrix(datasets, results, args.top_k, args.w1,
+                               args.w2)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["dataset", *matrix, "most_similar"])

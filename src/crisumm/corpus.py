@@ -45,16 +45,12 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Tweet:
-    """One preprocessed microtext.
-
-    `category` stays None until the categorizer assigns one.
-    """
+    """One preprocessed microtext."""
 
     id: str
     raw_text: str
     tokens: tuple[str, ...]
     keywords: frozenset[str]
-    category: str | None = None
 
 
 @dataclass(frozen=True)
@@ -155,8 +151,8 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
 
     Line 1 is a header object with "id", "disaster_type", and
     "continent"; every following line is a tweet object with "id" and
-    "text", plus "gold_category" on tweets belonging to the gold
-    summary. Record order is preserved.
+    a string "text", plus "gold_category" on tweets belonging to the
+    gold summary. Record order is preserved.
     """
     path = Path(path)
     header = None
@@ -203,9 +199,13 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
                 raise CorpusFormatError(
                     f"{path.name}:{lineno}: duplicate tweet id {tweet_id!r}"
                 )
+            if not isinstance(record["text"], str):
+                raise CorpusFormatError(
+                    f"{path.name}:{lineno}: tweet text is not a string"
+                )
             seen.add(tweet_id)
-            tweets.append(make_tweet(tweet_id, str(record["text"]),
-                                     stopwords, lexicon))
+            tweets.append(make_tweet(tweet_id, record["text"], stopwords,
+                                     lexicon))
             if "gold_category" in record:
                 gold.append((tweet_id, str(record["gold_category"])))
     if header is None:

@@ -16,15 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Tweet
+from .corpus import DisasterDataset, Tweet
 from .embeddings import cosine
-
-
-@dataclass(frozen=True)
-class DatasetMeta:
-    dataset_id: str
-    disaster_type: str
-    continent: str
 
 
 @dataclass(frozen=True)
@@ -39,8 +32,6 @@ class CategoryProfile:
     counts: dict[str, int]
     probabilities: dict[str, float]
     top_keywords: dict[str, dict[str, int]]
-    top_k: int
-    meta: DatasetMeta | None = None
 
     @property
     def total(self) -> int:
@@ -52,12 +43,10 @@ class SimilarityScore:
     dis_sim: float
     cat_ic: float
     cat_p: float
-    w1: float
-    w2: float
 
 
-def build_profile(partition: Mapping[str, Sequence[Tweet]], k: int = 50,
-                  meta: DatasetMeta | None = None) -> CategoryProfile:
+def build_profile(partition: Mapping[str, Sequence[Tweet]],
+                  k: int = 50) -> CategoryProfile:
     """Summarize a classification partition into a category profile."""
     counts = {cid: len(tweets) for cid, tweets in partition.items() if tweets}
     total = sum(counts.values())
@@ -74,13 +63,8 @@ def build_profile(partition: Mapping[str, Sequence[Tweet]], k: int = 50,
             freq.update(tweet.keywords)
         ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
         top_keywords[cid] = dict(ranked)
-    return CategoryProfile(
-        counts=counts,
-        probabilities=probabilities,
-        top_keywords=top_keywords,
-        top_k=k,
-        meta=meta,
-    )
+    return CategoryProfile(counts=counts, probabilities=probabilities,
+                           top_keywords=top_keywords)
 
 
 def cat_ic(px: CategoryProfile, py: CategoryProfile) -> float:
@@ -142,41 +126,28 @@ def dis_sim(px: CategoryProfile, py: CategoryProfile,
     ic = cat_ic(px, py)
     p = cat_p(px, py)
     combined = max(0.0, min(1.0, w1 * ic + w2 * p))
-    return SimilarityScore(dis_sim=combined, cat_ic=ic, cat_p=p, w1=w1, w2=w2)
+    return SimilarityScore(dis_sim=combined, cat_ic=ic, cat_p=p)
 
 
-def most_similar(target: CategoryProfile,
-                 candidates: Sequence[CategoryProfile],
-                 homogeneous_only: bool = False,
-                 w1: float = 0.5, w2: float = 0.5) -> str:
-    """Pick the candidate dataset most similar to the target.
+def most_similar(target: DisasterDataset,
+                 candidates: Sequence[DisasterDataset],
+                 scores: Mapping[str, SimilarityScore],
+                 homogeneous_only: bool = False) -> str:
+    """Pick the candidate whose `scores[id].dis_sim` is highest.
 
-    With `homogeneous_only`, only candidates sharing the target's
-    disaster type and continent are considered. Ties go to the
-    smallest candidate id.
+    `scores` is the target's row of the similarity matrix. With
+    `homogeneous_only`, only candidates sharing the target's disaster
+    type and continent are considered. Ties go to the smallest
+    candidate id.
     """
     if not candidates:
-        raise ValueError("no candidate profiles given")
-    if any(c.meta is None for c in candidates) or (
-            homogeneous_only and target.meta is None):
-        raise ValueError("candidate profiles need dataset metadata")
-    pool = list(candidates)
-    if homogeneous_only:
-        pool = [
-            c for c in pool
-            if c.meta.disaster_type == target.meta.disaster_type
-            and c.meta.continent == target.meta.continent
-        ]
-        if not pool:
-            raise ValueError(
-                "no candidate shares the target's disaster type and "
-                "continent; disable homogeneous_only to widen the pool"
-            )
-    pool.sort(key=lambda c: c.meta.dataset_id)
-    best_id = None
-    best_score = -1.0
-    for candidate in pool:
-        score = dis_sim(target, candidate, w1, w2).dis_sim
-        if score > best_score:
-            best_id, best_score = candidate.meta.dataset_id, score
-    return best_id
+        raise ValueError("no candidate datasets given")
+    home = (target.disaster_type, target.continent)
+    pool = [c for c in candidates
+            if not homogeneous_only or (c.disaster_type, c.continent) == home]
+    if not pool:
+        raise ValueError(
+            "no candidate shares the target's disaster type and "
+            "continent; disable homogeneous_only to widen the pool"
+        )
+    return min(pool, key=lambda c: (-scores[c.id].dis_sim, c.id)).id

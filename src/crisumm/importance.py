@@ -21,17 +21,16 @@ REGRESSION_KINDS = ("linear", "ridge", "bayesian", "equal")
 
 @dataclass(frozen=True)
 class RegressionModel:
-    """Fitted slope/intercept plus the hyperparameters that produced them.
+    """Fitted slope/intercept of one regression kind.
 
     `kind="equal"` is the no-model baseline: it ignores the features
-    and splits the summary length uniformly across categories.
+    and splits the summary length uniformly across categories. A
+    Bayesian model also keeps what `predictive_variance` needs.
     """
 
     kind: str
     slope: float | None = None
     intercept: float | None = None
-    ridge_alpha: float | None = None
-    prior_precision: float | None = None
     noise_precision: float | None = None
     posterior_cov: tuple[tuple[float, float], tuple[float, float]] | None = None
 
@@ -154,8 +153,7 @@ def fit(pairs: Sequence[tuple[float, float]], kind: str = "linear", *,
             raise ValueError(f"ridge_alpha must be >= 0, got {ridge_alpha}")
         slope = sxy / (sxx + ridge_alpha) if (sxx + ridge_alpha) > 0.0 else 0.0
         return RegressionModel(kind="ridge", slope=slope,
-                               intercept=y_mean - slope * x_mean,
-                               ridge_alpha=ridge_alpha)
+                               intercept=y_mean - slope * x_mean)
 
     # bayesian
     if prior_precision <= 0.0 or noise_precision <= 0.0:
@@ -169,7 +167,6 @@ def fit(pairs: Sequence[tuple[float, float]], kind: str = "linear", *,
         kind="bayesian",
         slope=float(mean[1]),
         intercept=float(mean[0]),
-        prior_precision=prior_precision,
         noise_precision=noise_precision,
         posterior_cov=tuple(tuple(float(v) for v in row) for row in cov),
     )

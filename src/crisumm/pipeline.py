@@ -17,7 +17,7 @@ from pathlib import Path
 from . import corpus, ontology as onto, embeddings as emb_mod
 from .categorizer import ClassificationResult, CorpusStats, classify_corpus
 from .corpus import DisasterDataset
-from .disaster_sim import DatasetMeta, build_profile, dis_sim, most_similar
+from .disaster_sim import build_profile, dis_sim, most_similar
 from .importance import build_training_pairs, fit, predict_importance
 from .ontology import Ontology
 from .rouge import score_summary
@@ -27,12 +27,11 @@ SCHEMA_VERSION = 1
 
 
 class PipelineStageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name and the cause."""
+    """A pipeline stage failed; names the stage, chains the cause."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 @dataclass
@@ -88,6 +87,7 @@ class PipelineConfig:
                 "vocab_docs and approvals enable vocabulary extension "
                 "together; set both or neither"
             )
+        selector_config(self)  # a bad lam fails here, before any stage
 
     def as_report_dict(self) -> dict:
         raw = asdict(self)
@@ -135,15 +135,20 @@ def load_config(path: str | Path,
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key in values:
+            raise ValueError(f"{path.name}:{lineno}: {key} set twice")
         if key in _BOOL_KEYS:
             if raw.lower() not in ("true", "false"):
                 raise ValueError(f"{path.name}:{lineno}: {key} must be "
                                  f"true or false")
             values[key] = raw.lower() == "true"
-        elif key in _INT_KEYS:
-            values[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(raw)
+        elif key in _INT_KEYS or key in _FLOAT_KEYS:
+            kind = int if key in _INT_KEYS else float
+            try:
+                values[key] = kind(raw)
+            except ValueError:
+                raise ValueError(f"{path.name}:{lineno}: {key} = {raw!r} "
+                                 f"is not a valid {kind.__name__}") from None
         elif key in _STR_KEYS:
             values[key] = raw
         elif key in _PATH_KEYS:
@@ -215,15 +220,12 @@ def similarity_matrix(datasets: list[DisasterDataset],
                       results: dict[str, ClassificationResult], top_k: int,
                       w1: float, w2: float):
     """Profile each dataset and score every ordered pair of distinct ids."""
-    profiles = {ds.id: build_profile(results[ds.id].partition, k=top_k,
-                                     meta=DatasetMeta(ds.id, ds.disaster_type,
-                                                      ds.continent))
+    profiles = {ds.id: build_profile(results[ds.id].partition, k=top_k)
                 for ds in datasets}
     ids = sorted(profiles)
-    matrix = {x: {y: dis_sim(profiles[x], profiles[y], w1, w2)
-                  for y in ids if y != x}
-              for x in ids}
-    return profiles, matrix
+    return {x: {y: dis_sim(profiles[x], profiles[y], w1, w2)
+                for y in ids if y != x}
+            for x in ids}
 
 
 def category_shares(dataset_id: str, partition, category_ids):
@@ -361,14 +363,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             asdict(a) for a in results[target.id].assignments]
 
         stage = "similarity"
-        profiles, matrix = similarity_matrix(datasets, results, cfg.top_k,
-                                             cfg.w1, cfg.w2)
-        chosen_id = most_similar(
-            profiles[target.id],
-            [profiles[d.id] for d in candidates_ds],
-            homogeneous_only=cfg.homogeneous_only,
-            w1=cfg.w1, w2=cfg.w2,
-        )
+        matrix = similarity_matrix(datasets, results, cfg.top_k, cfg.w1,
+                                   cfg.w2)
+        chosen_id = most_similar(target, candidates_ds, matrix[target.id],
+                                 cfg.homogeneous_only)
         chosen_score = matrix[target.id][chosen_id]
         report["similarity"] = {
             "matrix": {x: {y: score.dis_sim for y, score in row.items()}

@@ -4,8 +4,8 @@ The default selector greedily maximizes a marginal-relevance score:
 embedding similarity of a tweet to the category vocabulary, penalized
 by keyword overlap with whatever the summary already contains. Five
 alternative selectors (pure relevance ranking, k-means medoids,
-eigenvector centrality, PageRank, and classic query-free MMR) share
-the same per-category interface.
+eigenvector centrality, PageRank, and classic query-free MMR) run
+through the same per-category entry point, `select_category`.
 """
 
 from __future__ import annotations
@@ -122,13 +122,6 @@ def sim2(a: Tweet, b: Tweet) -> float:
     return overlap / math.sqrt(len(a.keywords) * len(b.keywords))
 
 
-def _diversity_pool(summary_so_far: Sequence[tuple[Tweet, str]],
-                    category_id: str, cfg: SelectorConfig) -> list[Tweet]:
-    if cfg.diversity_same_category_only:
-        return [t for t, cid in summary_so_far if cid == category_id]
-    return [t for t, _ in summary_so_far]
-
-
 def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
                 emb: EmbeddingTable, cfg: SelectorConfig,
                 summary_so_far: Sequence[tuple[Tweet, str]] = (),
@@ -140,32 +133,30 @@ def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
     lam * sim1(tweet, vocab) - (1 - lam) * max sim2 against the summary
     so far (including tweets picked earlier in this call); the maximum
     over an empty summary is 0 and ties go to the smaller tweet id.
+    Each tweet's maximum is kept and raised by the newest pick alone.
+    `count` must not exceed len(tweets); `select_category` checks it.
     """
-    if count > len(tweets):
-        raise ValueError(
-            f"cannot select {count} tweets from a pool of {len(tweets)}"
-        )
     vocab = frozenset(vocab)
+    pool = [t for t, cid in summary_so_far
+            if cid == category_id or not cfg.diversity_same_category_only]
     remaining = sorted(tweets, key=lambda t: t.id)
     relevance = {t.id: sim1(t, vocab, emb, cfg.sim1_mode) for t in remaining}
-    pool = list(summary_so_far)
+    redundancy = {t.id: max((sim2(t, other) for other in pool), default=0.0)
+                  for t in remaining}
     picked: list[tuple[Tweet, float]] = []
     for _ in range(count):
-        diversity_targets = _diversity_pool(pool, category_id, cfg)
         best = None
         best_score = -math.inf
         for tweet in remaining:
-            redundancy = max(
-                (sim2(tweet, other) for other in diversity_targets),
-                default=0.0,
-            )
             score = cfg.lam * relevance[tweet.id] \
-                - (1.0 - cfg.lam) * redundancy
+                - (1.0 - cfg.lam) * redundancy[tweet.id]
             if score > best_score:
                 best, best_score = tweet, score
         picked.append((best, best_score))
-        pool.append((best, category_id))
         remaining.remove(best)
+        for tweet in remaining:
+            redundancy[tweet.id] = max(redundancy[tweet.id],
+                                       sim2(tweet, best))
     return picked
 
 
@@ -190,23 +181,16 @@ def _kmeans_select(tweets: Sequence[Tweet], count: int,
     ordered = sorted(tweets, key=lambda t: t.id)
     vectors = {t.id: _tweet_vector(t, emb) for t in ordered}
 
+    # Distance from each unchosen tweet to its nearest chosen centroid.
+    nearest = dict.fromkeys(vectors, math.inf)
     centroids: list[np.ndarray] = []
-    used: list[str] = []
     for _ in range(count):
-        best_id = None
-        best_dist = -1.0
-        for t in ordered:
-            if t.id in used:
-                continue
-            if centroids:
-                dist = min(float(np.linalg.norm(vectors[t.id] - c))
-                           for c in centroids)
-            else:
-                dist = 0.0
-            if dist > best_dist:
-                best_id, best_dist = t.id, dist
-        used.append(best_id)
+        best_id = max(nearest, key=nearest.get)
+        del nearest[best_id]
         centroids.append(vectors[best_id].copy())
+        for tid in nearest:
+            nearest[tid] = min(nearest[tid], float(
+                np.linalg.norm(vectors[tid] - centroids[-1])))
 
     assignment: dict[str, int] = {}
     for _ in range(POWER_ITERATIONS):
@@ -299,15 +283,16 @@ def _rank_select(tweets: Sequence[Tweet], count: int,
     return [(t, scores[t.id]) for t in ranked[:count]]
 
 
-def ablation_select(kind: str, tweets: Sequence[Tweet], count: int,
+def select_category(kind: str, tweets: Sequence[Tweet], count: int,
                     vocab: Iterable[str], emb: EmbeddingTable,
                     cfg: SelectorConfig,
                     summary_so_far: Sequence[tuple[Tweet, str]] = (),
                     category_id: str = "",
                     corpus_vocab: Iterable[str] = (),
                     ) -> list[tuple[Tweet, float]]:
-    """Run one of the alternative per-category selectors.
+    """Pick `count` tweets of one category with the selector `kind`.
 
+    dmmr         the greedy marginal-relevance loop (`dmmr_select`).
     max_sim      pure relevance ranking, no diversity term.
     kmeans       cluster medoids over keyword-embedding vectors.
     eigenvector  centrality on the complete keyword-cosine graph.
@@ -315,26 +300,28 @@ def ablation_select(kind: str, tweets: Sequence[Tweet], count: int,
     mmr          the greedy loop, but relevance is measured against
                  the union of all category vocabularies.
     """
+    if kind not in SELECTOR_KINDS:
+        raise ValueError(f"unknown selector {kind!r}")
     if count > len(tweets):
         raise ValueError(
-            f"cannot select {count} tweets from a pool of {len(tweets)}"
+            f"importance asks for {count} tweets from category "
+            f"{category_id!r} but its pool has only {len(tweets)} available"
         )
+    if kind in ("dmmr", "mmr"):
+        return dmmr_select(tweets, count,
+                           vocab if kind == "dmmr" else corpus_vocab, emb,
+                           cfg, summary_so_far, category_id)
     if kind == "max_sim":
         scores = {t.id: sim1(t, vocab, emb, cfg.sim1_mode) for t in tweets}
         return _rank_select(tweets, count, scores)
     if kind == "kmeans":
         return _kmeans_select(tweets, count, emb) if count else []
-    if kind in ("eigenvector", "pagerank"):
-        ordered = sorted(tweets, key=lambda t: t.id)
-        matrix = _sim2_matrix(ordered)
-        values = _eigenvector_scores(matrix) if kind == "eigenvector" \
-            else _pagerank_scores(matrix)
-        scores = {t.id: float(values[i]) for i, t in enumerate(ordered)}
-        return _rank_select(ordered, count, scores)
-    if kind == "mmr":
-        return dmmr_select(tweets, count, corpus_vocab, emb, cfg,
-                           summary_so_far, category_id)
-    raise ValueError(f"unknown ablation selector {kind!r}")
+    ordered = sorted(tweets, key=lambda t: t.id)
+    matrix = _sim2_matrix(ordered)
+    values = _eigenvector_scores(matrix) if kind == "eigenvector" \
+        else _pagerank_scores(matrix)
+    scores = {t.id: float(values[i]) for i, t in enumerate(ordered)}
+    return _rank_select(ordered, count, scores)
 
 
 def summarize(partition: Mapping[str, Sequence[Tweet]],
@@ -355,20 +342,9 @@ def summarize(partition: Mapping[str, Sequence[Tweet]],
         need = importance.counts[cid]
         if need == 0:
             continue
-        tweets = partition.get(cid, ())
-        if need > len(tweets):
-            raise ValueError(
-                f"importance asks for {need} tweets from category {cid!r} "
-                f"but only {len(tweets)} are available"
-            )
-        vocab = vocab_by_category.get(cid, frozenset())
-        if cfg.selector_kind == "dmmr":
-            picks = dmmr_select(tweets, need, vocab, emb, cfg,
-                                summary_so_far, cid)
-        else:
-            picks = ablation_select(cfg.selector_kind, tweets, need, vocab,
-                                    emb, cfg, summary_so_far, cid,
-                                    corpus_vocab)
+        picks = select_category(cfg.selector_kind, partition.get(cid, ()),
+                                need, vocab_by_category.get(cid, frozenset()),
+                                emb, cfg, summary_so_far, cid, corpus_vocab)
         for tweet, score in picks:
             entries.append(SummaryEntry(tweet_id=tweet.id, category_id=cid,
                                         score=score))

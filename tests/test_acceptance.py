@@ -17,7 +17,7 @@ from crisumm.importance import RegressionModel, fit, predict_importance
 from crisumm.ontology import Category, Ontology
 from crisumm.pipeline import load_config, run_pipeline
 from crisumm.rouge import rouge_l, rouge_n
-from crisumm.selector import SelectorConfig, ablation_select, dmmr_select
+from crisumm.selector import SelectorConfig, dmmr_select, select_category
 
 import oracles
 from oracles import make_tweet
@@ -89,7 +89,7 @@ def test_criterion_3_lambda_one_equals_pure_relevance_ranking():
             greedy = {t.id for t, _ in
                       dmmr_select(tweets, count, vocab, emb, cfg)}
             ranked = {t.id for t, _ in
-                      ablation_select("max_sim", tweets, count, vocab, emb,
+                      select_category("max_sim", tweets, count, vocab, emb,
                                       cfg)}
             assert greedy == ranked
 

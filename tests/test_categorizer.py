@@ -100,7 +100,9 @@ class TestClassifyCorpus:
         onto = make_ontology(c={"flood"})
         tweets = [make_tweet("t1", {"flood"}), make_tweet("t2", {"zzz"})]
         result = classify_corpus(self._dataset(tweets), onto, True)
-        assert result.unclassified == ("t2",)
+        assert [a.tweet_id for a in result.assignments
+                if a.category_id is None] == ["t2"]
+        assert result.partition == {"c": (tweets[0],)}
         assert result.stats.fraction_classified == 0.5
 
     def test_partition_cells_cover_corpus(self, target_dataset,
@@ -108,10 +110,11 @@ class TestClassifyCorpus:
         result = classify_corpus(target_dataset, extended_ontology, True)
         seen = [t.id for cell in result.partition.values() for t in cell]
         assert len(seen) == len(set(seen))
-        assert set(seen) | set(result.unclassified) == \
-            {t.id for t in target_dataset.tweets}
+        assigned = {a.tweet_id: a.category_id for a in result.assignments}
+        assert assigned.keys() == {t.id for t in target_dataset.tweets}
+        assert set(seen) == {tid for tid, cid in assigned.items() if cid}
         for cid, cell in result.partition.items():
-            assert all(t.category == cid for t in cell)
+            assert all(assigned[t.id] == cid for t in cell)
 
     def test_stats_mirror_vocabulary_columns(self, target_dataset,
                                              extended_ontology):

@@ -274,6 +274,34 @@ class TestPipelineCommand:
         with pytest.raises(ValueError, match="mystery"):
             load_config(bad, out_dir=tmp_path / "out")
 
+    @pytest.mark.parametrize("line, message", [
+        ("m = 2.5", "bad.cfg:2: m = '2.5' is not a valid int"),
+        ("lam = half", "bad.cfg:2: lam = 'half' is not a valid float"),
+    ])
+    def test_bad_number_names_file_and_line(self, tmp_path, capsys, line,
+                                            message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        code, _, err = run(capsys, "pipeline", "--config", str(bad),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"error: {message}\n"
+
+    def test_repeated_config_key_reported(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("m = 8\n\nm = 9\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^bad.cfg:3: m set twice$"):
+            load_config(bad, out_dir=tmp_path / "out")
+
+    def test_bad_lambda_fails_before_any_stage(self, tmp_path, data_dir):
+        cfg = load_config(data_dir / "pipeline.cfg",
+                          out_dir=tmp_path / "run")
+        cfg.lam = 1.5
+        with pytest.raises(ValueError, match="lambda") as excinfo:
+            run_pipeline(cfg)
+        assert not isinstance(excinfo.value, PipelineStageError)
+        assert not (tmp_path / "run").exists()
+
     def test_docs_without_approvals_rejected(self, tmp_path, data_dir):
         cfg = load_config(data_dir / "pipeline.cfg",
                           out_dir=tmp_path / "run")

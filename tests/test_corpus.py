@@ -122,6 +122,19 @@ class TestLoadTweets:
         with pytest.raises(CorpusFormatError, match=":2"):
             load_tweets(path, stopwords, lexicon)
 
+    @pytest.mark.parametrize("text", ["null", "42", '["flood", "water"]'])
+    def test_non_string_text_names_line(self, tmp_path, stopwords, lexicon,
+                                        text):
+        path = self._write(tmp_path, [
+            self._header(),
+            '{"id": "t1", "text": "flood warning"}',
+            f'{{"id": "t2", "text": {text}}}',
+        ])
+        with pytest.raises(CorpusFormatError,
+                           match=r"^tweets.jsonl:3: tweet text is not a "
+                                 r"string$"):
+            load_tweets(path, stopwords, lexicon)
+
     def test_stopword_only_tweet_kept_with_empty_keywords(
             self, tmp_path, stopwords, lexicon):
         path = self._write(tmp_path, [

@@ -1,24 +1,25 @@
 import numpy as np
 import pytest
 
-from crisumm.disaster_sim import (DatasetMeta, build_profile,
-                                  cat_ic, cat_p, dis_sim,
-                                  jensen_shannon_divergence, most_similar)
+from crisumm.corpus import DisasterDataset
+from crisumm.disaster_sim import (SimilarityScore, build_profile, cat_ic,
+                                  cat_p, dis_sim, jensen_shannon_divergence,
+                                  most_similar)
 
 from oracles import jsd_base2, make_tweet
 
 
-def profile_from(spec, k=10, meta=None):
+def profile_from(spec, k=10):
     """spec: {category: [keyword-set, ...]} one entry per tweet."""
     partition = {
         cid: tuple(make_tweet(f"{cid}-{i}", kws)
                    for i, kws in enumerate(tweet_specs))
         for cid, tweet_specs in spec.items()
     }
-    return build_profile(partition, k=k, meta=meta)
+    return build_profile(partition, k=k)
 
 
-def random_profile(rng, meta=None, categories=("c0", "c1", "c2", "c3")):
+def random_profile(rng, categories=("c0", "c1", "c2", "c3")):
     words = [f"w{i}" for i in range(12)]
     spec = {}
     for cid in categories:
@@ -33,7 +34,7 @@ def random_profile(rng, meta=None, categories=("c0", "c1", "c2", "c3")):
     if not spec:
         cid = categories[int(rng.integers(0, len(categories)))]
         spec[cid] = [set(rng.choice(words, size=2, replace=False))]
-    return profile_from(spec, k=int(rng.integers(1, 8)), meta=meta)
+    return profile_from(spec, k=int(rng.integers(1, 8)))
 
 
 class TestBuildProfile:
@@ -147,52 +148,58 @@ class TestDisSim:
 
 
 class TestMostSimilar:
-    def _meta(self, ds_id, kind="natural", continent="asia"):
-        return DatasetMeta(dataset_id=ds_id, disaster_type=kind,
-                           continent=continent)
+    def _ds(self, ds_id, kind="natural", continent="asia"):
+        return DisasterDataset(id=ds_id, tweets=(), disaster_type=kind,
+                               continent=continent)
+
+    def _row(self, **values):
+        return {ds_id: SimilarityScore(dis_sim=v, cat_ic=v, cat_p=v)
+                for ds_id, v in values.items()}
 
     def test_argmax(self):
-        target = profile_from({"a": [{"x"}], "b": [{"y"}]},
-                              meta=self._meta("t"))
-        close = profile_from({"a": [{"x"}], "b": [{"y"}, {"q"}]},
-                             meta=self._meta("close"))
-        far = profile_from({"a": [{"p"}] * 5, "b": [{"q"}]},
-                           meta=self._meta("far"))
-        assert most_similar(target, [far, close]) == "close"
+        target = profile_from({"a": [{"x"}], "b": [{"y"}]})
+        close = profile_from({"a": [{"x"}], "b": [{"y"}, {"q"}]})
+        far = profile_from({"a": [{"p"}] * 5, "b": [{"q"}]})
+        row = {"close": dis_sim(target, close), "far": dis_sim(target, far)}
+        assert most_similar(self._ds("t"), [self._ds("far"),
+                                            self._ds("close")],
+                            row) == "close"
 
     def test_homogeneous_filter_error(self):
-        target = profile_from({"a": [{"x"}]}, meta=self._meta("t", "natural"))
-        other = profile_from({"a": [{"x"}]},
-                             meta=self._meta("c", "man-made"))
         with pytest.raises(ValueError, match="homogeneous"):
-            most_similar(target, [other], homogeneous_only=True)
+            most_similar(self._ds("t", "natural"),
+                         [self._ds("c", "man-made")], self._row(c=1.0),
+                         homogeneous_only=True)
 
     def test_homogeneous_filter_restricts_pool(self):
-        target = profile_from({"a": [{"x"}]}, meta=self._meta("t"))
-        twin = profile_from({"a": [{"x"}]}, meta=self._meta("twin"))
-        alien = profile_from({"a": [{"x"}]},
-                             meta=self._meta("alien", "man-made", "europe"))
-        assert most_similar(target, [alien, twin],
+        alien = self._ds("alien", "man-made", "europe")
+        row = self._row(alien=0.9, twin=0.4)
+        pool = [alien, self._ds("twin")]
+        assert most_similar(self._ds("t"), pool, row) == "alien"
+        assert most_similar(self._ds("t"), pool, row,
                             homogeneous_only=True) == "twin"
 
     def test_tie_breaks_to_smallest_id(self):
-        target = profile_from({"a": [{"x"}]}, meta=self._meta("t"))
-        c1 = profile_from({"a": [{"x"}]}, meta=self._meta("zeta"))
-        c2 = profile_from({"a": [{"x"}]}, meta=self._meta("alpha"))
-        assert most_similar(target, [c1, c2]) == "alpha"
+        row = self._row(zeta=0.5, alpha=0.5, mid=0.2)
+        pool = [self._ds("zeta"), self._ds("mid"), self._ds("alpha")]
+        assert most_similar(self._ds("t"), pool, row) == "alpha"
+
+    def test_no_candidate_error(self):
+        with pytest.raises(ValueError, match="no candidate"):
+            most_similar(self._ds("t"), [], {})
 
     def test_bundled_corpus_prefers_homogeneous_twin(
             self, target_dataset, quake_dataset, blast_dataset,
             extended_ontology):
         from crisumm.categorizer import classify_corpus
-        profiles = {}
-        for ds in (target_dataset, quake_dataset, blast_dataset):
-            result = classify_corpus(ds, extended_ontology, True)
-            meta = DatasetMeta(ds.id, ds.disaster_type, ds.continent)
-            profiles[ds.id] = build_profile(result.partition, k=25, meta=meta)
-        choice = most_similar(profiles[target_dataset.id],
-                              [profiles[quake_dataset.id],
-                               profiles[blast_dataset.id]])
+        profiles = {
+            ds.id: build_profile(
+                classify_corpus(ds, extended_ontology, True).partition, k=25)
+            for ds in (target_dataset, quake_dataset, blast_dataset)}
+        row = {ds.id: dis_sim(profiles[target_dataset.id], profiles[ds.id])
+               for ds in (quake_dataset, blast_dataset)}
+        choice = most_similar(target_dataset, [quake_dataset, blast_dataset],
+                              row)
         assert choice == quake_dataset.id
 
 

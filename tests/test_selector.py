@@ -5,7 +5,7 @@ from crisumm import selector as sel
 from crisumm.embeddings import EmbeddingTable
 from crisumm.importance import ImportanceVector
 from crisumm.selector import (SelectorConfig, Summary, SummaryEntry,
-                              ablation_select, dmmr_select, sim1, sim2,
+                              dmmr_select, select_category, sim1, sim2,
                               summarize)
 
 import oracles
@@ -88,8 +88,8 @@ class TestDmmrSelect:
     def test_count_above_pool_rejected(self):
         emb = table(a=[1.0])
         with pytest.raises(ValueError, match="pool"):
-            dmmr_select([make_tweet("t", {"a"})], 2, {"a"}, emb,
-                        SelectorConfig())
+            select_category("dmmr", [make_tweet("t", {"a"})], 2, {"a"}, emb,
+                            SelectorConfig())
 
     def test_redundant_tweet_loses_to_diverse_one(self, monkeypatch):
         # Hand-set scores: t2 repeats t1 exactly, t3 is fresh but weaker.
@@ -126,13 +126,37 @@ class TestDmmrSelect:
                 pool.append(tweet)
                 remaining = [t for t in remaining if t.id != tweet.id]
 
+    @pytest.mark.parametrize("same_only", [False, True])
+    def test_every_step_matches_bruteforce_after_earlier_picks(
+            self, same_only):
+        rng = np.random.default_rng(71)
+        cfg = SelectorConfig(diversity_same_category_only=same_only)
+        for _ in range(60):
+            tweets, count, vocab, emb = random_instance(rng)
+            others, _, _, _ = random_instance(rng)
+            earlier = [(make_tweet("e" + t.id, t.keywords),
+                        "this" if rng.random() < 0.5 else "other")
+                       for t in others]
+            picks = dmmr_select(tweets, count, vocab, emb, cfg, earlier,
+                                "this")
+            remaining = sorted(tweets, key=lambda t: t.id)
+            pool = [t for t, cid in earlier
+                    if cid == "this" or not same_only]
+            for tweet, score in picks:
+                want_id, want_score = oracles.dmmr_step(
+                    remaining, pool, vocab, emb, cfg.lam, cfg.sim1_mode)
+                assert tweet.id == want_id
+                assert score == pytest.approx(want_score, abs=1e-9)
+                pool.append(tweet)
+                remaining = [t for t in remaining if t.id != tweet.id]
+
     def test_lambda_one_equals_pure_relevance(self):
         rng = np.random.default_rng(61)
         cfg = SelectorConfig(lam=1.0)
         for _ in range(30):
             tweets, count, vocab, emb = random_instance(rng)
             greedy = dmmr_select(tweets, count, vocab, emb, cfg)
-            ranked = ablation_select("max_sim", tweets, count, vocab, emb,
+            ranked = select_category("max_sim", tweets, count, vocab, emb,
                                      cfg)
             assert [t.id for t, _ in greedy] == [t.id for t, _ in ranked]
 
@@ -174,14 +198,14 @@ class TestAblations:
                     c=[0.1, 1.0])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"}),
                   make_tweet("t3", {"c"})]
-        picks = ablation_select("max_sim", tweets, 2, {"v"}, emb,
+        picks = select_category("max_sim", tweets, 2, {"v"}, emb,
                                 SelectorConfig())
         assert [t.id for t, _ in picks] == ["t1", "t2"]
 
     def test_max_sim_tie_breaks_by_id(self):
         emb = table(v=[1.0], a=[1.0])
         tweets = [make_tweet("t2", {"a"}), make_tweet("t1", {"a"})]
-        picks = ablation_select("max_sim", tweets, 1, {"v"}, emb,
+        picks = select_category("max_sim", tweets, 1, {"v"}, emb,
                                 SelectorConfig())
         assert picks[0][0].id == "t1"
 
@@ -189,7 +213,7 @@ class TestAblations:
         emb = table(a=[0.0, 0.0], b=[1.0, 0.0], c=[0.5, 0.05])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"}),
                   make_tweet("t3", {"c"})]
-        picks = ablation_select("kmeans", tweets, 1, set(), emb,
+        picks = select_category("kmeans", tweets, 1, set(), emb,
                                 SelectorConfig())
         assert picks[0][0].id == "t3"
 
@@ -197,7 +221,7 @@ class TestAblations:
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"a"}),
                   make_tweet("t3", {"b"})]
-        picks = ablation_select("kmeans", tweets, 3, set(), emb,
+        picks = select_category("kmeans", tweets, 3, set(), emb,
                                 SelectorConfig())
         assert {t.id for t, _ in picks} == {"t1", "t2", "t3"}
 
@@ -205,7 +229,7 @@ class TestAblations:
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"a"}),
                   make_tweet("t3", {"b"}), make_tweet("t4", {"b"})]
-        picks = ablation_select("kmeans", tweets, 2, set(), emb,
+        picks = select_category("kmeans", tweets, 2, set(), emb,
                                 SelectorConfig())
         chosen = {t.keywords for t, _ in picks}
         assert chosen == {frozenset({"a"}), frozenset({"b"})}
@@ -213,7 +237,7 @@ class TestAblations:
     def test_pagerank_uniform_graph_falls_back_to_id_order(self):
         emb = EmbeddingTable(dimension=1, vectors={})
         tweets = [make_tweet(f"t{i}", {"x", "y"}) for i in range(4)]
-        picks = ablation_select("pagerank", tweets, 2, set(), emb,
+        picks = select_category("pagerank", tweets, 2, set(), emb,
                                 SelectorConfig())
         assert [t.id for t, _ in picks] == ["t0", "t1"]
         scores = [s for _, s in picks]
@@ -223,7 +247,7 @@ class TestAblations:
         emb = EmbeddingTable(dimension=1, vectors={})
         hub = make_tweet("hub", {"a", "b", "c"})
         spokes = [make_tweet(f"s{i}", {w}) for i, w in enumerate("abc")]
-        picks = ablation_select("eigenvector", [*spokes, hub], 1, set(),
+        picks = select_category("eigenvector", [*spokes, hub], 1, set(),
                                 emb, SelectorConfig())
         assert picks[0][0].id == "hub"
 
@@ -231,7 +255,7 @@ class TestAblations:
         emb = EmbeddingTable(dimension=1, vectors={})
         hub = make_tweet("hub", {"a", "b", "c"})
         spokes = [make_tweet(f"s{i}", {w}) for i, w in enumerate("abc")]
-        picks = ablation_select("pagerank", [*spokes, hub], 1, set(), emb,
+        picks = select_category("pagerank", [*spokes, hub], 1, set(), emb,
                                 SelectorConfig())
         assert picks[0][0].id == "hub"
 
@@ -240,16 +264,16 @@ class TestAblations:
                     vb=[0.0, 1.0])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"})]
         cfg = SelectorConfig(lam=1.0)
-        in_category = ablation_select("max_sim", tweets, 1, {"vb"}, emb, cfg)
+        in_category = select_category("max_sim", tweets, 1, {"vb"}, emb, cfg)
         assert in_category[0][0].id == "t2"
-        across = ablation_select("mmr", tweets, 1, {"vb"}, emb, cfg,
+        across = select_category("mmr", tweets, 1, {"vb"}, emb, cfg,
                                  corpus_vocab={"va", "vb"})
         assert across[0][0].id == "t1"
 
     def test_unknown_kind_rejected(self):
         emb = EmbeddingTable(dimension=1, vectors={})
         with pytest.raises(ValueError, match="unknown"):
-            ablation_select("zzz", [make_tweet("t", {"a"})], 1, set(), emb,
+            select_category("zzz", [make_tweet("t", {"a"})], 1, set(), emb,
                             SelectorConfig())
 
 
@@ -294,6 +318,16 @@ class TestSummarize:
         importance = ImportanceVector(counts={"ca": 3, "cb": 0}, m=3)
         with pytest.raises(ValueError, match="available"):
             summarize(partition, importance, vocab, emb, SelectorConfig())
+
+    @pytest.mark.parametrize("kind", ["dmmr", "max_sim", "kmeans",
+                                      "eigenvector", "pagerank", "mmr"])
+    def test_overdrawn_category_is_named(self, kind):
+        partition, vocab, emb = self._setup()
+        importance = ImportanceVector(counts={"ca": 1, "cb": 3}, m=4)
+        with pytest.raises(ValueError,
+                           match=r"3 tweets from category 'cb' .* only 2"):
+            summarize(partition, importance, vocab, emb,
+                      SelectorConfig(selector_kind=kind))
 
     def test_summary_invariants_enforced(self):
         importance = ImportanceVector(counts={"ca": 2}, m=2)
