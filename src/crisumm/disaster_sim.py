@@ -45,6 +45,20 @@ class SimilarityScore:
     cat_p: float
 
 
+def check_top_k(k: int) -> None:
+    """Reject a profile size below 1."""
+    if k < 1:
+        raise ValueError(f"top-k must be positive, got {k}")
+
+
+def check_weights(w1: float, w2: float) -> None:
+    """Reject blend weights outside (0, 1) or not summing to 1."""
+    if not (0.0 < w1 < 1.0 and 0.0 < w2 < 1.0):
+        raise ValueError(f"weights must lie in (0, 1), got w1={w1}, w2={w2}")
+    if abs(w1 + w2 - 1.0) > 1e-9:
+        raise ValueError(f"weights must sum to 1, got {w1} + {w2}")
+
+
 def build_profile(partition: Mapping[str, Sequence[Tweet]],
                   k: int = 50) -> CategoryProfile:
     """Summarize a classification partition into a category profile."""
@@ -53,8 +67,7 @@ def build_profile(partition: Mapping[str, Sequence[Tweet]],
     if total == 0:
         raise ValueError("cannot profile an empty partition: "
                          "no classified tweets")
-    if k < 1:
-        raise ValueError(f"top-k must be positive, got {k}")
+    check_top_k(k)
     probabilities = {cid: n / total for cid, n in counts.items()}
     top_keywords: dict[str, dict[str, int]] = {}
     for cid in sorted(counts):
@@ -119,10 +132,7 @@ def cat_p(px: CategoryProfile, py: CategoryProfile) -> float:
 def dis_sim(px: CategoryProfile, py: CategoryProfile,
             w1: float = 0.5, w2: float = 0.5) -> SimilarityScore:
     """Weighted blend of keyword-profile and distribution similarity."""
-    if not (0.0 < w1 < 1.0 and 0.0 < w2 < 1.0):
-        raise ValueError(f"weights must lie in (0, 1), got w1={w1}, w2={w2}")
-    if abs(w1 + w2 - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {w1} + {w2}")
+    check_weights(w1, w2)
     ic = cat_ic(px, py)
     p = cat_p(px, py)
     combined = max(0.0, min(1.0, w1 * ic + w2 * p))

@@ -114,6 +114,21 @@ def build_training_pairs(dataset: DisasterDataset,
     return pairs
 
 
+def check_fit_options(kind: str, ridge_alpha: float, prior_precision: float,
+                      noise_precision: float) -> None:
+    """Reject an unknown kind or a hyperparameter out of range.
+
+    Every hyperparameter is checked whatever the kind, so a bad value
+    never waits in a config for the kind that would read it.
+    """
+    if kind not in REGRESSION_KINDS:
+        raise ValueError(f"unknown regression kind {kind!r}")
+    if not ridge_alpha >= 0.0:
+        raise ValueError(f"ridge_alpha must be >= 0, got {ridge_alpha}")
+    if not (prior_precision > 0.0 and noise_precision > 0.0):
+        raise ValueError("prior_precision and noise_precision must be > 0")
+
+
 def fit(pairs: Sequence[tuple[float, float]], kind: str = "linear", *,
         ridge_alpha: float = 1.0, prior_precision: float = 1.0,
         noise_precision: float = 1.0) -> RegressionModel:
@@ -126,10 +141,9 @@ def fit(pairs: Sequence[tuple[float, float]], kind: str = "linear", *,
               coefficients and Gaussian observation noise.
     equal:    no fit at all.
     """
+    check_fit_options(kind, ridge_alpha, prior_precision, noise_precision)
     if kind == "equal":
         return RegressionModel(kind="equal")
-    if kind not in REGRESSION_KINDS:
-        raise ValueError(f"unknown regression kind {kind!r}")
     if len(pairs) < 2:
         raise ValueError(f"{kind} regression needs at least 2 pairs, "
                          f"got {len(pairs)}")
@@ -149,15 +163,11 @@ def fit(pairs: Sequence[tuple[float, float]], kind: str = "linear", *,
                                intercept=y_mean - slope * x_mean)
 
     if kind == "ridge":
-        if ridge_alpha < 0.0:
-            raise ValueError(f"ridge_alpha must be >= 0, got {ridge_alpha}")
         slope = sxy / (sxx + ridge_alpha) if (sxx + ridge_alpha) > 0.0 else 0.0
         return RegressionModel(kind="ridge", slope=slope,
                                intercept=y_mean - slope * x_mean)
 
     # bayesian
-    if prior_precision <= 0.0 or noise_precision <= 0.0:
-        raise ValueError("prior_precision and noise_precision must be > 0")
     phi = np.column_stack([np.ones(n), np.array(xs)])
     y = np.array(ys)
     precision = prior_precision * np.eye(2) + noise_precision * phi.T @ phi

@@ -17,8 +17,10 @@ from pathlib import Path
 from . import corpus, ontology as onto, embeddings as emb_mod
 from .categorizer import ClassificationResult, CorpusStats, classify_corpus
 from .corpus import DisasterDataset
-from .disaster_sim import build_profile, dis_sim, most_similar
-from .importance import build_training_pairs, fit, predict_importance
+from .disaster_sim import (build_profile, check_top_k, check_weights,
+                           dis_sim, most_similar)
+from .importance import (build_training_pairs, check_fit_options, fit,
+                         predict_importance)
 from .ontology import Ontology
 from .rouge import score_summary
 from .selector import SelectorConfig, summarize
@@ -87,7 +89,13 @@ class PipelineConfig:
                 "vocab_docs and approvals enable vocabulary extension "
                 "together; set both or neither"
             )
-        selector_config(self)  # a bad lam fails here, before any stage
+        # The stages' own checks, run here so a bad value fails before
+        # any stage runs and leaves no quarantine behind.
+        check_top_k(self.top_k)
+        check_weights(self.w1, self.w2)
+        check_fit_options(self.regression_kind, self.ridge_alpha,
+                          self.prior_precision, self.noise_precision)
+        selector_config(self)
 
     def as_report_dict(self) -> dict:
         raw = asdict(self)

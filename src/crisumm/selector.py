@@ -89,24 +89,30 @@ class Summary:
 
 
 def sim1(tweet: Tweet, vocab: Iterable[str], emb: EmbeddingTable,
-         mode: str = "sum") -> float:
+         mode: str = "sum", best: dict[str, float] | None = None) -> float:
     """Embedding similarity of a tweet's keywords to a vocabulary.
 
     Each keyword contributes the best cosine it achieves against any
     vocabulary word that has an embedding, floored at 0; keywords
     without an embedding contribute nothing. "sum" adds the
     contributions, "mean" divides by the keyword count.
+
+    `best` maps keywords to their contributions against this same
+    `vocab` and `emb`; missing ones are computed and added, so callers
+    scoring many tweets against one vocabulary pass one dict to all.
     """
-    vocab_vecs = [emb.get(w) for w in sorted(set(vocab)) if w in emb]
-    contributions = []
-    for word in sorted(tweet.keywords):
-        vec = emb.get(word)
-        if vec is None or not vocab_vecs:
-            contributions.append(0.0)
+    if best is None:
+        best = {}
+    vocab_vecs = None
+    for word in tweet.keywords:
+        if word in best:
             continue
-        best = max(cosine(vec, other) for other in vocab_vecs)
-        contributions.append(max(best, 0.0))
-    total = math.fsum(contributions)
+        if vocab_vecs is None:
+            vocab_vecs = [emb.get(w) for w in sorted(set(vocab)) if w in emb]
+        vec = emb.get(word)
+        best[word] = 0.0 if vec is None or not vocab_vecs else max(
+            max(cosine(vec, other) for other in vocab_vecs), 0.0)
+    total = math.fsum(best[w] for w in sorted(tweet.keywords))
     if mode == "mean":
         return total / len(tweet.keywords) if tweet.keywords else 0.0
     if mode != "sum":
@@ -133,14 +139,17 @@ def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
     lam * sim1(tweet, vocab) - (1 - lam) * max sim2 against the summary
     so far (including tweets picked earlier in this call); the maximum
     over an empty summary is 0 and ties go to the smaller tweet id.
-    Each tweet's maximum is kept and raised by the newest pick alone.
+    Each tweet's maximum is kept and raised by the newest pick alone,
+    and each distinct keyword's `sim1` contribution is computed once.
     `count` must not exceed len(tweets); `select_category` checks it.
     """
     vocab = frozenset(vocab)
     pool = [t for t, cid in summary_so_far
             if cid == category_id or not cfg.diversity_same_category_only]
     remaining = sorted(tweets, key=lambda t: t.id)
-    relevance = {t.id: sim1(t, vocab, emb, cfg.sim1_mode) for t in remaining}
+    memo: dict[str, float] = {}
+    relevance = {t.id: sim1(t, vocab, emb, cfg.sim1_mode, memo)
+                 for t in remaining}
     redundancy = {t.id: max((sim2(t, other) for other in pool), default=0.0)
                   for t in remaining}
     picked: list[tuple[Tweet, float]] = []
@@ -312,7 +321,9 @@ def select_category(kind: str, tweets: Sequence[Tweet], count: int,
                            vocab if kind == "dmmr" else corpus_vocab, emb,
                            cfg, summary_so_far, category_id)
     if kind == "max_sim":
-        scores = {t.id: sim1(t, vocab, emb, cfg.sim1_mode) for t in tweets}
+        memo: dict[str, float] = {}
+        scores = {t.id: sim1(t, vocab, emb, cfg.sim1_mode, memo)
+                  for t in tweets}
         return _rank_select(tweets, count, scores)
     if kind == "kmeans":
         return _kmeans_select(tweets, count, emb) if count else []

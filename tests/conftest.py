@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from crisumm import corpus
 from crisumm.embeddings import load_word2vec_text
@@ -8,6 +9,12 @@ from crisumm.ontology import (apply_approvals, harvest_candidates,
                               load_approvals, load_ontology)
 
 DATA = Path(__file__).resolve().parent / "data"
+
+# Property tests draw the same examples on every run and write no
+# example database, so the suite stays reproducible and fast.
+settings.register_profile("crisumm", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("crisumm")
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,28 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+CONFIG_PATH_KEYS = {"ontology", "target", "candidates", "embeddings",
+                    "vocab_docs", "approvals", "reference"}
+
+
+def config_copy(data_dir, tmp_path, **values):
+    """A copy of tests/data/pipeline.cfg in tmp_path with absolute paths;
+    `values` replace or add keys."""
+    lines = []
+    for line in (data_dir / "pipeline.cfg").read_text("utf-8").splitlines():
+        key, _, raw = (part.strip() for part in line.partition("="))
+        if key in values:
+            continue
+        if key in CONFIG_PATH_KEYS:
+            line = f"{key} = " + ", ".join(
+                str(data_dir / item.strip()) for item in raw.split(","))
+        lines.append(line)
+    lines += [f"{key} = {value}" for key, value in values.items()]
+    path = tmp_path / "pipeline.cfg"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
 class TestEvaluate:
     def test_identical_files_score_one(self, tmp_path, capsys):
         text = "volunteers reached the camp\nbridge repairs begin\n"
@@ -302,6 +324,27 @@ class TestPipelineCommand:
         assert not isinstance(excinfo.value, PipelineStageError)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("values, message", [
+        ({"regression_kind": "bogus"}, "unknown regression kind 'bogus'"),
+        ({"w1": "0.7"}, "weights must sum to 1, got 0.7 + 0.5"),
+        ({"w1": "1.0", "w2": "0.0"},
+         "weights must lie in (0, 1), got w1=1.0, w2=0.0"),
+        ({"top_k": "0"}, "top-k must be positive, got 0"),
+        ({"ridge_alpha": "-1"}, "ridge_alpha must be >= 0, got -1.0"),
+        ({"prior_precision": "0"},
+         "prior_precision and noise_precision must be > 0"),
+        ({"noise_precision": "-2"},
+         "prior_precision and noise_precision must be > 0"),
+    ])
+    def test_bad_stage_parameter_fails_before_any_stage(
+            self, tmp_path, capsys, data_dir, values, message):
+        cfg_path = config_copy(data_dir, tmp_path, **values)
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_docs_without_approvals_rejected(self, tmp_path, data_dir):
         cfg = load_config(data_dir / "pipeline.cfg",
                           out_dir=tmp_path / "run")
@@ -310,22 +353,7 @@ class TestPipelineCommand:
             run_pipeline(cfg)
 
     def test_out_dir_from_config_file(self, tmp_path, data_dir):
-        text = (data_dir / "pipeline.cfg").read_text(encoding="utf-8")
-        cfg_path = tmp_path / "pipeline.cfg"
-        cfg_path.write_text(
-            text.replace("ontology = ", f"ontology = {data_dir}/")
-                .replace("target = ", f"target = {data_dir}/")
-                .replace("candidates = candidate_quake.jsonl, "
-                         "candidate_blast.jsonl",
-                         f"candidates = {data_dir}/candidate_quake.jsonl, "
-                         f"{data_dir}/candidate_blast.jsonl")
-                .replace("embeddings = ", f"embeddings = {data_dir}/")
-                .replace("vocab_docs = ", f"vocab_docs = {data_dir}/")
-                .replace("approvals = ", f"approvals = {data_dir}/")
-                .replace("reference = ", f"reference = {data_dir}/")
-            + "out_dir = run\n",
-            encoding="utf-8")
-        cfg = load_config(cfg_path)
+        cfg = load_config(config_copy(data_dir, tmp_path, out_dir="run"))
         assert cfg.out_dir == (tmp_path / "run").resolve()
 
     @pytest.mark.parametrize("kind", ["max_sim", "kmeans", "pagerank"])

@@ -126,6 +126,13 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(pairs, "bayesian", prior_precision=0.0)
 
+    def test_unused_hyperparameters_checked_too(self):
+        pairs = [(0.0, 0.0), (1.0, 1.0)]
+        with pytest.raises(ValueError, match="ridge_alpha"):
+            fit(pairs, "linear", ridge_alpha=-1.0)
+        with pytest.raises(ValueError, match="noise_precision"):
+            fit([], "equal", noise_precision=0.0)
+
 
 class TestPredictImportance:
     def test_exact_fractions(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crisumm import selector as sel
-from crisumm.embeddings import EmbeddingTable
+from crisumm.embeddings import EmbeddingTable, cosine
 from crisumm.importance import ImportanceVector
 from crisumm.selector import (SelectorConfig, Summary, SummaryEntry,
                               dmmr_select, select_category, sim1, sim2,
@@ -57,6 +57,50 @@ class TestSim1:
                         oracles.sim1(tweet, vocab, emb, mode), abs=1e-9)
 
 
+class TestSim1Memo:
+    """The selectors score each distinct keyword once per category."""
+
+    @pytest.mark.parametrize("kind", ["dmmr", "mmr", "max_sim"])
+    def test_one_cosine_per_keyword_and_vocab_word(self, monkeypatch, kind):
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return cosine(a, b)
+
+        monkeypatch.setattr(sel, "cosine", counting)
+        rng = np.random.default_rng(79)
+        for _ in range(40):
+            tweets, count, vocab, emb = random_instance(rng)
+            _, _, corpus_vocab, _ = random_instance(rng)
+            corpus_vocab |= vocab
+            scored = corpus_vocab if kind == "mmr" else vocab
+            keywords = {w for t in tweets for w in t.keywords if w in emb}
+            calls.clear()
+            select_category(kind, tweets, count, vocab, emb,
+                            SelectorConfig(), corpus_vocab=corpus_vocab)
+            assert len(calls) == \
+                len(keywords) * len({w for w in scored if w in emb})
+
+    @pytest.mark.parametrize("kind", ["dmmr", "max_sim"])
+    def test_shared_keyword_scored_per_category(self, kind):
+        emb = table(x=[1.0, 1.0], y=[2.0, -1.0], va=[1.0, 0.0],
+                    vb=[1.0, 3.0])
+        partition = {"ca": (make_tweet("a1", {"x", "y"}),),
+                     "cb": (make_tweet("b1", {"x", "y"}),)}
+        vocab = {"ca": frozenset({"va"}), "cb": frozenset({"vb"})}
+        importance = ImportanceVector(counts={"ca": 1, "cb": 1}, m=2)
+        summary = summarize(partition, importance, vocab, emb,
+                            SelectorConfig(lam=1.0, selector_kind=kind))
+        for entry in summary.entries:
+            tweet = partition[entry.category_id][0]
+            want = vocab[entry.category_id]
+            assert entry.score == sim1(tweet, want, emb)
+            assert entry.score == pytest.approx(
+                oracles.sim1(tweet, want, emb), abs=1e-9)
+        assert summary.entries[0].score != summary.entries[1].score
+
+
 class TestSim2:
     def test_identical_sets(self):
         t = make_tweet("a", {"x", "y", "z"})
@@ -97,7 +141,7 @@ class TestDmmrSelect:
         overlap = {("t2", "t1"): 1.0, ("t1", "t2"): 1.0}
 
         monkeypatch.setattr(sel, "sim1",
-                            lambda t, vocab, emb, mode="sum":
+                            lambda t, vocab, emb, mode="sum", best=None:
                             relevance[t.id])
         monkeypatch.setattr(sel, "sim2",
                             lambda a, b: overlap.get((a.id, b.id), 0.0))
