@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .textfile import open_text
+
 DISASTER_TYPES = frozenset({"natural", "man-made"})
 
 POS_TAGS = frozenset({
@@ -159,7 +161,7 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
     tweets: list[Tweet] = []
     gold: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path, CorpusFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -223,7 +225,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a one-word-per-line stopword file (lowercased)."""
     path = Path(path)
     words = set()
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path, CorpusFormatError) as fh:
         for line in fh:
             word = line.strip().lower()
             if word and not word.startswith("#"):
@@ -235,7 +237,7 @@ def load_lexicon(path: str | Path, default_tag: str = "noun") -> PosLexicon:
     """Load a lexicon file of "word" or "word<TAB>tag" lines."""
     path = Path(path)
     tags: dict[str, str] = {}
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path, CorpusFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .textfile import open_text
+
 
 class EmbeddingFormatError(ValueError):
     """Raised when an embedding file does not match the declared shape."""
@@ -47,27 +49,79 @@ def load_word2vec_text(path: str | Path) -> EmbeddingTable:
 
     Words are lowercased; on a duplicate word the first occurrence
     wins. Any arity or numeric problem is reported with its line
-    number.
+    number. The vectors are rows of one matrix, which numpy parses in
+    one pass; a file it declines is parsed line by line, which names
+    the first bad line.
     """
     path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise EmbeddingFormatError(
-                f"{path.name}:1: header must be 'vocab_size dimension'"
-            )
+    with open_text(path, EmbeddingFormatError) as fh:
+        vocab_size, dimension = _parse_header(path, fh.readline())
+        words = [line.split(None, 1)[0].lower() for line in fh
+                 if not line.isspace()]
+    if len(words) != vocab_size:
+        return _parse_lines(path)
+    if not words:
+        return EmbeddingTable(dimension=dimension, vectors={})
+    with open_text(path, EmbeddingFormatError) as fh:
+        fh.readline()
         try:
-            vocab_size, dimension = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise EmbeddingFormatError(
-                f"{path.name}:1: non-integer header field"
-            ) from exc
-        if vocab_size < 0 or dimension < 1:
-            raise EmbeddingFormatError(
-                f"{path.name}:1: header values out of range"
-            )
+            # Sized from the counted rows: loadtxt allocates max_rows
+            # up front, and a header is not trusted with memory.
+            matrix = np.loadtxt(
+                (line for line in fh if not line.isspace()),
+                dtype=np.float64, comments=None, ndmin=2,
+                max_rows=len(words), converters={0: _word_column})
+        except ValueError:
+            return _parse_lines(path)
+    # min and max carry any NaN or infinity through, and unlike
+    # np.isfinite they need no temporary the size of the matrix.
+    if (matrix.shape != (len(words), dimension + 1)
+            or not math.isfinite(matrix.min())
+            or not math.isfinite(matrix.max())):
+        return _parse_lines(path)
+    vectors: dict[str, np.ndarray] = {}
+    for word, vec in zip(words, matrix[:, 1:]):
+        vectors.setdefault(word, vec)
+    return EmbeddingTable(dimension=dimension, vectors=vectors)
+
+
+def _word_column(word: str) -> float:
+    """The word column's value in the matrix. Converting the column,
+    rather than skipping it with usecols, keeps loadtxt's check that
+    every row has the same number of columns."""
+    return 0.0
+
+
+def _parse_header(path: Path, header: str) -> tuple[int, int]:
+    """(vocab_size, dimension) from the first line of `path`."""
+    parts = header.split()
+    if len(parts) != 2:
+        raise EmbeddingFormatError(
+            f"{path.name}:1: header must be 'vocab_size dimension'"
+        )
+    try:
+        vocab_size, dimension = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise EmbeddingFormatError(
+            f"{path.name}:1: non-integer header field"
+        ) from exc
+    if vocab_size < 0 or dimension < 1:
+        raise EmbeddingFormatError(
+            f"{path.name}:1: header values out of range"
+        )
+    return vocab_size, dimension
+
+
+def _parse_lines(path: Path) -> EmbeddingTable:
+    """The line-by-line parser, for every file numpy's pass declines.
+
+    It raises the error of the first bad line, and it also accepts what
+    `float()` accepts and numpy does not, such as `1_0` or non-ASCII
+    digits.
+    """
+    vectors: dict[str, np.ndarray] = {}
+    with open_text(path, EmbeddingFormatError) as fh:
+        vocab_size, dimension = _parse_header(path, fh.readline())
         rows = 0
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():

@@ -211,6 +211,12 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in _SENTENCE_SPLIT_RE.split(text) if s and s.strip()]
 
 
+def check_min_freq(min_freq: int) -> None:
+    """Reject a candidate frequency threshold below 1."""
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+
+
 def harvest_candidates(ontology: Ontology, docs: list[str],
                        lexicon: PosLexicon, min_freq: int = 3,
                        stopwords: frozenset[str] = frozenset(),
@@ -226,6 +232,7 @@ def harvest_candidates(ontology: Ontology, docs: list[str],
     """
     if not docs or any(not d for d in docs):
         raise OntologyError("documents must be non-empty strings")
+    check_min_freq(min_freq)
     sentences = [
         preprocess_text(sentence, stopwords)
         for doc in docs

@@ -21,7 +21,7 @@ from .disaster_sim import (build_profile, check_top_k, check_weights,
                            dis_sim, most_similar)
 from .importance import (build_training_pairs, check_fit_options, fit,
                          predict_importance)
-from .ontology import Ontology
+from .ontology import Ontology, check_min_freq
 from .rouge import score_summary
 from .selector import SelectorConfig, summarize
 
@@ -92,6 +92,7 @@ class PipelineConfig:
         # The stages' own checks, run here so a bad value fails before
         # any stage runs and leaves no quarantine behind.
         check_top_k(self.top_k)
+        check_min_freq(self.min_freq)
         check_weights(self.w1, self.w2)
         check_fit_options(self.regression_kind, self.ridge_alpha,
                           self.prior_precision, self.noise_precision)

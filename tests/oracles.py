@@ -6,18 +6,73 @@ deliberately shares no code with the package under test.
 
 from __future__ import annotations
 
-from math import fsum, log2, sqrt
+from math import fsum, isfinite, log2, sqrt
+from pathlib import Path
 
 import numpy as np
 
 from crisumm.corpus import Tweet
-from crisumm.embeddings import EmbeddingTable
+from crisumm.embeddings import EmbeddingFormatError, EmbeddingTable
 
 
 def make_tweet(tweet_id: str, keywords, tokens=None) -> Tweet:
     toks = tuple(tokens) if tokens is not None else tuple(sorted(keywords))
     return Tweet(id=tweet_id, raw_text=" ".join(toks), tokens=toks,
                  keywords=frozenset(keywords))
+
+
+# --- word2vec text ----------------------------------------------------
+
+def load_word2vec_text(path) -> EmbeddingTable:
+    """The line-at-a-time parser: header "V D", then V rows "word x1 .. xD".
+
+    Words are lowercased, the first occurrence of a word wins, and the
+    first bad line raises EmbeddingFormatError naming it.
+    """
+    path = Path(path)
+    vectors = {}
+    with path.open(encoding="utf-8") as fh:
+        parts = fh.readline().split()
+        if len(parts) != 2:
+            raise EmbeddingFormatError(
+                f"{path.name}:1: header must be 'vocab_size dimension'")
+        try:
+            vocab_size, dimension = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EmbeddingFormatError(
+                f"{path.name}:1: non-integer header field") from None
+        if vocab_size < 0 or dimension < 1:
+            raise EmbeddingFormatError(
+                f"{path.name}:1: header values out of range")
+        rows = 0
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            rows += 1
+            if rows > vocab_size:
+                raise EmbeddingFormatError(
+                    f"{path.name}:{lineno}: more rows than the declared "
+                    f"vocabulary size {vocab_size}")
+            fields = line.split()
+            if len(fields) != dimension + 1:
+                raise EmbeddingFormatError(
+                    f"{path.name}:{lineno}: expected {dimension + 1} "
+                    f"fields, got {len(fields)}")
+            try:
+                values = [float(x) for x in fields[1:]]
+            except ValueError:
+                raise EmbeddingFormatError(
+                    f"{path.name}:{lineno}: non-numeric vector "
+                    f"component") from None
+            if not all(isfinite(v) for v in values):
+                raise EmbeddingFormatError(
+                    f"{path.name}:{lineno}: non-finite vector component")
+            vectors.setdefault(fields[0].lower(),
+                               np.array(values, dtype=np.float64))
+        if rows < vocab_size:
+            raise EmbeddingFormatError(
+                f"{path.name}: declared {vocab_size} rows but found {rows}")
+    return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
 # --- ROUGE ------------------------------------------------------------

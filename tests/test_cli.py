@@ -150,6 +150,20 @@ class TestExtendVocab:
         by_id = {c["id"]: c for c in payload["categories"]}
         assert "levee" in by_id["infrastructure_damage"]["extended_keywords"]
 
+    @pytest.mark.parametrize("min_freq", ["0", "-5"])
+    def test_min_freq_below_one_rejected(self, tmp_path, capsys, data_dir,
+                                         min_freq):
+        cands = tmp_path / "cands.csv"
+        code, out, err = run(capsys, "extend-vocab",
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--docs", str(data_dir / "vocab_docs.txt"),
+                             "--candidates-out", str(cands),
+                             "--min-freq", min_freq)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: min_freq must be >= 1, got {min_freq}\n"
+        assert not cands.exists()
+
 
 class TestImportanceCommand:
     def test_output_shape(self, tmp_path, capsys, data_dir):
@@ -335,6 +349,7 @@ class TestPipelineCommand:
          "prior_precision and noise_precision must be > 0"),
         ({"noise_precision": "-2"},
          "prior_precision and noise_precision must be > 0"),
+        ({"min_freq": "0"}, "min_freq must be >= 1, got 0"),
     ])
     def test_bad_stage_parameter_fails_before_any_stage(
             self, tmp_path, capsys, data_dir, values, message):
@@ -382,6 +397,20 @@ class TestExitCodes:
                            "--ontology", str(bad))
         assert code == 1
         assert err == "error: bad.json: categories[0] is not an object\n"
+
+    def test_undecodable_embeddings_name_file_and_line(self, tmp_path,
+                                                       capsys, data_dir):
+        bad = tmp_path / "vec.txt"
+        bad.write_bytes((data_dir / "embeddings.txt").read_bytes()
+                        .replace(b"\n", b"\n\xff", 1))
+        code, _, err = run(capsys, "summarize",
+                           "--dataset", str(data_dir / "target.jsonl"),
+                           "--ontology", str(data_dir / "ontology.json"),
+                           "--embeddings", str(bad),
+                           "--out-json", str(tmp_path / "s.json"),
+                           "--out-text", str(tmp_path / "s.txt"))
+        assert code == 1
+        assert err == "error: vec.txt:2: not valid UTF-8\n"
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -169,6 +169,14 @@ class TestLoadTweets:
         with pytest.raises(CorpusFormatError, match="header"):
             load_tweets(path, stopwords, lexicon)
 
+    def test_undecodable_byte_names_line(self, tmp_path, stopwords, lexicon):
+        path = tmp_path / "tweets.jsonl"
+        path.write_bytes(self._header().encode() + b"\n\n"
+                         + b'{"id": "t1", "text": "fl\xe9ood"}\n')
+        with pytest.raises(CorpusFormatError,
+                           match=r"^tweets.jsonl:3: not valid UTF-8$"):
+            load_tweets(path, stopwords, lexicon)
+
 
 class TestResourceFiles:
     def test_shipped_stopword_list_is_pinned(self):
@@ -188,6 +196,20 @@ class TestResourceFiles:
         assert lex.tag("soon") == "adverb"
         assert lex.tag("flood") == "noun"
         assert lex.tag("unseen") == "noun"
+
+    def test_stopword_undecodable_byte_names_line(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"the\rand\r\xffof\r")
+        with pytest.raises(CorpusFormatError,
+                           match=r"^stop.txt:3: not valid UTF-8$"):
+            load_stopwords(path)
+
+    def test_lexicon_undecodable_byte_names_line(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_bytes(b"soon\tadverb\r\nflood\xe2\x82\n")
+        with pytest.raises(CorpusFormatError,
+                           match=r"^lex.txt:2: not valid UTF-8$"):
+            load_lexicon(path)
 
     def test_lexicon_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "lex.txt"

@@ -1,8 +1,15 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from crisumm import embeddings
 from crisumm.embeddings import (EmbeddingFormatError, EmbeddingTable, cosine,
                                 load_word2vec_text, save_word2vec_text)
+
+import oracles
 
 
 def write(tmp_path, text):
@@ -22,6 +29,12 @@ class TestLoader:
     def test_arity_error_names_line(self, tmp_path):
         path = write(tmp_path, "2 3\nflood 1 2 3\nquake 1 2\n")
         with pytest.raises(EmbeddingFormatError, match=":3"):
+            load_word2vec_text(path)
+
+    def test_every_row_one_field_short(self, tmp_path):
+        path = write(tmp_path, "2 3\nflood 1 2\nquake 1 2\n")
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"^vec.txt:2: expected 4 fields, got 3$"):
             load_word2vec_text(path)
 
     def test_non_numeric_component(self, tmp_path):
@@ -58,6 +71,130 @@ class TestLoader:
         assert set(again.vectors) == set(vectors)
         for word, vec in vectors.items():
             assert again.get(word).tobytes() == vec.tobytes()
+
+    def test_header_only_file_loads_empty_table_without_warning(
+            self, tmp_path):
+        path = write(tmp_path, "0 5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = load_word2vec_text(path)
+        assert len(table) == 0
+        assert table.dimension == 5
+
+    def test_huge_declared_size_allocates_nothing(self, tmp_path):
+        path = write(tmp_path, "1000000000 3\nflood 1 2 3\nquake 4 5 6\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(EmbeddingFormatError) as excinfo:
+                load_word2vec_text(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == \
+            "vec.txt: declared 1000000000 rows but found 2"
+        assert peak < 1 << 20
+
+    def test_undecodable_byte_names_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(b"2 2\r\nflood 1 1\r\nqu\xffake 2 2\n")
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"^vec.txt:3: not valid UTF-8$"):
+            load_word2vec_text(path)
+
+    def test_plain_files_take_the_numpy_pass(self, tmp_path, data_dir,
+                                             monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"{path.name} went to the line parser")
+        monkeypatch.setattr(embeddings, "_parse_lines", refuse)
+        assert len(load_word2vec_text(data_dir / "embeddings.txt")) > 0
+        path = write(tmp_path, "3 2\n\nFlood\t1 -0.0\n \u3000\n"
+                               "flood 9 9\r\nQuake  1e-320 2.5E3 \n")
+        table = load_word2vec_text(path)
+        assert list(table.vectors) == ["flood", "quake"]
+        assert table.get("flood").tobytes() == \
+            np.array([1.0, -0.0]).tobytes()
+
+    @pytest.mark.parametrize("row, vector", [
+        ("flood 1_0 2", [10.0, 2.0]),
+        ("flood \u0661 2", [1.0, 2.0]),
+        ("FLOOD 1 \uff12", [1.0, 2.0]),
+    ])
+    def test_numbers_only_float_reads_still_load(self, tmp_path, row,
+                                                  vector):
+        table = load_word2vec_text(write(tmp_path, f"1 2\n{row}\n"))
+        assert table.get("flood").tolist() == vector
+
+
+# Pieces of the generated files: mixed-case and repeated words, spaces
+# that str.split breaks on (tabs, Unicode spaces, form feed, NEL), blank
+# and whitespace-only lines, the three newline conventions, and numbers
+# that only float() reads, that are not finite or that are not numbers.
+WORDS = ["flood", "Flood", "FLOOD", "quake", "QuAkE", "fire", "\u0130stanbul"]
+SEPARATORS = [" ", "  ", "\t", "\u3000", "\x0c", "\x85", "\u2028", "\x1c"]
+BLANK_LINES = ["", " ", "\t\t", "\u3000", "\x0b", "\u2029 "]
+NEWLINES = ["\n", "\r\n", "\r"]
+ODD_NUMBERS = ["1_0", "nan", "-inf", "Infinity", "1e400", "-1e400",
+               "\u0661\u0662", "\u0663.\u0665", "\uff17", "0x1p3", "abc",
+               "1,5", "1e", "-0.0", "+.5", "1e-320", "4.9e-324", "1E5"]
+BAD_HEADERS = ["", "3", "a b", "2 0", "-1 2", "2 2 2", "2.0 2", "1_0 2",
+               "\uff12 2"]
+FORMATS = [repr, "{:.3f}".format, "{:.6e}".format, "{:.17G}".format]
+
+
+@st.composite
+def numbers(draw, noisy):
+    if noisy and draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(ODD_NUMBERS))
+    value = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return draw(st.sampled_from(FORMATS))(value)
+
+
+@st.composite
+def word2vec_texts(draw):
+    dim = draw(st.integers(1, 4))
+    noisy = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        arity = dim
+        if noisy:
+            arity += draw(st.sampled_from([0] * 8 + [-1, 1]))
+        fields = [draw(st.sampled_from(WORDS))]
+        fields += [draw(numbers(noisy)) for _ in range(max(arity, 0))]
+        line = fields[0]
+        for field in fields[1:]:
+            line += draw(st.sampled_from(SEPARATORS)) + field
+        if draw(st.booleans()):
+            line = draw(st.sampled_from(SEPARATORS)) + line
+        rows.append(line)
+    declared = len(rows) + draw(st.sampled_from([0] * 6 + [-1, 1, 2]))
+    header = f"{declared} {dim + draw(st.sampled_from([0] * 10 + [-1, 1]))}"
+    if draw(st.integers(0, 7)) == 0:
+        header = draw(st.sampled_from(BAD_HEADERS))
+    lines = [header]
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(BLANK_LINES), max_size=2))
+        lines.append(row)
+    text = "".join(line + draw(st.sampled_from(NEWLINES)) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(load, path):
+    try:
+        table = load(path)
+    except EmbeddingFormatError as exc:
+        return str(exc)
+    return table.dimension, [(word, vec.tobytes())
+                             for word, vec in table.vectors.items()]
+
+
+@settings(max_examples=200)
+@given(text=word2vec_texts())
+def test_loader_matches_line_parser(tmp_path_factory, text):
+    """Same words, bit-identical vectors, or the same error message."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_word2vec_text, path) == \
+        _outcome(oracles.load_word2vec_text, path)
 
 
 class TestCosine:

@@ -165,6 +165,14 @@ class TestHarvest:
         loosened = harvest_candidates(onto, [doc], PosLexicon(), min_freq=2)
         assert any(c.word == "dikes" for c in loosened)
 
+    @pytest.mark.parametrize("min_freq", [0, -5])
+    def test_min_freq_below_one_rejected(self, min_freq):
+        onto = make_ontology(c={"flood"})
+        with pytest.raises(ValueError,
+                           match=rf"^min_freq must be >= 1, got {min_freq}$"):
+            harvest_candidates(onto, ["The flood broke dikes."], PosLexicon(),
+                               min_freq=min_freq)
+
     def test_deterministic_and_sorted(self, seed_ontology, lexicon,
                                       stopwords, data_dir):
         doc = (data_dir / "vocab_docs.txt").read_text(encoding="utf-8")
