@@ -9,6 +9,7 @@ excluded from every later phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .corpus import DisasterDataset, Tweet
 from .ontology import Category, Ontology
@@ -27,6 +28,11 @@ class CategoryAssignment:
     category_id: str | None
     score: int
     matched_by: str
+
+    def as_dict(self) -> dict:
+        """The assignment as a report row."""
+        return {"tweet_id": self.tweet_id, "category_id": self.category_id,
+                "score": self.score, "matched_by": self.matched_by}
 
     def __post_init__(self) -> None:
         if (self.score >= 1) != (self.category_id is not None):
@@ -82,24 +88,43 @@ def classify(tweet: Tweet, ontology: Ontology,
     Ties go to the lexicographically smallest category id; zero overlap
     everywhere leaves the tweet unclassified.
     """
-    best: Category | None = None
-    best_score = 0
-    for category in sorted(ontology.categories, key=lambda c: c.id):
-        score = sem_sim(tweet, category, use_extended)
-        if score > best_score:
-            best, best_score = category, score
-    if best is None:
-        return CategoryAssignment(tweet.id, None, 0, "none")
-    seed_hits = tweet.keywords & best.seed_keywords
-    ext_hits = (tweet.keywords & best.extended_keywords) if use_extended \
-        else frozenset()
-    if seed_hits and ext_hits:
-        matched_by = "both"
-    elif ext_hits:
-        matched_by = "extended"
-    else:
-        matched_by = "seed"
-    return CategoryAssignment(tweet.id, best.id, best_score, matched_by)
+    return _classifier(ontology, use_extended)(tweet)
+
+
+def _classifier(ontology: Ontology, use_extended: bool
+                ) -> Callable[[Tweet], CategoryAssignment]:
+    """`classify` against one ontology, with each vocabulary built once.
+
+    A keyword -> categories index lets each tweet count hits only in
+    the categories its keywords belong to.
+    """
+    categories = sorted(ontology.categories, key=lambda c: c.id)
+    index: dict[str, list[int]] = {}
+    for pos, category in enumerate(categories):
+        for word in category.vocabulary(use_extended):
+            index.setdefault(word, []).append(pos)
+
+    def assign(tweet: Tweet) -> CategoryAssignment:
+        hits: dict[int, int] = {}
+        for word in tweet.keywords:
+            for pos in index.get(word, ()):
+                hits[pos] = hits.get(pos, 0) + 1
+        if not hits:
+            return CategoryAssignment(tweet.id, None, 0, "none")
+        score = max(hits.values())
+        best = categories[min(pos for pos, n in hits.items() if n == score)]
+        seed_hits = not tweet.keywords.isdisjoint(best.seed_keywords)
+        ext_hits = use_extended \
+            and not tweet.keywords.isdisjoint(best.extended_keywords)
+        if seed_hits and ext_hits:
+            matched_by = "both"
+        elif ext_hits:
+            matched_by = "extended"
+        else:
+            matched_by = "seed"
+        return CategoryAssignment(tweet.id, best.id, score, matched_by)
+
+    return assign
 
 
 def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
@@ -109,6 +134,7 @@ def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
     The partition holds only categories that received at least one
     tweet, in dataset order.
     """
+    assign = _classifier(ontology, use_extended)
     assignments = []
     cells: dict[str, list[Tweet]] = {}
     # A tweet is seed-classifiable exactly when it shares a keyword with
@@ -117,7 +143,7 @@ def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
                                      for c in ontology.categories))
     seed_classified = 0
     for tweet in dataset.tweets:
-        assignment = classify(tweet, ontology, use_extended)
+        assignment = assign(tweet)
         assignments.append(assignment)
         if assignment.category_id is not None:
             cells.setdefault(assignment.category_id, []).append(tweet)

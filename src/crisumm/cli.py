@@ -7,7 +7,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus, ontology as onto
@@ -17,12 +16,13 @@ from .importance import (REGRESSION_KINDS, ImportanceVector, RegressionModel,
                          predict_importance)
 from .pipeline import (PipelineStageError, category_shares, coverage,
                        evaluate, extend_vocab, load_config, load_datasets,
-                       load_resources, run_pipeline, select, selector_config,
-                       similarity_matrix, weight_categories)
+                       load_resources, read_text, run_pipeline, select,
+                       selector_config, similarity_matrix, weight_categories)
 # Bound here only so that bench/spans.py can wrap them in this module.
 from .pipeline import (build_profile, build_training_pairs,  # noqa: F401
                        dis_sim, fit, most_similar, score_summary, summarize)
 from .selector import SELECTOR_KINDS, SIM1_MODES
+from .textfile import open_text
 
 
 def _write_text(path: str, text: str) -> None:
@@ -68,7 +68,7 @@ def _cmd_categorize(args) -> int:
     dataset = corpus.load_tweets(args.dataset, stopwords, lexicon)
     result = classify_corpus(dataset, ontology, not args.no_extended)
     _write_text(args.partition_out, _lines(
-        json.dumps(asdict(a), sort_keys=True) for a in result.assignments))
+        json.dumps(a.as_dict(), sort_keys=True) for a in result.assignments))
     _dump_json(coverage(result.stats), args.stats_out)
     return 0
 
@@ -111,7 +111,7 @@ def _cmd_importance(args) -> int:
 
 def _load_importance(path: str, category_ids) -> ImportanceVector:
     """Read slot counts from an importance JSON file (or a bare mapping)."""
-    with Path(path).open(encoding="utf-8") as fh:
+    with open_text(Path(path), ValueError) as fh:
         data = json.load(fh)
     counts = data.get("importance", data) if isinstance(data, dict) else None
     if not isinstance(counts, dict):
@@ -161,7 +161,7 @@ def _cmd_summarize(args) -> int:
 def _cmd_evaluate(args) -> int:
     stopwords = corpus.load_stopwords(args.stopwords) if args.stopwords \
         else corpus.default_stopwords()
-    candidate = Path(args.candidate).read_text(encoding="utf-8").splitlines()
+    candidate = read_text(args.candidate).splitlines()
     _dump_json(evaluate(candidate, args.reference, stopwords), args.out)
     return 0
 

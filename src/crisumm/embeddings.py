@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +40,11 @@ class EmbeddingTable:
 
     def __contains__(self, word: str) -> bool:
         return word in self.vectors
+
+    def rows(self, words: Iterable[str]) -> np.ndarray:
+        """The vectors of those `words` that have one, stacked in order."""
+        vecs = [self.vectors[w] for w in words if w in self.vectors]
+        return np.stack(vecs) if vecs else np.empty((0, self.dimension))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -167,23 +173,57 @@ def save_word2vec_text(table: EmbeddingTable, path: str | Path) -> None:
             fh.write(f"{word} {components}\n")
 
 
+_TINY = np.finfo(np.float64).tiny
+_HUGE = np.finfo(np.float64).max
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity in [-1, 1]; zero-norm inputs score 0.
 
     Equal vectors return exactly 1.0, which keeps self-similarity of
-    downstream aggregate scores exact.
+    downstream aggregate scores exact. This is the one-row case of
+    `cosines`.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    num = float(np.dot(a, b))
-    da = float(np.dot(a, a))
-    db = float(np.dot(b, b))
-    if da == 0.0 or db == 0.0:
-        return 0.0
-    if num == da and num == db:
-        # ||a - b||^2 = da + db - 2*num = 0, i.e. the vectors coincide.
-        return 1.0
-    value = num / math.sqrt(da * db)
-    return max(-1.0, min(1.0, value))
+    return float(cosines(a[np.newaxis], b)[0])
+
+
+def cosines(rows: np.ndarray, v: np.ndarray,
+            row_dots: np.ndarray | None = None) -> np.ndarray:
+    """The cosine of each row of the matrix `rows` with the vector `v`.
+
+    `row_dots` are the rows' `self_dots`, for callers that score many
+    vectors against one matrix. `np.vecdot` sums each row in the order
+    `np.dot` does, so a row scores the same bits alone or in a matrix.
+    When a self-dot, or the product of two, leaves the normal float
+    range, both vectors are divided by their largest magnitude first.
+    """
+    da = self_dots(rows) if row_dots is None else row_dots
+    with np.errstate(all="ignore"):
+        num = np.vecdot(rows, v)
+        db = float(np.vecdot(v, v))
+        prod = da * db
+        value = np.clip(num / np.sqrt(prod), -1.0, 1.0)
+    # ||a - b||^2 = da + db - 2*num = 0, i.e. the vectors coincide.
+    value[(num == da) & (num == db)] = 1.0
+    unsafe = np.flatnonzero(~((da >= _TINY) & (db >= _TINY)
+                              & (prod >= _TINY) & (prod <= _HUGE)))
+    if len(unsafe):
+        # Zero vectors score 0; the others are rescaled and rescored.
+        value[unsafe] = 0.0
+        scale = np.max(np.abs(rows[unsafe]), axis=1)
+        v_scale = np.max(np.abs(v))
+        if v_scale > 0.0:
+            fix = scale > 0.0
+            value[unsafe[fix]] = cosines(
+                rows[unsafe[fix]] / scale[fix, np.newaxis], v / v_scale)
+    return value
+
+
+def self_dots(rows: np.ndarray) -> np.ndarray:
+    """Each row's dot product with itself."""
+    with np.errstate(all="ignore"):
+        return np.vecdot(rows, rows)

@@ -16,6 +16,7 @@ from pathlib import Path
 import json
 
 from .corpus import PosLexicon, extract_keywords, preprocess_text
+from .textfile import open_text
 
 
 class OntologyError(ValueError):
@@ -95,7 +96,7 @@ def load_ontology(path: str | Path) -> Ontology:
     previously extended ontology. Keywords are lowercased and deduped.
     """
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path, OntologyError) as fh:
         data = json.load(fh)
     raw_categories = data.get("categories") if isinstance(data, dict) \
         else None
@@ -148,7 +149,7 @@ def save_ontology(ontology: Ontology, path: str | Path) -> None:
 
 def load_merges(path: str | Path) -> dict[str, str]:
     """Load a victim-id to survivor-id merge map from JSON."""
-    with Path(path).open(encoding="utf-8") as fh:
+    with open_text(Path(path), OntologyError) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise OntologyError("merge file must be a JSON object")
@@ -281,7 +282,7 @@ def load_approvals(path: str | Path) -> list[tuple[str, str]]:
     A leading header row is skipped if present.
     """
     approvals = []
-    with Path(path).open(encoding="utf-8", newline="") as fh:
+    with open_text(Path(path), OntologyError, newline="") as fh:
         for row in csv.reader(fh):
             if not row or not "".join(row).strip():
                 continue

@@ -24,6 +24,7 @@ from .importance import (build_training_pairs, check_fit_options, fit,
 from .ontology import Ontology, check_min_freq
 from .rouge import score_summary
 from .selector import SelectorConfig, summarize
+from .textfile import open_text
 
 SCHEMA_VERSION = 1
 
@@ -134,8 +135,11 @@ def load_config(path: str | Path,
     path = Path(path)
     base = path.parent
     values: dict = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                  start=1):
+    with open_text(path, ValueError) as fh:
+        text = fh.read()
+    # Only "\n" ends a line: str.splitlines() would also break on form
+    # feeds and other separators, and misnumber every later line.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -195,7 +199,7 @@ def load_resources(ontology: str | Path, merges: str | Path | None = None,
 def extend_vocab(ontology: Ontology, docs: list, approvals, lexicon,
                  stopwords, min_freq: int):
     """Return (harvested candidates, ontology with the approvals applied)."""
-    texts = [Path(p).read_text(encoding="utf-8") for p in docs]
+    texts = [read_text(p) for p in docs]
     candidates = onto.harvest_candidates(ontology, texts, lexicon,
                                          min_freq=min_freq,
                                          stopwords=stopwords)
@@ -288,7 +292,8 @@ def select(dataset: DisasterDataset, partition, importance, ontology: Ontology,
     summary = summarize(partition, importance, vocab_by_category, table, cfg)
     tweets_by_id = {t.id: t for t in dataset.tweets}
     return {
-        "entries": [asdict(e) for e in summary.entries],
+        "entries": [{"tweet_id": e.tweet_id, "category_id": e.category_id,
+                     "score": e.score} for e in summary.entries],
         "text": [" ".join(tweets_by_id[e.tweet_id].raw_text.split())
                  for e in summary.entries],
     }
@@ -300,9 +305,15 @@ def evaluate(summary_lines: list[str], reference: str | Path,
     def tokens(lines):
         return [tok for line in lines
                 for tok in corpus.preprocess_text(line, stopwords)]
-    reference_lines = Path(reference).read_text(encoding="utf-8").splitlines()
+    reference_lines = read_text(reference).splitlines()
     return score_summary(tokens(summary_lines),
                          tokens(reference_lines)).as_dict()
+
+
+def read_text(path: str | Path) -> str:
+    """A whole UTF-8 text file; other bytes are named with file and line."""
+    with open_text(Path(path), ValueError) as fh:
+        return fh.read()
 
 
 def _write_report(report: dict, path: Path) -> None:
@@ -369,7 +380,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             for ds_id, r in results.items()
         }
         report["target_assignments"] = [
-            asdict(a) for a in results[target.id].assignments]
+            a.as_dict() for a in results[target.id].assignments]
 
         stage = "similarity"
         matrix = similarity_matrix(datasets, results, cfg.top_k, cfg.w1,

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Tweet
-from .embeddings import EmbeddingTable, cosine
+from .embeddings import EmbeddingTable, cosines, self_dots
 from .importance import ImportanceVector
 
 SELECTOR_KINDS = ("dmmr", "max_sim", "kmeans", "eigenvector", "pagerank",
@@ -88,8 +88,20 @@ class Summary:
         return tuple(e.tweet_id for e in self.entries)
 
 
+class Sim1Memo:
+    """Each keyword's `sim1` contribution against one vocabulary and table.
+
+    The vocabulary's embedded rows are stacked, with their self-dots,
+    when the first keyword with an embedding is scored.
+    """
+
+    def __init__(self) -> None:
+        self.contributions: dict[str, float] = {}
+        self.rows: tuple[np.ndarray, np.ndarray] | None = None
+
+
 def sim1(tweet: Tweet, vocab: Iterable[str], emb: EmbeddingTable,
-         mode: str = "sum", best: dict[str, float] | None = None) -> float:
+         mode: str = "sum", memo: Sim1Memo | None = None) -> float:
     """Embedding similarity of a tweet's keywords to a vocabulary.
 
     Each keyword contributes the best cosine it achieves against any
@@ -97,21 +109,30 @@ def sim1(tweet: Tweet, vocab: Iterable[str], emb: EmbeddingTable,
     without an embedding contribute nothing. "sum" adds the
     contributions, "mean" divides by the keyword count.
 
-    `best` maps keywords to their contributions against this same
-    `vocab` and `emb`; missing ones are computed and added, so callers
-    scoring many tweets against one vocabulary pass one dict to all.
+    `memo` holds contributions against this same `vocab` and `emb`;
+    missing ones are computed and added, so callers scoring many
+    tweets against one vocabulary pass one memo to all.
     """
-    if best is None:
-        best = {}
-    vocab_vecs = None
+    if memo is None:
+        memo = Sim1Memo()
+    best = memo.contributions
     for word in tweet.keywords:
         if word in best:
             continue
-        if vocab_vecs is None:
-            vocab_vecs = [emb.get(w) for w in sorted(set(vocab)) if w in emb]
         vec = emb.get(word)
-        best[word] = 0.0 if vec is None or not vocab_vecs else max(
-            max(cosine(vec, other) for other in vocab_vecs), 0.0)
+        if vec is None:
+            best[word] = 0.0
+            continue
+        if memo.rows is None:
+            rows = emb.rows(sorted(set(vocab)))
+            memo.rows = rows, self_dots(rows)
+        rows, dots = memo.rows
+        if not len(rows):
+            best[word] = 0.0
+            continue
+        values = cosines(rows, vec, dots)
+        # argmax takes the first maximum, as max() over the vocabulary would.
+        best[word] = max(float(values[np.argmax(values)]), 0.0)
     total = math.fsum(best[w] for w in sorted(tweet.keywords))
     if mode == "mean":
         return total / len(tweet.keywords) if tweet.keywords else 0.0
@@ -120,12 +141,35 @@ def sim1(tweet: Tweet, vocab: Iterable[str], emb: EmbeddingTable,
     return total
 
 
+class _Postings:
+    """The positions of the tweets holding each keyword, for scoring
+    every tweet's `sim2` with one other tweet at once."""
+
+    def __init__(self, tweets: Sequence[Tweet]) -> None:
+        self._positions: dict[str, list[int]] = {}
+        for i, tweet in enumerate(tweets):
+            for word in tweet.keywords:
+                self._positions.setdefault(word, []).append(i)
+        self._sizes = np.array([len(t.keywords) for t in tweets],
+                               dtype=np.int64)
+
+    def sim2(self, other: Tweet) -> np.ndarray:
+        """sim2(tweet, other) for every tweet, in the tweets' order."""
+        hits = [i for word in other.keywords
+                for i in self._positions.get(word, ())]
+        values = np.zeros(len(self._sizes))
+        if hits:
+            # An integer overlap over the root of an integer product:
+            # the roundings of the scalar formula, so the same bits.
+            overlap = np.bincount(hits, minlength=len(values))
+            np.divide(overlap, np.sqrt(self._sizes * len(other.keywords)),
+                      out=values, where=self._sizes > 0)
+        return values
+
+
 def sim2(a: Tweet, b: Tweet) -> float:
     """Keyword-set cosine between two tweets, in [0, 1]."""
-    if not a.keywords or not b.keywords:
-        return 0.0
-    overlap = len(a.keywords & b.keywords)
-    return overlap / math.sqrt(len(a.keywords) * len(b.keywords))
+    return float(_Postings((a,)).sim2(b)[0])
 
 
 def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
@@ -146,26 +190,24 @@ def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
     vocab = frozenset(vocab)
     pool = [t for t, cid in summary_so_far
             if cid == category_id or not cfg.diversity_same_category_only]
-    remaining = sorted(tweets, key=lambda t: t.id)
-    memo: dict[str, float] = {}
-    relevance = {t.id: sim1(t, vocab, emb, cfg.sim1_mode, memo)
-                 for t in remaining}
-    redundancy = {t.id: max((sim2(t, other) for other in pool), default=0.0)
-                  for t in remaining}
+    ordered = sorted(tweets, key=lambda t: t.id)
+    memo = Sim1Memo()
+    relevance = np.array([sim1(t, vocab, emb, cfg.sim1_mode, memo)
+                          for t in ordered])
+    postings = _Postings(ordered)
+    redundancy = np.zeros(len(ordered))
+    for other in pool:
+        np.maximum(redundancy, postings.sim2(other), out=redundancy)
     picked: list[tuple[Tweet, float]] = []
+    taken = np.zeros(len(ordered), dtype=bool)
     for _ in range(count):
-        best = None
-        best_score = -math.inf
-        for tweet in remaining:
-            score = cfg.lam * relevance[tweet.id] \
-                - (1.0 - cfg.lam) * redundancy[tweet.id]
-            if score > best_score:
-                best, best_score = tweet, score
-        picked.append((best, best_score))
-        remaining.remove(best)
-        for tweet in remaining:
-            redundancy[tweet.id] = max(redundancy[tweet.id],
-                                       sim2(tweet, best))
+        scores = cfg.lam * relevance - (1.0 - cfg.lam) * redundancy
+        scores[taken] = -math.inf
+        # The first maximum: ties go to the smaller id.
+        best = int(np.argmax(scores))
+        picked.append((ordered[best], float(scores[best])))
+        taken[best] = True
+        np.maximum(redundancy, postings.sim2(ordered[best]), out=redundancy)
     return picked
 
 
@@ -236,13 +278,11 @@ def _kmeans_select(tweets: Sequence[Tweet], count: int,
 
 
 def _sim2_matrix(tweets: Sequence[Tweet]) -> np.ndarray:
-    n = len(tweets)
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = sim2(tweets[i], tweets[j])
-            matrix[i, j] = value
-            matrix[j, i] = value
+    postings = _Postings(tweets)
+    matrix = np.empty((len(tweets), len(tweets)))
+    for i, tweet in enumerate(tweets):
+        matrix[i] = postings.sim2(tweet)
+    np.fill_diagonal(matrix, 0.0)
     return matrix
 
 
@@ -321,7 +361,7 @@ def select_category(kind: str, tweets: Sequence[Tweet], count: int,
                            vocab if kind == "dmmr" else corpus_vocab, emb,
                            cfg, summary_so_far, category_id)
     if kind == "max_sim":
-        memo: dict[str, float] = {}
+        memo = Sim1Memo()
         scores = {t.id: sim1(t, vocab, emb, cfg.sim1_mode, memo)
                   for t in tweets}
         return _rank_select(tweets, count, scores)

@@ -9,14 +9,15 @@ from typing import TextIO
 
 
 @contextmanager
-def open_text(path: Path, error: type[ValueError]) -> Iterator[TextIO]:
-    """Open `path` as UTF-8 text with universal newlines.
+def open_text(path: Path, error: type[ValueError],
+              newline: str | None = None) -> Iterator[TextIO]:
+    """Open `path` as UTF-8 text, by default with universal newlines.
 
     Bytes that are not UTF-8 raise `error` as "<file>:<line>: not valid
     UTF-8", with the line numbered as text mode numbers it.
     """
     try:
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         raise error(f"{path.name}:{_first_undecodable_line(path)}: "

@@ -7,6 +7,7 @@ deliberately shares no code with the package under test.
 from __future__ import annotations
 
 from math import fsum, isfinite, log2, sqrt
+from sys import float_info
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,33 @@ def cosine(u, v):
     return num / sqrt(du * dv)
 
 
+def cosine_exact(a, b):
+    """The package's cosine, one scalar step at a time.
+
+    Sums are np.dot's, which the package's batched kernel matches bit
+    for bit. When a self-dot, or the product of the two, leaves the
+    normal float range, both vectors are divided by their largest
+    magnitude and scored again; a zero vector scores 0.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        num = float(np.dot(a, b))
+        da = float(np.dot(a, a))
+        db = float(np.dot(b, b))
+    prod = da * db
+    if not (da >= float_info.min and db >= float_info.min
+            and float_info.min <= prod <= float_info.max):
+        scale_a = float(np.max(np.abs(a)))
+        scale_b = float(np.max(np.abs(b)))
+        if scale_a == 0.0 or scale_b == 0.0:
+            return 0.0
+        return cosine_exact(a / scale_a, b / scale_b)
+    if num == da and num == db:
+        return 1.0
+    return max(-1.0, min(1.0, num / sqrt(prod)))
+
+
 def sim1(tweet: Tweet, vocab, emb: EmbeddingTable, mode="sum"):
     contributions = []
     for word in sorted(tweet.keywords):
@@ -173,6 +201,39 @@ def sim2(a: Tweet, b: Tweet):
     if not a.keywords or not b.keywords:
         return 0.0
     return shared / sqrt(len(a.keywords) * len(b.keywords))
+
+
+def dmmr_greedy(tweets, count, relevance, pool, lam):
+    """The whole greedy loop over given relevance scores.
+
+    Every step scores each remaining tweet against the whole pool,
+    ties to the smaller id; returns [(tweet, score)] in pick order.
+    """
+    remaining = sorted(tweets, key=lambda t: t.id)
+    pool = list(pool)
+    picked = []
+    for _ in range(count):
+        best, best_score = None, -float("inf")
+        for tweet in remaining:
+            redundancy = max((sim2(tweet, other) for other in pool),
+                             default=0.0)
+            score = lam * relevance[tweet.id] - (1.0 - lam) * redundancy
+            if score > best_score:
+                best, best_score = tweet, score
+        picked.append((best, best_score))
+        remaining.remove(best)
+        pool.append(best)
+    return picked
+
+
+def sim2_matrix(tweets):
+    """sim2 of every pair of distinct tweets, 0 on the diagonal."""
+    n = len(tweets)
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i, j] = matrix[j, i] = sim2(tweets[i], tweets[j])
+    return matrix
 
 
 def dmmr_step(remaining, pool, vocab, emb, lam, mode):
@@ -212,6 +273,31 @@ def random_instance(rng: np.random.Generator, max_tweets=10, max_keywords=6,
         .tolist())
     count = int(rng.integers(0, n + 1))
     return tweets, count, vocab, emb
+
+
+# --- categorization ---------------------------------------------------
+
+def classify(tweet: Tweet, ontology, use_extended):
+    """(category id, score, matched_by) from one overlap per category.
+
+    Categories are visited in id order and a later one wins only with
+    a strictly larger overlap; no overlap at all gives (None, 0, "none").
+    """
+    best, best_score = None, 0
+    for category in sorted(ontology.categories, key=lambda c: c.id):
+        vocab = set(category.seed_keywords)
+        if use_extended:
+            vocab |= category.extended_keywords
+        score = sum(1 for w in tweet.keywords if w in vocab)
+        if score > best_score:
+            best, best_score = category, score
+    if best is None:
+        return None, 0, "none"
+    seed = any(w in best.seed_keywords for w in tweet.keywords)
+    ext = use_extended and any(w in best.extended_keywords
+                               for w in tweet.keywords)
+    return best.id, best_score, ("both" if seed and ext
+                                 else "extended" if ext else "seed")
 
 
 # --- regression -------------------------------------------------------

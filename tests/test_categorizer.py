@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from crisumm import categorizer
 from crisumm.categorizer import (CategoryAssignment, classify,
                                  classify_corpus, sem_sim)
 from crisumm.corpus import DisasterDataset
 from crisumm.ontology import Category, Ontology
 
+import oracles
 from oracles import make_tweet
 
 
@@ -125,14 +126,34 @@ class TestClassifyCorpus:
         assert seed_only.stats.classified == 60
         assert seed_only.stats.extended_gain == 0
 
-    def test_one_classify_call_per_tweet(self, monkeypatch, target_dataset,
-                                         extended_ontology):
-        calls = []
-        real = categorizer.classify
-        monkeypatch.setattr(categorizer, "classify",
-                            lambda *args: calls.append(args) or real(*args))
-        classify_corpus(target_dataset, extended_ontology, True)
-        assert len(calls) == len(target_dataset.tweets)
+    @pytest.mark.parametrize("use_extended", [True, False])
+    @given(data=st.data())
+    def test_matches_per_tweet_classify(self, use_extended, data):
+        # Few words over up to four categories, unordered, make ties and
+        # seed/extended mixes common.
+        words = [f"w{i}" for i in range(6)]
+        subsets = st.frozensets(st.sampled_from(words), max_size=4)
+        categories = []
+        for cid in data.draw(st.lists(st.sampled_from("dbca"), min_size=1,
+                                      max_size=4, unique=True)):
+            seeds = data.draw(subsets)
+            categories.append(Category(
+                id=cid, name=cid, seed_keywords=seeds,
+                extended_keywords=data.draw(subsets) - seeds))
+        onto = Ontology(categories=tuple(categories))
+        tweets = [make_tweet(f"t{i}", data.draw(st.frozensets(
+                      st.sampled_from([*words, "oov"]), max_size=4)))
+                  for i in range(data.draw(st.integers(1, 8)))]
+        result = classify_corpus(self._dataset(tweets), onto, use_extended)
+        cells = {}
+        for tweet, got in zip(tweets, result.assignments):
+            want = oracles.classify(tweet, onto, use_extended)
+            assert (got.category_id, got.score, got.matched_by) == want
+            assert got == classify(tweet, onto, use_extended)
+            if want[0] is not None:
+                cells.setdefault(want[0], []).append(tweet)
+        assert result.partition == {c: tuple(t) for c, t in cells.items()}
+        assert result.stats.classified == sum(map(len, cells.values()))
 
     @pytest.mark.parametrize("use_extended", [True, False])
     def test_seed_stats_match_a_seed_only_pass(self, use_extended):

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from crisumm.cli import main
+from crisumm.embeddings import (EmbeddingTable, load_word2vec_text,
+                                save_word2vec_text)
 from crisumm.pipeline import PipelineStageError, load_config, run_pipeline
 
 
@@ -323,6 +325,19 @@ class TestPipelineCommand:
         assert code == 1
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("separator", [
+        "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+        "\u2029"])
+    def test_line_numbers_count_newlines_only(self, tmp_path, capsys,
+                                              separator):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"# comment\nlam = 0.5{separator}\nm = 1.5x\n",
+                       encoding="utf-8")
+        code, _, err = run(capsys, "pipeline", "--config", str(bad),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == "error: bad.cfg:3: m = '1.5x' is not a valid int\n"
+
     def test_repeated_config_key_reported(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("m = 8\n\nm = 9\n", encoding="utf-8")
@@ -411,6 +426,68 @@ class TestExitCodes:
                            "--out-text", str(tmp_path / "s.txt"))
         assert code == 1
         assert err == "error: vec.txt:2: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("name, argv", [
+        ("ontology.json", lambda d, bad, out: [
+            "categorize", "--dataset", d / "target.jsonl",
+            "--ontology", bad]),
+        ("merges.json", lambda d, bad, out: [
+            "categorize", "--dataset", d / "target.jsonl",
+            "--ontology", d / "ontology.json", "--merges", bad]),
+        ("approvals.csv", lambda d, bad, out: [
+            "extend-vocab", "--ontology", d / "ontology.json",
+            "--docs", d / "vocab_docs.txt", "--approvals", bad,
+            "--candidates-out", out / "c.csv",
+            "--ontology-out", out / "o.json"]),
+        ("docs.txt", lambda d, bad, out: [
+            "extend-vocab", "--ontology", d / "ontology.json",
+            "--docs", bad, "--candidates-out", out / "c.csv"]),
+        ("bad.cfg", lambda d, bad, out: [
+            "pipeline", "--config", bad, "--out-dir", out / "run"]),
+        ("importance.json", lambda d, bad, out: [
+            "summarize", "--dataset", d / "target.jsonl",
+            "--ontology", d / "ontology.json",
+            "--embeddings", d / "embeddings.txt", "--importance", bad,
+            "--out-json", out / "s.json", "--out-text", out / "s.txt"]),
+        ("reference.txt", lambda d, bad, out: [
+            "evaluate", "--candidate", d / "reference.txt",
+            "--reference", bad]),
+        ("candidate.txt", lambda d, bad, out: [
+            "evaluate", "--candidate", bad,
+            "--reference", d / "reference.txt"]),
+    ])
+    def test_undecodable_input_names_file_and_line(self, tmp_path, capsys,
+                                                   data_dir, name, argv):
+        bad = tmp_path / name
+        bad.write_bytes(b"first\nsecond\n\xffthird\n")
+        code, _, err = run(capsys, *map(str, argv(data_dir, bad, tmp_path)))
+        assert code == 1
+        assert err == f"error: {name}:3: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("scale", ["1e-160", "1e-170", "1e160"])
+    def test_extreme_embedding_magnitudes_summarize(self, tmp_path, capsys,
+                                                    data_dir, scale):
+        # Self-dots that underflow or overflow once raised
+        # ZeroDivisionError or scored wrongly; scaling every vector
+        # leaves every cosine's value, so the picks stay the same.
+        table = load_word2vec_text(data_dir / "embeddings.txt")
+        scaled = EmbeddingTable(table.dimension, {
+            w: v * float(scale) for w, v in table.vectors.items()})
+        save_word2vec_text(scaled, tmp_path / "scaled.txt")
+        picks = {}
+        for label, embeddings in (("plain", data_dir / "embeddings.txt"),
+                                  ("scaled", tmp_path / "scaled.txt")):
+            code, _, err = run(
+                capsys, "summarize", "--dataset",
+                str(data_dir / "target.jsonl"),
+                "--ontology", str(data_dir / "ontology.json"),
+                "--embeddings", str(embeddings), "--length", "6",
+                "--out-json", str(tmp_path / f"{label}.json"),
+                "--out-text", str(tmp_path / f"{label}.txt"))
+            assert (code, err) == (0, "")
+            picks[label] = [e["tweet_id"] for e in json.loads(
+                (tmp_path / f"{label}.json").read_text("utf-8"))["entries"]]
+        assert picks["scaled"] == picks["plain"]
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -241,3 +241,85 @@ class TestCosine:
             a = rng.normal(size=4)
             b = rng.normal(size=4)
             assert -1.0 <= cosine(a, b) <= 1.0
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160])
+    def test_extreme_magnitudes_score_as_ordinary_ones(self, scale):
+        # The self-dots underflow to subnormals (1e-160), to zero
+        # (1e-170) or overflow (1e160); the cosine is still 1/sqrt(2).
+        a = np.array([scale, 0.0, 0.0])
+        b = np.array([scale, scale, 0.0])
+        assert cosine(a, b) == cosine(np.array([1.0, 0.0, 0.0]),
+                                      np.array([1.0, 1.0, 0.0]))
+        assert cosine(a, b) == pytest.approx(0.5 ** 0.5, abs=1e-15)
+        assert cosine(a, a) == 1.0
+
+    def test_extreme_against_ordinary_magnitude(self):
+        a = np.array([1e-170, 2e-170])
+        b = np.array([1e160, 0.0])
+        assert cosine(a, b) == pytest.approx(1 / 5 ** 0.5, abs=1e-15)
+        assert cosine(a, np.zeros(2)) == 0.0
+
+
+def _bits(values):
+    """Exact float identity, -0.0 apart from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+class TestVecdot:
+    """The batched kernels rest on np.vecdot summing as np.dot does.
+
+    A numpy build that sums them differently fails here, not as moved
+    output digests.
+    """
+
+    @pytest.mark.parametrize("dim", [1, 3, 17, 300])
+    def test_vecdot_matches_dot_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        table = rng.normal(size=(50, dim + 1)) * rng.uniform(
+            1e-3, 1e3, size=(50, 1))
+        for rows in (table[:, 1:], np.stack(list(table[:, 1:]))):
+            b = table[7, 1:]
+            assert _bits(np.vecdot(rows, b)) == \
+                _bits([np.dot(r, b) for r in rows])
+            assert _bits(np.vecdot(rows, rows)) == \
+                _bits([np.dot(r, r) for r in rows])
+            assert _bits(embeddings.self_dots(rows)) == \
+                _bits([np.dot(r, r) for r in rows])
+
+
+_SCALES = [0.5, 3.0, 1e-160, 1e-170, 1e160, 1e-300, 1e300]
+
+
+@st.composite
+def vector_sets(draw):
+    """Vectors of one dimension: fresh, zero, copies and scaled copies."""
+    dim = draw(st.integers(1, 6))
+    fresh = st.lists(st.integers(-3, 3).map(float)
+                     | st.floats(-4.0, 4.0, allow_subnormal=False),
+                     min_size=dim, max_size=dim)
+    vectors = []
+    for _ in range(draw(st.integers(1, 8))):
+        how = draw(st.sampled_from(["fresh", "zero", "copy", "scale"]))
+        if how == "zero":
+            vec = np.zeros(dim)
+        elif how == "fresh" or not vectors:
+            vec = np.array(draw(fresh))
+        else:
+            factor = 1.0 if how == "copy" else draw(st.sampled_from(_SCALES))
+            with np.errstate(over="ignore"):
+                vec = draw(st.sampled_from(vectors)) * factor
+        if np.isfinite(vec).all():
+            vectors.append(vec)
+    return vectors
+
+
+@given(vector_sets(), st.data())
+def test_cosines_match_per_pair_cosine_bitwise(vectors, data):
+    rows = np.stack(vectors)
+    v = data.draw(st.sampled_from(vectors))
+    want = [oracles.cosine_exact(r, v) for r in rows]
+    assert _bits(embeddings.cosines(rows, v)) == _bits(want)
+    assert _bits(embeddings.cosines(rows, v, embeddings.self_dots(rows))) \
+        == _bits(want)
+    assert _bits(cosine(r, v) for r in rows) == _bits(want)
+    assert all(-1.0 <= w <= 1.0 for w in want)

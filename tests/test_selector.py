@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crisumm import selector as sel
-from crisumm.embeddings import EmbeddingTable, cosine
+from crisumm.embeddings import EmbeddingTable
 from crisumm.importance import ImportanceVector
 from crisumm.selector import (SelectorConfig, Summary, SummaryEntry,
                               dmmr_select, select_category, sim1, sim2,
@@ -61,26 +61,45 @@ class TestSim1Memo:
     """The selectors score each distinct keyword once per category."""
 
     @pytest.mark.parametrize("kind", ["dmmr", "mmr", "max_sim"])
-    def test_one_cosine_per_keyword_and_vocab_word(self, monkeypatch, kind):
-        calls = []
+    def test_each_contribution_is_the_best_cosine(self, monkeypatch, kind):
+        memos = []
+        stacked = []
+        real_rows = EmbeddingTable.rows
 
-        def counting(a, b):
-            calls.append(None)
-            return cosine(a, b)
+        class RecordingMemo(sel.Sim1Memo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
 
-        monkeypatch.setattr(sel, "cosine", counting)
+        def counting_rows(table, words):
+            stacked.append(None)
+            return real_rows(table, words)
+
+        monkeypatch.setattr(sel, "Sim1Memo", RecordingMemo)
+        monkeypatch.setattr(EmbeddingTable, "rows", counting_rows)
         rng = np.random.default_rng(79)
         for _ in range(40):
             tweets, count, vocab, emb = random_instance(rng)
             _, _, corpus_vocab, _ = random_instance(rng)
             corpus_vocab |= vocab
-            scored = corpus_vocab if kind == "mmr" else vocab
-            keywords = {w for t in tweets for w in t.keywords if w in emb}
-            calls.clear()
+            scored = sorted(corpus_vocab if kind == "mmr" else vocab)
+            keywords = {w for t in tweets for w in t.keywords}
+            memos.clear()
+            stacked.clear()
             select_category(kind, tweets, count, vocab, emb,
                             SelectorConfig(), corpus_vocab=corpus_vocab)
-            assert len(calls) == \
-                len(keywords) * len({w for w in scored if w in emb})
+            # One memo and at most one stacking per category call.
+            assert len(memos) == 1
+            assert len(stacked) == \
+                (1 if any(w in emb for w in keywords) else 0)
+            contributions = memos[0].contributions
+            assert contributions.keys() == keywords
+            for word, value in contributions.items():
+                others = [emb.get(o) for o in scored if o in emb]
+                want = 0.0 if word not in emb or not others else max(
+                    max(oracles.cosine_exact(emb.get(word), o)
+                        for o in others), 0.0)
+                assert value.hex() == want.hex()
 
     @pytest.mark.parametrize("kind", ["dmmr", "max_sim"])
     def test_shared_keyword_scored_per_category(self, kind):
@@ -136,16 +155,18 @@ class TestDmmrSelect:
                             SelectorConfig())
 
     def test_redundant_tweet_loses_to_diverse_one(self, monkeypatch):
-        # Hand-set scores: t2 repeats t1 exactly, t3 is fresh but weaker.
+        # Hand-set relevance: t2 repeats t1's keywords exactly (sim2 1.0),
+        # t3 shares none (sim2 0.0) but is weaker.
         relevance = {"t1": 0.9, "t2": 0.8, "t3": 0.5}
-        overlap = {("t2", "t1"): 1.0, ("t1", "t2"): 1.0}
 
         monkeypatch.setattr(sel, "sim1",
-                            lambda t, vocab, emb, mode="sum", best=None:
+                            lambda t, vocab, emb, mode="sum", memo=None:
                             relevance[t.id])
-        monkeypatch.setattr(sel, "sim2",
-                            lambda a, b: overlap.get((a.id, b.id), 0.0))
-        tweets = [make_tweet(tid, {tid}) for tid in ("t1", "t2", "t3")]
+        tweets = [make_tweet("t1", {"flood", "road"}),
+                  make_tweet("t2", {"flood", "road"}),
+                  make_tweet("t3", {"shelter"})]
+        assert sim2(tweets[0], tweets[1]) == 1.0
+        assert sim2(tweets[0], tweets[2]) == sim2(tweets[1], tweets[2]) == 0.0
         emb = EmbeddingTable(dimension=1, vectors={})
         picks = dmmr_select(tweets, 2, {"v"}, emb, SelectorConfig(lam=0.5))
         assert [t.id for t, _ in picks] == ["t1", "t3"]

@@ -1,7 +1,8 @@
-"""Property tests: the selectors' per-category `sim1` memo changes nothing.
+"""Property tests: the selectors' memo and array kernels change nothing.
 
 Instances reuse keywords heavily, mix in words without an embedding and
-build near-ties from duplicated and scaled embedding rows.
+tweets without keywords, and build near-ties from duplicated and scaled
+embedding rows.
 """
 
 import numpy as np
@@ -16,11 +17,14 @@ import oracles
 from oracles import make_tweet
 
 DIM = 3
+ORDINARY = [0.5, 2.0, 3.0, 1e3]
+EXTREME = [*ORDINARY, 1e-160, 1e-170, 1e160, 0.0]
 
 
 @st.composite
-def embeddings(draw, words):
-    """Vectors for some of `words`; later rows may copy or scale earlier ones."""
+def embeddings(draw, words, factors=ORDINARY):
+    """Vectors for some of `words`; later rows may copy or scale earlier
+    ones by one of `factors`."""
     vectors = {}
     for word in words:
         how = draw(st.sampled_from(["fresh", "copy", "scale", "none"]))
@@ -32,17 +36,23 @@ def embeddings(draw, words):
                 dtype=np.float64)
             continue
         source = vectors[draw(st.sampled_from(sorted(vectors)))]
-        factor = 1.0 if how == "copy" else draw(
-            st.sampled_from([0.5, 2.0, 3.0, 1e3]))
-        vectors[word] = source * factor
+        factor = 1.0 if how == "copy" else draw(st.sampled_from(factors))
+        with np.errstate(over="ignore"):
+            scaled = source * factor
+        if np.isfinite(scaled).all():
+            vectors[word] = scaled
     return EmbeddingTable(dimension=DIM, vectors=vectors)
 
 
 @st.composite
-def instances(draw):
-    """(tweets, count, vocab, corpus_vocab, earlier picks, table, config)."""
+def instances(draw, factors=ORDINARY, min_earlier=0, other_category=False):
+    """(tweets, count, vocab, corpus_vocab, earlier picks, table, config).
+
+    Earlier picks belong to category "this", or with `other_category`
+    to "this" or "other".
+    """
     words = [f"w{i}" for i in range(draw(st.integers(1, 8)))]
-    emb = draw(embeddings(words))
+    emb = draw(embeddings(words, factors))
     keyword_sets = st.frozensets(st.sampled_from([*words, "oov"]),
                                  max_size=4)
     tweets = []
@@ -54,9 +64,11 @@ def instances(draw):
         tweets.append(make_tweet(f"t{i:02d}", keywords))
     vocab = draw(st.frozensets(st.sampled_from([*words, "zz"])))
     corpus_vocab = vocab | draw(st.frozensets(st.sampled_from(words)))
-    earlier = [(make_tweet(f"e{i}", keywords), "this")
-               for i, keywords in enumerate(
-                   draw(st.lists(keyword_sets, max_size=3)))]
+    earlier = [(make_tweet(f"e{i}", keywords),
+                draw(st.sampled_from(["this", "other"])) if other_category
+                else "this")
+               for i, keywords in enumerate(draw(st.lists(
+                   keyword_sets, min_size=min_earlier, max_size=3)))]
     count = draw(st.integers(0, len(tweets)))
     cfg = SelectorConfig(lam=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
                          sim1_mode=draw(st.sampled_from(["sum", "mean"])))
@@ -78,7 +90,7 @@ def test_memo_matches_per_tweet_sim1(instance):
     memoized = {kind: run(kind) for kind in ("dmmr", "mmr", "max_sim")}
     plain = sel.sim1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sel, "sim1", lambda t, vocab, emb, mode="sum", best=None:
+        mp.setattr(sel, "sim1", lambda t, vocab, emb, mode="sum", memo=None:
                    plain(t, vocab, emb, mode))
         for kind, picks in memoized.items():
             assert picks == run(kind)
@@ -100,5 +112,66 @@ def test_every_dmmr_step_is_an_oracle_argmax(instance):
                                    cfg.sim1_mode)
         assert score == pytest.approx(best, abs=1e-9)
         assert own == pytest.approx(best, abs=1e-9)
+        pool.append(tweet)
+        remaining = [t for t in remaining if t.id != tweet.id]
+
+
+def _bits(values):
+    """Exact float identity, -0.0 apart from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+@given(instances(factors=EXTREME))
+def test_each_sim1_contribution_is_the_best_per_pair_cosine(instance):
+    tweets, _, vocab, _, _, emb, cfg = instance
+    memo = sel.Sim1Memo()
+    for tweet in tweets:
+        sel.sim1(tweet, vocab, emb, cfg.sim1_mode, memo)
+    others = [emb.get(w) for w in sorted(vocab) if w in emb]
+    for word, value in memo.contributions.items():
+        want = 0.0 if word not in emb or not others else max(
+            max(oracles.cosine_exact(emb.get(word), o) for o in others), 0.0)
+        assert value.hex() == want.hex()
+
+
+@given(instances())
+def test_postings_sim2_matches_per_pair_sim2(instance):
+    tweets, _, _, _, earlier, _, _ = instance
+    ordered = sorted(tweets, key=lambda t: t.id)
+    postings = sel._Postings(ordered)
+    for other in [*ordered, *(t for t, _ in earlier)]:
+        assert _bits(postings.sim2(other)) == \
+            _bits(oracles.sim2(t, other) for t in ordered)
+        assert _bits([sel.sim2(ordered[0], other)]) == \
+            _bits([oracles.sim2(ordered[0], other)])
+
+
+@given(instances())
+def test_sim2_matrix_matches_the_double_loop(instance):
+    ordered = sorted(instance[0], key=lambda t: t.id)
+    assert _bits(sel._sim2_matrix(ordered).ravel()) == \
+        _bits(oracles.sim2_matrix(ordered).ravel())
+
+
+@pytest.mark.parametrize("same_only", [False, True])
+@given(instance=instances(min_earlier=1, other_category=True))
+def test_every_dmmr_step_after_earlier_picks(same_only, instance):
+    tweets, count, vocab, _, earlier, emb, cfg = instance
+    cfg = SelectorConfig(lam=cfg.lam, sim1_mode=cfg.sim1_mode,
+                         diversity_same_category_only=same_only)
+    picks = dmmr_select(tweets, count, vocab, emb, cfg, earlier, "this")
+    pool = [t for t, cid in earlier if cid == "this" or not same_only]
+    # Bit for bit the greedy loop that rescans the whole pool each step.
+    relevance = {t.id: sel.sim1(t, vocab, emb, cfg.sim1_mode)
+                 for t in tweets}
+    want = oracles.dmmr_greedy(tweets, count, relevance, pool, cfg.lam)
+    assert [(t.id, score.hex()) for t, score in picks] == \
+        [(t.id, score.hex()) for t, score in want]
+    # And each pick is the oracle's argmax, up to rounding.
+    remaining = sorted(tweets, key=lambda t: t.id)
+    for tweet, score in picks:
+        _, best = oracles.dmmr_step(remaining, pool, vocab, emb, cfg.lam,
+                                    cfg.sim1_mode)
+        assert score == pytest.approx(best, abs=1e-9)
         pool.append(tweet)
         remaining = [t for t in remaining if t.id != tweet.id]
