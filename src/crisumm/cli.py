@@ -22,7 +22,7 @@ from .pipeline import (PipelineStageError, category_shares, coverage,
 from .pipeline import (build_profile, build_training_pairs,  # noqa: F401
                        dis_sim, fit, most_similar, score_summary, summarize)
 from .selector import SELECTOR_KINDS, SIM1_MODES
-from .textfile import open_text
+from .textfile import InputError, read_json
 
 
 def _write_text(path: str, text: str) -> None:
@@ -111,18 +111,17 @@ def _cmd_importance(args) -> int:
 
 def _load_importance(path: str, category_ids) -> ImportanceVector:
     """Read slot counts from an importance JSON file (or a bare mapping)."""
-    with open_text(Path(path), ValueError) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     counts = data.get("importance", data) if isinstance(data, dict) else None
     if not isinstance(counts, dict):
-        raise ValueError(f"{path}: expected an importance JSON object")
+        raise InputError(path, "expected an importance JSON object")
     unknown = set(counts) - set(category_ids)
     if unknown:
-        raise ValueError(f"{path}: unknown categories {sorted(unknown)}")
+        raise InputError(path, f"unknown categories {sorted(unknown)}")
     for cid, count in counts.items():
         if not isinstance(count, int) or isinstance(count, bool) \
                 or count < 0:
-            raise ValueError(f"{path}: category {cid!r}: slot count "
+            raise InputError(path, f"category {cid!r}: slot count "
                              f"{count!r} is not a non-negative integer")
     full = {cid: counts.get(cid, 0) for cid in category_ids}
     return ImportanceVector(counts=full, m=sum(full.values()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .textfile import open_text
+from .textfile import InputError, open_text
 
 DISASTER_TYPES = frozenset({"natural", "man-made"})
 
@@ -41,17 +41,12 @@ _EMOJI_RE = re.compile(
 _EDGE_TRIM_RE = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
 
 
-class CorpusFormatError(ValueError):
-    """Raised when a tweet, stopword, or lexicon file is malformed."""
-
-
 @dataclass(frozen=True)
 class Tweet:
     """One preprocessed microtext."""
 
     id: str
     raw_text: str
-    tokens: tuple[str, ...]
     keywords: frozenset[str]
 
 
@@ -142,8 +137,8 @@ def extract_keywords(tokens: list[str] | tuple[str, ...],
 
 def make_tweet(tweet_id: str, raw_text: str, stopwords: frozenset[str],
                lexicon: PosLexicon) -> Tweet:
-    tokens = tuple(preprocess_text(raw_text, stopwords))
-    return Tweet(id=tweet_id, raw_text=raw_text, tokens=tokens,
+    tokens = preprocess_text(raw_text, stopwords)
+    return Tweet(id=tweet_id, raw_text=raw_text,
                  keywords=extract_keywords(tokens, lexicon))
 
 
@@ -161,7 +156,7 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
     tweets: list[Tweet] = []
     gold: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open_text(path, CorpusFormatError) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -169,49 +164,39 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusFormatError(
-                    f"{path.name}:{lineno}: invalid JSON ({exc.msg})"
-                ) from exc
+                raise InputError(path, f"invalid JSON ({exc.msg})",
+                                 lineno) from exc
             if not isinstance(record, dict):
-                raise CorpusFormatError(
-                    f"{path.name}:{lineno}: expected a JSON object"
-                )
+                raise InputError(path, "expected a JSON object", lineno)
             if header is None:
                 missing = {"id", "disaster_type", "continent"} - record.keys()
                 if missing:
-                    raise CorpusFormatError(
-                        f"{path.name}:{lineno}: header missing "
-                        f"{sorted(missing)}"
-                    )
-                if record["disaster_type"] not in DISASTER_TYPES:
-                    raise CorpusFormatError(
-                        f"{path.name}:{lineno}: disaster_type must be one of "
-                        f"{sorted(DISASTER_TYPES)}"
-                    )
+                    raise InputError(path, f"header missing {sorted(missing)}",
+                                     lineno)
+                disaster_type = record["disaster_type"]
+                if not isinstance(disaster_type, str) \
+                        or disaster_type not in DISASTER_TYPES:
+                    raise InputError(path, f"disaster_type must be one of "
+                                     f"{sorted(DISASTER_TYPES)}", lineno)
                 header = record
                 continue
             missing = {"id", "text"} - record.keys()
             if missing:
-                raise CorpusFormatError(
-                    f"{path.name}:{lineno}: tweet record missing "
-                    f"{sorted(missing)}"
-                )
+                raise InputError(path, f"tweet record missing "
+                                 f"{sorted(missing)}", lineno)
             tweet_id = str(record["id"])
             if tweet_id in seen:
-                raise CorpusFormatError(
-                    f"{path.name}:{lineno}: duplicate tweet id {tweet_id!r}"
-                )
+                raise InputError(path, f"duplicate tweet id {tweet_id!r}",
+                                 lineno)
             if not isinstance(record["text"], str):
-                raise CorpusFormatError(
-                    f"{path.name}:{lineno}: tweet text is not a string"
-                )
+                raise InputError(path, "tweet text is not a string", lineno)
             seen.add(tweet_id)
             tweets.append(make_tweet(tweet_id, record["text"], stopwords,
                                      lexicon))
             if "gold_category" in record:
                 gold.append((tweet_id, str(record["gold_category"])))
     if header is None:
-        raise CorpusFormatError(f"{path.name}: empty file, header expected")
+        raise InputError(path, "empty file, header expected")
     return DisasterDataset(
         id=str(header["id"]),
         tweets=tuple(tweets),
@@ -225,7 +210,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a one-word-per-line stopword file (lowercased)."""
     path = Path(path)
     words = set()
-    with open_text(path, CorpusFormatError) as fh:
+    with open_text(path) as fh:
         for line in fh:
             word = line.strip().lower()
             if word and not word.startswith("#"):
@@ -237,7 +222,7 @@ def load_lexicon(path: str | Path, default_tag: str = "noun") -> PosLexicon:
     """Load a lexicon file of "word" or "word<TAB>tag" lines."""
     path = Path(path)
     tags: dict[str, str] = {}
-    with open_text(path, CorpusFormatError) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -248,14 +233,11 @@ def load_lexicon(path: str | Path, default_tag: str = "noun") -> PosLexicon:
             elif len(parts) == 2:
                 word, tag = parts
             else:
-                raise CorpusFormatError(
-                    f"{path.name}:{lineno}: expected 'word' or 'word<TAB>tag'"
-                )
+                raise InputError(path, "expected 'word' or 'word<TAB>tag'",
+                                 lineno)
             tag = tag.strip().lower()
             if tag not in POS_TAGS:
-                raise CorpusFormatError(
-                    f"{path.name}:{lineno}: unknown tag {tag!r}"
-                )
+                raise InputError(path, f"unknown tag {tag!r}", lineno)
             tags[word.strip().lower()] = tag
     return PosLexicon(tags=tags, default_tag=default_tag)
 

@@ -9,11 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .textfile import open_text
-
-
-class EmbeddingFormatError(ValueError):
-    """Raised when an embedding file does not match the declared shape."""
+from .textfile import InputError, open_text
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ def load_word2vec_text(path: str | Path) -> EmbeddingTable:
     the first bad line.
     """
     path = Path(path)
-    with open_text(path, EmbeddingFormatError) as fh:
+    with open_text(path) as fh:
         vocab_size, dimension = _parse_header(path, fh.readline())
         words = [line.split(None, 1)[0].lower() for line in fh
                  if not line.isspace()]
@@ -68,7 +64,7 @@ def load_word2vec_text(path: str | Path) -> EmbeddingTable:
         return _parse_lines(path)
     if not words:
         return EmbeddingTable(dimension=dimension, vectors={})
-    with open_text(path, EmbeddingFormatError) as fh:
+    with open_text(path) as fh:
         fh.readline()
         try:
             # Sized from the counted rows: loadtxt allocates max_rows
@@ -102,19 +98,13 @@ def _parse_header(path: Path, header: str) -> tuple[int, int]:
     """(vocab_size, dimension) from the first line of `path`."""
     parts = header.split()
     if len(parts) != 2:
-        raise EmbeddingFormatError(
-            f"{path.name}:1: header must be 'vocab_size dimension'"
-        )
+        raise InputError(path, "header must be 'vocab_size dimension'", 1)
     try:
         vocab_size, dimension = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise EmbeddingFormatError(
-            f"{path.name}:1: non-integer header field"
-        ) from exc
+        raise InputError(path, "non-integer header field", 1) from exc
     if vocab_size < 0 or dimension < 1:
-        raise EmbeddingFormatError(
-            f"{path.name}:1: header values out of range"
-        )
+        raise InputError(path, "header values out of range", 1)
     return vocab_size, dimension
 
 
@@ -126,7 +116,7 @@ def _parse_lines(path: Path) -> EmbeddingTable:
     digits.
     """
     vectors: dict[str, np.ndarray] = {}
-    with open_text(path, EmbeddingFormatError) as fh:
+    with open_text(path) as fh:
         vocab_size, dimension = _parse_header(path, fh.readline())
         rows = 0
         for lineno, line in enumerate(fh, start=2):
@@ -134,43 +124,27 @@ def _parse_lines(path: Path) -> EmbeddingTable:
                 continue
             rows += 1
             if rows > vocab_size:
-                raise EmbeddingFormatError(
-                    f"{path.name}:{lineno}: more rows than the declared "
-                    f"vocabulary size {vocab_size}"
-                )
+                raise InputError(path, f"more rows than the declared "
+                                 f"vocabulary size {vocab_size}", lineno)
             fields = line.split()
             if len(fields) != dimension + 1:
-                raise EmbeddingFormatError(
-                    f"{path.name}:{lineno}: expected {dimension + 1} fields, "
-                    f"got {len(fields)}"
-                )
+                raise InputError(path, f"expected {dimension + 1} fields, "
+                                 f"got {len(fields)}", lineno)
             word = fields[0].lower()
             try:
                 values = [float(x) for x in fields[1:]]
             except ValueError as exc:
-                raise EmbeddingFormatError(
-                    f"{path.name}:{lineno}: non-numeric vector component"
-                ) from exc
+                raise InputError(path, "non-numeric vector component",
+                                 lineno) from exc
             if not all(math.isfinite(v) for v in values):
-                raise EmbeddingFormatError(
-                    f"{path.name}:{lineno}: non-finite vector component"
-                )
+                raise InputError(path, "non-finite vector component",
+                                 lineno)
             if word not in vectors:
                 vectors[word] = np.array(values, dtype=np.float64)
         if rows < vocab_size:
-            raise EmbeddingFormatError(
-                f"{path.name}: declared {vocab_size} rows but found {rows}"
-            )
+            raise InputError(path, f"declared {vocab_size} rows but found "
+                             f"{rows}")
     return EmbeddingTable(dimension=dimension, vectors=vectors)
-
-
-def save_word2vec_text(table: EmbeddingTable, path: str | Path) -> None:
-    """Write a table back out at full precision (bit-exact on reload)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"{len(table.vectors)} {table.dimension}\n")
-        for word in sorted(table.vectors):
-            components = " ".join(repr(float(v)) for v in table.vectors[word])
-            fh.write(f"{word} {components}\n")
 
 
 _TINY = np.finfo(np.float64).tiny

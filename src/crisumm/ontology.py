@@ -16,11 +16,12 @@ from pathlib import Path
 import json
 
 from .corpus import PosLexicon, extract_keywords, preprocess_text
-from .textfile import open_text
+from .textfile import InputError, open_text, read_json
 
 
 class OntologyError(ValueError):
-    """Raised for malformed ontology, merge, or approval inputs."""
+    """Raised for an ontology, merge map or approval list that is
+    inconsistent in itself, apart from any file position."""
 
 
 @dataclass(frozen=True)
@@ -95,38 +96,40 @@ def load_ontology(path: str | Path) -> Ontology:
     An optional "extended_keywords" list per category round-trips a
     previously extended ontology. Keywords are lowercased and deduped.
     """
-    path = Path(path)
-    with open_text(path, OntologyError) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     raw_categories = data.get("categories") if isinstance(data, dict) \
         else None
     if not isinstance(raw_categories, list):
-        raise OntologyError(f"{path.name}: missing 'categories' list")
+        raise InputError(path, "missing 'categories' list")
     categories = []
     for index, entry in enumerate(raw_categories):
+        where = f"categories[{index}]"
         if not isinstance(entry, dict):
-            raise OntologyError(f"{path.name}: categories[{index}] is not "
-                                f"an object")
+            raise InputError(path, f"{where} is not an object")
+        words = {}
         for key in ("keywords", "extended_keywords"):
-            if not isinstance(entry.get(key, []), list):
-                raise OntologyError(f"{path.name}: categories[{index}]: "
-                                    f"{key!r} is not a list")
-        cat_id = str(entry.get("id", "")).strip()
+            values = entry.get(key, [])
+            if not isinstance(values, list):
+                raise InputError(path, f"{where}: {key!r} is not a list")
+            for word in values:
+                if not isinstance(word, str):
+                    raise InputError(path, f"{where}: {key!r} entry "
+                                     f"{word!r} is not a string")
+            words[key] = frozenset(w.lower() for w in values)
+        for key in ("id", "name"):
+            if not isinstance(entry.get(key, ""), str):
+                raise InputError(path, f"{where}: {key!r} is not a string")
+        cat_id = entry.get("id", "").strip()
         if not cat_id:
-            raise OntologyError(f"{path.name}: category without an id")
-        keywords = frozenset(str(w).lower() for w in entry.get("keywords", []))
+            raise InputError(path, "category without an id")
+        keywords = words["keywords"]
         if not keywords:
-            raise OntologyError(
-                f"{path.name}: category {cat_id!r} has no keywords"
-            )
-        extended = frozenset(
-            str(w).lower() for w in entry.get("extended_keywords", [])
-        )
+            raise InputError(path, f"category {cat_id!r} has no keywords")
         categories.append(Category(
             id=cat_id,
-            name=str(entry.get("name", cat_id)),
+            name=entry.get("name", cat_id),
             seed_keywords=keywords,
-            extended_keywords=extended - keywords,
+            extended_keywords=words["extended_keywords"] - keywords,
         ))
     return Ontology(categories=_sorted_categories(categories))
 
@@ -149,11 +152,14 @@ def save_ontology(ontology: Ontology, path: str | Path) -> None:
 
 def load_merges(path: str | Path) -> dict[str, str]:
     """Load a victim-id to survivor-id merge map from JSON."""
-    with open_text(Path(path), OntologyError) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
-        raise OntologyError("merge file must be a JSON object")
-    return {str(k): str(v) for k, v in data.items()}
+        raise InputError(path, "merge file must be a JSON object")
+    for victim, survivor in data.items():
+        if not isinstance(survivor, str):
+            raise InputError(path, f"survivor {survivor!r} of {victim!r} is "
+                             f"not a string")
+    return data
 
 
 def merge_categories(ontology: Ontology,
@@ -282,14 +288,14 @@ def load_approvals(path: str | Path) -> list[tuple[str, str]]:
     A leading header row is skipped if present.
     """
     approvals = []
-    with open_text(Path(path), OntologyError, newline="") as fh:
-        for row in csv.reader(fh):
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or not "".join(row).strip():
                 continue
             if len(row) < 2:
-                raise OntologyError(
-                    f"approval row {row!r} needs category_id and word"
-                )
+                raise InputError(path, f"approval row {row!r} needs "
+                                 f"category_id and word", reader.line_num)
             cat_id, word = row[0].strip(), row[1].strip().lower()
             if cat_id == "category_id" and word == "word":
                 continue

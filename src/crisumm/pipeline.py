@@ -13,6 +13,7 @@ import json
 import shutil
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from . import corpus, ontology as onto, embeddings as emb_mod
 from .categorizer import ClassificationResult, CorpusStats, classify_corpus
@@ -24,7 +25,7 @@ from .importance import (build_training_pairs, check_fit_options, fit,
 from .ontology import Ontology, check_min_freq
 from .rouge import score_summary
 from .selector import SelectorConfig, summarize
-from .textfile import open_text
+from .textfile import InputError, open_text
 
 SCHEMA_VERSION = 1
 
@@ -113,15 +114,16 @@ class PipelineConfig:
         return out
 
 
-_BOOL_KEYS = {"use_extended", "diversity_same_category_only",
-              "homogeneous_only"}
-_INT_KEYS = {"m", "top_k", "min_freq", "seed"}
-_FLOAT_KEYS = {"w1", "w2", "ridge_alpha", "prior_precision",
-               "noise_precision", "lam"}
-_STR_KEYS = {"regression_kind", "sim1_mode", "selector_kind"}
-_PATH_KEYS = {"ontology", "target", "embeddings", "out_dir", "stopwords",
-              "lexicon", "merges", "approvals", "reference"}
-_PATH_LIST_KEYS = {"candidates", "vocab_docs"}
+def _kind(hint) -> type:
+    """How a config value is parsed: bool, int, float, str, Path (an
+    optional path too) or list (of paths)."""
+    if get_origin(hint) is list:
+        return list
+    return Path if Path in get_args(hint) else hint
+
+
+_KINDS = {key: _kind(hint)
+          for key, hint in get_type_hints(PipelineConfig).items()}
 
 
 def load_config(path: str | Path,
@@ -135,8 +137,7 @@ def load_config(path: str | Path,
     path = Path(path)
     base = path.parent
     values: dict = {}
-    with open_text(path, ValueError) as fh:
-        text = fh.read()
+    text = read_text(path)
     # Only "\n" ends a line: str.splitlines() would also break on form
     # feeds and other separators, and misnumber every later line.
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -144,41 +145,39 @@ def load_config(path: str | Path,
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"{path.name}:{lineno}: expected 'key = value'")
+            raise InputError(path, "expected 'key = value'", lineno)
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
         if key in values:
-            raise ValueError(f"{path.name}:{lineno}: {key} set twice")
-        if key in _BOOL_KEYS:
+            raise InputError(path, f"{key} set twice", lineno)
+        kind = _KINDS.get(key)
+        if kind is None:
+            raise InputError(path, f"unknown key {key!r}", lineno)
+        if kind is bool:
             if raw.lower() not in ("true", "false"):
-                raise ValueError(f"{path.name}:{lineno}: {key} must be "
-                                 f"true or false")
+                raise InputError(path, f"{key} must be true or false", lineno)
             values[key] = raw.lower() == "true"
-        elif key in _INT_KEYS or key in _FLOAT_KEYS:
-            kind = int if key in _INT_KEYS else float
+        elif kind is int or kind is float:
             try:
                 values[key] = kind(raw)
             except ValueError:
-                raise ValueError(f"{path.name}:{lineno}: {key} = {raw!r} "
-                                 f"is not a valid {kind.__name__}") from None
-        elif key in _STR_KEYS:
+                raise InputError(path, f"{key} = {raw!r} is not a valid "
+                                 f"{kind.__name__}", lineno) from None
+        elif kind is str:
             values[key] = raw
-        elif key in _PATH_KEYS:
+        elif kind is Path:
             values[key] = (base / raw).resolve() if raw else None
-        elif key in _PATH_LIST_KEYS:
+        else:
             values[key] = [(base / item.strip()).resolve()
                            for item in raw.split(",") if item.strip()]
-        else:
-            raise ValueError(f"{path.name}:{lineno}: unknown key {key!r}")
     missing = {"ontology", "target", "candidates", "embeddings"} - values.keys()
     if missing:
-        raise ValueError(f"{path.name}: missing required keys "
-                         f"{sorted(missing)}")
+        raise InputError(path, f"missing required keys {sorted(missing)}")
     if out_dir is not None:
         values["out_dir"] = Path(out_dir)
     elif "out_dir" not in values:
-        raise ValueError(f"{path.name}: out_dir not set and no override given")
+        raise InputError(path, "out_dir not set and no override given")
     return PipelineConfig(**values)
 
 
@@ -312,7 +311,7 @@ def evaluate(summary_lines: list[str], reference: str | Path,
 
 def read_text(path: str | Path) -> str:
     """A whole UTF-8 text file; other bytes are named with file and line."""
-    with open_text(Path(path), ValueError) as fh:
+    with open_text(path) as fh:
         return fh.read()
 
 

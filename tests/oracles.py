@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from crisumm.corpus import Tweet
-from crisumm.embeddings import EmbeddingFormatError, EmbeddingTable
+from crisumm.embeddings import EmbeddingTable
+from crisumm.textfile import InputError
 
 
-def make_tweet(tweet_id: str, keywords, tokens=None) -> Tweet:
-    toks = tuple(tokens) if tokens is not None else tuple(sorted(keywords))
-    return Tweet(id=tweet_id, raw_text=" ".join(toks), tokens=toks,
+def make_tweet(tweet_id: str, keywords) -> Tweet:
+    return Tweet(id=tweet_id, raw_text=" ".join(sorted(keywords)),
                  keywords=frozenset(keywords))
 
 
@@ -28,52 +28,56 @@ def load_word2vec_text(path) -> EmbeddingTable:
     """The line-at-a-time parser: header "V D", then V rows "word x1 .. xD".
 
     Words are lowercased, the first occurrence of a word wins, and the
-    first bad line raises EmbeddingFormatError naming it.
+    first bad line raises InputError naming it.
     """
     path = Path(path)
     vectors = {}
     with path.open(encoding="utf-8") as fh:
         parts = fh.readline().split()
         if len(parts) != 2:
-            raise EmbeddingFormatError(
-                f"{path.name}:1: header must be 'vocab_size dimension'")
+            raise InputError(path, "header must be 'vocab_size dimension'",
+                             1)
         try:
             vocab_size, dimension = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EmbeddingFormatError(
-                f"{path.name}:1: non-integer header field") from None
+            raise InputError(path, "non-integer header field", 1) from None
         if vocab_size < 0 or dimension < 1:
-            raise EmbeddingFormatError(
-                f"{path.name}:1: header values out of range")
+            raise InputError(path, "header values out of range", 1)
         rows = 0
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             rows += 1
             if rows > vocab_size:
-                raise EmbeddingFormatError(
-                    f"{path.name}:{lineno}: more rows than the declared "
-                    f"vocabulary size {vocab_size}")
+                raise InputError(path, f"more rows than the declared "
+                                 f"vocabulary size {vocab_size}", lineno)
             fields = line.split()
             if len(fields) != dimension + 1:
-                raise EmbeddingFormatError(
-                    f"{path.name}:{lineno}: expected {dimension + 1} "
-                    f"fields, got {len(fields)}")
+                raise InputError(path, f"expected {dimension + 1} fields, "
+                                 f"got {len(fields)}", lineno)
             try:
                 values = [float(x) for x in fields[1:]]
             except ValueError:
-                raise EmbeddingFormatError(
-                    f"{path.name}:{lineno}: non-numeric vector "
-                    f"component") from None
+                raise InputError(path, "non-numeric vector component",
+                                 lineno) from None
             if not all(isfinite(v) for v in values):
-                raise EmbeddingFormatError(
-                    f"{path.name}:{lineno}: non-finite vector component")
+                raise InputError(path, "non-finite vector component",
+                                 lineno)
             vectors.setdefault(fields[0].lower(),
                                np.array(values, dtype=np.float64))
         if rows < vocab_size:
-            raise EmbeddingFormatError(
-                f"{path.name}: declared {vocab_size} rows but found {rows}")
+            raise InputError(path, f"declared {vocab_size} rows but found "
+                             f"{rows}")
     return EmbeddingTable(dimension=dimension, vectors=vectors)
+
+
+def save_word2vec_text(table: EmbeddingTable, path) -> None:
+    """Write a table out at full precision (bit-exact on reload)."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f"{len(table.vectors)} {table.dimension}\n")
+        for word in sorted(table.vectors):
+            components = " ".join(repr(float(v)) for v in table.vectors[word])
+            fh.write(f"{word} {components}\n")
 
 
 # --- ROUGE ------------------------------------------------------------

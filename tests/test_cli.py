@@ -4,9 +4,10 @@ import json
 import pytest
 
 from crisumm.cli import main
-from crisumm.embeddings import (EmbeddingTable, load_word2vec_text,
-                                save_word2vec_text)
+from crisumm.embeddings import EmbeddingTable, load_word2vec_text
 from crisumm.pipeline import PipelineStageError, load_config, run_pipeline
+
+from oracles import save_word2vec_text
 
 
 def run(capsys, *argv):
@@ -35,6 +36,38 @@ def config_copy(data_dir, tmp_path, **values):
     path = tmp_path / "pipeline.cfg"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
+
+
+# (input file name, argv of a command that reads it) for each input.
+INPUT_COMMANDS = [
+    ("ontology.json", lambda d, bad, out: [
+        "categorize", "--dataset", d / "target.jsonl",
+        "--ontology", bad]),
+    ("merges.json", lambda d, bad, out: [
+        "categorize", "--dataset", d / "target.jsonl",
+        "--ontology", d / "ontology.json", "--merges", bad]),
+    ("approvals.csv", lambda d, bad, out: [
+        "extend-vocab", "--ontology", d / "ontology.json",
+        "--docs", d / "vocab_docs.txt", "--approvals", bad,
+        "--candidates-out", out / "c.csv",
+        "--ontology-out", out / "o.json"]),
+    ("docs.txt", lambda d, bad, out: [
+        "extend-vocab", "--ontology", d / "ontology.json",
+        "--docs", bad, "--candidates-out", out / "c.csv"]),
+    ("bad.cfg", lambda d, bad, out: [
+        "pipeline", "--config", bad, "--out-dir", out / "run"]),
+    ("importance.json", lambda d, bad, out: [
+        "summarize", "--dataset", d / "target.jsonl",
+        "--ontology", d / "ontology.json",
+        "--embeddings", d / "embeddings.txt", "--importance", bad,
+        "--out-json", out / "s.json", "--out-text", out / "s.txt"]),
+    ("reference.txt", lambda d, bad, out: [
+        "evaluate", "--candidate", d / "reference.txt",
+        "--reference", bad]),
+    ("candidate.txt", lambda d, bad, out: [
+        "evaluate", "--candidate", bad,
+        "--reference", d / "reference.txt"]),
+]
 
 
 class TestEvaluate:
@@ -251,7 +284,8 @@ class TestSummarizeCommand:
                            "--out-text", str(tmp_path / "s.txt"))
         assert code == 1
         assert err.count("\n") == 1
-        assert str(imp) in err and "'affected_population'" in err
+        assert err.startswith("error: imp.json: category "
+                              "'affected_population': slot count ")
 
 
 class TestPipelineCommand:
@@ -427,35 +461,7 @@ class TestExitCodes:
         assert code == 1
         assert err == "error: vec.txt:2: not valid UTF-8\n"
 
-    @pytest.mark.parametrize("name, argv", [
-        ("ontology.json", lambda d, bad, out: [
-            "categorize", "--dataset", d / "target.jsonl",
-            "--ontology", bad]),
-        ("merges.json", lambda d, bad, out: [
-            "categorize", "--dataset", d / "target.jsonl",
-            "--ontology", d / "ontology.json", "--merges", bad]),
-        ("approvals.csv", lambda d, bad, out: [
-            "extend-vocab", "--ontology", d / "ontology.json",
-            "--docs", d / "vocab_docs.txt", "--approvals", bad,
-            "--candidates-out", out / "c.csv",
-            "--ontology-out", out / "o.json"]),
-        ("docs.txt", lambda d, bad, out: [
-            "extend-vocab", "--ontology", d / "ontology.json",
-            "--docs", bad, "--candidates-out", out / "c.csv"]),
-        ("bad.cfg", lambda d, bad, out: [
-            "pipeline", "--config", bad, "--out-dir", out / "run"]),
-        ("importance.json", lambda d, bad, out: [
-            "summarize", "--dataset", d / "target.jsonl",
-            "--ontology", d / "ontology.json",
-            "--embeddings", d / "embeddings.txt", "--importance", bad,
-            "--out-json", out / "s.json", "--out-text", out / "s.txt"]),
-        ("reference.txt", lambda d, bad, out: [
-            "evaluate", "--candidate", d / "reference.txt",
-            "--reference", bad]),
-        ("candidate.txt", lambda d, bad, out: [
-            "evaluate", "--candidate", bad,
-            "--reference", d / "reference.txt"]),
-    ])
+    @pytest.mark.parametrize("name, argv", INPUT_COMMANDS)
     def test_undecodable_input_names_file_and_line(self, tmp_path, capsys,
                                                    data_dir, name, argv):
         bad = tmp_path / name
@@ -463,6 +469,30 @@ class TestExitCodes:
         code, _, err = run(capsys, *map(str, argv(data_dir, bad, tmp_path)))
         assert code == 1
         assert err == f"error: {name}:3: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("name, argv", [
+        (name, argv) for name, argv in INPUT_COMMANDS
+        if name.endswith(".json")])
+    def test_json_syntax_error_names_file_and_line(self, tmp_path, capsys,
+                                                   data_dir, name, argv):
+        bad = tmp_path / name
+        bad.write_text('{\n"a": 1\n', encoding="utf-8")
+        code, _, err = run(capsys, *map(str, argv(data_dir, bad, tmp_path)))
+        assert code == 1
+        assert err == \
+            f"error: {name}:3: invalid JSON (Expecting ',' delimiter)\n"
+
+    def test_non_string_keyword_names_file_and_entry(self, tmp_path, capsys,
+                                                     data_dir):
+        bad = tmp_path / "ontology.json"
+        bad.write_text(json.dumps({"categories": [
+            {"id": "c", "keywords": ["flood", 3]}]}), encoding="utf-8")
+        code, _, err = run(capsys, "categorize",
+                           "--dataset", str(data_dir / "target.jsonl"),
+                           "--ontology", str(bad))
+        assert code == 1
+        assert err == ("error: ontology.json: categories[0]: 'keywords' "
+                       "entry 3 is not a string\n")
 
     @pytest.mark.parametrize("scale", ["1e-160", "1e-170", "1e160"])
     def test_extreme_embedding_magnitudes_summarize(self, tmp_path, capsys,

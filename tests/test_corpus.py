@@ -6,9 +6,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from crisumm.corpus import (CorpusFormatError, PosLexicon, extract_keywords,
-                            load_lexicon, load_stopwords, load_tweets,
-                            preprocess_text)
+from crisumm.corpus import (PosLexicon, extract_keywords, load_lexicon,
+                            load_stopwords, load_tweets, preprocess_text)
+from crisumm.textfile import InputError
 
 STOPWORDS_SHA256 = \
     "09849d84e49bc0621dc088b8dcae4c4d2db0c139542daad55d42b7a4cfe64b9f"
@@ -113,13 +113,13 @@ class TestLoadTweets:
             '{"id": "t1", "text": "a"}',
             '{"id": "t1", "text": "b"}',
         ])
-        with pytest.raises(CorpusFormatError, match="t1"):
+        with pytest.raises(InputError, match="t1"):
             load_tweets(path, stopwords, lexicon)
 
     def test_malformed_line_error_names_line(self, tmp_path, stopwords,
                                              lexicon):
         path = self._write(tmp_path, [self._header(), "{not json"])
-        with pytest.raises(CorpusFormatError, match=":2"):
+        with pytest.raises(InputError, match=":2"):
             load_tweets(path, stopwords, lexicon)
 
     @pytest.mark.parametrize("text", ["null", "42", '["flood", "water"]'])
@@ -130,7 +130,7 @@ class TestLoadTweets:
             '{"id": "t1", "text": "flood warning"}',
             f'{{"id": "t2", "text": {text}}}',
         ])
-        with pytest.raises(CorpusFormatError,
+        with pytest.raises(InputError,
                            match=r"^tweets.jsonl:3: tweet text is not a "
                                  r"string$"):
             load_tweets(path, stopwords, lexicon)
@@ -142,7 +142,7 @@ class TestLoadTweets:
             '{"id": "t1", "text": "the and of it"}',
         ])
         dataset = load_tweets(path, stopwords, lexicon)
-        assert dataset.tweets[0].tokens == ()
+        assert preprocess_text("the and of it", stopwords) == []
         assert dataset.tweets[0].keywords == frozenset()
 
     def test_gold_categories_collected_in_order(self, tmp_path, stopwords,
@@ -161,19 +161,31 @@ class TestLoadTweets:
             json.dumps({"id": "d", "disaster_type": "weird",
                         "continent": "asia"}),
         ])
-        with pytest.raises(CorpusFormatError, match="disaster_type"):
+        with pytest.raises(InputError, match="disaster_type"):
             load_tweets(path, stopwords, lexicon)
+
+    @pytest.mark.parametrize("value", [["natural"], {"a": 1}])
+    def test_non_string_disaster_type_names_line(self, tmp_path, stopwords,
+                                                 lexicon, value):
+        path = self._write(tmp_path, [
+            json.dumps({"id": "d", "disaster_type": value,
+                        "continent": "asia"}),
+        ])
+        with pytest.raises(InputError) as excinfo:
+            load_tweets(path, stopwords, lexicon)
+        assert str(excinfo.value) == ("tweets.jsonl:1: disaster_type must be "
+                                      "one of ['man-made', 'natural']")
 
     def test_empty_file_rejected(self, tmp_path, stopwords, lexicon):
         path = self._write(tmp_path, [])
-        with pytest.raises(CorpusFormatError, match="header"):
+        with pytest.raises(InputError, match="header"):
             load_tweets(path, stopwords, lexicon)
 
     def test_undecodable_byte_names_line(self, tmp_path, stopwords, lexicon):
         path = tmp_path / "tweets.jsonl"
         path.write_bytes(self._header().encode() + b"\n\n"
                          + b'{"id": "t1", "text": "fl\xe9ood"}\n')
-        with pytest.raises(CorpusFormatError,
+        with pytest.raises(InputError,
                            match=r"^tweets.jsonl:3: not valid UTF-8$"):
             load_tweets(path, stopwords, lexicon)
 
@@ -200,19 +212,19 @@ class TestResourceFiles:
     def test_stopword_undecodable_byte_names_line(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_bytes(b"the\rand\r\xffof\r")
-        with pytest.raises(CorpusFormatError,
+        with pytest.raises(InputError,
                            match=r"^stop.txt:3: not valid UTF-8$"):
             load_stopwords(path)
 
     def test_lexicon_undecodable_byte_names_line(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_bytes(b"soon\tadverb\r\nflood\xe2\x82\n")
-        with pytest.raises(CorpusFormatError,
+        with pytest.raises(InputError,
                            match=r"^lex.txt:2: not valid UTF-8$"):
             load_lexicon(path)
 
     def test_lexicon_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("flood\tnonsense\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError, match="nonsense"):
+        with pytest.raises(InputError, match="nonsense"):
             load_lexicon(path)

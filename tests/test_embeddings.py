@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crisumm import embeddings
-from crisumm.embeddings import (EmbeddingFormatError, EmbeddingTable, cosine,
-                                load_word2vec_text, save_word2vec_text)
+from crisumm.embeddings import EmbeddingTable, cosine, load_word2vec_text
+from crisumm.textfile import InputError
 
 import oracles
 
@@ -28,23 +28,23 @@ class TestLoader:
 
     def test_arity_error_names_line(self, tmp_path):
         path = write(tmp_path, "2 3\nflood 1 2 3\nquake 1 2\n")
-        with pytest.raises(EmbeddingFormatError, match=":3"):
+        with pytest.raises(InputError, match=":3"):
             load_word2vec_text(path)
 
     def test_every_row_one_field_short(self, tmp_path):
         path = write(tmp_path, "2 3\nflood 1 2\nquake 1 2\n")
-        with pytest.raises(EmbeddingFormatError,
+        with pytest.raises(InputError,
                            match=r"^vec.txt:2: expected 4 fields, got 3$"):
             load_word2vec_text(path)
 
     def test_non_numeric_component(self, tmp_path):
         path = write(tmp_path, "1 3\nflood 1 x 3\n")
-        with pytest.raises(EmbeddingFormatError, match="non-numeric"):
+        with pytest.raises(InputError, match="non-numeric"):
             load_word2vec_text(path)
 
     def test_non_finite_component(self, tmp_path):
         path = write(tmp_path, "1 3\nflood 1 inf 3\n")
-        with pytest.raises(EmbeddingFormatError, match="non-finite"):
+        with pytest.raises(InputError, match="non-finite"):
             load_word2vec_text(path)
 
     def test_duplicate_word_first_wins(self, tmp_path):
@@ -54,7 +54,7 @@ class TestLoader:
 
     def test_missing_rows_rejected(self, tmp_path):
         path = write(tmp_path, "3 2\nflood 1 1\nquake 2 2\n")
-        with pytest.raises(EmbeddingFormatError, match="declared 3"):
+        with pytest.raises(InputError, match="declared 3"):
             load_word2vec_text(path)
 
     def test_words_lowercased(self, tmp_path):
@@ -66,7 +66,7 @@ class TestLoader:
         vectors = {f"w{i}": rng.normal(size=5) for i in range(20)}
         table = EmbeddingTable(dimension=5, vectors=vectors)
         path = tmp_path / "out.txt"
-        save_word2vec_text(table, path)
+        oracles.save_word2vec_text(table, path)
         again = load_word2vec_text(path)
         assert set(again.vectors) == set(vectors)
         for word, vec in vectors.items():
@@ -85,7 +85,7 @@ class TestLoader:
         path = write(tmp_path, "1000000000 3\nflood 1 2 3\nquake 4 5 6\n")
         tracemalloc.start()
         try:
-            with pytest.raises(EmbeddingFormatError) as excinfo:
+            with pytest.raises(InputError) as excinfo:
                 load_word2vec_text(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -97,7 +97,7 @@ class TestLoader:
     def test_undecodable_byte_names_line(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_bytes(b"2 2\r\nflood 1 1\r\nqu\xffake 2 2\n")
-        with pytest.raises(EmbeddingFormatError,
+        with pytest.raises(InputError,
                            match=r"^vec.txt:3: not valid UTF-8$"):
             load_word2vec_text(path)
 
@@ -181,7 +181,7 @@ def word2vec_texts(draw):
 def _outcome(load, path):
     try:
         table = load(path)
-    except EmbeddingFormatError as exc:
+    except InputError as exc:
         return str(exc)
     return table.dimension, [(word, vec.tobytes())
                              for word, vec in table.vectors.items()]

@@ -6,8 +6,9 @@ from crisumm.corpus import PosLexicon
 from crisumm.ontology import (Category, Ontology, OntologyError,
                               apply_approvals, harvest_candidates,
                               load_approvals, load_ontology,
-                              merge_categories, save_ontology,
+                              load_merges, merge_categories, save_ontology,
                               split_sentences, write_candidate_report)
+from crisumm.textfile import InputError
 
 
 def make_ontology(**seed_sets):
@@ -47,7 +48,7 @@ class TestLoad:
         path.write_text(json.dumps({"categories": [
             {"id": "c", "name": "C", "keywords": []},
         ]}), encoding="utf-8")
-        with pytest.raises(OntologyError, match="no keywords"):
+        with pytest.raises(InputError, match="no keywords"):
             load_ontology(path)
 
     @pytest.mark.parametrize("entry, message", [
@@ -62,15 +63,40 @@ class TestLoad:
         path.write_text(json.dumps({"categories": [
             {"id": "a", "name": "A", "keywords": ["rain"]}, entry,
         ]}), encoding="utf-8")
-        with pytest.raises(OntologyError, match=message):
+        with pytest.raises(InputError, match=message):
             load_ontology(path)
 
     def test_top_level_must_be_an_object(self, tmp_path):
         path = tmp_path / "o.json"
         path.write_text(json.dumps([{"id": "a", "keywords": ["rain"]}]),
                         encoding="utf-8")
-        with pytest.raises(OntologyError, match="'categories' list"):
+        with pytest.raises(InputError, match="'categories' list"):
             load_ontology(path)
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"id": 3, "keywords": ["flood"]}, "'id' is not a string"),
+        ({"id": "c", "name": None, "keywords": ["flood"]},
+         "'name' is not a string"),
+        ({"id": "c", "keywords": ["flood", 3]},
+         "'keywords' entry 3 is not a string"),
+        ({"id": "c", "keywords": ["flood"], "extended_keywords": [["x"]]},
+         "'extended_keywords' entry ['x'] is not a string"),
+    ], ids=["id", "name", "keyword", "extended_keyword"])
+    def test_non_string_value_rejected(self, tmp_path, entry, message):
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({"categories": [
+            {"id": "a", "name": "A", "keywords": ["rain"]}, entry,
+        ]}), encoding="utf-8")
+        with pytest.raises(InputError) as excinfo:
+            load_ontology(path)
+        assert str(excinfo.value) == f"o.json: categories[1]: {message}"
+
+    def test_json_syntax_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "o.json"
+        path.write_text('{"categories": [\n', encoding="utf-8")
+        with pytest.raises(InputError) as excinfo:
+            load_ontology(path)
+        assert str(excinfo.value) == "o.json:2: invalid JSON (Expecting value)"
 
     def test_save_load_roundtrip_with_extensions(self, tmp_path,
                                                  extended_ontology):
@@ -78,6 +104,22 @@ class TestLoad:
         save_ontology(extended_ontology, path)
         again = load_ontology(path)
         assert again == extended_ontology
+
+
+class TestLoadMerges:
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "m.json: merge file must be a JSON object"),
+        ('{"a": 3}', "m.json: survivor 3 of 'a' is not a string"),
+        ('{"a": null}', "m.json: survivor None of 'a' is not a string"),
+        ('{"a": "b",\n "c"}', "m.json:2: invalid JSON "
+                               "(Expecting ':' delimiter)"),
+    ], ids=["array", "number", "null", "syntax"])
+    def test_malformed_map_rejected(self, tmp_path, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError) as excinfo:
+            load_merges(path)
+        assert str(excinfo.value) == message
 
 
 class TestMerge:
@@ -245,3 +287,12 @@ class TestFiles:
         path = tmp_path / "a.csv"
         path.write_text("category_id,word\ninfra,levee\n", encoding="utf-8")
         assert load_approvals(path) == [("infra", "levee")]
+
+    def test_short_approval_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("category_id,word\ninfra,levee\n\nx\n",
+                        encoding="utf-8")
+        with pytest.raises(InputError) as excinfo:
+            load_approvals(path)
+        assert str(excinfo.value) == \
+            "a.csv:4: approval row ['x'] needs category_id and word"
