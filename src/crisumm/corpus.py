@@ -148,8 +148,8 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
 
     Line 1 is a header object with "id", "disaster_type", and
     "continent"; every following line is a tweet object with "id" and
-    a string "text", plus "gold_category" on tweets belonging to the
-    gold summary. Record order is preserved.
+    "text", plus "gold_category" on tweets belonging to the gold
+    summary. All of these are strings. Record order is preserved.
     """
     path = Path(path)
     header = None
@@ -178,30 +178,36 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
                         or disaster_type not in DISASTER_TYPES:
                     raise InputError(path, f"disaster_type must be one of "
                                      f"{sorted(DISASTER_TYPES)}", lineno)
+                for key in ("id", "continent"):
+                    if not isinstance(record[key], str):
+                        raise InputError(path, f"header {key} is not a "
+                                         f"string", lineno)
                 header = record
                 continue
             missing = {"id", "text"} - record.keys()
             if missing:
                 raise InputError(path, f"tweet record missing "
                                  f"{sorted(missing)}", lineno)
-            tweet_id = str(record["id"])
+            for key in ("id", "text", "gold_category"):
+                if key in record and not isinstance(record[key], str):
+                    raise InputError(path, f"tweet {key} is not a string",
+                                     lineno)
+            tweet_id = record["id"]
             if tweet_id in seen:
                 raise InputError(path, f"duplicate tweet id {tweet_id!r}",
                                  lineno)
-            if not isinstance(record["text"], str):
-                raise InputError(path, "tweet text is not a string", lineno)
             seen.add(tweet_id)
             tweets.append(make_tweet(tweet_id, record["text"], stopwords,
                                      lexicon))
             if "gold_category" in record:
-                gold.append((tweet_id, str(record["gold_category"])))
+                gold.append((tweet_id, record["gold_category"]))
     if header is None:
         raise InputError(path, "empty file, header expected")
     return DisasterDataset(
-        id=str(header["id"]),
+        id=header["id"],
         tweets=tuple(tweets),
-        disaster_type=str(header["disaster_type"]),
-        continent=str(header["continent"]),
+        disaster_type=header["disaster_type"],
+        continent=header["continent"],
         gold_summary=tuple(gold) if gold else None,
     )
 

@@ -199,6 +199,9 @@ def extend_vocab(ontology: Ontology, docs: list, approvals, lexicon,
                  stopwords, min_freq: int):
     """Return (harvested candidates, ontology with the approvals applied)."""
     texts = [read_text(p) for p in docs]
+    for path, text in zip(docs, texts):
+        if not text:
+            raise InputError(path, "document is empty")
     candidates = onto.harvest_candidates(ontology, texts, lexicon,
                                          min_freq=min_freq,
                                          stopwords=stopwords)

@@ -3,15 +3,15 @@
 The default selector greedily maximizes a marginal-relevance score:
 embedding similarity of a tweet to the category vocabulary, penalized
 by keyword overlap with whatever the summary already contains. Five
-alternative selectors (pure relevance ranking, k-means medoids,
-eigenvector centrality, PageRank, and classic query-free MMR) run
-through the same per-category entry point, `select_category`.
+alternatives (pure relevance ranking: that loop without the penalty,
+k-means medoids, eigenvector centrality, PageRank, and classic MMR) run
+through one per-category entry point, `select_category`, in id order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -211,12 +211,10 @@ def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
     return picked
 
 
-def _tweet_vector(tweet: Tweet, emb: EmbeddingTable) -> np.ndarray:
-    """Mean of the tweet's keyword embeddings (zero vector if none)."""
-    vecs = [emb.get(w) for w in sorted(tweet.keywords) if w in emb]
-    if not vecs:
-        return np.zeros(emb.dimension)
-    return np.mean(np.stack(vecs), axis=0)
+def _distances(vectors: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Distance from each row to `centroid`, np.linalg.norm's bits."""
+    diff = vectors - centroid
+    return np.sqrt(np.vecdot(diff, diff))
 
 
 def _kmeans_select(tweets: Sequence[Tweet], count: int,
@@ -227,53 +225,51 @@ def _kmeans_select(tweets: Sequence[Tweet], count: int,
     tweet with the smallest id, the rest follow farthest-point order
     (max distance to the nearest chosen centroid, ties by id). When
     there are more clusters than distinct vectors, the surplus
-    centroids land on remaining tweets in id order.
+    centroids land on remaining tweets in id order. Distances are taken
+    after an exact power-of-two scaling, so none overflows or underflows.
     """
     ordered = sorted(tweets, key=lambda t: t.id)
-    vectors = {t.id: _tweet_vector(t, emb) for t in ordered}
+    vectors = np.zeros((len(ordered), emb.dimension))
+    for i, tweet in enumerate(ordered):
+        rows = emb.rows(sorted(tweet.keywords))
+        if len(rows):
+            vectors[i] = rows.mean(axis=0)
+    _, exponent = np.frexp(np.max(np.abs(vectors)))
+    np.ldexp(vectors, -exponent, out=vectors)
 
-    # Distance from each unchosen tweet to its nearest chosen centroid.
-    nearest = dict.fromkeys(vectors, math.inf)
-    centroids: list[np.ndarray] = []
-    for _ in range(count):
-        best_id = max(nearest, key=nearest.get)
-        del nearest[best_id]
-        centroids.append(vectors[best_id].copy())
-        for tid in nearest:
-            nearest[tid] = min(nearest[tid], float(
-                np.linalg.norm(vectors[tid] - centroids[-1])))
+    # Distance from each tweet to its nearest chosen centroid; chosen
+    # tweets sit at -inf. The first maximum: ties go to the smaller id.
+    nearest = np.full(len(ordered), math.inf)
+    centroids = np.empty((count, vectors.shape[1]))
+    for idx in range(count):
+        best = int(np.argmax(nearest))
+        nearest[best] = -math.inf
+        centroids[idx] = vectors[best]
+        np.minimum(nearest, _distances(vectors, centroids[idx]), out=nearest)
 
-    assignment: dict[str, int] = {}
+    assignment = np.full(len(ordered), -1)
     for _ in range(POWER_ITERATIONS):
-        new_assignment = {}
-        for t in ordered:
-            dists = [float(np.linalg.norm(vectors[t.id] - c))
-                     for c in centroids]
-            new_assignment[t.id] = int(np.argmin(dists))
-        if new_assignment == assignment:
+        new_assignment = np.column_stack(
+            [_distances(vectors, c) for c in centroids]).argmin(axis=1)
+        if (new_assignment == assignment).all():
             break
         assignment = new_assignment
         for idx in range(count):
-            members = [vectors[tid] for tid, a in assignment.items()
-                       if a == idx]
-            if members:
-                centroids[idx] = np.mean(np.stack(members), axis=0)
+            members = assignment == idx
+            if members.any():
+                centroids[idx] = vectors[members].mean(axis=0)
 
     picked: list[tuple[Tweet, float]] = []
-    taken: set[str] = set()
-    for idx in range(count):
-        members = [t for t in ordered
-                   if assignment[t.id] == idx and t.id not in taken]
-        pool = members if members else [t for t in ordered
-                                        if t.id not in taken]
-        choice = min(
-            pool,
-            key=lambda t: (float(np.linalg.norm(vectors[t.id]
-                                                - centroids[idx])), t.id),
-        )
-        taken.add(choice.id)
-        distance = float(np.linalg.norm(vectors[choice.id] - centroids[idx]))
-        picked.append((choice, -distance))
+    taken = np.zeros(len(ordered), dtype=bool)
+    for idx, centroid in enumerate(centroids):
+        distances = _distances(vectors, centroid)
+        pool = np.flatnonzero((assignment == idx) & ~taken)
+        if not len(pool):
+            pool = np.flatnonzero(~taken)
+        best = int(pool[np.argmin(distances[pool])])
+        taken[best] = True
+        picked.append((ordered[best],
+                       -float(np.ldexp(distances[best], exponent))))
     return picked
 
 
@@ -297,8 +293,7 @@ def _eigenvector_scores(matrix: np.ndarray) -> np.ndarray:
             break
         nxt = nxt / norm
         if float(np.sum(np.abs(nxt - x))) < POWER_TOLERANCE:
-            x = nxt
-            break
+            return nxt
         x = nxt
     return x
 
@@ -310,26 +305,21 @@ def _pagerank_scores(matrix: np.ndarray) -> np.ndarray:
     """
     n = matrix.shape[0]
     row_sums = matrix.sum(axis=1)
+    # Summing axis 0 adds the rows in order, as a loop over rows would;
+    # a row without weight adds x * 0.0 / 1.0 = +0.0, which moves no sum.
+    divisors = np.where(row_sums == 0.0, 1.0, row_sums)[:, None]
+    terms = np.empty_like(matrix)
     x = np.full(n, 1.0 / n)
     d = PAGERANK_DAMPING
     for _ in range(POWER_ITERATIONS):
         dangling = float(np.sum(x[row_sums == 0.0])) / n
-        spread = np.zeros(n)
-        for j in range(n):
-            if row_sums[j] > 0.0:
-                spread += x[j] * matrix[j] / row_sums[j]
+        np.multiply(x[:, None], matrix, out=terms)
+        spread = np.divide(terms, divisors, out=terms).sum(axis=0)
         nxt = (1.0 - d) / n + d * (spread + dangling)
         if float(np.sum(np.abs(nxt - x))) < POWER_TOLERANCE:
-            x = nxt
-            break
+            return nxt
         x = nxt
     return x
-
-
-def _rank_select(tweets: Sequence[Tweet], count: int,
-                 scores: Mapping[str, float]) -> list[tuple[Tweet, float]]:
-    ranked = sorted(tweets, key=lambda t: (-scores[t.id], t.id))
-    return [(t, scores[t.id]) for t in ranked[:count]]
 
 
 def select_category(kind: str, tweets: Sequence[Tweet], count: int,
@@ -342,7 +332,7 @@ def select_category(kind: str, tweets: Sequence[Tweet], count: int,
     """Pick `count` tweets of one category with the selector `kind`.
 
     dmmr         the greedy marginal-relevance loop (`dmmr_select`).
-    max_sim      pure relevance ranking, no diversity term.
+    max_sim      pure relevance ranking: the greedy loop at lam = 1.
     kmeans       cluster medoids over keyword-embedding vectors.
     eigenvector  centrality on the complete keyword-cosine graph.
     pagerank     damped random-walk rank on the same graph.
@@ -356,23 +346,21 @@ def select_category(kind: str, tweets: Sequence[Tweet], count: int,
             f"importance asks for {count} tweets from category "
             f"{category_id!r} but its pool has only {len(tweets)} available"
         )
-    if kind in ("dmmr", "mmr"):
-        return dmmr_select(tweets, count,
-                           vocab if kind == "dmmr" else corpus_vocab, emb,
-                           cfg, summary_so_far, category_id)
     if kind == "max_sim":
-        memo = Sim1Memo()
-        scores = {t.id: sim1(t, vocab, emb, cfg.sim1_mode, memo)
-                  for t in tweets}
-        return _rank_select(tweets, count, scores)
+        cfg = replace(cfg, lam=1.0)
+    if kind in ("dmmr", "mmr", "max_sim"):
+        return dmmr_select(tweets, count,
+                           corpus_vocab if kind == "mmr" else vocab, emb,
+                           cfg, summary_so_far, category_id)
     if kind == "kmeans":
         return _kmeans_select(tweets, count, emb) if count else []
     ordered = sorted(tweets, key=lambda t: t.id)
     matrix = _sim2_matrix(ordered)
     values = _eigenvector_scores(matrix) if kind == "eigenvector" \
         else _pagerank_scores(matrix)
-    scores = {t.id: float(values[i]) for i, t in enumerate(ordered)}
-    return _rank_select(ordered, count, scores)
+    # A stable sort of the id-ordered pool: ties go to the smaller id.
+    top = np.argsort(-values, kind="stable")[:count]
+    return [(ordered[i], float(values[i])) for i in top]
 
 
 def summarize(partition: Mapping[str, Sequence[Tweet]],

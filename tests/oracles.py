@@ -240,6 +240,90 @@ def sim2_matrix(tweets):
     return matrix
 
 
+def rank(tweets, scores, count):
+    """The `count` best tweets by score, ties to the smaller id."""
+    ranked = sorted(tweets, key=lambda t: (-scores[t.id], t.id))
+    return [(t, scores[t.id]) for t in ranked[:count]]
+
+
+def kmeans_select(tweets, count, emb: EmbeddingTable, iterations=100):
+    """k-means over mean keyword vectors with id-keyed dicts.
+
+    Farthest-point seeds from the smallest id, Lloyd steps until the
+    assignment repeats, then per cluster the nearest untaken member
+    (any untaken tweet if none), ties to the smaller id; each distance
+    is one np.linalg.norm. Returns [(tweet, -distance)] for count >= 1.
+    """
+    ordered = sorted(tweets, key=lambda t: t.id)
+    vectors = {}
+    for t in ordered:
+        vecs = [emb.get(w) for w in sorted(t.keywords) if w in emb]
+        vectors[t.id] = (np.mean(np.stack(vecs), axis=0) if vecs
+                         else np.zeros(emb.dimension))
+
+    nearest = dict.fromkeys(vectors, float("inf"))
+    centroids = []
+    for _ in range(count):
+        best_id = max(nearest, key=nearest.get)
+        del nearest[best_id]
+        centroids.append(vectors[best_id].copy())
+        for tid in nearest:
+            nearest[tid] = min(nearest[tid], float(
+                np.linalg.norm(vectors[tid] - centroids[-1])))
+
+    assignment = {}
+    for _ in range(iterations):
+        new_assignment = {}
+        for t in ordered:
+            dists = [float(np.linalg.norm(vectors[t.id] - c))
+                     for c in centroids]
+            new_assignment[t.id] = int(np.argmin(dists))
+        if new_assignment == assignment:
+            break
+        assignment = new_assignment
+        for idx in range(count):
+            members = [vectors[tid] for tid, a in assignment.items()
+                       if a == idx]
+            if members:
+                centroids[idx] = np.mean(np.stack(members), axis=0)
+
+    picked = []
+    taken = set()
+    for idx in range(count):
+        members = [t for t in ordered
+                   if assignment[t.id] == idx and t.id not in taken]
+        pool = members if members else [t for t in ordered
+                                        if t.id not in taken]
+        choice = min(
+            pool,
+            key=lambda t: (float(np.linalg.norm(vectors[t.id]
+                                                - centroids[idx])), t.id),
+        )
+        taken.add(choice.id)
+        distance = float(np.linalg.norm(vectors[choice.id] - centroids[idx]))
+        picked.append((choice, -distance))
+    return picked
+
+
+def pagerank_scores(matrix, damping=0.85, iterations=100, tolerance=1e-10):
+    """PageRank by power iteration, spreading one row at a time; rows
+    with no outgoing weight spread their mass uniformly."""
+    n = matrix.shape[0]
+    row_sums = matrix.sum(axis=1)
+    x = np.full(n, 1.0 / n)
+    for _ in range(iterations):
+        dangling = float(np.sum(x[row_sums == 0.0])) / n
+        spread = np.zeros(n)
+        for j in range(n):
+            if row_sums[j] > 0.0:
+                spread += x[j] * matrix[j] / row_sums[j]
+        nxt = (1.0 - damping) / n + damping * (spread + dangling)
+        if float(np.sum(np.abs(nxt - x))) < tolerance:
+            return nxt
+        x = nxt
+    return x
+
+
 def dmmr_step(remaining, pool, vocab, emb, lam, mode):
     """Exhaustive argmax of one greedy step; ties to the smaller id."""
     scored = []

@@ -2,13 +2,17 @@
 
 The tracer replaces functions by name in crisumm's modules; a name the
 package no longer binds, or a result it can no longer read, would only
-show up in a traced bench run. These install and uninstall it, running
-nothing but the embedding loader.
+show up in a traced bench run. These install and uninstall it, and run
+the embedding loader and `summarize` under it.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from crisumm.selector import SELECTOR_KINDS
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 DATA = Path(__file__).resolve().parent / "data"
@@ -21,11 +25,15 @@ def _load_spans():
     return module
 
 
-def test_tracer_installs_and_restores_every_binding():
-    spans = _load_spans()
+def _traced_modules(spans):
     names = {mod for mod, *_ in spans._SPAN_NAMES + spans._MODULE_VIEWS
              + spans._AGGREGATE_NAMES}
-    modules = [importlib.import_module(name) for name in sorted(names)]
+    return [importlib.import_module(name) for name in sorted(names)]
+
+
+def test_tracer_installs_and_restores_every_binding():
+    spans = _load_spans()
+    modules = _traced_modules(spans)
     before = [dict(vars(module)) for module in modules]
     selector = importlib.import_module("crisumm.selector")
     sim1 = selector.sim1
@@ -50,3 +58,31 @@ def test_tracer_counts_the_rows_of_a_loaded_table():
         tracer.uninstall()
     assert tracer.counts["rows_loaded"] == len(table) > 0
     assert tracer.table_words == [frozenset(table.vectors)]
+
+
+@pytest.mark.parametrize("kind", SELECTOR_KINDS)
+def test_tracer_counts_sim1_calls_of_each_selector(tmp_path, kind):
+    # A refactor that stops calling the wrapped `sim1` would read 0
+    # calls in every traced bench run without failing it.
+    spans = _load_spans()
+    cli = importlib.import_module("crisumm.cli")
+    modules = _traced_modules(spans)
+    before = [dict(vars(module)) for module in modules]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        code = cli.main([
+            "summarize", "--dataset", str(DATA / "target.jsonl"),
+            "--ontology", str(DATA / "ontology.json"),
+            "--embeddings", str(DATA / "embeddings.txt"),
+            "--selector", kind, "--out-json", str(tmp_path / "s.json"),
+            "--out-text", str(tmp_path / "s.txt")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    calls, _ = tracer.aggregate_total("sim1")
+    if kind in ("dmmr", "mmr", "max_sim"):
+        assert calls > 0
+    assert tracer.span_count("selector.summarize") == 1
+    for module, snapshot in zip(modules, before):
+        assert all(vars(module)[k] is v for k, v in snapshot.items())

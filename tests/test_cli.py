@@ -1,11 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from crisumm.cli import main
 from crisumm.embeddings import EmbeddingTable, load_word2vec_text
 from crisumm.pipeline import PipelineStageError, load_config, run_pipeline
+from crisumm.selector import SELECTOR_KINDS
 
 from oracles import save_word2vec_text
 
@@ -197,6 +199,19 @@ class TestExtendVocab:
         assert code == 1
         assert out == ""
         assert err == f"error: min_freq must be >= 1, got {min_freq}\n"
+        assert not cands.exists()
+
+
+    def test_empty_document_names_file(self, tmp_path, capsys, data_dir):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        cands = tmp_path / "cands.csv"
+        code, out, err = run(capsys, "extend-vocab",
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--docs", str(data_dir / "vocab_docs.txt"),
+                             str(empty), "--candidates-out", str(cands))
+        assert (code, out) == (1, "")
+        assert err == "error: empty.txt: document is empty\n"
         assert not cands.exists()
 
 
@@ -409,6 +424,18 @@ class TestPipelineCommand:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_empty_document_fails_extend_vocab_stage(self, tmp_path,
+                                                     capsys, data_dir):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        cfg_path = config_copy(data_dir, tmp_path, vocab_docs=", ".join(
+            [str(data_dir / "vocab_docs.txt"), str(empty)]))
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == ("error: stage 'extend-vocab' failed: empty.txt: "
+                       "document is empty\n")
+
     def test_docs_without_approvals_rejected(self, tmp_path, data_dir):
         cfg = load_config(data_dir / "pipeline.cfg",
                           out_dir=tmp_path / "run")
@@ -482,6 +509,24 @@ class TestExitCodes:
         assert err == \
             f"error: {name}:3: invalid JSON (Expecting ',' delimiter)\n"
 
+    @pytest.mark.parametrize("header, tweet, message", [
+        ({"id": 7}, {}, "1: header id is not a string"),
+        ({"continent": None}, {}, "1: header continent is not a string"),
+        ({}, {"id": ["t1"]}, "2: tweet id is not a string"),
+        ({}, {"gold_category": 3}, "2: tweet gold_category is not a string"),
+    ], ids=["header_id", "continent", "tweet_id", "gold_category"])
+    def test_non_string_tweet_field_names_file_and_line(
+            self, tmp_path, capsys, data_dir, header, tweet, message):
+        bad = tmp_path / "tweets.jsonl"
+        bad.write_text("".join(json.dumps(record) + "\n" for record in (
+            {"id": "d", "disaster_type": "natural", "continent": "asia",
+             **header},
+            {"id": "t1", "text": "flood", **tweet})), encoding="utf-8")
+        code, out, err = run(capsys, "categorize", "--dataset", str(bad),
+                             "--ontology", str(data_dir / "ontology.json"))
+        assert (code, out) == (1, "")
+        assert err == f"error: tweets.jsonl:{message}\n"
+
     def test_non_string_keyword_names_file_and_entry(self, tmp_path, capsys,
                                                      data_dir):
         bad = tmp_path / "ontology.json"
@@ -494,30 +539,34 @@ class TestExitCodes:
         assert err == ("error: ontology.json: categories[0]: 'keywords' "
                        "entry 3 is not a string\n")
 
-    @pytest.mark.parametrize("scale", ["1e-160", "1e-170", "1e160"])
+    @pytest.mark.parametrize("scale", ["1e-160", "1e-170", "1e160",
+                                       "1e300"])
     def test_extreme_embedding_magnitudes_summarize(self, tmp_path, capsys,
                                                     data_dir, scale):
-        # Self-dots that underflow or overflow once raised
-        # ZeroDivisionError or scored wrongly; scaling every vector
-        # leaves every cosine's value, so the picks stay the same.
+        # Self-dots and squared distances that underflow or overflow
+        # once raised ZeroDivisionError or scored wrongly; scaling every
+        # vector leaves every cosine's value and every distance's order,
+        # so each selector's picks stay the same.
         table = load_word2vec_text(data_dir / "embeddings.txt")
         scaled = EmbeddingTable(table.dimension, {
             w: v * float(scale) for w, v in table.vectors.items()})
         save_word2vec_text(scaled, tmp_path / "scaled.txt")
-        picks = {}
-        for label, embeddings in (("plain", data_dir / "embeddings.txt"),
-                                  ("scaled", tmp_path / "scaled.txt")):
-            code, _, err = run(
-                capsys, "summarize", "--dataset",
-                str(data_dir / "target.jsonl"),
-                "--ontology", str(data_dir / "ontology.json"),
-                "--embeddings", str(embeddings), "--length", "6",
-                "--out-json", str(tmp_path / f"{label}.json"),
-                "--out-text", str(tmp_path / f"{label}.txt"))
-            assert (code, err) == (0, "")
-            picks[label] = [e["tweet_id"] for e in json.loads(
-                (tmp_path / f"{label}.json").read_text("utf-8"))["entries"]]
-        assert picks["scaled"] == picks["plain"]
+        for kind in SELECTOR_KINDS:
+            picks = {}
+            for label, embeddings in (("plain", data_dir / "embeddings.txt"),
+                                      ("scaled", tmp_path / "scaled.txt")):
+                out = tmp_path / f"{kind}-{label}"
+                code, _, err = run(
+                    capsys, "summarize", "--dataset",
+                    str(data_dir / "target.jsonl"),
+                    "--ontology", str(data_dir / "ontology.json"),
+                    "--embeddings", str(embeddings), "--length", "6",
+                    "--selector", kind, "--out-json", f"{out}.json",
+                    "--out-text", f"{out}.txt")
+                assert (kind, code, err) == (kind, 0, "")
+                picks[label] = [e["tweet_id"] for e in json.loads(
+                    Path(f"{out}.json").read_text("utf-8"))["entries"]]
+            assert (kind, picks["scaled"]) == (kind, picks["plain"])
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -175,3 +175,70 @@ def test_every_dmmr_step_after_earlier_picks(same_only, instance):
         assert score == pytest.approx(best, abs=1e-9)
         pool.append(tweet)
         remaining = [t for t in remaining if t.id != tweet.id]
+
+
+def _scaled(emb, scale):
+    return EmbeddingTable(dimension=emb.dimension, vectors={
+        w: scale(v) for w, v in emb.vectors.items()})
+
+
+@given(instances(), st.integers(-100, 100))
+def test_kmeans_matches_the_dict_loop(instance, power):
+    tweets, count, _, _, _, emb, cfg = instance
+    emb = _scaled(emb, lambda v: v * 10.0 ** power)
+    count = max(count, 1)
+    picks = select_category("kmeans", tweets, count, frozenset(), emb, cfg)
+    assert [(t.id, score.hex()) for t, score in picks] == \
+        [(t.id, score.hex())
+         for t, score in oracles.kmeans_select(tweets, count, emb)]
+
+
+@given(instances(), st.integers(-900, 900))
+def test_kmeans_ignores_the_table_scale(instance, power):
+    # A power of two scales every distance exactly; the plain loop's
+    # squared distances would overflow or underflow at most of these.
+    tweets, count, _, _, _, emb, cfg = instance
+    count = max(count, 1)
+    plain = select_category("kmeans", tweets, count, frozenset(), emb, cfg)
+    scaled = select_category("kmeans", tweets, count, frozenset(),
+                             _scaled(emb, lambda v: np.ldexp(v, power)),
+                             cfg)
+    assert [(t.id, score.hex()) for t, score in scaled] == \
+        [(t.id, float(np.ldexp(score, power)).hex()) for t, score in plain]
+
+
+@st.composite
+def graphs(draw):
+    """Square non-negative weight matrices, some rows all zero."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.choice([0.0, 0.0, 0.25, 1 / 3, 0.5, 0.7071, 1.0],
+                        size=(n, n))
+    matrix[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = 0.0
+    return matrix
+
+
+@given(graphs())
+def test_pagerank_matches_the_row_loop(matrix):
+    assert _bits(sel._pagerank_scores(matrix)) == \
+        _bits(oracles.pagerank_scores(matrix))
+
+
+@pytest.mark.parametrize("kind", ["max_sim", "eigenvector", "pagerank"])
+@given(instance=instances())
+def test_ranking_selectors_match_the_oracle_ranking(kind, instance):
+    tweets, count, vocab, corpus_vocab, earlier, emb, cfg = instance
+    picks = select_category(kind, tweets, count, vocab, emb, cfg, earlier,
+                            "this", corpus_vocab)
+    ordered = sorted(tweets, key=lambda t: t.id)
+    if kind == "max_sim":
+        scores = {t.id: sel.sim1(t, vocab, emb, cfg.sim1_mode)
+                  for t in tweets}
+    else:
+        matrix = oracles.sim2_matrix(ordered)
+        values = sel._eigenvector_scores(matrix) if kind == "eigenvector" \
+            else oracles.pagerank_scores(matrix)
+        scores = {t.id: float(v) for t, v in zip(ordered, values)}
+    assert [(t.id, score.hex()) for t, score in picks] == \
+        [(t.id, score.hex())
+         for t, score in oracles.rank(tweets, scores, count)]
