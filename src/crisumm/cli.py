@@ -13,11 +13,11 @@ from . import corpus, ontology as onto
 from .categorizer import classify_corpus
 from .embeddings import load_word2vec_text
 from .importance import (REGRESSION_KINDS, ImportanceVector, RegressionModel,
-                         predict_importance)
-from .pipeline import (PipelineStageError, category_shares, coverage,
-                       evaluate, extend_vocab, load_config, load_datasets,
-                       load_resources, read_text, run_pipeline, select,
-                       selector_config, similarity_matrix, weight_categories)
+                         category_shares, predict_importance)
+from .pipeline import (PipelineStageError, coverage, evaluate, extend_vocab,
+                       load_config, load_datasets, load_resources, read_text,
+                       run_pipeline, select, selector_config,
+                       similarity_matrix, weight_categories)
 # Bound here only so that bench/spans.py can wrap them in this module.
 from .pipeline import (build_profile, build_training_pairs,  # noqa: F401
                        dis_sim, fit, most_similar, score_summary, summarize)

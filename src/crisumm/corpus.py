@@ -21,6 +21,7 @@ POS_TAGS = frozenset({
     "noun", "verb", "adjective", "adverb", "pronoun", "preposition",
     "conjunction", "determiner", "interjection", "numeral", "particle",
 })
+_DEFAULT_TAG = "noun"
 KEYWORD_TAGS = frozenset({"noun", "verb", "adjective"})
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -85,24 +86,21 @@ class DisasterDataset:
 
 @dataclass(frozen=True)
 class PosLexicon:
-    """Word to part-of-speech map; unknown words fall back to `default_tag`.
+    """Word to part-of-speech map; unknown words are nouns.
 
     Defaulting to noun keeps unknown content words in the keyword set,
     which the downstream overlap scores tolerate better than misses.
     """
 
     tags: dict[str, str] = field(default_factory=dict)
-    default_tag: str = "noun"
 
     def __post_init__(self) -> None:
-        if self.default_tag not in POS_TAGS:
-            raise ValueError(f"unknown default tag {self.default_tag!r}")
         for word, tag in self.tags.items():
             if tag not in POS_TAGS:
                 raise ValueError(f"unknown tag {tag!r} for word {word!r}")
 
     def tag(self, word: str) -> str:
-        return self.tags.get(word, self.default_tag)
+        return self.tags.get(word, _DEFAULT_TAG)
 
 
 def preprocess_text(raw: str, stopwords: frozenset[str]) -> list[str]:
@@ -224,8 +222,8 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
-def load_lexicon(path: str | Path, default_tag: str = "noun") -> PosLexicon:
-    """Load a lexicon file of "word" or "word<TAB>tag" lines."""
+def load_lexicon(path: str | Path) -> PosLexicon:
+    """Load a lexicon file of "word<TAB>tag" lines; a bare "word" is a noun."""
     path = Path(path)
     tags: dict[str, str] = {}
     with open_text(path) as fh:
@@ -235,7 +233,7 @@ def load_lexicon(path: str | Path, default_tag: str = "noun") -> PosLexicon:
                 continue
             parts = line.split("\t")
             if len(parts) == 1:
-                word, tag = parts[0], default_tag
+                word, tag = parts[0], _DEFAULT_TAG
             elif len(parts) == 2:
                 word, tag = parts
             else:
@@ -245,7 +243,7 @@ def load_lexicon(path: str | Path, default_tag: str = "noun") -> PosLexicon:
             if tag not in POS_TAGS:
                 raise InputError(path, f"unknown tag {tag!r}", lineno)
             tags[word.strip().lower()] = tag
-    return PosLexicon(tags=tags, default_tag=default_tag)
+    return PosLexicon(tags=tags)
 
 
 def default_stopwords() -> frozenset[str]:

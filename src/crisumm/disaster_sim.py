@@ -33,10 +33,6 @@ class CategoryProfile:
     probabilities: dict[str, float]
     top_keywords: dict[str, dict[str, int]]
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 @dataclass(frozen=True)
 class SimilarityScore:

@@ -1,7 +1,7 @@
 """Phase II-B: predict how many summary slots each category deserves.
 
-A regression fitted on a similar disaster (category fraction -> gold
-summary count) is applied to the target's category fractions; the raw
+A regression fitted on a similar disaster (category share -> gold
+summary count) is applied to the target's category shares; the raw
 predictions are clamped to availability and apportioned to integers
 summing exactly to the requested summary length.
 """
@@ -79,24 +79,32 @@ class ImportanceVector:
             )
 
 
+def category_shares(dataset_id: str, partition: Mapping[str, Sequence[Tweet]],
+                    category_ids: Sequence[str]) -> tuple[dict, dict]:
+    """(share of the classified tweets, tweet count) per category; the
+    share is the regression feature of training and prediction alike."""
+    available = {cid: len(partition.get(cid, ())) for cid in category_ids}
+    total = sum(available.values())
+    if total == 0:
+        raise ValueError(f"no classified tweets in {dataset_id!r}")
+    return {cid: n / total for cid, n in available.items()}, available
+
+
 def build_training_pairs(dataset: DisasterDataset,
                          partition: Mapping[str, Sequence[Tweet]],
                          category_ids: Sequence[str],
                          ) -> list[tuple[float, float]]:
-    """One (category fraction, gold count) pair per ontology category.
+    """One (category share, gold count) pair per ontology category.
 
-    The feature is the category's share of the dataset's classified
-    tweets; the target is how many gold-summary tweets carry that
-    category label.
+    The target is how many gold-summary tweets carry that category
+    label.
     """
     if dataset.gold_summary is None:
         raise ValueError(
             f"dataset {dataset.id!r} has no gold summary; cannot build "
             f"regression training pairs"
         )
-    total = sum(len(partition.get(cid, ())) for cid in category_ids)
-    if total == 0:
-        raise ValueError(f"dataset {dataset.id!r} has no classified tweets")
+    shares, _ = category_shares(dataset.id, partition, category_ids)
     known = set(category_ids)
     gold_counts: dict[str, int] = {}
     for _, cat_id in dataset.gold_summary:
@@ -106,12 +114,8 @@ def build_training_pairs(dataset: DisasterDataset,
                 f"{cat_id!r}"
             )
         gold_counts[cat_id] = gold_counts.get(cat_id, 0) + 1
-    pairs = []
-    for cid in sorted(category_ids):
-        x = len(partition.get(cid, ())) / total
-        y = float(gold_counts.get(cid, 0))
-        pairs.append((x, y))
-    return pairs
+    return [(shares[cid], float(gold_counts.get(cid, 0)))
+            for cid in sorted(category_ids)]
 
 
 def check_fit_options(kind: str, ridge_alpha: float, prior_precision: float,
@@ -134,9 +138,10 @@ def fit(pairs: Sequence[tuple[float, float]], kind: str = "linear", *,
         noise_precision: float = 1.0) -> RegressionModel:
     """Fit a one-feature regression of the requested kind.
 
-    linear:   ordinary least squares; zero feature variance degrades to
-              slope 0 and intercept mean(y) rather than erroring.
-    ridge:    least squares with an L2 penalty on the slope only.
+    linear:   ordinary least squares, that is ridge at alpha = 0.
+    ridge:    least squares with an L2 penalty on the slope only. At
+              alpha = 0, zero feature variance degrades to slope 0 and
+              intercept mean(y) rather than erroring.
     bayesian: posterior mean under a zero-mean Gaussian prior on both
               coefficients and Gaussian observation noise.
     equal:    no fit at all.
@@ -155,19 +160,12 @@ def fit(pairs: Sequence[tuple[float, float]], kind: str = "linear", *,
     sxx = math.fsum((x - x_mean) ** 2 for x in xs)
     sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
 
-    if kind == "linear":
-        if sxx == 0.0:
-            return RegressionModel(kind="linear", slope=0.0, intercept=y_mean)
-        slope = sxy / sxx
-        return RegressionModel(kind="linear", slope=slope,
+    if kind in ("linear", "ridge"):
+        penalized = sxx + (ridge_alpha if kind == "ridge" else 0.0)
+        slope = sxy / penalized if penalized > 0.0 else 0.0
+        return RegressionModel(kind=kind, slope=slope,
                                intercept=y_mean - slope * x_mean)
 
-    if kind == "ridge":
-        slope = sxy / (sxx + ridge_alpha) if (sxx + ridge_alpha) > 0.0 else 0.0
-        return RegressionModel(kind="ridge", slope=slope,
-                               intercept=y_mean - slope * x_mean)
-
-    # bayesian
     phi = np.column_stack([np.ones(n), np.array(xs)])
     y = np.array(ys)
     precision = prior_precision * np.eye(2) + noise_precision * phi.T @ phi

@@ -20,8 +20,8 @@ from .categorizer import ClassificationResult, CorpusStats, classify_corpus
 from .corpus import DisasterDataset
 from .disaster_sim import (build_profile, check_top_k, check_weights,
                            dis_sim, most_similar)
-from .importance import (build_training_pairs, check_fit_options, fit,
-                         predict_importance)
+from .importance import (build_training_pairs, category_shares,
+                         check_fit_options, fit, predict_importance)
 from .ontology import Ontology, check_min_freq
 from .rouge import score_summary
 from .selector import SelectorConfig, summarize
@@ -73,17 +73,15 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.m < 1:
             raise ValueError(f"summary length m must be >= 1, got {self.m}")
-        required = [("ontology", self.ontology), ("target", self.target),
-                    ("embeddings", self.embeddings)]
-        required += [("candidates", p) for p in self.candidates]
-        optional = [("stopwords", self.stopwords), ("lexicon", self.lexicon),
-                    ("merges", self.merges), ("approvals", self.approvals),
-                    ("reference", self.reference)]
-        optional += [("vocab_docs", p) for p in self.vocab_docs]
-        for name, path in required + [(n, p) for n, p in optional
-                                      if p is not None]:
-            if not Path(path).exists():
-                raise FileNotFoundError(f"{name} path does not exist: {path}")
+        for name, kind in _KINDS.items():
+            if name == "out_dir" or kind not in (Path, list):
+                continue
+            value = getattr(self, name)
+            paths = value if kind is list else [] if value is None else [value]
+            for path in paths:
+                if not Path(path).exists():
+                    raise FileNotFoundError(
+                        f"{name} path does not exist: {path}")
         if not self.candidates:
             raise ValueError("at least one candidate dataset is required")
         if (self.approvals is None) != (not self.vocab_docs):
@@ -124,6 +122,8 @@ def _kind(hint) -> type:
 
 _KINDS = {key: _kind(hint)
           for key, hint in get_type_hints(PipelineConfig).items()}
+# Keys a config file must set; neither these nor out_dir may be empty.
+_REQUIRED = ("ontology", "target", "candidates", "embeddings")
 
 
 def load_config(path: str | Path,
@@ -154,6 +154,8 @@ def load_config(path: str | Path,
         kind = _KINDS.get(key)
         if kind is None:
             raise InputError(path, f"unknown key {key!r}", lineno)
+        if not raw and (key in _REQUIRED or key == "out_dir"):
+            raise InputError(path, f"{key} has no value", lineno)
         if kind is bool:
             if raw.lower() not in ("true", "false"):
                 raise InputError(path, f"{key} must be true or false", lineno)
@@ -171,7 +173,7 @@ def load_config(path: str | Path,
         else:
             values[key] = [(base / item.strip()).resolve()
                            for item in raw.split(",") if item.strip()]
-    missing = {"ontology", "target", "candidates", "embeddings"} - values.keys()
+    missing = set(_REQUIRED) - values.keys()
     if missing:
         raise InputError(path, f"missing required keys {sorted(missing)}")
     if out_dir is not None:
@@ -241,15 +243,6 @@ def similarity_matrix(datasets: list[DisasterDataset],
     return {x: {y: dis_sim(profiles[x], profiles[y], w1, w2)
                 for y in ids if y != x}
             for x in ids}
-
-
-def category_shares(dataset_id: str, partition, category_ids):
-    """(fraction of the classified tweets, tweet count) per category."""
-    available = {cid: len(partition.get(cid, ())) for cid in category_ids}
-    total = sum(available.values())
-    if total == 0:
-        raise ValueError(f"no classified tweets in {dataset_id!r}")
-    return {cid: n / total for cid, n in available.items()}, available
 
 
 def weight_categories(target_id: str, target_partition,

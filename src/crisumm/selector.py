@@ -63,11 +63,10 @@ class SummaryEntry:
 
 @dataclass(frozen=True)
 class Summary:
-    """Selected tweets in selection order, with their provenance."""
+    """Selected tweets in selection order, with their slot counts."""
 
     entries: tuple[SummaryEntry, ...]
     importance: ImportanceVector
-    config: SelectorConfig
 
     def __post_init__(self) -> None:
         ids = [e.tweet_id for e in self.entries]
@@ -174,29 +173,25 @@ def sim2(a: Tweet, b: Tweet) -> float:
 
 def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
                 emb: EmbeddingTable, cfg: SelectorConfig,
-                summary_so_far: Sequence[tuple[Tweet, str]] = (),
-                category_id: str = "",
-                ) -> list[tuple[Tweet, float]]:
+                earlier: Sequence[Tweet] = ()) -> list[tuple[Tweet, float]]:
     """Greedy marginal-relevance selection of `count` tweets.
 
     Each step takes the remaining tweet maximizing
-    lam * sim1(tweet, vocab) - (1 - lam) * max sim2 against the summary
-    so far (including tweets picked earlier in this call); the maximum
-    over an empty summary is 0 and ties go to the smaller tweet id.
-    Each tweet's maximum is kept and raised by the newest pick alone,
-    and each distinct keyword's `sim1` contribution is computed once.
+    lam * sim1(tweet, vocab) - (1 - lam) * max sim2 against the earlier
+    picks and the tweets picked before it in this call; the maximum
+    over no picks is 0 and ties go to the smaller tweet id. Each
+    tweet's maximum is kept and raised by the newest pick alone, and
+    each distinct keyword's `sim1` contribution is computed once.
     `count` must not exceed len(tweets); `select_category` checks it.
     """
     vocab = frozenset(vocab)
-    pool = [t for t, cid in summary_so_far
-            if cid == category_id or not cfg.diversity_same_category_only]
     ordered = sorted(tweets, key=lambda t: t.id)
     memo = Sim1Memo()
     relevance = np.array([sim1(t, vocab, emb, cfg.sim1_mode, memo)
                           for t in ordered])
     postings = _Postings(ordered)
     redundancy = np.zeros(len(ordered))
-    for other in pool:
+    for other in earlier:
         np.maximum(redundancy, postings.sim2(other), out=redundancy)
     picked: list[tuple[Tweet, float]] = []
     taken = np.zeros(len(ordered), dtype=bool)
@@ -225,17 +220,19 @@ def _kmeans_select(tweets: Sequence[Tweet], count: int,
     tweet with the smallest id, the rest follow farthest-point order
     (max distance to the nearest chosen centroid, ties by id). When
     there are more clusters than distinct vectors, the surplus
-    centroids land on remaining tweets in id order. Distances are taken
-    after an exact power-of-two scaling, so none overflows or underflows.
+    centroids land on remaining tweets in id order. Every keyword row is
+    scaled by one power of two before the means, which scales each mean
+    and distance exactly, so none overflows or underflows.
     """
     ordered = sorted(tweets, key=lambda t: t.id)
+    words = {w for t in ordered for w in t.keywords if w in emb}
+    _, exponent = np.frexp(max((np.max(np.abs(emb.get(w))) for w in words),
+                               default=0.0))
     vectors = np.zeros((len(ordered), emb.dimension))
     for i, tweet in enumerate(ordered):
         rows = emb.rows(sorted(tweet.keywords))
         if len(rows):
-            vectors[i] = rows.mean(axis=0)
-    _, exponent = np.frexp(np.max(np.abs(vectors)))
-    np.ldexp(vectors, -exponent, out=vectors)
+            vectors[i] = np.ldexp(rows, -exponent).mean(axis=0)
 
     # Distance from each tweet to its nearest chosen centroid; chosen
     # tweets sit at -inf. The first maximum: ties go to the smaller id.
@@ -322,36 +319,30 @@ def _pagerank_scores(matrix: np.ndarray) -> np.ndarray:
     return x
 
 
-def select_category(kind: str, tweets: Sequence[Tweet], count: int,
+def select_category(tweets: Sequence[Tweet], count: int,
                     vocab: Iterable[str], emb: EmbeddingTable,
-                    cfg: SelectorConfig,
-                    summary_so_far: Sequence[tuple[Tweet, str]] = (),
-                    category_id: str = "",
-                    corpus_vocab: Iterable[str] = (),
-                    ) -> list[tuple[Tweet, float]]:
-    """Pick `count` tweets of one category with the selector `kind`.
+                    cfg: SelectorConfig, earlier: Sequence[Tweet] = (),
+                    category_id: str = "") -> list[tuple[Tweet, float]]:
+    """Pick `count` tweets of one category with `cfg.selector_kind`.
 
     dmmr         the greedy marginal-relevance loop (`dmmr_select`).
     max_sim      pure relevance ranking: the greedy loop at lam = 1.
     kmeans       cluster medoids over keyword-embedding vectors.
     eigenvector  centrality on the complete keyword-cosine graph.
     pagerank     damped random-walk rank on the same graph.
-    mmr          the greedy loop, but relevance is measured against
-                 the union of all category vocabularies.
+    mmr          the greedy loop; `summarize` passes the union of all
+                 category vocabularies as `vocab`.
     """
-    if kind not in SELECTOR_KINDS:
-        raise ValueError(f"unknown selector {kind!r}")
     if count > len(tweets):
         raise ValueError(
             f"importance asks for {count} tweets from category "
             f"{category_id!r} but its pool has only {len(tweets)} available"
         )
+    kind = cfg.selector_kind
     if kind == "max_sim":
         cfg = replace(cfg, lam=1.0)
     if kind in ("dmmr", "mmr", "max_sim"):
-        return dmmr_select(tweets, count,
-                           corpus_vocab if kind == "mmr" else vocab, emb,
-                           cfg, summary_so_far, category_id)
+        return dmmr_select(tweets, count, vocab, emb, cfg, earlier)
     if kind == "kmeans":
         return _kmeans_select(tweets, count, emb) if count else []
     ordered = sorted(tweets, key=lambda t: t.id)
@@ -369,23 +360,24 @@ def summarize(partition: Mapping[str, Sequence[Tweet]],
               emb: EmbeddingTable, cfg: SelectorConfig) -> Summary:
     """Fill every category's slots with the configured selector.
 
-    Categories are visited in ascending id order and share one growing
-    summary, so diversity-aware selectors see picks from earlier
-    categories.
+    Categories are visited once each, in ascending id order. Relevance
+    is measured against the category's vocabulary, or for `mmr` against
+    the union of all of them. The picks of earlier categories count as
+    redundancy unless `cfg.diversity_same_category_only` is set.
     """
-    corpus_vocab = frozenset().union(*vocab_by_category.values()) \
-        if vocab_by_category else frozenset()
-    summary_so_far: list[tuple[Tweet, str]] = []
+    union = frozenset().union(*vocab_by_category.values())
+    picked: list[Tweet] = []
     entries: list[SummaryEntry] = []
     for cid in sorted(importance.counts):
         need = importance.counts[cid]
         if need == 0:
             continue
-        picks = select_category(cfg.selector_kind, partition.get(cid, ()),
-                                need, vocab_by_category.get(cid, frozenset()),
-                                emb, cfg, summary_so_far, cid, corpus_vocab)
-        for tweet, score in picks:
+        vocab = union if cfg.selector_kind == "mmr" \
+            else vocab_by_category.get(cid, frozenset())
+        earlier = () if cfg.diversity_same_category_only else picked
+        for tweet, score in select_category(partition.get(cid, ()), need,
+                                            vocab, emb, cfg, earlier, cid):
             entries.append(SummaryEntry(tweet_id=tweet.id, category_id=cid,
                                         score=score))
-            summary_so_far.append((tweet, cid))
-    return Summary(entries=tuple(entries), importance=importance, config=cfg)
+            picked.append(tweet)
+    return Summary(entries=tuple(entries), importance=importance)

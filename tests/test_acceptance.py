@@ -8,6 +8,7 @@ import json
 import shutil
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -89,8 +90,8 @@ def test_criterion_3_lambda_one_equals_pure_relevance_ranking():
             greedy = {t.id for t, _ in
                       dmmr_select(tweets, count, vocab, emb, cfg)}
             ranked = {t.id for t, _ in
-                      select_category("max_sim", tweets, count, vocab, emb,
-                                      cfg)}
+                      select_category(tweets, count, vocab, emb,
+                                      replace(cfg, selector_kind="max_sim"))}
             assert greedy == ranked
 
 

@@ -8,11 +8,12 @@ the embedding loader and `summarize` under it.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-from crisumm.selector import SELECTOR_KINDS
+from crisumm.selector import SELECTOR_KINDS, summarize
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 DATA = Path(__file__).resolve().parent / "data"
@@ -86,3 +87,11 @@ def test_tracer_counts_sim1_calls_of_each_selector(tmp_path, kind):
     assert tracer.span_count("selector.summarize") == 1
     for module, snapshot in zip(modules, before):
         assert all(vars(module)[k] is v for k, v in snapshot.items())
+
+
+def test_summarize_keeps_the_positional_parameters_the_tracer_reads():
+    # `sim2_evals` in bench/spans.py unpacks `summarize`'s first five
+    # positional arguments.
+    names = list(inspect.signature(summarize).parameters)[:5]
+    assert names == ["partition", "importance", "vocab_by_category", "emb",
+                     "cfg"]

@@ -374,6 +374,16 @@ class TestPipelineCommand:
         assert code == 1
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("key", ["ontology", "candidates", "out_dir"])
+    def test_empty_required_value_names_file_and_line(self, tmp_path, capsys,
+                                                      key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"# comment\n{key} =\n", encoding="utf-8")
+        code, _, err = run(capsys, "pipeline", "--config", str(bad),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"error: bad.cfg:2: {key} has no value\n"
+
     @pytest.mark.parametrize("separator", [
         "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
         "\u2029"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,8 +88,8 @@ class TestSim1Memo:
             keywords = {w for t in tweets for w in t.keywords}
             memos.clear()
             stacked.clear()
-            select_category(kind, tweets, count, vocab, emb,
-                            SelectorConfig(), corpus_vocab=corpus_vocab)
+            select_category(tweets, count, scored, emb,
+                            SelectorConfig(selector_kind=kind))
             # One memo and at most one stacking per category call.
             assert len(memos) == 1
             assert len(stacked) == \
@@ -151,7 +153,7 @@ class TestDmmrSelect:
     def test_count_above_pool_rejected(self):
         emb = table(a=[1.0])
         with pytest.raises(ValueError, match="pool"):
-            select_category("dmmr", [make_tweet("t", {"a"})], 2, {"a"}, emb,
+            select_category([make_tweet("t", {"a"})], 2, {"a"}, emb,
                             SelectorConfig())
 
     def test_redundant_tweet_loses_to_diverse_one(self, monkeypatch):
@@ -195,18 +197,17 @@ class TestDmmrSelect:
     def test_every_step_matches_bruteforce_after_earlier_picks(
             self, same_only):
         rng = np.random.default_rng(71)
-        cfg = SelectorConfig(diversity_same_category_only=same_only)
+        cfg = SelectorConfig()
         for _ in range(60):
             tweets, count, vocab, emb = random_instance(rng)
             others, _, _, _ = random_instance(rng)
             earlier = [(make_tweet("e" + t.id, t.keywords),
                         "this" if rng.random() < 0.5 else "other")
                        for t in others]
-            picks = dmmr_select(tweets, count, vocab, emb, cfg, earlier,
-                                "this")
-            remaining = sorted(tweets, key=lambda t: t.id)
             pool = [t for t, cid in earlier
                     if cid == "this" or not same_only]
+            picks = dmmr_select(tweets, count, vocab, emb, cfg, pool)
+            remaining = sorted(tweets, key=lambda t: t.id)
             for tweet, score in picks:
                 want_id, want_score = oracles.dmmr_step(
                     remaining, pool, vocab, emb, cfg.lam, cfg.sim1_mode)
@@ -221,8 +222,8 @@ class TestDmmrSelect:
         for _ in range(30):
             tweets, count, vocab, emb = random_instance(rng)
             greedy = dmmr_select(tweets, count, vocab, emb, cfg)
-            ranked = select_category("max_sim", tweets, count, vocab, emb,
-                                     cfg)
+            ranked = select_category(tweets, count, vocab, emb,
+                                     replace(cfg, selector_kind="max_sim"))
             assert [t.id for t, _ in greedy] == [t.id for t, _ in ranked]
 
     def test_input_order_never_matters(self):
@@ -242,19 +243,21 @@ class TestDmmrSelect:
         earlier = make_tweet("prev", {"a"})
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"})]
         picks = dmmr_select(tweets, 1, {"v"}, emb, SelectorConfig(lam=0.5),
-                            summary_so_far=[(earlier, "other")],
-                            category_id="this")
+                            [earlier])
         assert picks[0][0].id == "t2"
 
     def test_same_category_switch_ignores_other_categories(self):
+        # `summarize` passes no earlier picks under the switch.
         emb = table(a=[1.0, 0.0], v=[1.0, 0.0], b=[0.9, 0.1])
-        earlier = make_tweet("prev", {"a"})
-        cfg = SelectorConfig(lam=0.5, diversity_same_category_only=True)
-        tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"})]
-        picks = dmmr_select(tweets, 1, {"v"}, emb, cfg,
-                            summary_so_far=[(earlier, "other")],
-                            category_id="this")
-        assert picks[0][0].id == "t1"
+        partition = {"ca": (make_tweet("prev", {"a"}),),
+                     "cb": (make_tweet("t1", {"a"}), make_tweet("t2", {"b"}))}
+        vocab = {"ca": frozenset({"v"}), "cb": frozenset({"v"})}
+        importance = ImportanceVector(counts={"ca": 1, "cb": 1}, m=2)
+        for same_only, want in ((True, "t1"), (False, "t2")):
+            cfg = SelectorConfig(lam=0.5,
+                                 diversity_same_category_only=same_only)
+            summary = summarize(partition, importance, vocab, emb, cfg)
+            assert summary.tweet_ids() == ("prev", want)
 
 
 class TestAblations:
@@ -263,47 +266,47 @@ class TestAblations:
                     c=[0.1, 1.0])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"}),
                   make_tweet("t3", {"c"})]
-        picks = select_category("max_sim", tweets, 2, {"v"}, emb,
-                                SelectorConfig())
+        picks = select_category(tweets, 2, {"v"}, emb,
+                                SelectorConfig(selector_kind="max_sim"))
         assert [t.id for t, _ in picks] == ["t1", "t2"]
 
     def test_max_sim_tie_breaks_by_id(self):
         emb = table(v=[1.0], a=[1.0])
         tweets = [make_tweet("t2", {"a"}), make_tweet("t1", {"a"})]
-        picks = select_category("max_sim", tweets, 1, {"v"}, emb,
-                                SelectorConfig())
+        picks = select_category(tweets, 1, {"v"}, emb,
+                                SelectorConfig(selector_kind="max_sim"))
         assert picks[0][0].id == "t1"
 
     def test_kmeans_single_cluster_takes_global_medoid(self):
         emb = table(a=[0.0, 0.0], b=[1.0, 0.0], c=[0.5, 0.05])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"}),
                   make_tweet("t3", {"c"})]
-        picks = select_category("kmeans", tweets, 1, set(), emb,
-                                SelectorConfig())
+        picks = select_category(tweets, 1, set(), emb,
+                                SelectorConfig(selector_kind="kmeans"))
         assert picks[0][0].id == "t3"
 
     def test_kmeans_duplicate_vectors_still_fill_count(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"a"}),
                   make_tweet("t3", {"b"})]
-        picks = select_category("kmeans", tweets, 3, set(), emb,
-                                SelectorConfig())
+        picks = select_category(tweets, 3, set(), emb,
+                                SelectorConfig(selector_kind="kmeans"))
         assert {t.id for t, _ in picks} == {"t1", "t2", "t3"}
 
     def test_kmeans_separates_clear_clusters(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"a"}),
                   make_tweet("t3", {"b"}), make_tweet("t4", {"b"})]
-        picks = select_category("kmeans", tweets, 2, set(), emb,
-                                SelectorConfig())
+        picks = select_category(tweets, 2, set(), emb,
+                                SelectorConfig(selector_kind="kmeans"))
         chosen = {t.keywords for t, _ in picks}
         assert chosen == {frozenset({"a"}), frozenset({"b"})}
 
     def test_pagerank_uniform_graph_falls_back_to_id_order(self):
         emb = EmbeddingTable(dimension=1, vectors={})
         tweets = [make_tweet(f"t{i}", {"x", "y"}) for i in range(4)]
-        picks = select_category("pagerank", tweets, 2, set(), emb,
-                                SelectorConfig())
+        picks = select_category(tweets, 2, set(), emb,
+                                SelectorConfig(selector_kind="pagerank"))
         assert [t.id for t, _ in picks] == ["t0", "t1"]
         scores = [s for _, s in picks]
         assert scores[0] == pytest.approx(scores[1], abs=1e-12)
@@ -312,34 +315,32 @@ class TestAblations:
         emb = EmbeddingTable(dimension=1, vectors={})
         hub = make_tweet("hub", {"a", "b", "c"})
         spokes = [make_tweet(f"s{i}", {w}) for i, w in enumerate("abc")]
-        picks = select_category("eigenvector", [*spokes, hub], 1, set(),
-                                emb, SelectorConfig())
+        picks = select_category([*spokes, hub], 1, set(), emb,
+                                SelectorConfig(selector_kind="eigenvector"))
         assert picks[0][0].id == "hub"
 
     def test_pagerank_prefers_hub(self):
         emb = EmbeddingTable(dimension=1, vectors={})
         hub = make_tweet("hub", {"a", "b", "c"})
         spokes = [make_tweet(f"s{i}", {w}) for i, w in enumerate("abc")]
-        picks = select_category("pagerank", [*spokes, hub], 1, set(), emb,
-                                SelectorConfig())
+        picks = select_category([*spokes, hub], 1, set(), emb,
+                                SelectorConfig(selector_kind="pagerank"))
         assert picks[0][0].id == "hub"
 
     def test_mmr_uses_corpus_vocabulary(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0], va=[1.0, 0.0],
                     vb=[0.0, 1.0])
-        tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"})]
-        cfg = SelectorConfig(lam=1.0)
-        in_category = select_category("max_sim", tweets, 1, {"vb"}, emb, cfg)
-        assert in_category[0][0].id == "t2"
-        across = select_category("mmr", tweets, 1, {"vb"}, emb, cfg,
-                                 corpus_vocab={"va", "vb"})
-        assert across[0][0].id == "t1"
+        partition = {"ca": (make_tweet("t1", {"a"}), make_tweet("t2", {"b"}))}
+        vocab = {"ca": frozenset({"vb"}), "cb": frozenset({"va"})}
+        importance = ImportanceVector(counts={"ca": 1, "cb": 0}, m=1)
+        for kind, want in (("max_sim", "t2"), ("mmr", "t1")):
+            summary = summarize(partition, importance, vocab, emb,
+                                SelectorConfig(lam=1.0, selector_kind=kind))
+            assert summary.tweet_ids() == (want,)
 
     def test_unknown_kind_rejected(self):
-        emb = EmbeddingTable(dimension=1, vectors={})
-        with pytest.raises(ValueError, match="unknown"):
-            select_category("zzz", [make_tweet("t", {"a"})], 1, set(), emb,
-                            SelectorConfig())
+        with pytest.raises(ValueError, match="unknown selector 'zzz'"):
+            SelectorConfig(selector_kind="zzz")
 
 
 class TestSummarize:
@@ -399,11 +400,10 @@ class TestSummarize:
         entries = (SummaryEntry("t1", "ca", 1.0),
                    SummaryEntry("t1", "ca", 0.5))
         with pytest.raises(ValueError, match="twice"):
-            Summary(entries=entries, importance=importance,
-                    config=SelectorConfig())
+            Summary(entries=entries, importance=importance)
         with pytest.raises(ValueError, match="match"):
             Summary(entries=(SummaryEntry("t1", "ca", 1.0),),
-                    importance=importance, config=SelectorConfig())
+                    importance=importance)
 
     def test_anti_duplication_across_categories(self):
         # Identical keyword sets in two categories: with lam < 1 the
@@ -448,3 +448,66 @@ class TestSummarize:
         for entry in summary.entries:
             counts[entry.category_id] = counts.get(entry.category_id, 0) + 1
         assert counts == {k: v for k, v in importance.counts.items() if v}
+
+
+FIXTURE_COUNTS = {"affected_population": 3, "early_warning": 1,
+                  "infrastructure_damage": 2, "volunteer_support": 2}
+
+
+@pytest.fixture(scope="module")
+def fixture_run(target_dataset, extended_ontology, embedding_table):
+    """(partition, importance, vocabularies, table) of the target."""
+    from crisumm.categorizer import classify_corpus
+    result = classify_corpus(target_dataset, extended_ontology, True)
+    vocab = {c.id: c.vocabulary(True) for c in extended_ontology.categories}
+    importance = ImportanceVector(counts=FIXTURE_COUNTS,
+                                  m=sum(FIXTURE_COUNTS.values()))
+    return result.partition, importance, vocab, embedding_table
+
+
+@pytest.mark.parametrize("same_only", [True, False])
+@pytest.mark.parametrize("kind", ["dmmr", "max_sim", "kmeans",
+                                  "eigenvector", "pagerank", "mmr"])
+def test_same_category_switch_in_summarize(fixture_run, kind, same_only):
+    # Each category is visited once, so under the switch no earlier pick
+    # counts as redundancy; without it every earlier category's picks do.
+    partition, importance, vocab, emb = fixture_run
+    cfg = SelectorConfig(selector_kind=kind,
+                         diversity_same_category_only=same_only)
+    summary = summarize(partition, importance, vocab, emb, cfg)
+    if kind not in ("dmmr", "mmr", "max_sim"):
+        # The other selectors read no earlier picks.
+        flipped = SelectorConfig(selector_kind=kind,
+                                 diversity_same_category_only=not same_only)
+        assert summary == summarize(partition, importance, vocab, emb,
+                                    flipped)
+        return
+    union = frozenset().union(*vocab.values())
+    lam = 1.0 if kind == "max_sim" else cfg.lam
+    earlier = []
+    want = []
+    for cid in sorted(importance.counts):
+        tweets = partition[cid]
+        scored = union if kind == "mmr" else vocab[cid]
+        relevance = {t.id: sim1(t, scored, emb) for t in tweets}
+        picks = oracles.dmmr_greedy(tweets, importance.counts[cid],
+                                    relevance, [] if same_only else earlier,
+                                    lam)
+        want += [(t.id, cid, score.hex()) for t, score in picks]
+        earlier += [t for t, _ in picks]
+    assert [(e.tweet_id, e.category_id, e.score.hex())
+            for e in summary.entries] == want
+
+
+def test_kmeans_scales_exactly_up_to_the_float_maximum(fixture_run):
+    # The largest fixture value is below 2, so every row stays finite at
+    # 2**1023; the sum in a mean of unscaled rows would overflow.
+    partition, importance, vocab, emb = fixture_run
+    huge = EmbeddingTable(emb.dimension, {
+        w: np.ldexp(v, 1023) for w, v in emb.vectors.items()})
+    cfg = SelectorConfig(selector_kind="kmeans")
+    plain = summarize(partition, importance, vocab, emb, cfg)
+    scaled = summarize(partition, importance, vocab, huge, cfg)
+    assert [(e.tweet_id, e.score.hex()) for e in scaled.entries] == \
+        [(e.tweet_id, float(np.ldexp(e.score, 1023)).hex())
+         for e in plain.entries]

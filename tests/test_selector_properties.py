@@ -5,6 +5,8 @@ tweets without keywords, and build near-ties from duplicated and scaled
 embedding rows.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -84,8 +86,9 @@ def test_memo_matches_per_tweet_sim1(instance):
     tweets, count, vocab, corpus_vocab, earlier, emb, cfg = instance
 
     def run(kind):
-        return _pairs(select_category(kind, tweets, count, vocab, emb, cfg,
-                                      earlier, "this", corpus_vocab))
+        return _pairs(select_category(
+            tweets, count, corpus_vocab if kind == "mmr" else vocab, emb,
+            replace(cfg, selector_kind=kind), [t for t, _ in earlier]))
 
     memoized = {kind: run(kind) for kind in ("dmmr", "mmr", "max_sim")}
     plain = sel.sim1
@@ -102,9 +105,9 @@ def test_every_dmmr_step_is_an_oracle_argmax(instance):
     # each pick must score within 1e-9 of the oracle's best, rather than
     # carry the oracle's id.
     tweets, count, vocab, _, earlier, emb, cfg = instance
-    picks = dmmr_select(tweets, count, vocab, emb, cfg, earlier, "this")
-    remaining = sorted(tweets, key=lambda t: t.id)
     pool = [t for t, _ in earlier]
+    picks = dmmr_select(tweets, count, vocab, emb, cfg, pool)
+    remaining = sorted(tweets, key=lambda t: t.id)
     for tweet, score in picks:
         _, best = oracles.dmmr_step(remaining, pool, vocab, emb, cfg.lam,
                                     cfg.sim1_mode)
@@ -156,11 +159,10 @@ def test_sim2_matrix_matches_the_double_loop(instance):
 @pytest.mark.parametrize("same_only", [False, True])
 @given(instance=instances(min_earlier=1, other_category=True))
 def test_every_dmmr_step_after_earlier_picks(same_only, instance):
+    # The earlier picks of category "this" only, or all of them.
     tweets, count, vocab, _, earlier, emb, cfg = instance
-    cfg = SelectorConfig(lam=cfg.lam, sim1_mode=cfg.sim1_mode,
-                         diversity_same_category_only=same_only)
-    picks = dmmr_select(tweets, count, vocab, emb, cfg, earlier, "this")
     pool = [t for t, cid in earlier if cid == "this" or not same_only]
+    picks = dmmr_select(tweets, count, vocab, emb, cfg, pool)
     # Bit for bit the greedy loop that rescans the whole pool each step.
     relevance = {t.id: sel.sim1(t, vocab, emb, cfg.sim1_mode)
                  for t in tweets}
@@ -187,7 +189,8 @@ def test_kmeans_matches_the_dict_loop(instance, power):
     tweets, count, _, _, _, emb, cfg = instance
     emb = _scaled(emb, lambda v: v * 10.0 ** power)
     count = max(count, 1)
-    picks = select_category("kmeans", tweets, count, frozenset(), emb, cfg)
+    cfg = replace(cfg, selector_kind="kmeans")
+    picks = select_category(tweets, count, frozenset(), emb, cfg)
     assert [(t.id, score.hex()) for t, score in picks] == \
         [(t.id, score.hex())
          for t, score in oracles.kmeans_select(tweets, count, emb)]
@@ -199,8 +202,9 @@ def test_kmeans_ignores_the_table_scale(instance, power):
     # squared distances would overflow or underflow at most of these.
     tweets, count, _, _, _, emb, cfg = instance
     count = max(count, 1)
-    plain = select_category("kmeans", tweets, count, frozenset(), emb, cfg)
-    scaled = select_category("kmeans", tweets, count, frozenset(),
+    cfg = replace(cfg, selector_kind="kmeans")
+    plain = select_category(tweets, count, frozenset(), emb, cfg)
+    scaled = select_category(tweets, count, frozenset(),
                              _scaled(emb, lambda v: np.ldexp(v, power)),
                              cfg)
     assert [(t.id, score.hex()) for t, score in scaled] == \
@@ -227,9 +231,10 @@ def test_pagerank_matches_the_row_loop(matrix):
 @pytest.mark.parametrize("kind", ["max_sim", "eigenvector", "pagerank"])
 @given(instance=instances())
 def test_ranking_selectors_match_the_oracle_ranking(kind, instance):
-    tweets, count, vocab, corpus_vocab, earlier, emb, cfg = instance
-    picks = select_category(kind, tweets, count, vocab, emb, cfg, earlier,
-                            "this", corpus_vocab)
+    tweets, count, vocab, _, earlier, emb, cfg = instance
+    picks = select_category(tweets, count, vocab, emb,
+                            replace(cfg, selector_kind=kind),
+                            [t for t, _ in earlier])
     ordered = sorted(tweets, key=lambda t: t.id)
     if kind == "max_sim":
         scores = {t.id: sel.sim1(t, vocab, emb, cfg.sim1_mode)
