@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from pathlib import Path
 
 from . import corpus, ontology as onto
 from .categorizer import classify_corpus
@@ -15,29 +12,22 @@ from .embeddings import load_word2vec_text
 from .importance import (REGRESSION_KINDS, ImportanceVector, RegressionModel,
                          category_shares, predict_importance)
 from .pipeline import (PipelineStageError, coverage, evaluate, extend_vocab,
-                       load_config, load_datasets, load_resources, read_text,
+                       load_config, load_datasets, load_resources,
                        run_pipeline, select, selector_config,
                        similarity_matrix, weight_categories)
 # Bound here only so that bench/spans.py can wrap them in this module.
 from .pipeline import (build_profile, build_training_pairs,  # noqa: F401
                        dis_sim, fit, most_similar, score_summary, summarize)
 from .selector import SELECTOR_KINDS, SIM1_MODES
-from .textfile import InputError, read_json
+from .textfile import (InputError, csv_text, json_text, lines_text, read_json,
+                       read_text, write_text)
 
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _dump_json(payload, path: str) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _lines(lines) -> str:
-    return "".join(line + "\n" for line in lines)
+        write_text(path, text)
 
 
 def _add_resource_args(parser: argparse.ArgumentParser) -> None:
@@ -67,9 +57,9 @@ def _cmd_categorize(args) -> int:
         args.ontology, args.merges, args.stopwords, args.lexicon)
     dataset = corpus.load_tweets(args.dataset, stopwords, lexicon)
     result = classify_corpus(dataset, ontology, not args.no_extended)
-    _write_text(args.partition_out, _lines(
+    _write_text(args.partition_out, lines_text(
         json.dumps(a.as_dict(), sort_keys=True) for a in result.assignments))
-    _dump_json(coverage(result.stats), args.stats_out)
+    _write_text(args.stats_out, json_text(coverage(result.stats)))
     return 0
 
 
@@ -81,14 +71,12 @@ def _cmd_similarity(args) -> int:
                for ds in datasets}
     matrix = similarity_matrix(datasets, results, args.top_k, args.w1,
                                args.w2)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["dataset", *matrix, "most_similar"])
+    rows = [["dataset", *matrix, "most_similar"]]
     for x, row in matrix.items():
         cells = [f"{row[y].dis_sim:.6f}" if y != x else "" for y in matrix]
         best = max(row, key=lambda y: row[y].dis_sim, default="")
-        writer.writerow([x, *cells, best])
-    _write_text(args.out, buffer.getvalue())
+        rows.append([x, *cells, best])
+    _write_text(args.out, csv_text(rows))
     return 0
 
 
@@ -105,7 +93,7 @@ def _cmd_importance(args) -> int:
         ridge_alpha=args.ridge_alpha, prior_precision=args.prior_precision,
         noise_precision=args.noise_precision)
     del fragment["training_pairs"]
-    _dump_json({**fragment, "m": args.m}, args.out)
+    _write_text(args.out, json_text({**fragment, "m": args.m}))
     return 0
 
 
@@ -144,7 +132,7 @@ def _cmd_summarize(args) -> int:
     cfg = selector_config(args)
     summary = select(dataset, result.partition, importance, ontology,
                      not args.no_extended, table, cfg)
-    _dump_json({
+    _write_text(args.out_json, json_text({
         "dataset": dataset.id,
         "selector_kind": cfg.selector_kind,
         "lambda": cfg.lam,
@@ -152,8 +140,8 @@ def _cmd_summarize(args) -> int:
         "seed": cfg.seed,
         "importance": dict(sorted(importance.counts.items())),
         "entries": summary["entries"],
-    }, args.out_json)
-    _write_text(args.out_text, _lines(summary["text"]))
+    }))
+    _write_text(args.out_text, lines_text(summary["text"]))
     return 0
 
 
@@ -161,7 +149,8 @@ def _cmd_evaluate(args) -> int:
     stopwords = corpus.load_stopwords(args.stopwords) if args.stopwords \
         else corpus.default_stopwords()
     candidate = read_text(args.candidate).splitlines()
-    _dump_json(evaluate(candidate, args.reference, stopwords), args.out)
+    _write_text(args.out, json_text(evaluate(candidate, args.reference,
+                                             stopwords)))
     return 0
 
 

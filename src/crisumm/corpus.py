@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .textfile import InputError, open_text
+from .textfile import InputError, content_lines
 
 DISASTER_TYPES = frozenset({"natural", "man-made"})
 
@@ -57,6 +57,7 @@ class DisasterDataset:
 
     `gold_summary` pairs tweet ids with the category their annotator
     assigned; it is None when the dataset carries no reference summary.
+    `path` is the tweets file it was loaded from, if any.
     """
 
     id: str
@@ -64,6 +65,7 @@ class DisasterDataset:
     disaster_type: str
     continent: str
     gold_summary: tuple[tuple[str, str], ...] | None = None
+    path: Path | None = None
 
     def __post_init__(self) -> None:
         if self.disaster_type not in DISASTER_TYPES:
@@ -82,6 +84,11 @@ class DisasterDataset:
                     raise ValueError(
                         f"gold summary references unknown tweet id {tweet_id!r}"
                     )
+
+    def error(self, message: str) -> ValueError:
+        """An error in this dataset's content, naming its file if any."""
+        return InputError(self.path, message) if self.path \
+            else ValueError(f"dataset {self.id!r}: {message}")
 
 
 @dataclass(frozen=True)
@@ -154,51 +161,47 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
     tweets: list[Tweet] = []
     gold: list[tuple[str, str]] = []
     seen: set[str] = set()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(path, f"invalid JSON ({exc.msg})",
-                                 lineno) from exc
-            if not isinstance(record, dict):
-                raise InputError(path, "expected a JSON object", lineno)
-            if header is None:
-                missing = {"id", "disaster_type", "continent"} - record.keys()
-                if missing:
-                    raise InputError(path, f"header missing {sorted(missing)}",
-                                     lineno)
-                disaster_type = record["disaster_type"]
-                if not isinstance(disaster_type, str) \
-                        or disaster_type not in DISASTER_TYPES:
-                    raise InputError(path, f"disaster_type must be one of "
-                                     f"{sorted(DISASTER_TYPES)}", lineno)
-                for key in ("id", "continent"):
-                    if not isinstance(record[key], str):
-                        raise InputError(path, f"header {key} is not a "
-                                         f"string", lineno)
-                header = record
-                continue
-            missing = {"id", "text"} - record.keys()
+    for lineno, line in content_lines(path, comments=False):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(path, f"invalid JSON ({exc.msg})",
+                             lineno) from exc
+        if not isinstance(record, dict):
+            raise InputError(path, "expected a JSON object", lineno)
+        if header is None:
+            missing = {"id", "disaster_type", "continent"} - record.keys()
             if missing:
-                raise InputError(path, f"tweet record missing "
-                                 f"{sorted(missing)}", lineno)
-            for key in ("id", "text", "gold_category"):
-                if key in record and not isinstance(record[key], str):
-                    raise InputError(path, f"tweet {key} is not a string",
-                                     lineno)
-            tweet_id = record["id"]
-            if tweet_id in seen:
-                raise InputError(path, f"duplicate tweet id {tweet_id!r}",
+                raise InputError(path, f"header missing {sorted(missing)}",
                                  lineno)
-            seen.add(tweet_id)
-            tweets.append(make_tweet(tweet_id, record["text"], stopwords,
-                                     lexicon))
-            if "gold_category" in record:
-                gold.append((tweet_id, record["gold_category"]))
+            disaster_type = record["disaster_type"]
+            if not isinstance(disaster_type, str) \
+                    or disaster_type not in DISASTER_TYPES:
+                raise InputError(path, f"disaster_type must be one of "
+                                 f"{sorted(DISASTER_TYPES)}", lineno)
+            for key in ("id", "continent"):
+                if not isinstance(record[key], str):
+                    raise InputError(path, f"header {key} is not a "
+                                     f"string", lineno)
+            header = record
+            continue
+        missing = {"id", "text"} - record.keys()
+        if missing:
+            raise InputError(path, f"tweet record missing "
+                             f"{sorted(missing)}", lineno)
+        for key in ("id", "text", "gold_category"):
+            if key in record and not isinstance(record[key], str):
+                raise InputError(path, f"tweet {key} is not a string",
+                                 lineno)
+        tweet_id = record["id"]
+        if tweet_id in seen:
+            raise InputError(path, f"duplicate tweet id {tweet_id!r}",
+                             lineno)
+        seen.add(tweet_id)
+        tweets.append(make_tweet(tweet_id, record["text"], stopwords,
+                                 lexicon))
+        if "gold_category" in record:
+            gold.append((tweet_id, record["gold_category"]))
     if header is None:
         raise InputError(path, "empty file, header expected")
     return DisasterDataset(
@@ -207,42 +210,31 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
         disaster_type=header["disaster_type"],
         continent=header["continent"],
         gold_summary=tuple(gold) if gold else None,
+        path=path,
     )
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a one-word-per-line stopword file (lowercased)."""
-    path = Path(path)
-    words = set()
-    with open_text(path) as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word and not word.startswith("#"):
-                words.add(word)
-    return frozenset(words)
+    return frozenset(line.lower() for _, line in content_lines(path))
 
 
 def load_lexicon(path: str | Path) -> PosLexicon:
     """Load a lexicon file of "word<TAB>tag" lines; a bare "word" is a noun."""
-    path = Path(path)
     tags: dict[str, str] = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) == 1:
-                word, tag = parts[0], _DEFAULT_TAG
-            elif len(parts) == 2:
-                word, tag = parts
-            else:
-                raise InputError(path, "expected 'word' or 'word<TAB>tag'",
-                                 lineno)
-            tag = tag.strip().lower()
-            if tag not in POS_TAGS:
-                raise InputError(path, f"unknown tag {tag!r}", lineno)
-            tags[word.strip().lower()] = tag
+    for lineno, line in content_lines(path):
+        parts = line.split("\t")
+        if len(parts) == 1:
+            word, tag = parts[0], _DEFAULT_TAG
+        elif len(parts) == 2:
+            word, tag = parts
+        else:
+            raise InputError(path, "expected 'word' or 'word<TAB>tag'",
+                             lineno)
+        tag = tag.strip().lower()
+        if tag not in POS_TAGS:
+            raise InputError(path, f"unknown tag {tag!r}", lineno)
+        tags[word.strip().lower()] = tag
     return PosLexicon(tags=tags)
 
 

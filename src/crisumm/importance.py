@@ -100,19 +100,16 @@ def build_training_pairs(dataset: DisasterDataset,
     label.
     """
     if dataset.gold_summary is None:
-        raise ValueError(
-            f"dataset {dataset.id!r} has no gold summary; cannot build "
-            f"regression training pairs"
-        )
+        raise dataset.error("no gold summary (no tweet has a "
+                            "gold_category); cannot build regression "
+                            "training pairs")
     shares, _ = category_shares(dataset.id, partition, category_ids)
     known = set(category_ids)
     gold_counts: dict[str, int] = {}
-    for _, cat_id in dataset.gold_summary:
+    for tweet_id, cat_id in dataset.gold_summary:
         if cat_id not in known:
-            raise ValueError(
-                f"gold summary of {dataset.id!r} uses unknown category "
-                f"{cat_id!r}"
-            )
+            raise dataset.error(f"gold summary tweet {tweet_id!r} uses "
+                                f"unknown category {cat_id!r}")
         gold_counts[cat_id] = gold_counts.get(cat_id, 0) + 1
     return [(shares[cid], float(gold_counts.get(cid, 0)))
             for cid in sorted(category_ids)]

@@ -8,20 +8,29 @@ approval. All builders return new values; an ontology never mutates.
 from __future__ import annotations
 
 import csv
-import io
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-import json
+from typing import Iterable
 
 from .corpus import PosLexicon, extract_keywords, preprocess_text
-from .textfile import InputError, open_text, read_json
+from .textfile import (InputError, csv_text, json_text, open_text, read_json,
+                       write_text)
 
 
 class OntologyError(ValueError):
     """Raised for an ontology, merge map or approval list that is
     inconsistent in itself, apart from any file position."""
+
+
+class ApprovalError(OntologyError):
+    """An approval naming an unknown category or an unharvested word;
+    `approval` is its (category_id, word) pair."""
+
+    def __init__(self, approval: tuple[str, str], message: str):
+        super().__init__(message)
+        self.approval = approval
 
 
 @dataclass(frozen=True)
@@ -145,9 +154,7 @@ def save_ontology(ontology: Ontology, path: str | Path) -> None:
         }
         for c in ontology.categories
     ]}
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_text(path, json_text(payload))
 
 
 def load_merges(path: str | Path) -> dict[str, str]:
@@ -264,30 +271,26 @@ def harvest_candidates(ontology: Ontology, docs: list[str],
 
 
 def candidate_report(candidates: list[CandidateKeyword]) -> str:
-    """Candidates as CSV text with rows "category_id,word,frequency"."""
-    ordered = sorted(candidates,
-                     key=lambda c: (c.category_id, -c.frequency, c.word))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["category_id", "word", "frequency"])
-    for cand in ordered:
-        writer.writerow([cand.category_id, cand.word, cand.frequency])
-    return buffer.getvalue()
+    """Candidates as CSV text with rows "category_id,word,frequency", in
+    the order given (`harvest_candidates` sorts them)."""
+    return csv_text([("category_id", "word", "frequency"),
+                     *((c.category_id, c.word, c.frequency)
+                       for c in candidates)])
 
 
 def write_candidate_report(candidates: list[CandidateKeyword],
                            path: str | Path) -> None:
     """Write `candidate_report(candidates)` to a file."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(candidate_report(candidates))
+    write_text(path, candidate_report(candidates))
 
 
-def load_approvals(path: str | Path) -> list[tuple[str, str]]:
+def load_approvals(path: str | Path) -> dict[tuple[str, str], int]:
     """Load annotator approvals from CSV rows "category_id,word".
 
-    A leading header row is skipped if present.
+    Each (category_id, word) pair maps to the first line that approves
+    it. A leading header row is skipped if present.
     """
-    approvals = []
+    approvals: dict[tuple[str, str], int] = {}
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
@@ -299,32 +302,30 @@ def load_approvals(path: str | Path) -> list[tuple[str, str]]:
             cat_id, word = row[0].strip(), row[1].strip().lower()
             if cat_id == "category_id" and word == "word":
                 continue
-            approvals.append((cat_id, word))
+            approvals.setdefault((cat_id, word), reader.line_num)
     return approvals
 
 
 def apply_approvals(ontology: Ontology,
                     candidates: list[CandidateKeyword],
-                    approvals: list[tuple[str, str]]) -> Ontology:
+                    approvals: Iterable[tuple[str, str]]) -> Ontology:
     """Move approved candidates into their category's extended keywords.
 
     Approvals must name (category, word) pairs that were actually
-    harvested; anything else is rejected to guard against typos.
-    Unapproved candidates are discarded.
+    harvested; the first that does not raises ApprovalError, to guard
+    against typos. Unapproved candidates are discarded.
     """
     harvested = {(c.category_id, c.word) for c in candidates}
     known = set(ontology.category_ids())
     approved_by_cat: dict[str, set[str]] = {}
     for cat_id, word in approvals:
         if cat_id not in known:
-            raise OntologyError(
-                f"approval references unknown category {cat_id!r}"
-            )
+            raise ApprovalError((cat_id, word), f"approval references "
+                                f"unknown category {cat_id!r}")
         if (cat_id, word) not in harvested:
-            raise OntologyError(
-                f"approval ({cat_id!r}, {word!r}) does not match any "
-                f"harvested candidate"
-            )
+            raise ApprovalError((cat_id, word), f"approval ({cat_id!r}, "
+                                f"{word!r}) does not match any harvested "
+                                f"candidate")
         approved_by_cat.setdefault(cat_id, set()).add(word)
     categories = []
     for cat in ontology.categories:

@@ -9,7 +9,6 @@ chains them, and each CLI subcommand wraps one.
 
 from __future__ import annotations
 
-import json
 import shutil
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -25,7 +24,8 @@ from .importance import (build_training_pairs, category_shares,
 from .ontology import Ontology, check_min_freq
 from .rouge import score_summary
 from .selector import SelectorConfig, summarize
-from .textfile import InputError, open_text
+from .textfile import (InputError, content_lines, json_text, lines_text,
+                       read_text, write_text)
 
 SCHEMA_VERSION = 1
 
@@ -137,13 +137,7 @@ def load_config(path: str | Path,
     path = Path(path)
     base = path.parent
     values: dict = {}
-    text = read_text(path)
-    # Only "\n" ends a line: str.splitlines() would also break on form
-    # feeds and other separators, and misnumber every later line.
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(path):
         if "=" not in line:
             raise InputError(path, "expected 'key = value'", lineno)
         key, _, raw = line.partition("=")
@@ -208,8 +202,12 @@ def extend_vocab(ontology: Ontology, docs: list, approvals, lexicon,
                                          min_freq=min_freq,
                                          stopwords=stopwords)
     if approvals:
-        ontology = onto.apply_approvals(ontology, candidates,
-                                        onto.load_approvals(approvals))
+        lines = onto.load_approvals(approvals)
+        try:
+            ontology = onto.apply_approvals(ontology, candidates, lines)
+        except onto.ApprovalError as exc:
+            raise InputError(approvals, str(exc),
+                             lines[exc.approval]) from exc
     return candidates, ontology
 
 
@@ -237,6 +235,10 @@ def similarity_matrix(datasets: list[DisasterDataset],
                       results: dict[str, ClassificationResult], top_k: int,
                       w1: float, w2: float):
     """Profile each dataset and score every ordered pair of distinct ids."""
+    for ds in datasets:
+        if not results[ds.id].stats.classified:
+            raise ds.error("cannot profile an empty partition: "
+                           "no classified tweets")
     profiles = {ds.id: build_profile(results[ds.id].partition, k=top_k)
                 for ds in datasets}
     ids = sorted(profiles)
@@ -287,8 +289,7 @@ def select(dataset: DisasterDataset, partition, importance, ontology: Ontology,
     summary = summarize(partition, importance, vocab_by_category, table, cfg)
     tweets_by_id = {t.id: t for t in dataset.tweets}
     return {
-        "entries": [{"tweet_id": e.tweet_id, "category_id": e.category_id,
-                     "score": e.score} for e in summary.entries],
+        "entries": [asdict(e) for e in summary.entries],
         "text": [" ".join(tweets_by_id[e.tweet_id].raw_text.split())
                  for e in summary.entries],
     }
@@ -305,16 +306,9 @@ def evaluate(summary_lines: list[str], reference: str | Path,
                          tokens(reference_lines)).as_dict()
 
 
-def read_text(path: str | Path) -> str:
-    """A whole UTF-8 text file; other bytes are named with file and line."""
-    with open_text(path) as fh:
-        return fh.read()
-
-
 def _write_report(report: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_text(path, json_text(report))
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -387,11 +381,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "matrix": {x: {y: score.dis_sim for y, score in row.items()}
                        for x, row in matrix.items()},
             "most_similar": chosen_id,
-            "most_similar_score": {
-                "dis_sim": chosen_score.dis_sim,
-                "cat_ic": chosen_score.cat_ic,
-                "cat_p": chosen_score.cat_p,
-            },
+            "most_similar_score": asdict(chosen_score),
         }
 
         stage = "importance"
@@ -419,10 +409,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         _write_report(report, quarantine / "report.json")
         raise PipelineStageError(stage, exc) from exc
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(report, out_dir / "report.json")
-    (out_dir / "summary.txt").write_text(
-        "".join(line + "\n" for line in report["summary"]["text"]),
-        encoding="utf-8")
+    write_text(out_dir / "summary.txt", lines_text(report["summary"]["text"]))
     _write_report(report["summary"], out_dir / "summary.json")
     return report

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 
@@ -21,12 +21,7 @@ class RougeReport:
     rouge_l: RougeScore
 
     def as_dict(self) -> dict[str, dict[str, float]]:
-        return {
-            name: {"precision": s.precision, "recall": s.recall, "f1": s.f1}
-            for name, s in (("rouge_1", self.rouge_1),
-                            ("rouge_2", self.rouge_2),
-                            ("rouge_l", self.rouge_l))
-        }
+        return asdict(self)
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -58,8 +53,6 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str],
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Longest-common-subsequence length with a rolling-row table."""
-    if not a or not b:
-        return 0
     previous = [0] * (len(b) + 1)
     for token in a:
         current = [0]

@@ -87,52 +87,44 @@ class Summary:
         return tuple(e.tweet_id for e in self.entries)
 
 
-class Sim1Memo:
-    """Each keyword's `sim1` contribution against one vocabulary and table.
+def keyword_relevance(words: Iterable[str], vocab: Iterable[str],
+                      emb: EmbeddingTable) -> dict[str, float]:
+    """Each word's `sim1` contribution against `vocab`.
 
-    The vocabulary's embedded rows are stacked, with their self-dots,
-    when the first keyword with an embedding is scored.
+    That is the best cosine the word achieves against any vocabulary
+    word that has an embedding (the first maximum, as max() over the
+    sorted vocabulary would take), floored at 0; a word without an
+    embedding, or a vocabulary without one, contributes 0.
     """
-
-    def __init__(self) -> None:
-        self.contributions: dict[str, float] = {}
-        self.rows: tuple[np.ndarray, np.ndarray] | None = None
+    rows = emb.rows(sorted(set(vocab)))
+    dots = self_dots(rows)
+    relevance: dict[str, float] = {}
+    for word in words:
+        vec = emb.get(word)
+        if vec is None or not len(rows):
+            relevance[word] = 0.0
+            continue
+        values = cosines(rows, vec, dots)
+        relevance[word] = max(float(values[np.argmax(values)]), 0.0)
+    return relevance
 
 
 def sim1(tweet: Tweet, vocab: Iterable[str], emb: EmbeddingTable,
-         mode: str = "sum", memo: Sim1Memo | None = None) -> float:
+         mode: str = "sum",
+         memo: Mapping[str, float] | None = None) -> float:
     """Embedding similarity of a tweet's keywords to a vocabulary.
 
-    Each keyword contributes the best cosine it achieves against any
-    vocabulary word that has an embedding, floored at 0; keywords
-    without an embedding contribute nothing. "sum" adds the
+    Each keyword contributes its `keyword_relevance`; "sum" adds the
     contributions, "mean" divides by the keyword count.
 
-    `memo` holds contributions against this same `vocab` and `emb`;
-    missing ones are computed and added, so callers scoring many
-    tweets against one vocabulary pass one memo to all.
+    `memo` is a `keyword_relevance` table against this same `vocab`
+    and `emb` that holds every keyword of the tweet, for callers that
+    score many tweets against one vocabulary; without it the tweet's
+    own keywords are scored.
     """
     if memo is None:
-        memo = Sim1Memo()
-    best = memo.contributions
-    for word in tweet.keywords:
-        if word in best:
-            continue
-        vec = emb.get(word)
-        if vec is None:
-            best[word] = 0.0
-            continue
-        if memo.rows is None:
-            rows = emb.rows(sorted(set(vocab)))
-            memo.rows = rows, self_dots(rows)
-        rows, dots = memo.rows
-        if not len(rows):
-            best[word] = 0.0
-            continue
-        values = cosines(rows, vec, dots)
-        # argmax takes the first maximum, as max() over the vocabulary would.
-        best[word] = max(float(values[np.argmax(values)]), 0.0)
-    total = math.fsum(best[w] for w in sorted(tweet.keywords))
+        memo = keyword_relevance(tweet.keywords, vocab, emb)
+    total = math.fsum(memo[w] for w in sorted(tweet.keywords))
     if mode == "mean":
         return total / len(tweet.keywords) if tweet.keywords else 0.0
     if mode != "sum":
@@ -186,8 +178,9 @@ def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
     """
     vocab = frozenset(vocab)
     ordered = sorted(tweets, key=lambda t: t.id)
-    memo = Sim1Memo()
-    relevance = np.array([sim1(t, vocab, emb, cfg.sim1_mode, memo)
+    table = keyword_relevance(set().union(*(t.keywords for t in ordered)),
+                              vocab, emb)
+    relevance = np.array([sim1(t, vocab, emb, cfg.sim1_mode, table)
                           for t in ordered])
     postings = _Postings(ordered)
     redundancy = np.zeros(len(ordered))

@@ -1,9 +1,12 @@
-"""Opening the package's UTF-8 input files, and the one error they raise."""
+"""The package's file formats: UTF-8 text in, UTF-8 text with `\n` line
+ends out, the layouts written, and the one error the loaders raise."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
@@ -39,15 +42,58 @@ def open_text(path: str | Path,
                          _first_undecodable_line(path)) from None
 
 
+def content_lines(path: str | Path,
+                  comments: bool = True) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each non-blank line of `path`.
+
+    Lines starting with `#` are skipped unless `comments` is False. Only
+    `\\n` ends a line (after `\\r\\n` and `\\r` are read as `\\n`), so
+    form feeds and other separators do not shift the numbering.
+    """
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not (comments and line.startswith("#")):
+                yield lineno, line
+
+
+def read_text(path: str | Path) -> str:
+    """A whole UTF-8 text file; other bytes are named with file and line."""
+    with open_text(path) as fh:
+        return fh.read()
+
+
 def read_json(path: str | Path):
     """The JSON value in `path`; a syntax error names its line."""
-    with open_text(path) as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(path, f"invalid JSON ({exc.msg})",
                          exc.lineno) from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, its `\\n` line ends untranslated."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def json_text(value) -> str:
+    """A JSON document: keys sorted, indented by 2, ending in a newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def lines_text(lines: Iterable[str]) -> str:
+    """One item per line, each ending in a newline."""
+    return "".join(line + "\n" for line in lines)
+
+
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """CSV rows in the default dialect, each ending in a newline."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _first_undecodable_line(path: Path) -> int:

@@ -40,6 +40,33 @@ def config_copy(data_dir, tmp_path, **values):
     return path
 
 
+def bad_approvals(data_dir, tmp_path, row):
+    """A copy of tests/data/approvals.csv with `row` as line 10."""
+    path = tmp_path / "approvals.csv"
+    path.write_text((data_dir / "approvals.csv").read_text("utf-8")
+                    + row + "\n", encoding="utf-8")
+    return path
+
+
+BAD_APPROVALS = [
+    ("affected_population,zebra", "approvals.csv:10: approval "
+     "('affected_population', 'zebra') does not match any harvested "
+     "candidate"),
+    ("nowhere,levee", "approvals.csv:10: approval references unknown "
+     "category 'nowhere'"),
+]
+
+
+def without_classified_tweets(tmp_path):
+    """A tweets file none of whose tweets matches a fixture category."""
+    path = tmp_path / "blast_empty.jsonl"
+    path.write_text(
+        '{"id": "blast_empty", "disaster_type": "man-made", '
+        '"continent": "asia"}\n'
+        '{"id": "e1", "text": "nothing to see"}\n', encoding="utf-8")
+    return path
+
+
 # (input file name, argv of a command that reads it) for each input.
 INPUT_COMMANDS = [
     ("ontology.json", lambda d, bad, out: [
@@ -167,6 +194,16 @@ class TestSimilarity:
         assert code == 1
         assert "duplicate" in err
 
+    def test_empty_partition_names_tweets_file(self, tmp_path, capsys,
+                                               data_dir):
+        code, out, err = run(capsys, "similarity",
+                             "--datasets", str(data_dir / "target.jsonl"),
+                             str(without_classified_tweets(tmp_path)),
+                             "--ontology", str(data_dir / "ontology.json"))
+        assert (code, out) == (1, "")
+        assert err == ("error: blast_empty.jsonl: cannot profile an empty "
+                       "partition: no classified tweets\n")
+
 
 class TestExtendVocab:
     def test_candidates_and_extended_ontology(self, tmp_path, capsys,
@@ -214,6 +251,21 @@ class TestExtendVocab:
         assert err == "error: empty.txt: document is empty\n"
         assert not cands.exists()
 
+    @pytest.mark.parametrize("row, message", BAD_APPROVALS)
+    def test_bad_approval_names_file_and_line(self, tmp_path, capsys,
+                                              data_dir, row, message):
+        onto_out = tmp_path / "extended.json"
+        code, _, err = run(capsys, "extend-vocab",
+                           "--ontology", str(data_dir / "ontology.json"),
+                           "--docs", str(data_dir / "vocab_docs.txt"),
+                           "--candidates-out", str(tmp_path / "c.csv"),
+                           "--approvals",
+                           str(bad_approvals(data_dir, tmp_path, row)),
+                           "--ontology-out", str(onto_out))
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not onto_out.exists()
+
 
 class TestImportanceCommand:
     def test_output_shape(self, tmp_path, capsys, data_dir):
@@ -245,6 +297,24 @@ class TestImportanceCommand:
         variances = payload["model"]["predictive_variance"]
         assert len(variances) == 4
         assert all(v > 0 for v in variances.values())
+
+    def test_unknown_gold_category_names_file_and_tweet(self, tmp_path,
+                                                        capsys, data_dir):
+        training = tmp_path / "candidate_quake.jsonl"
+        training.write_text(
+            (data_dir / "candidate_quake.jsonl").read_text("utf-8").replace(
+                '"gold_category": "affected_population"',
+                '"gold_category": "1ffected_population"', 1),
+            encoding="utf-8")
+        code, out, err = run(capsys, "importance",
+                             "--target", str(data_dir / "target.jsonl"),
+                             "--training", str(training),
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--m", "8")
+        assert (code, out) == (1, "")
+        assert err == ("error: candidate_quake.jsonl: gold summary tweet "
+                       "'qa01' uses unknown category '1ffected_population'"
+                       "\n")
 
 
 class TestSummarizeCommand:
@@ -349,6 +419,56 @@ class TestPipelineCommand:
         partial = json.loads(quarantined.read_text("utf-8"))
         assert "similarity" in partial
 
+    def test_second_failure_replaces_quarantine(self, tmp_path, capsys,
+                                                data_dir):
+        out_dir = tmp_path / "run"
+        quarantine = out_dir / "quarantine"
+        first = config_copy(data_dir, tmp_path,
+                            approvals=bad_approvals(data_dir, tmp_path,
+                                                    "nowhere,levee"))
+        assert run(capsys, "pipeline", "--config", str(first),
+                   "--out-dir", str(out_dir))[0] == 1
+        assert "ontology" not in json.loads(
+            (quarantine / "report.json").read_text("utf-8"))
+        (quarantine / "stale.txt").write_text("x", encoding="utf-8")
+        second = config_copy(data_dir, tmp_path, candidates=", ".join(
+            [str(data_dir / "candidate_quake.jsonl"),
+             str(without_classified_tweets(tmp_path))]))
+        code, _, err = run(capsys, "pipeline", "--config", str(second),
+                           "--out-dir", str(out_dir))
+        assert code == 1
+        assert err == ("error: stage 'similarity' failed: blast_empty.jsonl: "
+                       "cannot profile an empty partition: no classified "
+                       "tweets\n")
+        assert sorted(p.name for p in quarantine.iterdir()) == ["report.json"]
+        partial = json.loads((quarantine / "report.json").read_text("utf-8"))
+        assert "datasets" in partial and "similarity" not in partial
+        assert not (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("row, message", BAD_APPROVALS)
+    def test_bad_approval_fails_extend_vocab_stage(self, tmp_path, capsys,
+                                                   data_dir, row, message):
+        cfg_path = config_copy(data_dir, tmp_path, approvals=bad_approvals(
+            data_dir, tmp_path, row))
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"error: stage 'extend-vocab' failed: {message}\n"
+
+    def test_without_vocabulary_extension(self, tmp_path, capsys, data_dir):
+        cfg_path = config_copy(data_dir, tmp_path, vocab_docs="",
+                               approvals="")
+        out_dir = tmp_path / "run"
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                           "--out-dir", str(out_dir))
+        assert (code, err) == (0, "")
+        report = json.loads((out_dir / "report.json").read_text("utf-8"))
+        assert report["vocabulary_extension"] is None
+        assert report["config"]["vocab_docs"] == []
+        assert report["config"]["approvals"] is None
+        assert all(c["extended_size"] == 0
+                   for c in report["ontology"]["categories"])
+
     def test_missing_config_key_reported(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("m = 8\n", encoding="utf-8")
@@ -396,6 +516,14 @@ class TestPipelineCommand:
                            "--out-dir", str(tmp_path / "out"))
         assert code == 1
         assert err == "error: bad.cfg:3: m = '1.5x' is not a valid int\n"
+
+    def test_bool_must_be_true_or_false(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("# comment\nuse_extended = yes\n", encoding="utf-8")
+        code, _, err = run(capsys, "pipeline", "--config", str(bad),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == "error: bad.cfg:2: use_extended must be true or false\n"
 
     def test_repeated_config_key_reported(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -1,10 +1,11 @@
 """Fuzzing the input contract of `crisumm pipeline`.
 
 One fixture file that the pipeline reads is mutated (a flipped byte, a
-truncation, a duplicated or a deleted line) and the whole pipeline runs
+truncation, a duplicated or a deleted line; in a JSON file also a
+deleted field or a value of another type) and the whole pipeline runs
 through `cli.main`. It must either succeed with a report that parses,
 or exit 1 with one line on stderr that starts with "error:"; it must
-never raise.
+never raise. An error after a JSON mutation names the mutated file.
 """
 
 import contextlib
@@ -23,6 +24,11 @@ PIPELINE_FILES = ("pipeline.cfg", "ontology.json", "target.jsonl",
                   "candidate_quake.jsonl", "candidate_blast.jsonl",
                   "embeddings.txt", "vocab_docs.txt", "approvals.csv",
                   "reference.txt")
+
+
+JSON_FILES = ("ontology.json", "target.jsonl", "candidate_quake.jsonl")
+# One value of each JSON type; a value is replaced by one of another type.
+REPLACEMENTS = (None, 7, "7", ["7"], {"7": 7})
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +60,44 @@ def mutations(draw):
     return name, b"\n".join(lines)
 
 
-@settings(max_examples=40)
-@given(mutation=mutations())
-def test_mutated_input_fails_cleanly_or_succeeds(work_dir, mutation):
-    name, mutated = mutation
+def _slots(value):
+    """(container, key) for every value nested in `value`."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield value, key
+        yield from _slots(child)
+
+
+@st.composite
+def json_mutations(draw):
+    """(file name, its bytes with one JSON field deleted or one JSON
+    value replaced by a value of another type)."""
+    name = draw(st.sampled_from(JSON_FILES))
+    text = (DATA / name).read_text(encoding="utf-8")
+    jsonl = name.endswith(".jsonl")
+    docs = [json.loads(line) for line in text.splitlines()] if jsonl \
+        else [json.loads(text)]
+    doc = docs[draw(st.integers(0, len(docs) - 1))]
+    if draw(st.booleans()):
+        container, key = draw(st.sampled_from(
+            [(c, k) for c, k in _slots(doc) if isinstance(c, dict)]))
+        del container[key]
+    else:
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        container[key] = draw(st.sampled_from(
+            [r for r in REPLACEMENTS if type(r) is not type(container[key])]))
+    mutated = "".join(json.dumps(d) + "\n" for d in docs) if jsonl \
+        else json.dumps(docs[0], indent=2)
+    return name, mutated.encode("utf-8")
+
+
+def run_mutated(work_dir, name, mutated):
+    """Run `pipeline` with `name` holding `mutated`; (exit code, stderr)."""
     out = work_dir / "out"
     shutil.rmtree(out, ignore_errors=True)
     (work_dir / name).write_bytes(mutated)
@@ -77,3 +117,18 @@ def test_mutated_input_fails_cleanly_or_succeeds(work_dir, mutation):
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1 \
             and err.endswith("\n"), err
+    return code, err
+
+
+@settings(max_examples=40)
+@given(mutation=mutations())
+def test_mutated_input_fails_cleanly_or_succeeds(work_dir, mutation):
+    run_mutated(work_dir, *mutation)
+
+
+@settings(max_examples=30)
+@given(mutation=json_mutations())
+def test_json_mutation_error_names_the_file(work_dir, mutation):
+    name, mutated = mutation
+    code, err = run_mutated(work_dir, name, mutated)
+    assert code == 0 or name in err, err

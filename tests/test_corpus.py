@@ -107,6 +107,19 @@ class TestLoadTweets:
         assert dataset.disaster_type == "natural"
         assert dataset.gold_summary is None
 
+    def test_blank_lines_skipped_and_lines_still_counted(
+            self, tmp_path, stopwords, lexicon):
+        path = self._write(tmp_path, [
+            "", self._header(), "  ", '{"id": "t1", "text": "flood"}',
+            "\t", "{not json"])
+        with pytest.raises(InputError, match=r"^tweets.jsonl:6: "):
+            load_tweets(path, stopwords, lexicon)
+        path = self._write(tmp_path, [
+            self._header(), "", '{"id": "t1", "text": "flood"}', ""])
+        dataset = load_tweets(path, stopwords, lexicon)
+        assert [t.id for t in dataset.tweets] == ["t1"]
+        assert dataset.path == path
+
     def test_duplicate_id_error_names_id(self, tmp_path, stopwords, lexicon):
         path = self._write(tmp_path, [
             self._header(),

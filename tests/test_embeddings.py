@@ -18,6 +18,19 @@ def write(tmp_path, text):
     return path
 
 
+class TestEmbeddingTable:
+    @pytest.mark.parametrize("dimension, vectors, message", [
+        (0, {}, "dimension must be >= 1, got 0"),
+        (2, {"a": np.zeros(3)}, r"'a' has shape \(3,\), expected \(2,\)"),
+        (2, {"a": np.zeros((1, 2))}, "'a' has shape"),
+        (2, {"a": np.array([1.0, np.nan])}, "'a' has non-finite values"),
+        (2, {"a": np.array([np.inf, 1.0])}, "'a' has non-finite values"),
+    ])
+    def test_constructor_rejects(self, dimension, vectors, message):
+        with pytest.raises(ValueError, match=message):
+            EmbeddingTable(dimension=dimension, vectors=vectors)
+
+
 class TestLoader:
     def test_shape_and_count(self, tmp_path):
         path = write(tmp_path, "2 3\nflood 1 2 3\nquake 0.5 -1 2\n")

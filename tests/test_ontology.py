@@ -286,7 +286,7 @@ class TestFiles:
     def test_approvals_loader_skips_header(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("category_id,word\ninfra,levee\n", encoding="utf-8")
-        assert load_approvals(path) == [("infra", "levee")]
+        assert load_approvals(path) == {("infra", "levee"): 2}
 
     def test_short_approval_row_names_file_and_line(self, tmp_path):
         path = tmp_path / "a.csv"

@@ -64,20 +64,20 @@ class TestSim1Memo:
 
     @pytest.mark.parametrize("kind", ["dmmr", "mmr", "max_sim"])
     def test_each_contribution_is_the_best_cosine(self, monkeypatch, kind):
-        memos = []
+        tables = []
         stacked = []
         real_rows = EmbeddingTable.rows
+        real_relevance = sel.keyword_relevance
 
-        class RecordingMemo(sel.Sim1Memo):
-            def __init__(self):
-                super().__init__()
-                memos.append(self)
+        def recording_relevance(words, vocab, emb):
+            tables.append(real_relevance(words, vocab, emb))
+            return tables[-1]
 
         def counting_rows(table, words):
             stacked.append(None)
             return real_rows(table, words)
 
-        monkeypatch.setattr(sel, "Sim1Memo", RecordingMemo)
+        monkeypatch.setattr(sel, "keyword_relevance", recording_relevance)
         monkeypatch.setattr(EmbeddingTable, "rows", counting_rows)
         rng = np.random.default_rng(79)
         for _ in range(40):
@@ -86,15 +86,14 @@ class TestSim1Memo:
             corpus_vocab |= vocab
             scored = sorted(corpus_vocab if kind == "mmr" else vocab)
             keywords = {w for t in tweets for w in t.keywords}
-            memos.clear()
+            tables.clear()
             stacked.clear()
             select_category(tweets, count, scored, emb,
                             SelectorConfig(selector_kind=kind))
-            # One memo and at most one stacking per category call.
-            assert len(memos) == 1
-            assert len(stacked) == \
-                (1 if any(w in emb for w in keywords) else 0)
-            contributions = memos[0].contributions
+            # One table and one stacking per category call.
+            assert len(tables) == 1
+            assert len(stacked) == 1
+            contributions = tables[0]
             assert contributions.keys() == keywords
             for word, value in contributions.items():
                 others = [emb.get(o) for o in scored if o in emb]
