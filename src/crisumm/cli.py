@@ -7,20 +7,27 @@ import json
 import sys
 
 from . import corpus, ontology as onto
-from .categorizer import classify_corpus
 from .embeddings import load_word2vec_text
-from .importance import (REGRESSION_KINDS, ImportanceVector, RegressionModel,
-                         category_shares, predict_importance)
-from .pipeline import (PipelineStageError, coverage, evaluate, extend_vocab,
-                       load_config, load_datasets, load_resources,
-                       run_pipeline, select, selector_config,
-                       similarity_matrix, weight_categories)
+from .importance import REGRESSION_KINDS, ImportanceVector, RegressionModel
+from .pipeline import (CHECKS, DEFAULTS, KINDS, PipelineStageError,
+                       categorize, coverage, evaluate, extend_vocab,
+                       load_config, load_resources, predict_slots,
+                       run_checks, run_pipeline, select, similarity_matrix,
+                       weight_categories)
 # Bound here only so that bench/spans.py can wrap them in this module.
 from .pipeline import (build_profile, build_training_pairs,  # noqa: F401
-                       dis_sim, fit, most_similar, score_summary, summarize)
+                       classify_corpus, dis_sim, fit, most_similar,
+                       predict_importance, score_summary, summarize)
 from .selector import SELECTOR_KINDS, SIM1_MODES
 from .textfile import (InputError, csv_text, json_text, lines_text, read_json,
                        read_text, write_text)
+
+# Flags not spelled "--" + the field name with "-" for "_".
+_FLAGS = {"lam": "--lambda", "selector_kind": "--selector",
+          "regression_kind": "--kind", "use_extended": "--no-extended",
+          "diversity_same_category_only": "--same-category-diversity"}
+_CHOICES = {"regression_kind": REGRESSION_KINDS,
+            "selector_kind": SELECTOR_KINDS, "sim1_mode": SIM1_MODES}
 
 
 def _write_text(path: str, text: str) -> None:
@@ -39,13 +46,38 @@ def _add_resource_args(parser: argparse.ArgumentParser) -> None:
                         help="word<TAB>tag lexicon (default: bundled lexicon)")
 
 
+def _add_option(parser: argparse.ArgumentParser, key: str,
+                flag: str | None = None, **kw) -> None:
+    """Add the flag of the PipelineConfig field `key`: the field is its
+    dest and gives its type, default and choices."""
+    if KINDS[key] is bool:
+        kw["action"] = "store_false" if DEFAULTS[key] else "store_true"
+    else:
+        kw.update(type=KINDS[key], default=DEFAULTS[key],
+                  choices=_CHOICES.get(key))
+    flag = flag or _FLAGS.get(key) or "--" + key.replace("_", "-")
+    parser.add_argument(flag, dest=key, **kw)
+    parser.set_defaults(flags={**(parser.get_default("flags") or {}),
+                               key: flag})
+
+
+def _categorize(args, *paths):
+    """The ontology of `args`, and the dataset and classification result
+    of each tweets file in `paths`."""
+    resources = load_resources(args)
+    pairs = []
+    for path in paths:
+        [dataset], results = categorize([path], *resources, args)
+        pairs.append((dataset, results[dataset.id]))
+    return resources[2], pairs
+
+
 def _cmd_extend_vocab(args) -> int:
     if args.approvals and not args.ontology_out:
         raise ValueError("--ontology-out is required with --approvals")
-    stopwords, lexicon, ontology = load_resources(
-        args.ontology, args.merges, args.stopwords, args.lexicon)
+    stopwords, lexicon, ontology = load_resources(args)
     candidates, extended = extend_vocab(ontology, args.docs, args.approvals,
-                                        lexicon, stopwords, args.min_freq)
+                                        lexicon, stopwords, args)
     _write_text(args.candidates_out, onto.candidate_report(candidates))
     if args.approvals:
         onto.save_ontology(extended, args.ontology_out)
@@ -53,10 +85,7 @@ def _cmd_extend_vocab(args) -> int:
 
 
 def _cmd_categorize(args) -> int:
-    stopwords, lexicon, ontology = load_resources(
-        args.ontology, args.merges, args.stopwords, args.lexicon)
-    dataset = corpus.load_tweets(args.dataset, stopwords, lexicon)
-    result = classify_corpus(dataset, ontology, not args.no_extended)
+    _, [(_, result)] = _categorize(args, args.dataset)
     _write_text(args.partition_out, lines_text(
         json.dumps(a.as_dict(), sort_keys=True) for a in result.assignments))
     _write_text(args.stats_out, json_text(coverage(result.stats)))
@@ -64,13 +93,8 @@ def _cmd_categorize(args) -> int:
 
 
 def _cmd_similarity(args) -> int:
-    stopwords, lexicon, ontology = load_resources(
-        args.ontology, args.merges, args.stopwords, args.lexicon)
-    datasets = load_datasets(args.datasets, stopwords, lexicon)
-    results = {ds.id: classify_corpus(ds, ontology, not args.no_extended)
-               for ds in datasets}
-    matrix = similarity_matrix(datasets, results, args.top_k, args.w1,
-                               args.w2)
+    datasets, results = categorize(args.datasets, *load_resources(args), args)
+    matrix = similarity_matrix(datasets, results, args)
     rows = [["dataset", *matrix, "most_similar"]]
     for x, row in matrix.items():
         cells = [f"{row[y].dis_sim:.6f}" if y != x else "" for y in matrix]
@@ -81,17 +105,11 @@ def _cmd_similarity(args) -> int:
 
 
 def _cmd_importance(args) -> int:
-    stopwords, lexicon, ontology = load_resources(
-        args.ontology, args.merges, args.stopwords, args.lexicon)
-    target = corpus.load_tweets(args.target, stopwords, lexicon)
-    training = corpus.load_tweets(args.training, stopwords, lexicon)
-    target_result = classify_corpus(target, ontology, not args.no_extended)
-    training_result = classify_corpus(training, ontology, not args.no_extended)
+    ontology, [(target, target_result), (training, training_result)] = \
+        _categorize(args, args.target, args.training)
     _, fragment = weight_categories(
-        target.id, target_result.partition, training,
-        training_result.partition, ontology.category_ids(), args.m, args.kind,
-        ridge_alpha=args.ridge_alpha, prior_precision=args.prior_precision,
-        noise_precision=args.noise_precision)
+        target, target_result.partition, training, training_result.partition,
+        ontology.category_ids(), args)
     del fragment["training_pairs"]
     _write_text(args.out, json_text({**fragment, "m": args.m}))
     return 0
@@ -116,28 +134,22 @@ def _load_importance(path: str, category_ids) -> ImportanceVector:
 
 
 def _cmd_summarize(args) -> int:
-    stopwords, lexicon, ontology = load_resources(
-        args.ontology, args.merges, args.stopwords, args.lexicon)
-    dataset = corpus.load_tweets(args.dataset, stopwords, lexicon)
+    ontology, [(dataset, result)] = _categorize(args, args.dataset)
+    partition = result.partition
     table = load_word2vec_text(args.embeddings)
-    result = classify_corpus(dataset, ontology, not args.no_extended)
     category_ids = ontology.category_ids()
     if args.importance:
         importance = _load_importance(args.importance, category_ids)
     else:
-        fractions, available = category_shares(dataset.id, result.partition,
-                                               category_ids)
-        importance = predict_importance(RegressionModel(kind="equal"),
-                                        fractions, available, args.length)
-    cfg = selector_config(args)
-    summary = select(dataset, result.partition, importance, ontology,
-                     not args.no_extended, table, cfg)
+        importance, _ = predict_slots(RegressionModel(kind="equal"), dataset,
+                                      partition, category_ids, args.m)
+    summary = select(dataset, partition, importance, ontology, table, args)
     _write_text(args.out_json, json_text({
         "dataset": dataset.id,
-        "selector_kind": cfg.selector_kind,
-        "lambda": cfg.lam,
-        "sim1_mode": cfg.sim1_mode,
-        "seed": cfg.seed,
+        "selector_kind": args.selector_kind,
+        "lambda": args.lam,
+        "sim1_mode": args.sim1_mode,
+        "seed": args.seed,
         "importance": dict(sorted(importance.counts.items())),
         "entries": summary["entries"],
     }))
@@ -155,8 +167,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = load_config(args.config, out_dir=args.out_dir)
-    run_pipeline(cfg)
+    run_pipeline(load_config(args.config, out_dir=args.out_dir))
     return 0
 
 
@@ -173,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resource_args(p)
     p.add_argument("--docs", nargs="+", required=True,
                    help="plain-text documents to harvest from")
-    p.add_argument("--min-freq", type=int, default=3)
+    _add_option(p, "min_freq")
     p.add_argument("--candidates-out", default="-",
                    help="candidate CSV output ('-' for stdout)")
     p.add_argument("--approvals", help="approved (category_id,word) CSV")
@@ -184,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("categorize", help="assign tweets to categories")
     _add_resource_args(p)
     p.add_argument("--dataset", required=True, help="tweet JSONL file")
-    p.add_argument("--no-extended", action="store_true",
-                   help="match against seed vocabulary only")
+    _add_option(p, "use_extended", help="match against seed vocabulary only")
     p.add_argument("--partition-out", default="-")
     p.add_argument("--stats-out", default="-")
     p.set_defaults(func=_cmd_categorize)
@@ -194,10 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pairwise disaster similarity matrix")
     _add_resource_args(p)
     p.add_argument("--datasets", nargs="+", required=True)
-    p.add_argument("--no-extended", action="store_true")
-    p.add_argument("--top-k", type=int, default=50)
-    p.add_argument("--w1", type=float, default=0.5)
-    p.add_argument("--w2", type=float, default=0.5)
+    for key in ("use_extended", "top_k", "w1", "w2"):
+        _add_option(p, key)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_similarity)
 
@@ -207,12 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--training", required=True,
                    help="gold-labeled dataset to fit the regression on")
-    p.add_argument("--no-extended", action="store_true")
-    p.add_argument("--kind", choices=REGRESSION_KINDS, default="linear")
-    p.add_argument("--m", type=int, required=True, help="summary length")
-    p.add_argument("--ridge-alpha", type=float, default=1.0)
-    p.add_argument("--prior-precision", type=float, default=1.0)
-    p.add_argument("--noise-precision", type=float, default=1.0)
+    _add_option(p, "use_extended")
+    _add_option(p, "regression_kind")
+    _add_option(p, "m", required=True, help="summary length")
+    for key in ("ridge_alpha", "prior_precision", "noise_precision"):
+        _add_option(p, key)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_importance)
 
@@ -221,21 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--embeddings", required=True,
                    help="text word2vec embedding file")
-    p.add_argument("--no-extended", action="store_true")
+    _add_option(p, "use_extended")
     p.add_argument("--importance",
                    help="importance JSON (output of the importance command)")
-    p.add_argument("--length", type=int, default=10,
-                   help="summary length for equal importance when no "
-                        "--importance file is given")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--selector", dest="selector_kind", choices=SELECTOR_KINDS,
-                   default="dmmr")
-    p.add_argument("--sim1-mode", choices=SIM1_MODES, default="sum")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--same-category-diversity", action="store_true",
-                   dest="diversity_same_category_only",
-                   help="restrict the diversity penalty to tweets already "
-                        "selected from the same category")
+    _add_option(p, "m", "--length", metavar="LENGTH",
+                help="summary length for equal importance when no "
+                     "--importance file is given")
+    for key in ("lam", "selector_kind", "sim1_mode", "seed"):
+        _add_option(p, key)
+    _add_option(p, "diversity_same_category_only",
+                help="restrict the diversity penalty to tweets already "
+                     "selected from the same category")
     p.add_argument("--out-json", default="-")
     p.add_argument("--out-text", default="-")
     p.set_defaults(func=_cmd_summarize)
@@ -260,7 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    flags = getattr(args, "flags", {})
     try:
+        run_checks(args, flags.get, [row for row in CHECKS
+                                     if flags.keys() >= set(row[0])])
         return args.func(args)
     except (PipelineStageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

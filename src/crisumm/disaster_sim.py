@@ -152,7 +152,7 @@ def most_similar(target: DisasterDataset,
     pool = [c for c in candidates
             if not homogeneous_only or (c.disaster_type, c.continent) == home]
     if not pool:
-        raise ValueError(
+        raise target.error(
             "no candidate shares the target's disaster type and "
             "continent; disable homogeneous_only to widen the pool"
         )

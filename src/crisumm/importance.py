@@ -79,14 +79,15 @@ class ImportanceVector:
             )
 
 
-def category_shares(dataset_id: str, partition: Mapping[str, Sequence[Tweet]],
+def category_shares(dataset: DisasterDataset,
+                    partition: Mapping[str, Sequence[Tweet]],
                     category_ids: Sequence[str]) -> tuple[dict, dict]:
     """(share of the classified tweets, tweet count) per category; the
     share is the regression feature of training and prediction alike."""
     available = {cid: len(partition.get(cid, ())) for cid in category_ids}
     total = sum(available.values())
     if total == 0:
-        raise ValueError(f"no classified tweets in {dataset_id!r}")
+        raise dataset.error("no classified tweets")
     return {cid: n / total for cid, n in available.items()}, available
 
 
@@ -103,7 +104,7 @@ def build_training_pairs(dataset: DisasterDataset,
         raise dataset.error("no gold summary (no tweet has a "
                             "gold_category); cannot build regression "
                             "training pairs")
-    shares, _ = category_shares(dataset.id, partition, category_ids)
+    shares, _ = category_shares(dataset, partition, category_ids)
     known = set(category_ids)
     gold_counts: dict[str, int] = {}
     for tweet_id, cat_id in dataset.gold_summary:

@@ -10,8 +10,9 @@ chains them, and each CLI subcommand wraps one.
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_args, get_origin, get_type_hints
 
 from . import corpus, ontology as onto, embeddings as emb_mod
@@ -40,7 +41,11 @@ class PipelineStageError(RuntimeError):
 
 @dataclass
 class PipelineConfig:
-    """Everything a full run needs; unset paths disable optional stages."""
+    """Everything a full run needs; unset paths disable optional stages.
+
+    The fields from `m` on are the stage options: each one's name, type
+    and default serve the config file and the CLI flags alike.
+    """
 
     ontology: Path
     target: Path
@@ -70,46 +75,28 @@ class PipelineConfig:
     diversity_same_category_only: bool = False
     homogeneous_only: bool = False
 
+    # (config file name, {key: (line, value)}) when load_config made it.
+    origin = None
+
     def validate(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"summary length m must be >= 1, got {self.m}")
-        for name, kind in _KINDS.items():
-            if name == "out_dir" or kind not in (Path, list):
-                continue
-            value = getattr(self, name)
-            paths = value if kind is list else [] if value is None else [value]
-            for path in paths:
-                if not Path(path).exists():
-                    raise FileNotFoundError(
-                        f"{name} path does not exist: {path}")
-        if not self.candidates:
-            raise ValueError("at least one candidate dataset is required")
-        if (self.approvals is None) != (not self.vocab_docs):
-            raise ValueError(
-                "vocab_docs and approvals enable vocabulary extension "
-                "together; set both or neither"
-            )
-        # The stages' own checks, run here so a bad value fails before
-        # any stage runs and leaves no quarantine behind.
-        check_top_k(self.top_k)
-        check_min_freq(self.min_freq)
-        check_weights(self.w1, self.w2)
-        check_fit_options(self.regression_kind, self.ridge_alpha,
-                          self.prior_precision, self.noise_precision)
-        selector_config(self)
+        """Run every check, so a bad value fails before any stage runs
+        and leaves no quarantine behind."""
+        run_checks(self, self._place, CHECKS + _INPUT_CHECKS)
+
+    def _place(self, key: str) -> str | None:
+        """"<file>:<line>" of a value as the config file set it, "<file>"
+        for a key the file leaves unset, None for a value set in code."""
+        name, read = self.origin or (None, {})
+        line, value = read.get(key, (None, DEFAULTS.get(key)))
+        if name is None or getattr(self, key) != value:
+            return None
+        return name if line is None else f"{name}:{line}"
 
     def as_report_dict(self) -> dict:
-        raw = asdict(self)
-        out = {}
-        for key, value in raw.items():
-            if isinstance(value, Path):
-                out[key] = str(value)
-            elif isinstance(value, list):
-                out[key] = [str(v) if isinstance(v, Path) else v
-                            for v in value]
-            else:
-                out[key] = value
-        return out
+        """The fields as JSON values, each path a string."""
+        return {key: [str(v) for v in value] if isinstance(value, list)
+                else str(value) if isinstance(value, Path) else value
+                for key, value in asdict(self).items()}
 
 
 def _kind(hint) -> type:
@@ -120,10 +107,79 @@ def _kind(hint) -> type:
     return Path if Path in get_args(hint) else hint
 
 
-_KINDS = {key: _kind(hint)
-          for key, hint in get_type_hints(PipelineConfig).items()}
-# Keys a config file must set; neither these nor out_dir may be empty.
-_REQUIRED = ("ontology", "target", "candidates", "embeddings")
+KINDS = {key: _kind(hint)
+         for key, hint in get_type_hints(PipelineConfig).items()}
+DEFAULTS = {f.name: f.default if f.default is not MISSING
+            else f.default_factory()
+            for f in fields(PipelineConfig)
+            if f.default is not MISSING or f.default_factory is not MISSING}
+
+
+def selector_config(source) -> SelectorConfig:
+    """A SelectorConfig from the same-named attributes of `source`."""
+    return SelectorConfig(**{f.name: getattr(source, f.name)
+                             for f in fields(SelectorConfig)})
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _exists(key: str):
+    """The check that each path under `key` exists."""
+    def check(cfg) -> None:
+        paths = getattr(cfg, key)
+        for path in paths if isinstance(paths, list) else [paths]:
+            _require(path is None or Path(path).exists(),
+                     f"{key} path does not exist: {path}")
+    return check
+
+
+# The stage options' checks: (keys a check reads, the check on an
+# options object). `validate` runs every row, and each subcommand the
+# rows whose keys are all among its flags.
+CHECKS = (
+    (("m",), lambda o: _require(
+        o.m >= 1, f"summary length m must be >= 1, got {o.m}")),
+    (("top_k",), lambda o: check_top_k(o.top_k)),
+    (("min_freq",), lambda o: check_min_freq(o.min_freq)),
+    (("w1", "w2"), lambda o: check_weights(o.w1, o.w2)),
+    (("regression_kind", "ridge_alpha", "prior_precision", "noise_precision"),
+     lambda o: check_fit_options(o.regression_kind, o.ridge_alpha,
+                                 o.prior_precision, o.noise_precision)),
+    (tuple(f.name for f in fields(SelectorConfig)), selector_config),
+)
+# A config's checks of its input files.
+_INPUT_CHECKS = (
+    *(((key,), _exists(key)) for key, kind in KINDS.items()
+      if kind in (Path, list) and key != "out_dir"),
+    (("candidates",), lambda o: _require(
+        o.candidates, "at least one candidate dataset is required")),
+    (("vocab_docs", "approvals"), lambda o: _require(
+        (o.approvals is None) == (not o.vocab_docs),
+        "vocab_docs and approvals enable vocabulary extension together; "
+        "set both or neither")),
+)
+
+
+def run_checks(options, place, rows=CHECKS) -> None:
+    """Run each (keys, check) row on `options`. A failure names the place
+    of the first key that fails the check alone, the other keys at their
+    defaults (else of the last key), if `place` gives one."""
+    for keys, check in rows:
+        try:
+            check(options)
+        except ValueError as exc:
+            for key in keys:
+                try:
+                    check(SimpleNamespace(**{**DEFAULTS,
+                                             key: getattr(options, key)}))
+                except ValueError:
+                    break
+            if place(key) is None:
+                raise
+            raise ValueError(f"{place(key)}: {exc}") from exc
 
 
 def load_config(path: str | Path,
@@ -137,6 +193,7 @@ def load_config(path: str | Path,
     path = Path(path)
     base = path.parent
     values: dict = {}
+    read: dict = {}
     for lineno, line in content_lines(path):
         if "=" not in line:
             raise InputError(path, "expected 'key = value'", lineno)
@@ -145,61 +202,65 @@ def load_config(path: str | Path,
         raw = raw.strip()
         if key in values:
             raise InputError(path, f"{key} set twice", lineno)
-        kind = _KINDS.get(key)
+        kind = KINDS.get(key)
         if kind is None:
             raise InputError(path, f"unknown key {key!r}", lineno)
-        if not raw and (key in _REQUIRED or key == "out_dir"):
+        if not raw and key not in DEFAULTS:
             raise InputError(path, f"{key} has no value", lineno)
+        if "\0" in raw:
+            raise InputError(path, f"{key} holds a NUL byte", lineno)
         if kind is bool:
             if raw.lower() not in ("true", "false"):
                 raise InputError(path, f"{key} must be true or false", lineno)
             values[key] = raw.lower() == "true"
-        elif kind is int or kind is float:
+        elif kind is Path:
+            values[key] = (base / raw).resolve() if raw else None
+        elif kind is list:
+            values[key] = [(base / item.strip()).resolve()
+                           for item in raw.split(",") if item.strip()]
+        else:
             try:
                 values[key] = kind(raw)
             except ValueError:
                 raise InputError(path, f"{key} = {raw!r} is not a valid "
                                  f"{kind.__name__}", lineno) from None
-        elif kind is str:
-            values[key] = raw
-        elif kind is Path:
-            values[key] = (base / raw).resolve() if raw else None
-        else:
-            values[key] = [(base / item.strip()).resolve()
-                           for item in raw.split(",") if item.strip()]
-    missing = set(_REQUIRED) - values.keys()
+        read[key] = (lineno, values[key])
+    missing = KINDS.keys() - DEFAULTS.keys() - {"out_dir"} - values.keys()
     if missing:
         raise InputError(path, f"missing required keys {sorted(missing)}")
     if out_dir is not None:
         values["out_dir"] = Path(out_dir)
     elif "out_dir" not in values:
         raise InputError(path, "out_dir not set and no override given")
-    return PipelineConfig(**values)
+    cfg = PipelineConfig(**values)
+    cfg.origin = (path.name, read)
+    return cfg
 
 
-def load_resources(ontology: str | Path, merges: str | Path | None = None,
-                   stopwords: str | Path | None = None,
-                   lexicon: str | Path | None = None):
-    """(stopwords, lexicon, merged ontology); None picks a bundled list."""
-    stop = corpus.load_stopwords(stopwords) if stopwords \
+def load_resources(options):
+    """(stopwords, lexicon, merged ontology) from the paths `ontology`,
+    `merges`, `stopwords` and `lexicon` of `options`; an unset stopwords
+    or lexicon path picks the bundled list."""
+    stop = corpus.load_stopwords(options.stopwords) if options.stopwords \
         else corpus.default_stopwords()
-    lex = corpus.load_lexicon(lexicon) if lexicon \
+    lex = corpus.load_lexicon(options.lexicon) if options.lexicon \
         else corpus.default_lexicon()
-    loaded = onto.load_ontology(ontology)
-    if merges:
-        loaded = onto.merge_categories(loaded, onto.load_merges(merges))
+    loaded = onto.load_ontology(options.ontology)
+    if options.merges:
+        loaded = onto.merge_categories(loaded,
+                                       onto.load_merges(options.merges))
     return stop, lex, loaded
 
 
 def extend_vocab(ontology: Ontology, docs: list, approvals, lexicon,
-                 stopwords, min_freq: int):
+                 stopwords, options):
     """Return (harvested candidates, ontology with the approvals applied)."""
     texts = [read_text(p) for p in docs]
     for path, text in zip(docs, texts):
         if not text:
             raise InputError(path, "document is empty")
     candidates = onto.harvest_candidates(ontology, texts, lexicon,
-                                         min_freq=min_freq,
+                                         min_freq=options.min_freq,
                                          stopwords=stopwords)
     if approvals:
         lines = onto.load_approvals(approvals)
@@ -211,55 +272,68 @@ def extend_vocab(ontology: Ontology, docs: list, approvals, lexicon,
     return candidates, ontology
 
 
-def load_datasets(paths: list, stopwords, lexicon) -> list[DisasterDataset]:
-    """Load tweet files, rejecting two datasets with the same id."""
+def categorize(paths: list, stopwords, lexicon, ontology: Ontology, options,
+               enter=None):
+    """Load tweet files, rejecting two with one dataset id, and classify
+    each against the ontology, with its extended vocabulary if
+    `options.use_extended`: (datasets, result by dataset id). `enter` is
+    called with "categorize" once the files are loaded."""
     datasets = [corpus.load_tweets(p, stopwords, lexicon) for p in paths]
     ids = [d.id for d in datasets]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate dataset ids among {ids}")
-    return datasets
+    if enter:
+        enter("categorize")
+    return datasets, {ds.id: classify_corpus(ds, ontology,
+                                             options.use_extended)
+                      for ds in datasets}
 
 
 def coverage(stats: CorpusStats) -> dict:
     """The classification coverage fields of a dataset's report entry."""
-    return {
-        "total": stats.total,
-        "classified": stats.classified,
-        "fraction_classified": stats.fraction_classified,
-        "fraction_seed": stats.fraction_seed,
-        "fraction_extended_gain": stats.fraction_extended_gain,
-    }
+    return {key: getattr(stats, key) for key in (
+        "total", "classified", "fraction_classified", "fraction_seed",
+        "fraction_extended_gain")}
 
 
 def similarity_matrix(datasets: list[DisasterDataset],
-                      results: dict[str, ClassificationResult], top_k: int,
-                      w1: float, w2: float):
+                      results: dict[str, ClassificationResult], options):
     """Profile each dataset and score every ordered pair of distinct ids."""
     for ds in datasets:
         if not results[ds.id].stats.classified:
             raise ds.error("cannot profile an empty partition: "
                            "no classified tweets")
-    profiles = {ds.id: build_profile(results[ds.id].partition, k=top_k)
+    profiles = {ds.id: build_profile(results[ds.id].partition,
+                                     k=options.top_k)
                 for ds in datasets}
     ids = sorted(profiles)
-    return {x: {y: dis_sim(profiles[x], profiles[y], w1, w2)
+    return {x: {y: dis_sim(profiles[x], profiles[y], options.w1, options.w2)
                 for y in ids if y != x}
             for x in ids}
 
 
-def weight_categories(target_id: str, target_partition,
+def predict_slots(model, target: DisasterDataset, partition, category_ids,
+                  m: int):
+    """(slots of a summary of m, category shares) of the target; too few
+    classified tweets for m names the target's tweets file."""
+    fractions, available = category_shares(target, partition, category_ids)
+    try:
+        return predict_importance(model, fractions, available, m), fractions
+    except ValueError as exc:
+        raise target.error(str(exc)) from exc
+
+
+def weight_categories(target: DisasterDataset, target_partition,
                       training: DisasterDataset, training_partition,
-                      category_ids, m: int, kind: str, *,
-                      ridge_alpha: float = 1.0, prior_precision: float = 1.0,
-                      noise_precision: float = 1.0):
+                      category_ids, options):
     """Fit on the training disaster; return (importance, report fragment)."""
     pairs = build_training_pairs(training, training_partition, category_ids)
-    model = fit(pairs, kind, ridge_alpha=ridge_alpha,
-                prior_precision=prior_precision,
-                noise_precision=noise_precision)
-    fractions, available = category_shares(target_id, target_partition,
-                                           category_ids)
-    importance = predict_importance(model, fractions, available, m)
+    model = fit(pairs, options.regression_kind,
+                ridge_alpha=options.ridge_alpha,
+                prior_precision=options.prior_precision,
+                noise_precision=options.noise_precision)
+    importance, fractions = predict_slots(model, target, target_partition,
+                                          category_ids, options.m)
     model_info = {"kind": model.kind, "slope": model.slope,
                   "intercept": model.intercept}
     if model.kind == "bayesian":
@@ -275,18 +349,13 @@ def weight_categories(target_id: str, target_partition,
     }
 
 
-def selector_config(source) -> SelectorConfig:
-    """A SelectorConfig from the same-named attributes of `source`."""
-    return SelectorConfig(**{f.name: getattr(source, f.name)
-                             for f in fields(SelectorConfig)})
-
-
 def select(dataset: DisasterDataset, partition, importance, ontology: Ontology,
-           use_extended: bool, table, cfg: SelectorConfig) -> dict:
+           table, options) -> dict:
     """The summary's entries and its lines of whitespace-collapsed text."""
-    vocab_by_category = {c.id: c.vocabulary(use_extended)
+    vocab_by_category = {c.id: c.vocabulary(options.use_extended)
                          for c in ontology.categories}
-    summary = summarize(partition, importance, vocab_by_category, table, cfg)
+    summary = summarize(partition, importance, vocab_by_category, table,
+                        selector_config(options))
     tweets_by_id = {t.id: t for t in dataset.tweets}
     return {
         "entries": [asdict(e) for e in summary.entries],
@@ -324,17 +393,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "config": cfg.as_report_dict(),
     }
-    stage = "load-resources"
+    stages = ["load-resources"]
     try:
-        stopwords, lexicon, ontology = load_resources(
-            cfg.ontology, cfg.merges, cfg.stopwords, cfg.lexicon)
+        stopwords, lexicon, ontology = load_resources(cfg)
         table = emb_mod.load_word2vec_text(cfg.embeddings)
 
-        stage = "extend-vocab"
+        stages.append("extend-vocab")
         if cfg.vocab_docs and cfg.approvals:
             candidates, ontology = extend_vocab(
                 ontology, cfg.vocab_docs, cfg.approvals, lexicon, stopwords,
-                cfg.min_freq)
+                cfg)
             report["vocabulary_extension"] = {
                 "candidates": [asdict(c) for c in candidates],
                 "approved": {
@@ -354,14 +422,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             ],
         }
 
-        stage = "load-datasets"
-        datasets = load_datasets([cfg.target, *cfg.candidates], stopwords,
-                                 lexicon)
+        stages.append("load-datasets")
+        datasets, results = categorize(
+            [cfg.target, *cfg.candidates], stopwords, lexicon, ontology, cfg,
+            stages.append)
         target, candidates_ds = datasets[0], datasets[1:]
-
-        stage = "categorize"
-        results = {ds.id: classify_corpus(ds, ontology, cfg.use_extended)
-                   for ds in datasets}
         report["datasets"] = {
             ds_id: {**coverage(r.stats),
                     "category_counts": {cid: len(cell)
@@ -371,9 +436,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         report["target_assignments"] = [
             a.as_dict() for a in results[target.id].assignments]
 
-        stage = "similarity"
-        matrix = similarity_matrix(datasets, results, cfg.top_k, cfg.w1,
-                                   cfg.w2)
+        stages.append("similarity")
+        matrix = similarity_matrix(datasets, results, cfg)
         chosen_id = most_similar(target, candidates_ds, matrix[target.id],
                                  cfg.homogeneous_only)
         chosen_score = matrix[target.id][chosen_id]
@@ -384,22 +448,18 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "most_similar_score": asdict(chosen_score),
         }
 
-        stage = "importance"
+        stages.append("importance")
         training = next(d for d in candidates_ds if d.id == chosen_id)
         importance, report["importance"] = weight_categories(
-            target.id, results[target.id].partition,
+            target, results[target.id].partition,
             training, results[chosen_id].partition,
-            ontology.category_ids(), cfg.m, cfg.regression_kind,
-            ridge_alpha=cfg.ridge_alpha,
-            prior_precision=cfg.prior_precision,
-            noise_precision=cfg.noise_precision)
+            ontology.category_ids(), cfg)
 
-        stage = "summarize"
+        stages.append("summarize")
         report["summary"] = select(target, results[target.id].partition,
-                                   importance, ontology, cfg.use_extended,
-                                   table, selector_config(cfg))
+                                   importance, ontology, table, cfg)
 
-        stage = "evaluate"
+        stages.append("evaluate")
         report["rouge"] = evaluate(report["summary"]["text"], cfg.reference,
                                    stopwords) if cfg.reference else None
     except Exception as exc:
@@ -407,7 +467,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         if quarantine.exists():
             shutil.rmtree(quarantine)
         _write_report(report, quarantine / "report.json")
-        raise PipelineStageError(stage, exc) from exc
+        raise PipelineStageError(stages[-1], exc) from exc
 
     _write_report(report, out_dir / "report.json")
     write_text(out_dir / "summary.txt", lines_text(report["summary"]["text"]))

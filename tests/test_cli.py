@@ -40,6 +40,13 @@ def config_copy(data_dir, tmp_path, **values):
     return path
 
 
+def config_line(path, key):
+    """The number of the line of `path` that sets `key`."""
+    lines = path.read_text("utf-8").splitlines()
+    return 1 + next(i for i, line in enumerate(lines)
+                    if line.partition("=")[0].strip() == key)
+
+
 def bad_approvals(data_dir, tmp_path, row):
     """A copy of tests/data/approvals.csv with `row` as line 10."""
     path = tmp_path / "approvals.csv"
@@ -235,7 +242,8 @@ class TestExtendVocab:
                              "--min-freq", min_freq)
         assert code == 1
         assert out == ""
-        assert err == f"error: min_freq must be >= 1, got {min_freq}\n"
+        assert err == (f"error: --min-freq: min_freq must be >= 1, "
+                       f"got {min_freq}\n")
         assert not cands.exists()
 
 
@@ -372,6 +380,59 @@ class TestSummarizeCommand:
         assert err.startswith("error: imp.json: category "
                               "'affected_population': slot count ")
 
+    def test_length_beyond_classified_tweets_names_tweets_file(
+            self, tmp_path, capsys, data_dir):
+        code, _, err = run(capsys, "summarize",
+                           "--dataset", str(data_dir / "target.jsonl"),
+                           "--ontology", str(data_dir / "ontology.json"),
+                           "--embeddings", str(data_dir / "embeddings.txt"),
+                           "--length", "500",
+                           "--out-json", str(tmp_path / "s.json"))
+        assert code == 1
+        assert err == ("error: target.jsonl: only 60 classified tweets "
+                       "available for a summary of 500 (short by 440)\n")
+        assert not (tmp_path / "s.json").exists()
+
+
+# (argv without --ontology, the flag, its bad value, the message). No
+# input file exists, so each value must fail before any file is read;
+# one-dataset `similarity` never computes a dis_sim.
+BAD_FLAGS = [
+    (["similarity", "--datasets", "missing/t.jsonl"], "--w1", "2",
+     "weights must lie in (0, 1), got w1=2.0, w2=0.5"),
+    (["similarity", "--datasets", "missing/t.jsonl"], "--top-k", "0",
+     "top-k must be positive, got 0"),
+    (["similarity", "--datasets", "missing/t.jsonl", "missing/c.jsonl"],
+     "--w2", "0.7", "weights must sum to 1, got 0.5 + 0.7"),
+    (["extend-vocab", "--docs", "missing/d.txt"], "--min-freq", "0",
+     "min_freq must be >= 1, got 0"),
+    (["importance", "--target", "missing/t.jsonl",
+      "--training", "missing/c.jsonl", "--m", "8"], "--ridge-alpha", "-1",
+     "ridge_alpha must be >= 0, got -1.0"),
+    (["importance", "--target", "missing/t.jsonl",
+      "--training", "missing/c.jsonl", "--m", "8"], "--noise-precision", "0",
+     "prior_precision and noise_precision must be > 0"),
+    (["importance", "--target", "missing/t.jsonl",
+      "--training", "missing/c.jsonl"], "--m", "0",
+     "summary length m must be >= 1, got 0"),
+    (["summarize", "--dataset", "missing/t.jsonl",
+      "--embeddings", "missing/e.txt"], "--lambda", "1.5",
+     "lambda must lie in [0, 1], got 1.5"),
+    (["summarize", "--dataset", "missing/t.jsonl",
+      "--embeddings", "missing/e.txt", "--importance", "missing/i.json"],
+     "--length", "0", "summary length m must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value, message", BAD_FLAGS,
+                         ids=[f"{a[0]}{f}" for a, f, *_ in BAD_FLAGS])
+def test_bad_flag_value_names_flag_before_any_file_is_read(
+        capsys, argv, flag, value, message):
+    code, out, err = run(capsys, *argv, "--ontology", "missing/o.json",
+                         flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag}: {message}\n"
+
 
 class TestPipelineCommand:
     def test_end_to_end_outputs(self, tmp_path, capsys, data_dir):
@@ -494,6 +555,16 @@ class TestPipelineCommand:
         assert code == 1
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("key", ["candidates", "selector_kind"])
+    def test_nul_byte_names_file_and_line(self, tmp_path, capsys, key):
+        # A NUL in a path made Path.resolve() raise "embedded null byte".
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"# comment\n{key} = a\x00b\n", encoding="utf-8")
+        code, _, err = run(capsys, "pipeline", "--config", str(bad),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == f"error: bad.cfg:2: {key} holds a NUL byte\n"
+
     @pytest.mark.parametrize("key", ["ontology", "candidates", "out_dir"])
     def test_empty_required_value_names_file_and_line(self, tmp_path, capsys,
                                                       key):
@@ -552,6 +623,9 @@ class TestPipelineCommand:
         ({"noise_precision": "-2"},
          "prior_precision and noise_precision must be > 0"),
         ({"min_freq": "0"}, "min_freq must be >= 1, got 0"),
+        ({"selector_kind": "dmm"}, "unknown selector 'dmm'"),
+        ({"lam": "1.5"}, "lambda must lie in [0, 1], got 1.5"),
+        ({"m": "0"}, "summary length m must be >= 1, got 0"),
     ])
     def test_bad_stage_parameter_fails_before_any_stage(
             self, tmp_path, capsys, data_dir, values, message):
@@ -559,8 +633,42 @@ class TestPipelineCommand:
         code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
                            "--out-dir", str(tmp_path / "out"))
         assert code == 1
-        assert err == f"error: {message}\n"
+        # The error names the line of the first key given, its culprit.
+        line = config_line(cfg_path, next(iter(values)))
+        assert err == f"error: pipeline.cfg:{line}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_missing_path_names_config_line(self, tmp_path, capsys,
+                                            data_dir):
+        missing = (tmp_path / "Btarget.jsonl").resolve()
+        cfg_path = config_copy(data_dir, tmp_path, target=missing)
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == (f"error: pipeline.cfg:{config_line(cfg_path, 'target')}"
+                       f": target path does not exist: {missing}\n")
+
+    @pytest.mark.parametrize("unset, named", [("approvals", "vocab_docs"),
+                                              ("vocab_docs", "approvals")])
+    def test_half_set_extension_names_config_line(self, tmp_path, capsys,
+                                                  data_dir, unset, named):
+        cfg_path = config_copy(data_dir, tmp_path, **{unset: ""})
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == (f"error: pipeline.cfg:{config_line(cfg_path, named)}: "
+                       "vocab_docs and approvals enable vocabulary extension "
+                       "together; set both or neither\n")
+
+    def test_short_target_names_tweets_file(self, tmp_path, capsys,
+                                            data_dir):
+        cfg_path = config_copy(data_dir, tmp_path, m="500")
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == ("error: stage 'importance' failed: target.jsonl: only "
+                       "70 classified tweets available for a summary of 500 "
+                       "(short by 430)\n")
 
     def test_empty_document_fails_extend_vocab_stage(self, tmp_path,
                                                      capsys, data_dir):

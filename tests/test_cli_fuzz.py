@@ -4,13 +4,15 @@ One fixture file that the pipeline reads is mutated (a flipped byte, a
 truncation, a duplicated or a deleted line; in a JSON file also a
 deleted field or a value of another type) and the whole pipeline runs
 through `cli.main`. It must either succeed with a report that parses,
-or exit 1 with one line on stderr that starts with "error:"; it must
-never raise. An error after a JSON mutation names the mutated file.
+or exit 1 with one line on stderr that starts with "error:" and names
+one of the files the run reads, as "<file>[:<line>]: "; it must never
+raise. An error after a JSON mutation names the mutated file.
 """
 
 import contextlib
 import io
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -25,6 +27,10 @@ PIPELINE_FILES = ("pipeline.cfg", "ontology.json", "target.jsonl",
                   "embeddings.txt", "vocab_docs.txt", "approvals.csv",
                   "reference.txt")
 
+
+# "error: [stage '<name>' failed: ]<file>[:<line>]: <message>"
+NAMES_A_FILE = re.compile(
+    r"error: (?:stage '[\w-]+' failed: )?(?P<file>[^:\n]+)(?::\d+)?: ")
 
 JSON_FILES = ("ontology.json", "target.jsonl", "candidate_quake.jsonl")
 # One value of each JSON type; a value is replaced by one of another type.
@@ -117,6 +123,8 @@ def run_mutated(work_dir, name, mutated):
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1 \
             and err.endswith("\n"), err
+        named = NAMES_A_FILE.match(err)
+        assert named and named["file"] in PIPELINE_FILES, err
     return code, err
 
 
