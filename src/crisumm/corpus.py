@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .textfile import InputError, content_lines
+from .textfile import LONE_SURROGATE, InputError, content_lines
 
 DISASTER_TYPES = frozenset({"natural", "man-made"})
 
@@ -140,11 +140,17 @@ def extract_keywords(tokens: list[str] | tuple[str, ...],
     return frozenset(t for t in tokens if lexicon.tag(t) in KEYWORD_TAGS)
 
 
-def make_tweet(tweet_id: str, raw_text: str, stopwords: frozenset[str],
-               lexicon: PosLexicon) -> Tweet:
-    tokens = preprocess_text(raw_text, stopwords)
-    return Tweet(id=tweet_id, raw_text=raw_text,
-                 keywords=extract_keywords(tokens, lexicon))
+def _check_strings(path: Path, record: dict, kind: str,
+                   keys: tuple[str, ...], lineno: int) -> None:
+    """Each of `keys` in `record` must be a string UTF-8 can encode."""
+    for key in keys:
+        if key not in record:
+            continue
+        if not isinstance(record[key], str):
+            raise InputError(path, f"{kind} {key} is not a string", lineno)
+        if LONE_SURROGATE.search(record[key]):
+            raise InputError(path, f"{kind} {key} holds a lone surrogate",
+                             lineno)
 
 
 def load_tweets(path: str | Path, stopwords: frozenset[str],
@@ -155,8 +161,14 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
     "continent"; every following line is a tweet object with "id" and
     "text", plus "gold_category" on tweets belonging to the gold
     summary. All of these are strings. Record order is preserved.
+
+    A tweet's keywords are the union of its whitespace pieces' keywords:
+    the patterns `preprocess_text` removes never span whitespace, so a
+    piece's keywords do not depend on its neighbours. Each distinct
+    piece is tokenized once per call.
     """
     path = Path(path)
+    piece_keywords: dict[str, frozenset[str]] = {}
     header = None
     tweets: list[Tweet] = []
     gold: list[tuple[str, str]] = []
@@ -179,27 +191,31 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
                     or disaster_type not in DISASTER_TYPES:
                 raise InputError(path, f"disaster_type must be one of "
                                  f"{sorted(DISASTER_TYPES)}", lineno)
-            for key in ("id", "continent"):
-                if not isinstance(record[key], str):
-                    raise InputError(path, f"header {key} is not a "
-                                     f"string", lineno)
+            _check_strings(path, record, "header", ("id", "continent"),
+                           lineno)
             header = record
             continue
         missing = {"id", "text"} - record.keys()
         if missing:
             raise InputError(path, f"tweet record missing "
                              f"{sorted(missing)}", lineno)
-        for key in ("id", "text", "gold_category"):
-            if key in record and not isinstance(record[key], str):
-                raise InputError(path, f"tweet {key} is not a string",
-                                 lineno)
+        _check_strings(path, record, "tweet", ("id", "text", "gold_category"),
+                       lineno)
         tweet_id = record["id"]
         if tweet_id in seen:
             raise InputError(path, f"duplicate tweet id {tweet_id!r}",
                              lineno)
         seen.add(tweet_id)
-        tweets.append(make_tweet(tweet_id, record["text"], stopwords,
-                                 lexicon))
+        text = record["text"]
+        keywords = []
+        for piece in text.split():
+            found = piece_keywords.get(piece)
+            if found is None:
+                found = piece_keywords[piece] = extract_keywords(
+                    preprocess_text(piece, stopwords), lexicon)
+            keywords.append(found)
+        tweets.append(Tweet(id=tweet_id, raw_text=text,
+                            keywords=frozenset().union(*keywords)))
         if "gold_category" in record:
             gold.append((tweet_id, record["gold_category"]))
     if header is None:

@@ -279,9 +279,12 @@ def categorize(paths: list, stopwords, lexicon, ontology: Ontology, options,
     `options.use_extended`: (datasets, result by dataset id). `enter` is
     called with "categorize" once the files are loaded."""
     datasets = [corpus.load_tweets(p, stopwords, lexicon) for p in paths]
-    ids = [d.id for d in datasets]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate dataset ids among {ids}")
+    first: dict[str, DisasterDataset] = {}
+    for ds in datasets:
+        earlier = first.setdefault(ds.id, ds)
+        if earlier is not ds:
+            raise ds.error(f"dataset id {ds.id!r} is also the id of "
+                           f"{earlier.path}")
     if enter:
         enter("categorize")
     return datasets, {ds.id: classify_corpus(ds, ontology,

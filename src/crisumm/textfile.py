@@ -6,10 +6,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
+
+
+# A JSON escape such as \ud800 can put one into a str, and UTF-8 cannot
+# encode it, so no output file could hold it.
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class InputError(ValueError):
@@ -64,13 +70,17 @@ def read_text(path: str | Path) -> str:
 
 
 def read_json(path: str | Path):
-    """The JSON value in `path`; a syntax error names its line."""
+    """The JSON value in `path`; a syntax error names its line, and a
+    string holding a lone surrogate is an error too."""
     text = read_text(path)
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(path, f"invalid JSON ({exc.msg})",
                          exc.lineno) from exc
+    if LONE_SURROGATE.search(json.dumps(value, ensure_ascii=False)):
+        raise InputError(path, "a JSON string holds a lone surrogate")
+    return value
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -6,6 +6,7 @@ deliberately shares no code with the package under test.
 
 from __future__ import annotations
 
+import re
 from math import fsum, isfinite, log2, sqrt
 from sys import float_info
 from pathlib import Path
@@ -20,6 +21,37 @@ from crisumm.textfile import InputError
 def make_tweet(tweet_id: str, keywords) -> Tweet:
     return Tweet(id=tweet_id, raw_text=" ".join(sorted(keywords)),
                  keywords=frozenset(keywords))
+
+
+# --- tweet keywords ---------------------------------------------------
+
+_URL = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+_MENTION = re.compile(r"@\S+")
+_EMOJI = re.compile("[\U0001F000-\U0001F0FF\U0001F100-\U0001F1FF"
+                    "\U0001F300-\U0001F9FF\U0001FA00-\U0001FAFF"
+                    "\u2600-\u27BF\uFE00-\uFE0F\u200D]+")
+_EDGE = re.compile(r"^[\W_]+|[\W_]+$")
+
+
+def tweet_keywords(raw: str, stopwords, tags: dict) -> frozenset:
+    """The keywords of one whole tweet text, tokenized in one pass.
+
+    URLs, then mentions, then emoji runs become spaces; each remaining
+    whitespace piece loses its leading and trailing non-alphanumerics
+    and is lowercased. A token is a keyword if it has 3 or more
+    characters, holds a letter, is no stopword, and `tags` (word ->
+    part of speech, default noun) makes it a noun, verb or adjective.
+    """
+    text = _EMOJI.sub(" ", _MENTION.sub(" ", _URL.sub(" ", raw)))
+    keywords = set()
+    for piece in text.split():
+        token = _EDGE.sub("", piece).lower()
+        if (len(token) >= 3 and any(ch.isalpha() for ch in token)
+                and token not in stopwords
+                and tags.get(token, "noun") in ("noun", "verb",
+                                                "adjective")):
+            keywords.add(token)
+    return frozenset(keywords)
 
 
 # --- word2vec text ----------------------------------------------------

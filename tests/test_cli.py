@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -193,13 +194,15 @@ class TestSimilarity:
 
     def test_duplicate_dataset_ids_rejected(self, tmp_path, capsys,
                                             data_dir):
-        code, _, err = run(capsys, "similarity",
-                           "--datasets",
-                           str(data_dir / "target.jsonl"),
-                           str(data_dir / "target.jsonl"),
-                           "--ontology", str(data_dir / "ontology.json"))
-        assert code == 1
-        assert "duplicate" in err
+        copy = tmp_path / "copy.jsonl"
+        shutil.copyfile(data_dir / "target.jsonl", copy)
+        code, out, err = run(capsys, "similarity",
+                             "--datasets", str(data_dir / "target.jsonl"),
+                             str(copy),
+                             "--ontology", str(data_dir / "ontology.json"))
+        assert (code, out) == (1, "")
+        assert err == ("error: copy.jsonl: dataset id 'flood_asia_2019' is "
+                       f"also the id of {data_dir / 'target.jsonl'}\n")
 
     def test_empty_partition_names_tweets_file(self, tmp_path, capsys,
                                                data_dir):
@@ -670,6 +673,35 @@ class TestPipelineCommand:
                        "70 classified tweets available for a summary of 500 "
                        "(short by 430)\n")
 
+    def test_duplicate_dataset_id_fails_load_datasets_stage(
+            self, tmp_path, capsys, data_dir):
+        copy = tmp_path / "copy.jsonl"
+        shutil.copyfile(data_dir / "target.jsonl", copy)
+        cfg_path = config_copy(data_dir, tmp_path, candidates=", ".join(
+            [str(data_dir / "candidate_quake.jsonl"), str(copy)]))
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err == ("error: stage 'load-datasets' failed: copy.jsonl: "
+                       "dataset id 'flood_asia_2019' is also the id of "
+                       f"{data_dir / 'target.jsonl'}\n")
+
+    def test_lone_surrogate_fails_before_any_output(self, tmp_path, capsys,
+                                                    data_dir):
+        target = tmp_path / "target.jsonl"
+        lines = (data_dir / "target.jsonl").read_text("utf-8").splitlines()
+        lines[1] = lines[1].replace('"text": "', '"text": "caf\\ud800e ')
+        target.write_text("".join(line + "\n" for line in lines),
+                          encoding="utf-8")
+        cfg_path = config_copy(data_dir, tmp_path, target=target)
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                           "--out-dir", str(out_dir))
+        assert code == 1
+        assert err == ("error: stage 'load-datasets' failed: target.jsonl:2: "
+                       "tweet text holds a lone surrogate\n")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["quarantine"]
+
     def test_empty_document_fails_extend_vocab_stage(self, tmp_path,
                                                      capsys, data_dir):
         empty = tmp_path / "empty.txt"
@@ -754,6 +786,18 @@ class TestExitCodes:
         assert code == 1
         assert err == \
             f"error: {name}:3: invalid JSON (Expecting ',' delimiter)\n"
+
+    @pytest.mark.parametrize("name, argv", [
+        (name, argv) for name, argv in INPUT_COMMANDS
+        if name.endswith(".json")])
+    def test_json_lone_surrogate_names_file(self, tmp_path, capsys,
+                                            data_dir, name, argv):
+        bad = tmp_path / name
+        bad.write_text('{"a": "caf\\ud800e"}\n', encoding="utf-8")
+        code, _, err = run(capsys, *map(str, argv(data_dir, bad, tmp_path)))
+        assert code == 1
+        assert err == \
+            f"error: {name}: a JSON string holds a lone surrogate\n"
 
     @pytest.mark.parametrize("header, tweet, message", [
         ({"id": 7}, {}, "1: header id is not a string"),

@@ -81,22 +81,30 @@ def _slots(value):
 
 @st.composite
 def json_mutations(draw):
-    """(file name, its bytes with one JSON field deleted or one JSON
-    value replaced by a value of another type)."""
+    """(file name, its bytes with one JSON field deleted, one JSON value
+    replaced by a value of another type, or one JSON string given a
+    lone surrogate, written as the escape \\ud800)."""
     name = draw(st.sampled_from(JSON_FILES))
     text = (DATA / name).read_text(encoding="utf-8")
     jsonl = name.endswith(".jsonl")
     docs = [json.loads(line) for line in text.splitlines()] if jsonl \
         else [json.loads(text)]
     doc = docs[draw(st.integers(0, len(docs) - 1))]
-    if draw(st.booleans()):
+    how = draw(st.sampled_from(["delete", "retype", "surrogate"]))
+    if how == "delete":
         container, key = draw(st.sampled_from(
             [(c, k) for c, k in _slots(doc) if isinstance(c, dict)]))
         del container[key]
-    else:
+    elif how == "retype":
         container, key = draw(st.sampled_from(list(_slots(doc))))
         container[key] = draw(st.sampled_from(
             [r for r in REPLACEMENTS if type(r) is not type(container[key])]))
+    else:
+        container, key = draw(st.sampled_from(
+            [(c, k) for c, k in _slots(doc) if isinstance(c[k], str)]))
+        at = draw(st.integers(0, len(container[key])))
+        container[key] = container[key][:at] + "\ud800" \
+            + container[key][at:]
     mutated = "".join(json.dumps(d) + "\n" for d in docs) if jsonl \
         else json.dumps(docs[0], indent=2)
     return name, mutated.encode("utf-8")

@@ -1,14 +1,19 @@
 import hashlib
 import json
+import re
 from collections import Counter
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from crisumm.corpus import (PosLexicon, extract_keywords, load_lexicon,
-                            load_stopwords, load_tweets, preprocess_text)
+from crisumm.corpus import (_EMOJI_RE, _MENTION_RE, _URL_RE, PosLexicon,
+                            extract_keywords, load_lexicon, load_stopwords,
+                            load_tweets, preprocess_text)
 from crisumm.textfile import InputError
+
+from oracles import tweet_keywords
 
 STOPWORDS_SHA256 = \
     "09849d84e49bc0621dc088b8dcae4c4d2db0c139542daad55d42b7a4cfe64b9f"
@@ -201,6 +206,89 @@ class TestLoadTweets:
         with pytest.raises(InputError,
                            match=r"^tweets.jsonl:3: not valid UTF-8$"):
             load_tweets(path, stopwords, lexicon)
+
+
+    @pytest.mark.parametrize("header, tweet, message", [
+        ({"id": "d\ud800"}, {}, "1: header id"),
+        ({"continent": "\udfffasia"}, {}, "1: header continent"),
+        ({}, {"id": "t\udc00"}, "2: tweet id"),
+        ({}, {"text": "caf\ud800e"}, "2: tweet text"),
+        ({}, {"gold_category": "c\ud800"}, "2: tweet gold_category"),
+    ], ids=["header_id", "continent", "tweet_id", "text", "gold_category"])
+    def test_lone_surrogate_names_field_and_line(self, tmp_path, stopwords,
+                                                 lexicon, header, tweet,
+                                                 message):
+        path = self._write(tmp_path, [json.dumps(record) for record in (
+            {"id": "d", "disaster_type": "natural", "continent": "asia",
+             **header},
+            {"id": "t1", "text": "flood", **tweet})])
+        with pytest.raises(InputError) as excinfo:
+            load_tweets(path, stopwords, lexicon)
+        assert str(excinfo.value) == \
+            f"tweets.jsonl:{message} holds a lone surrogate"
+
+    def test_surrogate_pair_is_one_character(self, tmp_path, stopwords,
+                                             lexicon):
+        path = self._write(tmp_path, [
+            self._header(), '{"id": "t1", "text": "flood \\ud83d\\ude00"}'])
+        [tweet] = load_tweets(path, stopwords, lexicon).tweets
+        assert tweet.raw_text == "flood \U0001F600"
+
+
+# Pieces of tweet text for the keyword tests: URLs, mentions, emoji and
+# ZWJ sequences, hashtags, wrapped words, case variants, stopwords.
+FRAGMENTS = [
+    "http://t.co/x", "HTTPS://Ex.com/a?b=1", "www.news.example/x",
+    "see:http://t.co/y", "xwww.a", "@user", "@@x", "a@b.com", "RT",
+    "😢", "🙏🏽", "👩‍🚒", "flood😢water", "❤️", "☔️", "‍", "#NepalQuake",
+    "##relief", "#", "(flood)", "...rescue!!", "'bridge'", "—water—",
+    "_road_", "Flood", "FLOOD", "flood", "fLoOd", "the", "and", "is",
+    "nh10", "12345", "über", "x2", "ab", "quickly", "destroyed", "a_b",
+]
+# Separators, Unicode whitespace among them; "" glues two fragments.
+SEPARATORS = [" ", "", "  ", "\t", "\n", "\xa0", "\x1c", "\x85",
+              "\u2028", "\u3000"]
+
+tweet_texts = st.lists(
+    st.tuples(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=4)),
+              st.sampled_from(SEPARATORS)),
+    max_size=12).map(lambda parts: "".join(a + b for a, b in parts))
+
+
+class TestPieceKeywords:
+    """load_tweets tokenizes each distinct whitespace piece once; a
+    tweet's keywords must still be those of its whole text."""
+
+    @pytest.fixture(scope="class")
+    def tweets_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("pieces") / "tweets.jsonl"
+
+    @given(texts=st.lists(tweet_texts, min_size=1, max_size=6))
+    def test_keywords_equal_the_whole_text_oracle(self, tweets_file,
+                                                   stopwords, lexicon,
+                                                   texts):
+        records = [{"id": "d", "disaster_type": "natural",
+                    "continent": "asia"}]
+        records += [{"id": f"t{i}", "text": text}
+                    for i, text in enumerate(texts)]
+        tweets_file.write_text("".join(json.dumps(r) + "\n" for r in records),
+                               encoding="utf-8")
+        dataset = load_tweets(tweets_file, stopwords, lexicon)
+        assert [t.keywords for t in dataset.tweets] == \
+            [tweet_keywords(text, stopwords, lexicon.tags) for text in texts]
+
+    def test_regex_whitespace_is_str_whitespace(self):
+        every = "".join(map(chr, range(0x110000)))
+        assert [m.start() for m in re.finditer(r"\s", every)] == \
+            [i for i, ch in enumerate(every) if ch.isspace()]
+
+    @given(text=st.lists(st.one_of(st.sampled_from(FRAGMENTS + SEPARATORS),
+                                   st.text(max_size=4))).map("".join))
+    def test_removed_patterns_never_span_whitespace(self, text):
+        for pattern in (_URL_RE, _MENTION_RE, _EMOJI_RE):
+            for match in pattern.finditer(text):
+                assert not any(ch.isspace() for ch in match.group()), \
+                    (pattern.pattern, match.group())
 
 
 class TestResourceFiles:
