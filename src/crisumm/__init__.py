@@ -12,7 +12,7 @@ from .corpus import (
 )
 from .ontology import Category, Ontology, load_ontology
 from .embeddings import EmbeddingTable, cosine, load_word2vec_text
-from .categorizer import classify, classify_corpus, sem_sim
+from .categorizer import classify, classify_corpus
 from .disaster_sim import build_profile, cat_ic, cat_p, dis_sim, most_similar
 from .importance import (
     ImportanceVector,
@@ -38,7 +38,7 @@ __all__ = [
     "load_tweets", "preprocess_text",
     "Category", "Ontology", "load_ontology",
     "EmbeddingTable", "cosine", "load_word2vec_text",
-    "classify", "classify_corpus", "sem_sim",
+    "classify", "classify_corpus",
     "build_profile", "cat_ic", "cat_p", "dis_sim", "most_similar",
     "ImportanceVector", "RegressionModel", "build_training_pairs", "fit",
     "predict_importance",

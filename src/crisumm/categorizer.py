@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .corpus import DisasterDataset, Tweet
-from .ontology import Category, Ontology
+from .ontology import Ontology
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,6 @@ class ClassificationResult:
     assignments: tuple[CategoryAssignment, ...]
     partition: dict[str, tuple[Tweet, ...]]
     stats: CorpusStats
-
-
-def sem_sim(tweet: Tweet, category: Category, use_extended: bool) -> int:
-    """Keyword overlap count between a tweet and a category vocabulary."""
-    return len(tweet.keywords & category.vocabulary(use_extended))
 
 
 def classify(tweet: Tweet, ontology: Ontology,

@@ -52,17 +52,21 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str],
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest-common-subsequence length with a rolling-row table."""
-    previous = [0] * (len(b) + 1)
+    """Longest-common-subsequence length, one row of the table per step.
+
+    The bit-parallel recurrence of Allison & Dix (1986) and Hyyrö
+    (2004): bit j of `v` is clear where the table row grows at column j,
+    so the LCS is the number of clear bits among the len(b) kept.
+    """
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for token in a:
-        current = [0]
-        for j, other in enumerate(b, start=1):
-            if token == other:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:

@@ -83,9 +83,6 @@ class Summary:
                 f"importance vector {expected}"
             )
 
-    def tweet_ids(self) -> tuple[str, ...]:
-        return tuple(e.tweet_id for e in self.entries)
-
 
 def keyword_relevance(words: Iterable[str], vocab: Iterable[str],
                       emb: EmbeddingTable) -> dict[str, float]:
@@ -95,17 +92,24 @@ def keyword_relevance(words: Iterable[str], vocab: Iterable[str],
     word that has an embedding (the first maximum, as max() over the
     sorted vocabulary would take), floored at 0; a word without an
     embedding, or a vocabulary without one, contributes 0.
+
+    The words are scored one vocabulary word at a time: `cosines` is
+    symmetric bit for bit, so each word gets the same values as against
+    the whole vocabulary matrix, and a running best raised only where a
+    later vocabulary word scores strictly more keeps the first maximum.
     """
-    rows = emb.rows(sorted(set(vocab)))
-    dots = self_dots(rows)
-    relevance: dict[str, float] = {}
-    for word in words:
-        vec = emb.get(word)
-        if vec is None or not len(rows):
-            relevance[word] = 0.0
-            continue
-        values = cosines(rows, vec, dots)
-        relevance[word] = max(float(values[np.argmax(values)]), 0.0)
+    relevance = dict.fromkeys(words, 0.0)
+    embedded = [w for w in relevance if w in emb]
+    rows = emb.rows(sorted(set(vocab)) + embedded)
+    vocab_rows, keys = np.split(rows, [len(rows) - len(embedded)])
+    if len(vocab_rows) and len(keys):
+        key_dots = self_dots(keys)
+        best = np.full(len(keys), -math.inf)
+        for row in vocab_rows:
+            values = cosines(keys, row, key_dots)
+            np.copyto(best, values, where=values > best)
+        relevance.update(zip(embedded, (max(value, 0.0)
+                                        for value in best.tolist())))
     return relevance
 
 

@@ -23,6 +23,11 @@ def make_tweet(tweet_id: str, keywords) -> Tweet:
                  keywords=frozenset(keywords))
 
 
+def tweet_ids(summary) -> tuple:
+    """The summary's tweet ids in selection order."""
+    return tuple(entry.tweet_id for entry in summary.entries)
+
+
 # --- tweet keywords ---------------------------------------------------
 
 _URL = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -397,6 +402,14 @@ def random_instance(rng: np.random.Generator, max_tweets=10, max_keywords=6,
 
 # --- categorization ---------------------------------------------------
 
+def sem_sim(tweet: Tweet, category, use_extended):
+    """How many of the tweet's keywords the category's vocabulary holds."""
+    vocab = set(category.seed_keywords)
+    if use_extended:
+        vocab |= category.extended_keywords
+    return sum(1 for w in tweet.keywords if w in vocab)
+
+
 def classify(tweet: Tweet, ontology, use_extended):
     """(category id, score, matched_by) from one overlap per category.
 
@@ -405,10 +418,7 @@ def classify(tweet: Tweet, ontology, use_extended):
     """
     best, best_score = None, 0
     for category in sorted(ontology.categories, key=lambda c: c.id):
-        vocab = set(category.seed_keywords)
-        if use_extended:
-            vocab |= category.extended_keywords
-        score = sum(1 for w in tweet.keywords if w in vocab)
+        score = sem_sim(tweet, category, use_extended)
         if score > best_score:
             best, best_score = category, score
     if best is None:

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crisumm.categorizer import (CategoryAssignment, classify,
-                                 classify_corpus, sem_sim)
+                                 classify_corpus)
 from crisumm.corpus import DisasterDataset
 from crisumm.ontology import Category, Ontology
 
 import oracles
-from oracles import make_tweet
+from oracles import make_tweet, sem_sim
 
 
 def make_ontology(**vocab):

@@ -336,3 +336,46 @@ def test_cosines_match_per_pair_cosine_bitwise(vectors, data):
         == _bits(want)
     assert _bits(cosine(r, v) for r in rows) == _bits(want)
     assert all(-1.0 <= w <= 1.0 for w in want)
+
+
+_PIVOT_SCALES = [0.5, 3.0, 1e-170, 1e-160, 1e160, 1e300]
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two matrices of one dimension, split from one stacked array as
+    `keyword_relevance` splits its vocabulary and keyword rows. A row is
+    fresh, zero, or an equal or scaled copy of an earlier row of either."""
+    dim = draw(st.sampled_from([1, 3, 17, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = [draw(st.integers(1, 5)), draw(st.integers(1, 5))]
+    vectors = []
+    for _ in range(sum(sizes)):
+        how = draw(st.sampled_from(["fresh", "small", "zero", "copy",
+                                    "scale"]))
+        if how == "zero":
+            vec = np.zeros(dim)
+        elif how == "small":
+            vec = rng.integers(-2, 3, size=dim).astype(np.float64)
+        elif how == "fresh" or not vectors:
+            vec = rng.normal(size=dim)
+        else:
+            factor = 1.0 if how == "copy" else \
+                draw(st.sampled_from(_PIVOT_SCALES))
+            with np.errstate(over="ignore"):
+                vec = draw(st.sampled_from(vectors)) * factor
+        vectors.append(vec if np.isfinite(vec).all() else rng.normal(
+            size=dim))
+    return np.split(np.stack(vectors), [sizes[0]])
+
+
+@given(matrix_pairs())
+def test_cosines_are_symmetric_bitwise(pair):
+    # keyword_relevance scores its keywords against one vocabulary row
+    # at a time, which gives the bits of the other way round only if
+    # cosines(A, b_j)[i] is cosines(B, a_i)[j].
+    a, b = pair
+    a_dots, b_dots = embeddings.self_dots(a), embeddings.self_dots(b)
+    for j, b_j in enumerate(b):
+        assert _bits(embeddings.cosines(a, b_j, a_dots)) == \
+            _bits(embeddings.cosines(b, a_i, b_dots)[j] for a_i in a)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crisumm import rouge
 from crisumm.rouge import rouge_l, rouge_n, score_summary
 
 import oracles
@@ -96,6 +97,40 @@ class TestProperties:
             want = oracles.rouge_l_scores(a, b)
             assert (ours.precision, ours.recall, ours.f1) == \
                 pytest.approx(want, abs=1e-12)
+
+
+class TestLongInputs:
+    """The bit-parallel LCS against the quadratic table, on inputs far
+    longer than a word of bits and up to the benchmark's summary size."""
+
+    @pytest.mark.parametrize("len_a, len_b, vocab", [
+        (0, 1000, 5),       # empty candidate
+        (1000, 0, 5),       # empty reference
+        (1000, 1000, 1),    # every cell matches
+        (1, 1000, 1),
+        (1000, 1, 1),
+        (1000, 640, 2),     # long runs of repeats, long carries
+        (63, 65, 3),
+        (250, 800, 400),    # a stream-10k summary against its reference
+        (700, 1000, 300),
+    ])
+    def test_matches_the_quadratic_oracle(self, len_a, len_b, vocab):
+        rng = np.random.default_rng(len_a * 7919 + len_b * 31 + vocab)
+        a = random_tokens(rng, len_a, len_a, vocab)
+        b = random_tokens(rng, len_b, len_b, vocab)
+        assert rouge._lcs_length(a, b) == oracles.lcs_length(a, b)
+        ours = rouge_l(a, b)
+        want = oracles.rouge_l_scores(a, b)
+        assert [ours.precision.hex(), ours.recall.hex(), ours.f1.hex()] == \
+            [float(w).hex() for w in want]
+
+    def test_subsequence_and_reversal(self):
+        rng = np.random.default_rng(89)
+        b = random_tokens(rng, 900, 900, 40)
+        a = [t for t, keep in zip(b, rng.random(len(b)) < 0.3) if keep]
+        assert rouge._lcs_length(a, b) == len(a)
+        assert rouge._lcs_length(b[::-1], b) == \
+            oracles.lcs_length(b[::-1], b)
 
 
 class TestReport:

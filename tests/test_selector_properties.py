@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crisumm import selector as sel
-from crisumm.embeddings import EmbeddingTable
+from crisumm.embeddings import EmbeddingTable, self_dots
 from crisumm.selector import SelectorConfig, dmmr_select, select_category
 
 import oracles
@@ -134,6 +134,51 @@ def test_each_sim1_contribution_is_the_best_per_pair_cosine(instance):
         want = 0.0 if word not in emb or not others else max(
             max(oracles.cosine_exact(emb.get(word), o) for o in others), 0.0)
         assert value.hex() == want.hex()
+
+
+def _per_keyword_relevance(words, vocab, emb):
+    """`keyword_relevance` one keyword at a time against the whole
+    vocabulary matrix, taking the first maximum with argmax."""
+    rows = emb.rows(sorted(set(vocab)))
+    dots = self_dots(rows)
+    relevance = {}
+    for word in words:
+        if word not in emb or not len(rows):
+            relevance[word] = 0.0
+            continue
+        values = sel.cosines(rows, emb.get(word), dots)
+        relevance[word] = max(float(values[np.argmax(values)]), 0.0)
+    return relevance
+
+
+@given(instances(factors=EXTREME))
+def test_keyword_relevance_matches_the_per_keyword_form(instance):
+    tweets, _, vocab, _, _, emb, _ = instance
+    # A twin of every embedded vocabulary word ties every best cosine.
+    twins = {f"{w}_twin": emb.get(w) for w in vocab if w in emb}
+    emb = EmbeddingTable(DIM, {**emb.vectors, **twins})
+    vocab = vocab | twins.keys()
+    words = {w for t in tweets for w in t.keywords} | twins.keys()
+    got = sel.keyword_relevance(words, vocab, emb)
+    want = _per_keyword_relevance(words, vocab, emb)
+    assert got.keys() == want.keys()
+    assert _bits(got[w] for w in sorted(got)) == \
+        _bits(want[w] for w in sorted(want))
+
+
+def test_keyword_relevance_keeps_the_first_maximum(monkeypatch):
+    # Every pair ties at zero, and the sign of the zero tells which
+    # vocabulary word won; the stub is symmetric, as cosines is.
+    def signed_zeros(rows, v, row_dots=None):
+        return np.array([-0.0 if (r[0] + v[0]) % 2 else 0.0 for r in rows])
+
+    monkeypatch.setattr(sel, "cosines", signed_zeros)
+    emb = EmbeddingTable(1, {word: np.array([value]) for word, value in [
+        ("v0", 1.0), ("v1", 0.0), ("v2", 0.0), ("k0", 0.0), ("k1", 1.0)]})
+    got = sel.keyword_relevance(["k0", "k1"], ["v2", "v1", "v0"], emb)
+    want = _per_keyword_relevance(["k0", "k1"], ["v0", "v1", "v2"], emb)
+    assert _bits([got["k0"], got["k1"]]) == _bits([-0.0, 0.0])
+    assert _bits([want["k0"], want["k1"]]) == _bits([-0.0, 0.0])
 
 
 @given(instances())
