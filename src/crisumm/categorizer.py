@@ -16,33 +16,6 @@ from .ontology import Ontology
 
 
 @dataclass(frozen=True)
-class CategoryAssignment:
-    """Outcome of classifying one tweet.
-
-    `category_id` is None for unclassified tweets; `matched_by` records
-    whether the winning overlap came from seed words, extended words,
-    or both.
-    """
-
-    tweet_id: str
-    category_id: str | None
-    score: int
-    matched_by: str
-
-    def as_dict(self) -> dict:
-        """The assignment as a report row."""
-        return {"tweet_id": self.tweet_id, "category_id": self.category_id,
-                "score": self.score, "matched_by": self.matched_by}
-
-    def __post_init__(self) -> None:
-        if (self.score >= 1) != (self.category_id is not None):
-            raise ValueError(
-                f"assignment for {self.tweet_id!r}: score {self.score} is "
-                f"inconsistent with category {self.category_id!r}"
-            )
-
-
-@dataclass(frozen=True)
 class CorpusStats:
     """Classification coverage counts for one dataset.
 
@@ -71,23 +44,32 @@ class CorpusStats:
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    assignments: tuple[CategoryAssignment, ...]
+    """A dataset classified against an ontology.
+
+    `assignments` holds one report row per tweet, in dataset order (see
+    `classify`); `partition` holds the classified tweets by category.
+    """
+
+    dataset: DisasterDataset
+    assignments: tuple[dict, ...]
     partition: dict[str, tuple[Tweet, ...]]
     stats: CorpusStats
 
 
-def classify(tweet: Tweet, ontology: Ontology,
-             use_extended: bool) -> CategoryAssignment:
-    """Assign the tweet to its highest-overlap category.
+def classify(tweet: Tweet, ontology: Ontology, use_extended: bool) -> dict:
+    """Assign the tweet to its highest-overlap category: the row
+    {"tweet_id", "category_id", "score", "matched_by"}.
 
     Ties go to the lexicographically smallest category id; zero overlap
-    everywhere leaves the tweet unclassified.
+    everywhere leaves the tweet unclassified, with category_id None,
+    score 0 and matched_by "none". Otherwise matched_by records whether
+    the winning overlap came from seed words, extended words, or both.
     """
     return _classifier(ontology, use_extended)(tweet)
 
 
 def _classifier(ontology: Ontology, use_extended: bool
-                ) -> Callable[[Tweet], CategoryAssignment]:
+                ) -> Callable[[Tweet], dict]:
     """`classify` against one ontology, with each vocabulary built once.
 
     A keyword -> categories index lets each tweet count hits only in
@@ -99,13 +81,14 @@ def _classifier(ontology: Ontology, use_extended: bool
         for word in category.vocabulary(use_extended):
             index.setdefault(word, []).append(pos)
 
-    def assign(tweet: Tweet) -> CategoryAssignment:
+    def assign(tweet: Tweet) -> dict:
         hits: dict[int, int] = {}
         for word in tweet.keywords:
             for pos in index.get(word, ()):
                 hits[pos] = hits.get(pos, 0) + 1
         if not hits:
-            return CategoryAssignment(tweet.id, None, 0, "none")
+            return {"tweet_id": tweet.id, "category_id": None, "score": 0,
+                    "matched_by": "none"}
         score = max(hits.values())
         best = categories[min(pos for pos, n in hits.items() if n == score)]
         seed_hits = not tweet.keywords.isdisjoint(best.seed_keywords)
@@ -117,7 +100,8 @@ def _classifier(ontology: Ontology, use_extended: bool
             matched_by = "extended"
         else:
             matched_by = "seed"
-        return CategoryAssignment(tweet.id, best.id, score, matched_by)
+        return {"tweet_id": tweet.id, "category_id": best.id,
+                "score": score, "matched_by": matched_by}
 
     return assign
 
@@ -138,10 +122,10 @@ def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
                                      for c in ontology.categories))
     seed_classified = 0
     for tweet in dataset.tweets:
-        assignment = assign(tweet)
-        assignments.append(assignment)
-        if assignment.category_id is not None:
-            cells.setdefault(assignment.category_id, []).append(tweet)
+        row = assign(tweet)
+        assignments.append(row)
+        if row["category_id"] is not None:
+            cells.setdefault(row["category_id"], []).append(tweet)
         if not tweet.keywords.isdisjoint(seed_words):
             seed_classified += 1
     classified = sum(len(cell) for cell in cells.values())
@@ -152,8 +136,5 @@ def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
         extended_gain=classified - seed_classified,
     )
     partition = {cat_id: tuple(tweets) for cat_id, tweets in cells.items()}
-    return ClassificationResult(
-        assignments=tuple(assignments),
-        partition=partition,
-        stats=stats,
-    )
+    return ClassificationResult(dataset, tuple(assignments), partition,
+                                stats)

@@ -6,15 +6,17 @@ import argparse
 import json
 import sys
 
-from . import corpus, ontology as onto
+from . import ontology as onto
+from .categorizer import ClassificationResult
 from .embeddings import load_word2vec_text
 from .importance import REGRESSION_KINDS, ImportanceVector, RegressionModel
 from .pipeline import (CHECKS, DEFAULTS, KINDS, PipelineStageError,
                        categorize, coverage, evaluate, extend_vocab,
-                       load_config, load_resources, predict_slots,
-                       run_checks, run_pipeline, select, similarity_matrix,
-                       weight_categories)
+                       load_config, load_resources, load_stopword_list,
+                       predict_slots, run_checks, run_pipeline, select,
+                       similarity_matrix, weight_categories)
 # Bound here only so that bench/spans.py can wrap them in this module.
+from . import corpus  # noqa: F401
 from .pipeline import (build_profile, build_training_pairs,  # noqa: F401
                        classify_corpus, dis_sim, fit, most_similar,
                        predict_importance, score_summary, summarize)
@@ -62,14 +64,11 @@ def _add_option(parser: argparse.ArgumentParser, key: str,
 
 
 def _categorize(args, *paths):
-    """The ontology of `args`, and the dataset and classification result
-    of each tweets file in `paths`."""
+    """The ontology of `args`, and the classification result of each
+    tweets file in `paths`; two files may share a dataset id."""
     resources = load_resources(args)
-    pairs = []
-    for path in paths:
-        [dataset], results = categorize([path], *resources, args)
-        pairs.append((dataset, results[dataset.id]))
-    return resources[2], pairs
+    return resources[2], [result for path in paths
+                          for result in categorize([path], *resources, args)]
 
 
 def _cmd_extend_vocab(args) -> int:
@@ -85,16 +84,16 @@ def _cmd_extend_vocab(args) -> int:
 
 
 def _cmd_categorize(args) -> int:
-    _, [(_, result)] = _categorize(args, args.dataset)
+    _, [result] = _categorize(args, args.dataset)
     _write_text(args.partition_out, lines_text(
-        json.dumps(a.as_dict(), sort_keys=True) for a in result.assignments))
+        json.dumps(row, sort_keys=True) for row in result.assignments))
     _write_text(args.stats_out, json_text(coverage(result.stats)))
     return 0
 
 
 def _cmd_similarity(args) -> int:
-    datasets, results = categorize(args.datasets, *load_resources(args), args)
-    matrix = similarity_matrix(datasets, results, args)
+    matrix = similarity_matrix(
+        categorize(args.datasets, *load_resources(args), args), args)
     rows = [["dataset", *matrix, "most_similar"]]
     for x, row in matrix.items():
         cells = [f"{row[y].dis_sim:.6f}" if y != x else "" for y in matrix]
@@ -105,18 +104,20 @@ def _cmd_similarity(args) -> int:
 
 
 def _cmd_importance(args) -> int:
-    ontology, [(target, target_result), (training, training_result)] = \
-        _categorize(args, args.target, args.training)
-    _, fragment = weight_categories(
-        target, target_result.partition, training, training_result.partition,
-        ontology.category_ids(), args)
+    ontology, [target, training] = _categorize(args, args.target,
+                                               args.training)
+    _, fragment = weight_categories(target, training, ontology.category_ids(),
+                                    args)
     del fragment["training_pairs"]
     _write_text(args.out, json_text({**fragment, "m": args.m}))
     return 0
 
 
-def _load_importance(path: str, category_ids) -> ImportanceVector:
-    """Read slot counts from an importance JSON file (or a bare mapping)."""
+def _load_importance(path: str, target: ClassificationResult,
+                     category_ids) -> ImportanceVector:
+    """Read slot counts from an importance JSON file (or a bare mapping);
+    a count above its category's classified tweets in the target names
+    the file, the category and the target's tweets file."""
     data = read_json(path)
     counts = data.get("importance", data) if isinstance(data, dict) else None
     if not isinstance(counts, dict):
@@ -129,23 +130,27 @@ def _load_importance(path: str, category_ids) -> ImportanceVector:
                 or count < 0:
             raise InputError(path, f"category {cid!r}: slot count "
                              f"{count!r} is not a non-negative integer")
+        available = len(target.partition.get(cid, ()))
+        if count > available:
+            raise InputError(path, f"category {cid!r}: slot count {count} "
+                             f"exceeds its {available} classified tweets in "
+                             f"{target.dataset.path.name}")
     full = {cid: counts.get(cid, 0) for cid in category_ids}
     return ImportanceVector(counts=full, m=sum(full.values()))
 
 
 def _cmd_summarize(args) -> int:
-    ontology, [(dataset, result)] = _categorize(args, args.dataset)
-    partition = result.partition
+    ontology, [target] = _categorize(args, args.dataset)
     table = load_word2vec_text(args.embeddings)
     category_ids = ontology.category_ids()
     if args.importance:
-        importance = _load_importance(args.importance, category_ids)
+        importance = _load_importance(args.importance, target, category_ids)
     else:
-        importance, _ = predict_slots(RegressionModel(kind="equal"), dataset,
-                                      partition, category_ids, args.m)
-    summary = select(dataset, partition, importance, ontology, table, args)
+        importance, _ = predict_slots(RegressionModel(kind="equal"), target,
+                                      category_ids, args.m)
+    summary = select(target, importance, ontology, table, args)
     _write_text(args.out_json, json_text({
-        "dataset": dataset.id,
+        "dataset": target.dataset.id,
         "selector_kind": args.selector_kind,
         "lambda": args.lam,
         "sim1_mode": args.sim1_mode,
@@ -158,8 +163,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    stopwords = corpus.load_stopwords(args.stopwords) if args.stopwords \
-        else corpus.default_stopwords()
+    stopwords = load_stopword_list(args)
     candidate = read_text(args.candidate).splitlines()
     _write_text(args.out, json_text(evaluate(candidate, args.reference,
                                              stopwords)))

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import DisasterDataset, Tweet
+from .categorizer import ClassificationResult
 
 REGRESSION_KINDS = ("linear", "ridge", "bayesian", "equal")
 
@@ -79,20 +79,19 @@ class ImportanceVector:
             )
 
 
-def category_shares(dataset: DisasterDataset,
-                    partition: Mapping[str, Sequence[Tweet]],
+def category_shares(result: ClassificationResult,
                     category_ids: Sequence[str]) -> tuple[dict, dict]:
     """(share of the classified tweets, tweet count) per category; the
     share is the regression feature of training and prediction alike."""
-    available = {cid: len(partition.get(cid, ())) for cid in category_ids}
+    available = {cid: len(result.partition.get(cid, ()))
+                 for cid in category_ids}
     total = sum(available.values())
     if total == 0:
-        raise dataset.error("no classified tweets")
+        raise result.dataset.error("no classified tweets")
     return {cid: n / total for cid, n in available.items()}, available
 
 
-def build_training_pairs(dataset: DisasterDataset,
-                         partition: Mapping[str, Sequence[Tweet]],
+def build_training_pairs(result: ClassificationResult,
                          category_ids: Sequence[str],
                          ) -> list[tuple[float, float]]:
     """One (category share, gold count) pair per ontology category.
@@ -100,11 +99,12 @@ def build_training_pairs(dataset: DisasterDataset,
     The target is how many gold-summary tweets carry that category
     label.
     """
+    dataset = result.dataset
     if dataset.gold_summary is None:
         raise dataset.error("no gold summary (no tweet has a "
                             "gold_category); cannot build regression "
                             "training pairs")
-    shares, _ = category_shares(dataset, partition, category_ids)
+    shares, _ = category_shares(result, category_ids)
     known = set(category_ids)
     gold_counts: dict[str, int] = {}
     for tweet_id, cat_id in dataset.gold_summary:

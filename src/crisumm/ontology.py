@@ -104,6 +104,7 @@ def load_ontology(path: str | Path) -> Ontology:
     Expected shape: {"categories": [{"id", "name", "keywords": [...]}]}.
     An optional "extended_keywords" list per category round-trips a
     previously extended ontology. Keywords are lowercased and deduped.
+    No categories, or two with one id, is an error naming the file.
     """
     data = read_json(path)
     raw_categories = data.get("categories") if isinstance(data, dict) \
@@ -140,7 +141,10 @@ def load_ontology(path: str | Path) -> Ontology:
             seed_keywords=keywords,
             extended_keywords=words["extended_keywords"] - keywords,
         ))
-    return Ontology(categories=_sorted_categories(categories))
+    try:
+        return Ontology(categories=_sorted_categories(categories))
+    except OntologyError as exc:
+        raise InputError(path, str(exc)) from exc
 
 
 def save_ontology(ontology: Ontology, path: str | Path) -> None:

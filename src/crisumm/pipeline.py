@@ -237,18 +237,28 @@ def load_config(path: str | Path,
     return cfg
 
 
+def load_stopword_list(options) -> frozenset[str]:
+    """The stopwords at the path `options.stopwords`, or the bundled
+    list when it is unset."""
+    return corpus.load_stopwords(options.stopwords) if options.stopwords \
+        else corpus.default_stopwords()
+
+
 def load_resources(options):
     """(stopwords, lexicon, merged ontology) from the paths `ontology`,
     `merges`, `stopwords` and `lexicon` of `options`; an unset stopwords
-    or lexicon path picks the bundled list."""
-    stop = corpus.load_stopwords(options.stopwords) if options.stopwords \
-        else corpus.default_stopwords()
+    or lexicon path picks the bundled list. A merge map that does not
+    fit the ontology names the merges file."""
+    stop = load_stopword_list(options)
     lex = corpus.load_lexicon(options.lexicon) if options.lexicon \
         else corpus.default_lexicon()
     loaded = onto.load_ontology(options.ontology)
     if options.merges:
-        loaded = onto.merge_categories(loaded,
-                                       onto.load_merges(options.merges))
+        merges = onto.load_merges(options.merges)
+        try:
+            loaded = onto.merge_categories(loaded, merges)
+        except onto.OntologyError as exc:
+            raise InputError(options.merges, str(exc)) from exc
     return stop, lex, loaded
 
 
@@ -273,11 +283,11 @@ def extend_vocab(ontology: Ontology, docs: list, approvals, lexicon,
 
 
 def categorize(paths: list, stopwords, lexicon, ontology: Ontology, options,
-               enter=None):
+               enter=None) -> list[ClassificationResult]:
     """Load tweet files, rejecting two with one dataset id, and classify
     each against the ontology, with its extended vocabulary if
-    `options.use_extended`: (datasets, result by dataset id). `enter` is
-    called with "categorize" once the files are loaded."""
+    `options.use_extended`: one result per file, in path order. `enter`
+    is called with "categorize" once the files are loaded."""
     datasets = [corpus.load_tweets(p, stopwords, lexicon) for p in paths]
     first: dict[str, DisasterDataset] = {}
     for ds in datasets:
@@ -287,9 +297,8 @@ def categorize(paths: list, stopwords, lexicon, ontology: Ontology, options,
                            f"{earlier.path}")
     if enter:
         enter("categorize")
-    return datasets, {ds.id: classify_corpus(ds, ontology,
-                                             options.use_extended)
-                      for ds in datasets}
+    return [classify_corpus(ds, ontology, options.use_extended)
+            for ds in datasets]
 
 
 def coverage(stats: CorpusStats) -> dict:
@@ -299,44 +308,41 @@ def coverage(stats: CorpusStats) -> dict:
         "fraction_extended_gain")}
 
 
-def similarity_matrix(datasets: list[DisasterDataset],
-                      results: dict[str, ClassificationResult], options):
-    """Profile each dataset and score every ordered pair of distinct ids."""
-    for ds in datasets:
-        if not results[ds.id].stats.classified:
-            raise ds.error("cannot profile an empty partition: "
-                           "no classified tweets")
-    profiles = {ds.id: build_profile(results[ds.id].partition,
-                                     k=options.top_k)
-                for ds in datasets}
+def similarity_matrix(results: list[ClassificationResult], options):
+    """Profile each classified dataset and score every ordered pair of
+    distinct ids."""
+    for result in results:
+        if not result.stats.classified:
+            raise result.dataset.error("cannot profile an empty partition: "
+                                       "no classified tweets")
+    profiles = {r.dataset.id: build_profile(r.partition, k=options.top_k)
+                for r in results}
     ids = sorted(profiles)
     return {x: {y: dis_sim(profiles[x], profiles[y], options.w1, options.w2)
                 for y in ids if y != x}
             for x in ids}
 
 
-def predict_slots(model, target: DisasterDataset, partition, category_ids,
-                  m: int):
+def predict_slots(model, target: ClassificationResult, category_ids, m: int):
     """(slots of a summary of m, category shares) of the target; too few
     classified tweets for m names the target's tweets file."""
-    fractions, available = category_shares(target, partition, category_ids)
+    fractions, available = category_shares(target, category_ids)
     try:
         return predict_importance(model, fractions, available, m), fractions
     except ValueError as exc:
-        raise target.error(str(exc)) from exc
+        raise target.dataset.error(str(exc)) from exc
 
 
-def weight_categories(target: DisasterDataset, target_partition,
-                      training: DisasterDataset, training_partition,
-                      category_ids, options):
+def weight_categories(target: ClassificationResult,
+                      training: ClassificationResult, category_ids, options):
     """Fit on the training disaster; return (importance, report fragment)."""
-    pairs = build_training_pairs(training, training_partition, category_ids)
+    pairs = build_training_pairs(training, category_ids)
     model = fit(pairs, options.regression_kind,
                 ridge_alpha=options.ridge_alpha,
                 prior_precision=options.prior_precision,
                 noise_precision=options.noise_precision)
-    importance, fractions = predict_slots(model, target, target_partition,
-                                          category_ids, options.m)
+    importance, fractions = predict_slots(model, target, category_ids,
+                                          options.m)
     model_info = {"kind": model.kind, "slope": model.slope,
                   "intercept": model.intercept}
     if model.kind == "bayesian":
@@ -345,21 +351,21 @@ def weight_categories(target: DisasterDataset, target_partition,
             for cid in sorted(category_ids)
         }
     return importance, {
-        "training_disaster": training.id,
+        "training_disaster": training.dataset.id,
         "training_pairs": [[x, y] for x, y in pairs],
         "model": model_info,
         "importance": dict(sorted(importance.counts.items())),
     }
 
 
-def select(dataset: DisasterDataset, partition, importance, ontology: Ontology,
+def select(classified: ClassificationResult, importance, ontology: Ontology,
            table, options) -> dict:
     """The summary's entries and its lines of whitespace-collapsed text."""
     vocab_by_category = {c.id: c.vocabulary(options.use_extended)
                          for c in ontology.categories}
-    summary = summarize(partition, importance, vocab_by_category, table,
-                        selector_config(options))
-    tweets_by_id = {t.id: t for t in dataset.tweets}
+    summary = summarize(classified.partition, importance, vocab_by_category,
+                        table, selector_config(options))
+    tweets_by_id = {t.id: t for t in classified.dataset.tweets}
     return {
         "entries": [asdict(e) for e in summary.entries],
         "text": [" ".join(tweets_by_id[e.tweet_id].raw_text.split())
@@ -426,41 +432,34 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         }
 
         stages.append("load-datasets")
-        datasets, results = categorize(
-            [cfg.target, *cfg.candidates], stopwords, lexicon, ontology, cfg,
-            stages.append)
-        target, candidates_ds = datasets[0], datasets[1:]
+        results = categorize([cfg.target, *cfg.candidates], stopwords,
+                             lexicon, ontology, cfg, stages.append)
+        target, *others = results
         report["datasets"] = {
-            ds_id: {**coverage(r.stats),
-                    "category_counts": {cid: len(cell)
-                                        for cid, cell in r.partition.items()}}
-            for ds_id, r in results.items()
-        }
-        report["target_assignments"] = [
-            a.as_dict() for a in results[target.id].assignments]
+            r.dataset.id: {**coverage(r.stats), "category_counts": {
+                cid: len(cell) for cid, cell in r.partition.items()}}
+            for r in results}
+        report["target_assignments"] = list(target.assignments)
 
         stages.append("similarity")
-        matrix = similarity_matrix(datasets, results, cfg)
-        chosen_id = most_similar(target, candidates_ds, matrix[target.id],
-                                 cfg.homogeneous_only)
-        chosen_score = matrix[target.id][chosen_id]
+        matrix = similarity_matrix(results, cfg)
+        scores = matrix[target.dataset.id]
+        chosen_id = most_similar(target.dataset, [r.dataset for r in others],
+                                 scores, cfg.homogeneous_only)
         report["similarity"] = {
             "matrix": {x: {y: score.dis_sim for y, score in row.items()}
                        for x, row in matrix.items()},
             "most_similar": chosen_id,
-            "most_similar_score": asdict(chosen_score),
+            "most_similar_score": asdict(scores[chosen_id]),
         }
 
         stages.append("importance")
-        training = next(d for d in candidates_ds if d.id == chosen_id)
+        training = next(r for r in others if r.dataset.id == chosen_id)
         importance, report["importance"] = weight_categories(
-            target, results[target.id].partition,
-            training, results[chosen_id].partition,
-            ontology.category_ids(), cfg)
+            target, training, ontology.category_ids(), cfg)
 
         stages.append("summarize")
-        report["summary"] = select(target, results[target.id].partition,
-                                   importance, ontology, table, cfg)
+        report["summary"] = select(target, importance, ontology, table, cfg)
 
         stages.append("evaluate")
         report["rouge"] = evaluate(report["summary"]["text"], cfg.reference,

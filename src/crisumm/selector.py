@@ -34,15 +34,14 @@ class SelectorConfig:
     """Tunables for tweet selection.
 
     `lam` trades relevance against diversity (1.0 means relevance
-    only). `seed` is recorded for provenance; all shipped selectors,
-    including k-means with its farthest-point initialization, are
-    fully deterministic.
+    only). Every selector, k-means with its farthest-point
+    initialization included, is fully deterministic, so none takes a
+    seed.
     """
 
     lam: float = 0.5
     sim1_mode: str = "sum"
     selector_kind: str = "dmmr"
-    seed: int = 0
     diversity_same_category_only: bool = False
 
     def __post_init__(self) -> None:

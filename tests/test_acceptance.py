@@ -176,9 +176,9 @@ def test_criterion_7_phase_one_exactness(target_dataset, seed_ontology,
 
         seed_result = classify_corpus(target_dataset, seed_ontology,
                                       use_extended=True)
-        classified = {a.tweet_id: a.category_id
-                      for a in seed_result.assignments
-                      if a.category_id is not None}
+        classified = {row["tweet_id"]: row["category_id"]
+                      for row in seed_result.assignments
+                      if row["category_id"] is not None}
         assert set(classified) == base_ids
         assert all(classified[tid] == target_labels[tid]
                    for tid in classified)
@@ -187,9 +187,8 @@ def test_criterion_7_phase_one_exactness(target_dataset, seed_ontology,
                                           use_extended=True)
         assert extended_result.stats.classified == \
             seed_result.stats.classified + 10
-        for assignment in extended_result.assignments:
-            assert assignment.category_id == \
-                target_labels[assignment.tweet_id]
+        for row in extended_result.assignments:
+            assert row["category_id"] == target_labels[row["tweet_id"]]
 
 
 def test_criterion_8_end_to_end_determinism(tmp_path, data_dir):
@@ -233,6 +232,6 @@ def test_criterion_9_monotone_vocabulary_coverage():
                                     replace=False)))
             with_seed = classify(tweet, ontology, use_extended=False)
             with_extended = classify(tweet, ontology, use_extended=True)
-            if with_seed.category_id is not None:
-                assert with_extended.category_id is not None
-                assert with_extended.score >= with_seed.score
+            if with_seed["category_id"] is not None:
+                assert with_extended["category_id"] is not None
+                assert with_extended["score"] >= with_seed["score"]

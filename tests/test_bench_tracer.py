@@ -3,12 +3,13 @@
 The tracer replaces functions by name in crisumm's modules; a name the
 package no longer binds, or a result it can no longer read, would only
 show up in a traced bench run. These install and uninstall it, and run
-the embedding loader and `summarize` under it.
+the embedding loader, `summarize` and a whole `pipeline` under it.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -26,16 +27,23 @@ def _load_spans():
     return module
 
 
-def _traced_modules(spans):
+def _bindings(spans):
+    """(module, a copy of its namespace) for every module the tracer
+    patches."""
     names = {mod for mod, *_ in spans._SPAN_NAMES + spans._MODULE_VIEWS
              + spans._AGGREGATE_NAMES}
-    return [importlib.import_module(name) for name in sorted(names)]
+    return [(module, dict(vars(module))) for module in
+            map(importlib.import_module, sorted(names))]
+
+
+def _assert_restored(bindings):
+    for module, snapshot in bindings:
+        assert all(vars(module)[k] is v for k, v in snapshot.items())
 
 
 def test_tracer_installs_and_restores_every_binding():
     spans = _load_spans()
-    modules = _traced_modules(spans)
-    before = [dict(vars(module)) for module in modules]
+    bindings = _bindings(spans)
     selector = importlib.import_module("crisumm.selector")
     sim1 = selector.sim1
     tracer = spans.Tracer()
@@ -44,8 +52,7 @@ def test_tracer_installs_and_restores_every_binding():
         assert selector.sim1.__wrapped__ is sim1
     finally:
         tracer.uninstall()
-    for module, snapshot in zip(modules, before):
-        assert all(vars(module)[k] is v for k, v in snapshot.items())
+    _assert_restored(bindings)
 
 
 def test_tracer_counts_the_rows_of_a_loaded_table():
@@ -67,8 +74,7 @@ def test_tracer_counts_sim1_calls_of_each_selector(tmp_path, kind):
     # calls in every traced bench run without failing it.
     spans = _load_spans()
     cli = importlib.import_module("crisumm.cli")
-    modules = _traced_modules(spans)
-    before = [dict(vars(module)) for module in modules]
+    bindings = _bindings(spans)
     tracer = spans.Tracer()
     try:
         tracer.install()
@@ -85,8 +91,33 @@ def test_tracer_counts_sim1_calls_of_each_selector(tmp_path, kind):
     if kind in ("dmmr", "mmr", "max_sim"):
         assert calls > 0
     assert tracer.span_count("selector.summarize") == 1
-    for module, snapshot in zip(modules, before):
-        assert all(vars(module)[k] is v for k, v in snapshot.items())
+    _assert_restored(bindings)
+
+
+def test_tracer_reads_every_stage_of_a_pipeline_run(tmp_path):
+    # The stages pass each classified dataset on whole; the tracer must
+    # still find the dataset, the counts and the `summarize` inputs.
+    spans = _load_spans()
+    cli = importlib.import_module("crisumm.cli")
+    bindings = _bindings(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["pipeline", "--config", str(DATA / "pipeline.cfg"),
+                         "--out-dir", str(tmp_path / "run")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text("utf-8"))
+    counts = tracer.counts
+    assert counts["tweets_loaded"] == counts["classified_tweets"] == 126
+    assert counts["classified"] == sum(
+        entry["classified"] for entry in report["datasets"].values())
+    assert tracer.span_count("categorizer.classify_corpus") == 3
+    assert tracer.span_count("importance.build_training_pairs") == 1
+    assert tracer.span_count("selector.summarize") == 1
+    assert counts["sim2_evals"] > 0
+    _assert_restored(bindings)
 
 
 def test_summarize_keeps_the_positional_parameters_the_tracer_reads():

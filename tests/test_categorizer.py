@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crisumm.categorizer import (CategoryAssignment, classify,
-                                 classify_corpus)
+from crisumm.categorizer import classify, classify_corpus
 from crisumm.corpus import DisasterDataset
 from crisumm.ontology import Category, Ontology
 
@@ -52,36 +51,27 @@ class TestClassify:
     def test_argmax(self):
         onto = make_ontology(infra={"road", "bridge"}, needs={"water"})
         tweet = make_tweet("t", {"road", "bridge", "water"})
-        result = classify(tweet, onto, True)
-        assert result.category_id == "infra"
-        assert result.score == 2
+        assert classify(tweet, onto, True) == {
+            "tweet_id": "t", "category_id": "infra", "score": 2,
+            "matched_by": "seed"}
 
     def test_zero_overlap_is_unclassified(self):
         onto = make_ontology(infra={"road"})
-        result = classify(make_tweet("t", {"zzz"}), onto, True)
-        assert result.category_id is None
-        assert result.score == 0
-        assert result.matched_by == "none"
+        assert classify(make_tweet("t", {"zzz"}), onto, True) == {
+            "tweet_id": "t", "category_id": None, "score": 0,
+            "matched_by": "none"}
 
     def test_tie_breaks_to_smaller_id(self):
         onto = make_ontology(a={"x", "y"}, b={"x", "y"})
         result = classify(make_tweet("t", {"x", "y"}), onto, True)
-        assert result.category_id == "a"
+        assert result["category_id"] == "a"
 
     def test_matched_by_flavors(self):
         onto = make_ontology(c=({"seedw"}, {"extw"}))
-        assert classify(make_tweet("t", {"seedw"}), onto, True).matched_by \
-            == "seed"
-        assert classify(make_tweet("t", {"extw"}), onto, True).matched_by \
-            == "extended"
-        assert classify(make_tweet("t", {"seedw", "extw"}), onto,
-                        True).matched_by == "both"
-
-    def test_assignment_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            CategoryAssignment("t", None, 2, "seed")
-        with pytest.raises(ValueError):
-            CategoryAssignment("t", "c", 0, "seed")
+        for words, matched_by in (({"seedw"}, "seed"), ({"extw"}, "extended"),
+                                  ({"seedw", "extw"}, "both")):
+            assert classify(make_tweet("t", words), onto,
+                            True)["matched_by"] == matched_by
 
 
 class TestClassifyCorpus:
@@ -93,16 +83,17 @@ class TestClassifyCorpus:
                                                  extended_ontology,
                                                  target_labels):
         result = classify_corpus(target_dataset, extended_ontology, True)
+        assert result.dataset is target_dataset
         assert result.stats.classified == result.stats.total == 70
-        for assignment in result.assignments:
-            assert assignment.category_id == target_labels[assignment.tweet_id]
+        for row in result.assignments:
+            assert row["category_id"] == target_labels[row["tweet_id"]]
 
     def test_oov_tweet_excluded(self):
         onto = make_ontology(c={"flood"})
         tweets = [make_tweet("t1", {"flood"}), make_tweet("t2", {"zzz"})]
         result = classify_corpus(self._dataset(tweets), onto, True)
-        assert [a.tweet_id for a in result.assignments
-                if a.category_id is None] == ["t2"]
+        assert [row["tweet_id"] for row in result.assignments
+                if row["category_id"] is None] == ["t2"]
         assert result.partition == {"c": (tweets[0],)}
         assert result.stats.fraction_classified == 0.5
 
@@ -111,7 +102,8 @@ class TestClassifyCorpus:
         result = classify_corpus(target_dataset, extended_ontology, True)
         seen = [t.id for cell in result.partition.values() for t in cell]
         assert len(seen) == len(set(seen))
-        assigned = {a.tweet_id: a.category_id for a in result.assignments}
+        assigned = {row["tweet_id"]: row["category_id"]
+                    for row in result.assignments}
         assert assigned.keys() == {t.id for t in target_dataset.tweets}
         assert set(seen) == {tid for tid, cid in assigned.items() if cid}
         for cid, cell in result.partition.items():
@@ -148,7 +140,8 @@ class TestClassifyCorpus:
         cells = {}
         for tweet, got in zip(tweets, result.assignments):
             want = oracles.classify(tweet, onto, use_extended)
-            assert (got.category_id, got.score, got.matched_by) == want
+            assert got == dict(zip(("tweet_id", "category_id", "score",
+                                    "matched_by"), (tweet.id, *want)))
             assert got == classify(tweet, onto, use_extended)
             if want[0] is not None:
                 cells.setdefault(want[0], []).append(tweet)
@@ -172,7 +165,7 @@ class TestClassifyCorpus:
             tweets = [make_tweet(f"t{i}", pick(1, 4)) for i in range(8)]
             stats = classify_corpus(self._dataset(tweets), onto,
                                     use_extended).stats
-            seed = sum(classify(t, onto, False).category_id is not None
+            seed = sum(classify(t, onto, False)["category_id"] is not None
                        for t in tweets)
             assert stats.seed_classified == seed
             assert stats.extended_gain == stats.classified - seed
@@ -192,8 +185,8 @@ class TestClassifyCorpus:
             tweet = make_tweet(
                 "t", set(rng.choice(words, int(rng.integers(1, 5)),
                                     replace=False)))
-            seed_hit = classify(tweet, onto, False).category_id
-            ext_hit = classify(tweet, onto, True).category_id
+            seed_hit = classify(tweet, onto, False)["category_id"]
+            ext_hit = classify(tweet, onto, True)["category_id"]
             if seed_hit is not None:
                 assert ext_hit is not None
 

@@ -9,6 +9,7 @@ from crisumm.cli import main
 from crisumm.embeddings import EmbeddingTable, load_word2vec_text
 from crisumm.pipeline import PipelineStageError, load_config, run_pipeline
 from crisumm.selector import SELECTOR_KINDS
+from crisumm.textfile import InputError
 
 from oracles import save_word2vec_text
 
@@ -164,6 +165,26 @@ class TestMergesFlag:
         assert by_id["ew01"] == "affected_population"
         assert "early_warning" not in set(by_id.values())
 
+    @pytest.mark.parametrize("merges, message", [
+        ({"affected_population": "nope"},
+         "merge references unknown category 'nope'"),
+        ({"early_warning": "early_warning"},
+         "category 'early_warning' cannot merge into itself"),
+        ({"early_warning": "affected_population",
+          "affected_population": "early_warning"},
+         "merge cycle through 'affected_population'"),
+    ], ids=["unknown", "self", "cycle"])
+    def test_merge_that_does_not_fit_names_merges_file(
+            self, tmp_path, capsys, data_dir, merges, message):
+        path = tmp_path / "merges.json"
+        path.write_text(json.dumps(merges), encoding="utf-8")
+        code, out, err = run(capsys, "categorize",
+                             "--dataset", str(data_dir / "target.jsonl"),
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--merges", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: merges.json: {message}\n"
+
 
 class TestSimilarity:
     def test_matrix_is_symmetric_with_argmax_column(self, tmp_path, capsys,
@@ -249,6 +270,17 @@ class TestExtendVocab:
                        f"got {min_freq}\n")
         assert not cands.exists()
 
+
+    def test_approvals_need_ontology_out(self, tmp_path, capsys, data_dir):
+        cands = tmp_path / "cands.csv"
+        code, out, err = run(capsys, "extend-vocab",
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--docs", str(data_dir / "vocab_docs.txt"),
+                             "--approvals", str(data_dir / "approvals.csv"),
+                             "--candidates-out", str(cands))
+        assert (code, out) == (1, "")
+        assert err == "error: --ontology-out is required with --approvals\n"
+        assert not cands.exists()
 
     def test_empty_document_names_file(self, tmp_path, capsys, data_dir):
         empty = tmp_path / "empty.txt"
@@ -382,6 +414,57 @@ class TestSummarizeCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: imp.json: category "
                               "'affected_population': slot count ")
+
+    def _summarize_with(self, capsys, data_dir, tmp_path, importance):
+        imp = tmp_path / "imp.json"
+        imp.write_text(json.dumps(importance), encoding="utf-8")
+        code, out, err = run(capsys, "summarize",
+                             "--dataset", str(data_dir / "target.jsonl"),
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--embeddings", str(data_dir / "embeddings.txt"),
+                             "--importance", str(imp),
+                             "--out-json", str(tmp_path / "s.json"),
+                             "--out-text", str(tmp_path / "s.txt"))
+        assert (code, out) == (1, "")
+        assert not (tmp_path / "s.json").exists()
+        return err
+
+    def test_count_beyond_category_names_both_files(self, tmp_path, capsys,
+                                                     data_dir):
+        code, _, _ = run(capsys, "importance",
+                         "--ontology", str(data_dir / "ontology.json"),
+                         "--target", str(data_dir / "target.jsonl"),
+                         "--training", str(data_dir / "candidate_quake.jsonl"),
+                         "--m", "8", "--out", str(tmp_path / "imp.json"))
+        assert code == 0
+        written = json.loads((tmp_path / "imp.json").read_text("utf-8"))
+        written["importance"]["affected_population"] = 500
+        err = self._summarize_with(capsys, data_dir, tmp_path, written)
+        assert err == ("error: imp.json: category 'affected_population': "
+                       "slot count 500 exceeds its 22 classified tweets in "
+                       "target.jsonl\n")
+
+    @pytest.mark.parametrize("importance, message", [
+        ([1], "expected an importance JSON object"),
+        ({"importance": 5}, "expected an importance JSON object"),
+        ({"importance": {"nowhere": 1, "early_warning": 1}},
+         "unknown categories ['nowhere']"),
+    ], ids=["array", "number", "unknown_category"])
+    def test_bad_importance_file_named(self, tmp_path, capsys, data_dir,
+                                       importance, message):
+        err = self._summarize_with(capsys, data_dir, tmp_path, importance)
+        assert err == f"error: imp.json: {message}\n"
+
+    def test_no_classified_tweets_names_tweets_file(self, tmp_path, capsys,
+                                                    data_dir):
+        code, out, err = run(capsys, "summarize",
+                             "--dataset",
+                             str(without_classified_tweets(tmp_path)),
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--embeddings", str(data_dir / "embeddings.txt"),
+                             "--out-json", str(tmp_path / "s.json"))
+        assert (code, out) == (1, "")
+        assert err == "error: blast_empty.jsonl: no classified tweets\n"
 
     def test_length_beyond_classified_tweets_names_tweets_file(
             self, tmp_path, capsys, data_dir):
@@ -538,6 +621,12 @@ class TestPipelineCommand:
         bad.write_text("m = 8\n", encoding="utf-8")
         with pytest.raises(ValueError, match="missing required"):
             load_config(bad, out_dir=tmp_path / "out")
+
+    def test_out_dir_needed_from_file_or_override(self, tmp_path, data_dir):
+        path = config_copy(data_dir, tmp_path)
+        with pytest.raises(InputError, match=r"^pipeline\.cfg: out_dir not "
+                           r"set and no override given$"):
+            load_config(path)
 
     def test_unknown_config_key_reported(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -751,6 +840,24 @@ class TestExitCodes:
                            "--ontology", str(bad))
         assert code == 1
         assert err == "error: bad.json: categories[0] is not an object\n"
+
+    @pytest.mark.parametrize("duplicate, message", [
+        (False, "an ontology needs at least one category"),
+        (True, "duplicate category ids ['affected_population']"),
+    ], ids=["no_categories", "duplicate_category"])
+    def test_inconsistent_ontology_names_file(self, tmp_path, capsys,
+                                              data_dir, duplicate, message):
+        ontology = json.loads((data_dir / "ontology.json").read_text("utf-8"))
+        categories = ontology["categories"]
+        ontology["categories"] = categories + categories[:1] if duplicate \
+            else []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ontology), encoding="utf-8")
+        code, out, err = run(capsys, "categorize",
+                             "--dataset", str(data_dir / "target.jsonl"),
+                             "--ontology", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: bad.json: {message}\n"
 
     def test_undecodable_embeddings_name_file_and_line(self, tmp_path,
                                                        capsys, data_dir):

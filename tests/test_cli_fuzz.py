@@ -83,15 +83,27 @@ def _slots(value):
 def json_mutations(draw):
     """(file name, its bytes with one JSON field deleted, one JSON value
     replaced by a value of another type, or one JSON string given a
-    lone surrogate, written as the escape \\ud800)."""
+    lone surrogate, written as the escape \\ud800; in the ontology also
+    one list emptied or one list item given twice)."""
     name = draw(st.sampled_from(JSON_FILES))
     text = (DATA / name).read_text(encoding="utf-8")
     jsonl = name.endswith(".jsonl")
     docs = [json.loads(line) for line in text.splitlines()] if jsonl \
         else [json.loads(text)]
     doc = docs[draw(st.integers(0, len(docs) - 1))]
-    how = draw(st.sampled_from(["delete", "retype", "surrogate"]))
-    if how == "delete":
+    hows = ["delete", "retype", "surrogate"]
+    if name == "ontology.json":
+        hows += ["empty", "repeat"]
+    how = draw(st.sampled_from(hows))
+    if how in ("empty", "repeat"):
+        items = draw(st.sampled_from(
+            [c[k] for c, k in _slots(doc) if isinstance(c[k], list)]))
+        if how == "empty":
+            items.clear()
+        else:
+            at = draw(st.integers(0, len(items) - 1))
+            items.insert(at, items[at])
+    elif how == "delete":
         container, key = draw(st.sampled_from(
             [(c, k) for c, k in _slots(doc) if isinstance(c, dict)]))
         del container[key]

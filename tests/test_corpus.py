@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crisumm.corpus import (_EMOJI_RE, _MENTION_RE, _URL_RE, PosLexicon,
-                            extract_keywords, load_lexicon, load_stopwords,
-                            load_tweets, preprocess_text)
+from crisumm.corpus import (_EMOJI_RE, _MENTION_RE, _URL_RE, DisasterDataset,
+                            PosLexicon, extract_keywords, load_lexicon,
+                            load_stopwords, load_tweets, preprocess_text)
 from crisumm.textfile import InputError
 
-from oracles import tweet_keywords
+from oracles import make_tweet, tweet_keywords
 
 STOPWORDS_SHA256 = \
     "09849d84e49bc0621dc088b8dcae4c4d2db0c139542daad55d42b7a4cfe64b9f"
@@ -132,6 +132,12 @@ class TestLoadTweets:
             '{"id": "t1", "text": "b"}',
         ])
         with pytest.raises(InputError, match="t1"):
+            load_tweets(path, stopwords, lexicon)
+
+    def test_non_object_line_names_line(self, tmp_path, stopwords, lexicon):
+        path = self._write(tmp_path, [self._header(), "[1]"])
+        with pytest.raises(InputError, match=r"^tweets.jsonl:2: expected a "
+                           r"JSON object$"):
             load_tweets(path, stopwords, lexicon)
 
     def test_malformed_line_error_names_line(self, tmp_path, stopwords,
@@ -324,8 +330,43 @@ class TestResourceFiles:
                            match=r"^lex.txt:2: not valid UTF-8$"):
             load_lexicon(path)
 
+    def test_lexicon_three_fields_name_line(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("soon\tadverb\nflood\tnoun\textra\n",
+                        encoding="utf-8")
+        with pytest.raises(InputError, match=r"^lex.txt:2: expected 'word' "
+                           r"or 'word<TAB>tag'$"):
+            load_lexicon(path)
+
     def test_lexicon_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("flood\tnonsense\n", encoding="utf-8")
         with pytest.raises(InputError, match="nonsense"):
             load_lexicon(path)
+
+
+class TestValueChecks:
+    """The checks of values built in code rather than loaded."""
+
+    def _dataset(self, ids=("t1", "t2"), disaster_type="natural",
+                 gold=None):
+        return DisasterDataset(
+            id="d", tweets=tuple(make_tweet(i, {"w"}) for i in ids),
+            disaster_type=disaster_type, continent="asia", gold_summary=gold)
+
+    def test_bad_disaster_type_rejected(self):
+        with pytest.raises(ValueError, match="got 'volcanic'"):
+            self._dataset(disaster_type="volcanic")
+
+    def test_duplicate_tweet_id_rejected(self):
+        with pytest.raises(ValueError, match="duplicate tweet id 't1'"):
+            self._dataset(ids=("t1", "t1"))
+
+    def test_unknown_gold_tweet_rejected(self):
+        with pytest.raises(ValueError, match="unknown tweet id 't9'"):
+            self._dataset(gold=(("t9", "a"),))
+
+    def test_lexicon_unknown_tag_rejected(self):
+        with pytest.raises(ValueError, match="unknown tag 'bogus' for word "
+                           "'flood'"):
+            PosLexicon(tags={"flood": "bogus"})

@@ -1,53 +1,51 @@
 import numpy as np
 import pytest
 
+from crisumm.categorizer import classify_corpus
 from crisumm.corpus import DisasterDataset
 from crisumm.importance import (ImportanceVector, RegressionModel,
                                 build_training_pairs, fit,
                                 predict_importance)
+from crisumm.ontology import Category, Ontology
 
 from oracles import make_tweet, ols
 
 
 class TestTrainingPairs:
-    def _dataset(self, gold):
-        tweets = tuple(make_tweet(f"t{i}", {"w"}) for i in range(10))
-        return DisasterDataset(id="d", tweets=tweets,
-                               disaster_type="natural", continent="asia",
-                               gold_summary=gold)
-
-    def _partition(self):
-        return {
-            "a": tuple(make_tweet(f"t{i}", {"w"}) for i in range(3)),
-            "b": tuple(make_tweet(f"t{i + 3}", {"w"}) for i in range(7)),
-        }
+    def _classified(self, gold):
+        """A dataset classified with t0-t2 in category a, t3-t9 in b."""
+        tweets = tuple(make_tweet(f"t{i}", {"a" if i < 3 else "b"})
+                       for i in range(10))
+        dataset = DisasterDataset(id="d", tweets=tweets,
+                                  disaster_type="natural", continent="asia",
+                                  gold_summary=gold)
+        ontology = Ontology(tuple(Category(c, c, frozenset({c}))
+                                  for c in "ab"))
+        return classify_corpus(dataset, ontology)
 
     def test_fraction_and_gold_count(self):
         gold = tuple(("t%d" % i, "a") for i in range(3)) + (("t5", "b"),)
-        pairs = build_training_pairs(self._dataset(gold), self._partition(),
-                                     ["a", "b"])
+        pairs = build_training_pairs(self._classified(gold), ["a", "b"])
         assert pairs == [(0.3, 3.0), (0.7, 1.0)]
 
     def test_category_absent_from_gold_gets_zero(self):
-        pairs = build_training_pairs(self._dataset((("t0", "a"),)),
-                                     self._partition(), ["a", "b"])
+        pairs = build_training_pairs(self._classified((("t0", "a"),)),
+                                     ["a", "b"])
         assert pairs == [(0.3, 1.0), (0.7, 0.0)]
 
     def test_one_pair_per_category(self):
         ids = ["a", "b", "c", "d", "e"]
-        pairs = build_training_pairs(self._dataset((("t0", "a"),)),
-                                     self._partition(), ids)
+        pairs = build_training_pairs(self._classified((("t0", "a"),)), ids)
         assert len(pairs) == len(ids)
 
     def test_missing_gold_summary_rejected(self):
         with pytest.raises(ValueError, match="gold summary"):
-            build_training_pairs(self._dataset(None), self._partition(),
-                                 ["a", "b"])
+            build_training_pairs(self._classified(None), ["a", "b"])
 
     def test_unknown_gold_category_rejected(self):
         with pytest.raises(ValueError, match="mystery"):
-            build_training_pairs(self._dataset((("t0", "mystery"),)),
-                                 self._partition(), ["a", "b"])
+            build_training_pairs(self._classified((("t0", "mystery"),)),
+                                 ["a", "b"])
 
 
 class TestFit:
@@ -134,6 +132,24 @@ class TestFit:
             fit([], "equal", noise_precision=0.0)
 
 
+class TestRegressionModel:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "lasso"}, "unknown regression kind 'lasso'"),
+        ({"kind": "equal", "slope": 1.0}, "has no coefficients"),
+        ({"kind": "linear", "slope": 1.0}, "linear model needs coefficients"),
+        ({"kind": "ridge", "slope": float("nan"), "intercept": 0.0},
+         "non-finite regression coefficients"),
+    ])
+    def test_inconsistent_model_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RegressionModel(**kwargs)
+
+    def test_predictive_variance_needs_a_bayesian_model(self):
+        model = fit([(0.0, 1.0), (1.0, 3.0)], "linear")
+        with pytest.raises(ValueError, match="requires a Bayesian model"):
+            model.predictive_variance(0.5)
+
+
 class TestPredictImportance:
     def test_exact_fractions(self):
         model = RegressionModel(kind="linear", slope=10.0, intercept=0.0)
@@ -185,6 +201,15 @@ class TestPredictImportance:
         model = RegressionModel(kind="linear", slope=1.0, intercept=0.0)
         with pytest.raises(ValueError, match="short by 3"):
             predict_importance(model, {"a": 1.0}, {"a": 2}, 5)
+
+    def test_length_below_one_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
+            predict_importance(RegressionModel(kind="equal"), {"a": 1.0},
+                               {"a": 2}, 0)
+
+    def test_no_categories_rejected(self):
+        with pytest.raises(ValueError, match="no categories"):
+            predict_importance(RegressionModel(kind="equal"), {}, {}, 1)
 
     def test_importance_vector_invariants(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from crisumm.corpus import PosLexicon
-from crisumm.ontology import (Category, Ontology, OntologyError,
-                              apply_approvals, harvest_candidates,
+from crisumm.ontology import (CandidateKeyword, Category, Ontology,
+                              OntologyError, apply_approvals,
+                              harvest_candidates,
                               load_approvals, load_ontology,
                               load_merges, merge_categories, save_ontology,
                               split_sentences, write_candidate_report)
@@ -33,7 +34,8 @@ class TestLoad:
             {"id": "damage", "name": "a", "keywords": ["x"]},
             {"id": "damage", "name": "b", "keywords": ["y"]},
         ]}), encoding="utf-8")
-        with pytest.raises(OntologyError, match="damage"):
+        with pytest.raises(InputError, match=r"^o\.json: duplicate category "
+                           r"ids \['damage'\]$"):
             load_ontology(path)
 
     def test_keywords_casefolded_and_deduped(self, tmp_path):
@@ -106,6 +108,23 @@ class TestLoad:
         assert again == extended_ontology
 
 
+class TestValues:
+    """The checks of values built in code rather than loaded."""
+
+    def test_extended_keyword_repeating_a_seed_rejected(self):
+        with pytest.raises(OntologyError, match=r"duplicate seeds \['x'\]"):
+            Category(id="c", name="c", seed_keywords=frozenset({"x", "y"}),
+                     extended_keywords=frozenset({"x", "z"}))
+
+    def test_get_unknown_id_raises_key_error(self):
+        with pytest.raises(KeyError, match="nowhere"):
+            make_ontology(a={"x"}).get("nowhere")
+
+    def test_candidate_of_frequency_zero_rejected(self):
+        with pytest.raises(OntologyError, match="frequency 0"):
+            CandidateKeyword(word="levee", category_id="c", frequency=0)
+
+
 class TestLoadMerges:
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "m.json: merge file must be a JSON object"),
@@ -172,6 +191,11 @@ class TestMerge:
 
 
 class TestHarvest:
+    @pytest.mark.parametrize("docs", [[], ["The flood.", ""]])
+    def test_empty_document_rejected(self, docs):
+        with pytest.raises(OntologyError, match="non-empty"):
+            harvest_candidates(make_ontology(c={"flood"}), docs, PosLexicon())
+
     def test_low_frequency_word_not_emitted(self):
         onto = make_ontology(c={"flood"})
         doc = "The flood destroyed levees. The levees failed. Levees broke."

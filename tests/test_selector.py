@@ -44,6 +44,11 @@ class TestSim1:
         emb = table(a=[1.0, 0.0], v=[-1.0, 0.0])
         assert sim1(make_tweet("t", {"a"}), {"v"}, emb) == 0.0
 
+    def test_unknown_mode_rejected(self):
+        emb = table(a=[1.0, 0.0])
+        with pytest.raises(ValueError, match="unknown sim1 mode 'max'"):
+            sim1(make_tweet("t", {"a"}), {"a"}, emb, "max")
+
     def test_empty_vocab_or_keywords(self):
         emb = table(a=[1.0, 0.0])
         assert sim1(make_tweet("t", {"a"}), set(), emb) == 0.0
