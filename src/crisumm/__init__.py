@@ -11,7 +11,7 @@ from .corpus import (
     preprocess_text,
 )
 from .ontology import Category, Ontology, load_ontology
-from .embeddings import EmbeddingTable, cosine, load_word2vec_text
+from .embeddings import EmbeddingTable, load_word2vec_text
 from .categorizer import classify, classify_corpus
 from .disaster_sim import build_profile, cat_ic, cat_p, dis_sim, most_similar
 from .importance import (
@@ -37,7 +37,7 @@ __all__ = [
     "DisasterDataset", "PosLexicon", "Tweet", "extract_keywords",
     "load_tweets", "preprocess_text",
     "Category", "Ontology", "load_ontology",
-    "EmbeddingTable", "cosine", "load_word2vec_text",
+    "EmbeddingTable", "load_word2vec_text",
     "classify", "classify_corpus",
     "build_profile", "cat_ic", "cat_p", "dis_sim", "most_similar",
     "ImportanceVector", "RegressionModel", "build_training_pairs", "fit",

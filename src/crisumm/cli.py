@@ -9,7 +9,8 @@ import sys
 from . import ontology as onto
 from .categorizer import ClassificationResult
 from .embeddings import load_word2vec_text
-from .importance import REGRESSION_KINDS, ImportanceVector, RegressionModel
+from .importance import (REGRESSION_KINDS, ImportanceVector, RegressionModel,
+                         category_shares)
 from .pipeline import (CHECKS, DEFAULTS, KINDS, PipelineStageError,
                        categorize, coverage, evaluate, extend_vocab,
                        load_config, load_resources, load_stopword_list,
@@ -125,18 +126,22 @@ def _load_importance(path: str, target: ClassificationResult,
     unknown = set(counts) - set(category_ids)
     if unknown:
         raise InputError(path, f"unknown categories {sorted(unknown)}")
+    _, available = category_shares(target, category_ids)
     for cid, count in counts.items():
         if not isinstance(count, int) or isinstance(count, bool) \
                 or count < 0:
             raise InputError(path, f"category {cid!r}: slot count "
                              f"{count!r} is not a non-negative integer")
-        available = len(target.partition.get(cid, ()))
-        if count > available:
+        if count > available[cid]:
             raise InputError(path, f"category {cid!r}: slot count {count} "
-                             f"exceeds its {available} classified tweets in "
-                             f"{target.dataset.path.name}")
-    full = {cid: counts.get(cid, 0) for cid in category_ids}
-    return ImportanceVector(counts=full, m=sum(full.values()))
+                             f"exceeds its {available[cid]} classified "
+                             f"tweets in {target.dataset.path.name}")
+    m = sum(counts.values())
+    if m < 1:
+        raise InputError(path, f"slot counts sum to {m}, but summary "
+                         "length m must be >= 1")
+    return ImportanceVector(
+        counts={cid: counts.get(cid, 0) for cid in category_ids}, m=m)
 
 
 def _cmd_summarize(args) -> int:

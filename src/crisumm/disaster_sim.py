@@ -14,10 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .corpus import DisasterDataset, Tweet
-from .embeddings import cosine
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,8 @@ def cat_ic(px: CategoryProfile, py: CategoryProfile) -> float:
     For each category populated in either profile, the two frequency
     vectors over the union of their top-k words are compared; a
     category absent from one side contributes 0. Results land in
-    [0, 1] because frequencies are nonnegative.
+    [0, 1] because frequencies are nonnegative. The frequencies are
+    integers, so the sums are exact and equal profiles score 1.0.
     """
     ids = sorted(set(px.counts) | set(py.counts))
     values = []
@@ -92,25 +90,24 @@ def cat_ic(px: CategoryProfile, py: CategoryProfile) -> float:
         if not fx or not fy:
             values.append(0.0)
             continue
-        words = sorted(set(fx) | set(fy))
-        vx = np.array([fx.get(w, 0) for w in words], dtype=np.float64)
-        vy = np.array([fy.get(w, 0) for w in words], dtype=np.float64)
-        values.append(cosine(vx, vy))
+        dot = sum(n * fy.get(w, 0) for w, n in fx.items())
+        xx = sum(n * n for n in fx.values())
+        yy = sum(n * n for n in fy.values())
+        values.append(1.0 if dot == xx == yy
+                      else min(1.0, dot / math.sqrt(xx * yy)))
     return math.fsum(values) / len(ids)
 
 
-def jensen_shannon_divergence(p: np.ndarray, q: np.ndarray) -> float:
+def jensen_shannon_divergence(p: Sequence[float],
+                              q: Sequence[float]) -> float:
     """Base-2 Jensen-Shannon divergence of two distributions in [0, 1].
 
     Zero probabilities contribute nothing (0 * log 0 := 0).
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    m = 0.5 * (p + q)
+    m = [0.5 * (pi + qi) for pi, qi in zip(p, q)]
 
-    def half_kl(a: np.ndarray) -> float:
-        terms = [float(ai) * math.log2(float(ai) / float(mi))
-                 for ai, mi in zip(a, m) if ai > 0.0]
+    def half_kl(a: Sequence[float]) -> float:
+        terms = [ai * math.log2(ai / mi) for ai, mi in zip(a, m) if ai > 0.0]
         return math.fsum(terms)
 
     value = 0.5 * half_kl(p) + 0.5 * half_kl(q)
@@ -120,8 +117,8 @@ def jensen_shannon_divergence(p: np.ndarray, q: np.ndarray) -> float:
 def cat_p(px: CategoryProfile, py: CategoryProfile) -> float:
     """Category-distribution similarity: 1 - JSD of the two profiles."""
     ids = sorted(set(px.counts) | set(py.counts))
-    p = np.array([px.probabilities.get(c, 0.0) for c in ids])
-    q = np.array([py.probabilities.get(c, 0.0) for c in ids])
+    p = [px.probabilities.get(c, 0.0) for c in ids]
+    q = [py.probabilities.get(c, 0.0) for c in ids]
     return 1.0 - jensen_shannon_divergence(p, q)
 
 

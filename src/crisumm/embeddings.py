@@ -151,20 +151,6 @@ _TINY = np.finfo(np.float64).tiny
 _HUGE = np.finfo(np.float64).max
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero-norm inputs score 0.
-
-    Equal vectors return exactly 1.0, which keeps self-similarity of
-    downstream aggregate scores exact. This is the one-row case of
-    `cosines`.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(cosines(a[np.newaxis], b)[0])
-
-
 def cosines(rows: np.ndarray, v: np.ndarray,
             row_dots: np.ndarray | None = None) -> np.ndarray:
     """The cosine of each row of the matrix `rows` with the vector `v`.

@@ -75,22 +75,11 @@ class PipelineConfig:
     diversity_same_category_only: bool = False
     homogeneous_only: bool = False
 
-    # (config file name, {key: (line, value)}) when load_config made it.
-    origin = None
-
     def validate(self) -> None:
         """Run every check, so a bad value fails before any stage runs
-        and leaves no quarantine behind."""
-        run_checks(self, self._place, CHECKS + _INPUT_CHECKS)
-
-    def _place(self, key: str) -> str | None:
-        """"<file>:<line>" of a value as the config file set it, "<file>"
-        for a key the file leaves unset, None for a value set in code."""
-        name, read = self.origin or (None, {})
-        line, value = read.get(key, (None, DEFAULTS.get(key)))
-        if name is None or getattr(self, key) != value:
-            return None
-        return name if line is None else f"{name}:{line}"
+        and leaves no quarantine behind. The messages are bare:
+        `load_config` has already placed the values it read."""
+        run_checks(self, lambda key: None, CHECKS + _INPUT_CHECKS)
 
     def as_report_dict(self) -> dict:
         """The fields as JSON values, each path a string."""
@@ -188,12 +177,13 @@ def load_config(path: str | Path,
 
     Relative paths are resolved against the config file's directory;
     list values are comma-separated. `out_dir` overrides any value in
-    the file.
+    the file. A value that fails its check names its line, or the file
+    for a key the file leaves unset.
     """
     path = Path(path)
     base = path.parent
     values: dict = {}
-    read: dict = {}
+    lines: dict = {}
     for lineno, line in content_lines(path):
         if "=" not in line:
             raise InputError(path, "expected 'key = value'", lineno)
@@ -224,7 +214,7 @@ def load_config(path: str | Path,
             except ValueError:
                 raise InputError(path, f"{key} = {raw!r} is not a valid "
                                  f"{kind.__name__}", lineno) from None
-        read[key] = (lineno, values[key])
+        lines[key] = lineno
     missing = KINDS.keys() - DEFAULTS.keys() - {"out_dir"} - values.keys()
     if missing:
         raise InputError(path, f"missing required keys {sorted(missing)}")
@@ -233,7 +223,8 @@ def load_config(path: str | Path,
     elif "out_dir" not in values:
         raise InputError(path, "out_dir not set and no override given")
     cfg = PipelineConfig(**values)
-    cfg.origin = (path.name, read)
+    run_checks(cfg, lambda key: f"{path.name}:{lines[key]}" if key in lines
+               else path.name, CHECKS + _INPUT_CHECKS)
     return cfg
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -449,7 +450,10 @@ class TestSummarizeCommand:
         ({"importance": 5}, "expected an importance JSON object"),
         ({"importance": {"nowhere": 1, "early_warning": 1}},
          "unknown categories ['nowhere']"),
-    ], ids=["array", "number", "unknown_category"])
+        ({"importance": {"affected_population": 0}},
+         "slot counts sum to 0, but summary length m must be >= 1"),
+        ({}, "slot counts sum to 0, but summary length m must be >= 1"),
+    ], ids=["array", "number", "unknown_category", "zero_slots", "empty"])
     def test_bad_importance_file_named(self, tmp_path, capsys, data_dir,
                                        importance, message):
         err = self._summarize_with(capsys, data_dir, tmp_path, importance)
@@ -693,6 +697,18 @@ class TestPipelineCommand:
         bad.write_text("m = 8\n\nm = 9\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"^bad.cfg:3: m set twice$"):
             load_config(bad, out_dir=tmp_path / "out")
+
+    def test_load_config_places_its_errors_and_validate_does_not(
+            self, tmp_path, data_dir):
+        cfg_path = config_copy(data_dir, tmp_path, lam="1.5")
+        with pytest.raises(ValueError, match=rf"^pipeline\.cfg:"
+                           rf"{config_line(cfg_path, 'lam')}: lambda must "
+                           r"lie in \[0, 1\], got 1\.5$"):
+            load_config(cfg_path, out_dir=tmp_path / "run")
+        cfg = load_config(data_dir / "pipeline.cfg", out_dir=tmp_path / "run")
+        with pytest.raises(ValueError, match=r"^lambda must lie in \[0, 1\], "
+                           r"got 1\.5$"):
+            dataclasses.replace(cfg, lam=1.5).validate()
 
     def test_bad_lambda_fails_before_any_stage(self, tmp_path, data_dir):
         cfg = load_config(data_dir / "pipeline.cfg",

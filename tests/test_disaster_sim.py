@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from crisumm.corpus import DisasterDataset
-from crisumm.disaster_sim import (SimilarityScore, build_profile, cat_ic,
-                                  cat_p, dis_sim, jensen_shannon_divergence,
-                                  most_similar)
+from crisumm.disaster_sim import (CategoryProfile, SimilarityScore,
+                                  build_profile, cat_ic, cat_p, dis_sim,
+                                  jensen_shannon_divergence, most_similar)
 
-from oracles import jsd_base2, make_tweet
+from oracles import cosine_exact, jsd_base2, make_tweet
 
 
 def profile_from(spec, k=10):
@@ -116,6 +119,97 @@ class TestCatP:
             q = rng.dirichlet(np.ones(n))
             ours = jensen_shannon_divergence(p, q)
             assert abs(ours - jsd_base2(p, q)) < 1e-12
+
+
+_CATEGORIES = ("a", "b", "c", "d")
+_WORDS = tuple(f"w{i}" for i in range(90))
+_COUNTS = st.integers(1, 10**6)
+
+
+@st.composite
+def profile_pairs(draw):
+    """Two profiles of top-k count dicts with 1 to 60 words. In a
+    category both populate, the second dict is a fresh one, a copy of
+    the first, one disjoint from it or a single word."""
+    def fresh():
+        return draw(st.dictionaries(st.sampled_from(_WORDS), _COUNTS,
+                                    min_size=1, max_size=60))
+
+    def profile(top_keywords):
+        counts = {cid: draw(_COUNTS) for cid in top_keywords}
+        total = sum(counts.values())
+        return CategoryProfile(
+            counts=counts,
+            probabilities={cid: n / total for cid, n in counts.items()},
+            top_keywords=top_keywords)
+
+    def categories():
+        return sorted(draw(st.sets(st.sampled_from(_CATEGORIES),
+                                   min_size=1)))
+
+    fx = {cid: fresh() for cid in categories()}
+    fy = {}
+    for cid in categories():
+        how = draw(st.sampled_from(["fresh", "equal", "disjoint", "one"]))
+        if cid not in fx or how == "fresh":
+            fy[cid] = fresh()
+        elif how == "equal":
+            fy[cid] = dict(fx[cid])
+        elif how == "disjoint":
+            fy[cid] = {"x" + w: n for w, n in fresh().items()}
+        else:
+            fy[cid] = {draw(st.sampled_from(sorted(fx[cid]))): draw(_COUNTS)}
+    return profile(fx), profile(fy)
+
+
+def _float64_cat_ic(px, py):
+    """CatIC as float64 vectors over each category's union of words."""
+    ids = sorted(set(px.counts) | set(py.counts))
+    values = []
+    for cid in ids:
+        fx = px.top_keywords.get(cid)
+        fy = py.top_keywords.get(cid)
+        if not fx or not fy:
+            values.append(0.0)
+            continue
+        words = sorted(set(fx) | set(fy))
+        values.append(cosine_exact(
+            np.array([fx.get(w, 0) for w in words], dtype=np.float64),
+            np.array([fy.get(w, 0) for w in words], dtype=np.float64)))
+    return math.fsum(values) / len(ids)
+
+
+def _float64_cat_p(px, py):
+    """CatP with the distributions as float64 arrays."""
+    ids = sorted(set(px.counts) | set(py.counts))
+    p = np.array([px.probabilities.get(c, 0.0) for c in ids])
+    q = np.array([py.probabilities.get(c, 0.0) for c in ids])
+    m = 0.5 * (p + q)
+
+    def half_kl(a):
+        return math.fsum(float(ai) * math.log2(float(ai) / float(mi))
+                         for ai, mi in zip(a, m) if ai > 0.0)
+
+    return 1.0 - max(0.0, min(1.0, 0.5 * half_kl(p) + 0.5 * half_kl(q)))
+
+
+def _only(profile, cid):
+    """The profile cut down to the one category `cid`."""
+    return CategoryProfile(counts={cid: profile.counts[cid]},
+                           probabilities={cid: 1.0},
+                           top_keywords={cid: profile.top_keywords[cid]})
+
+
+@given(profile_pairs())
+def test_integer_sums_give_the_float64_bits(pair):
+    px, py = pair
+    assert cat_ic(px, py).hex() == _float64_cat_ic(px, py).hex()
+    assert cat_p(px, py).hex() == _float64_cat_p(px, py).hex()
+    assert cat_ic(px, px) == 1.0
+    # One category alone, so no rounding of the average hides its bits.
+    for cid in px.counts.keys() & py.counts.keys():
+        ox, oy = _only(px, cid), _only(py, cid)
+        assert cat_ic(ox, oy).hex() == _float64_cat_ic(ox, oy).hex()
 
 
 class TestDisSim:
