@@ -23,14 +23,13 @@ from .importance import (
 )
 from .selector import (
     SelectorConfig,
-    Summary,
     dmmr_select,
     select_category,
     sim1,
     sim2,
     summarize,
 )
-from .rouge import RougeReport, rouge_l, rouge_n, score_summary
+from .rouge import rouge_l, rouge_n, score_summary
 from .pipeline import PipelineConfig, load_config, run_pipeline
 
 __all__ = [
@@ -42,8 +41,8 @@ __all__ = [
     "build_profile", "cat_ic", "cat_p", "dis_sim", "most_similar",
     "ImportanceVector", "RegressionModel", "build_training_pairs", "fit",
     "predict_importance",
-    "SelectorConfig", "Summary", "dmmr_select", "select_category", "sim1",
+    "SelectorConfig", "dmmr_select", "select_category", "sim1",
     "sim2", "summarize",
-    "RougeReport", "rouge_l", "rouge_n", "score_summary",
+    "rouge_l", "rouge_n", "score_summary",
     "PipelineConfig", "load_config", "run_pipeline",
 ]

@@ -75,6 +75,8 @@ def _categorize(args, *paths):
 def _cmd_extend_vocab(args) -> int:
     if args.approvals and not args.ontology_out:
         raise ValueError("--ontology-out is required with --approvals")
+    if args.ontology_out and not args.approvals:
+        raise ValueError("--approvals is required with --ontology-out")
     stopwords, lexicon, ontology = load_resources(args)
     candidates, extended = extend_vocab(ontology, args.docs, args.approvals,
                                         lexicon, stopwords, args)
@@ -97,8 +99,9 @@ def _cmd_similarity(args) -> int:
         categorize(args.datasets, *load_resources(args), args), args)
     rows = [["dataset", *matrix, "most_similar"]]
     for x, row in matrix.items():
-        cells = [f"{row[y].dis_sim:.6f}" if y != x else "" for y in matrix]
-        best = max(row, key=lambda y: row[y].dis_sim, default="")
+        cells = [f"{row[y]['dis_sim']:.6f}" if y != x else ""
+                 for y in matrix]
+        best = max(row, key=lambda y: row[y]["dis_sim"], default="")
         rows.append([x, *cells, best])
     _write_text(args.out, csv_text(rows))
     return 0
@@ -141,7 +144,7 @@ def _load_importance(path: str, target: ClassificationResult,
         raise InputError(path, f"slot counts sum to {m}, but summary "
                          "length m must be >= 1")
     return ImportanceVector(
-        counts={cid: counts.get(cid, 0) for cid in category_ids}, m=m)
+        counts={cid: counts.get(cid, 0) for cid in category_ids})
 
 
 def _cmd_summarize(args) -> int:

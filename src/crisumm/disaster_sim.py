@@ -31,13 +31,6 @@ class CategoryProfile:
     top_keywords: dict[str, dict[str, int]]
 
 
-@dataclass(frozen=True)
-class SimilarityScore:
-    dis_sim: float
-    cat_ic: float
-    cat_p: float
-
-
 def check_top_k(k: int) -> None:
     """Reject a profile size below 1."""
     if k < 1:
@@ -123,20 +116,21 @@ def cat_p(px: CategoryProfile, py: CategoryProfile) -> float:
 
 
 def dis_sim(px: CategoryProfile, py: CategoryProfile,
-            w1: float = 0.5, w2: float = 0.5) -> SimilarityScore:
-    """Weighted blend of keyword-profile and distribution similarity."""
+            w1: float = 0.5, w2: float = 0.5) -> dict[str, float]:
+    """Weighted blend of keyword-profile and distribution similarity:
+    {"dis_sim": the blend, "cat_ic": cat_ic, "cat_p": cat_p}."""
     check_weights(w1, w2)
     ic = cat_ic(px, py)
     p = cat_p(px, py)
     combined = max(0.0, min(1.0, w1 * ic + w2 * p))
-    return SimilarityScore(dis_sim=combined, cat_ic=ic, cat_p=p)
+    return {"dis_sim": combined, "cat_ic": ic, "cat_p": p}
 
 
 def most_similar(target: DisasterDataset,
                  candidates: Sequence[DisasterDataset],
-                 scores: Mapping[str, SimilarityScore],
+                 scores: Mapping[str, Mapping[str, float]],
                  homogeneous_only: bool = False) -> str:
-    """Pick the candidate whose `scores[id].dis_sim` is highest.
+    """Pick the candidate whose `scores[id]["dis_sim"]` is highest.
 
     `scores` is the target's row of the similarity matrix. With
     `homogeneous_only`, only candidates sharing the target's disaster
@@ -153,4 +147,4 @@ def most_similar(target: DisasterDataset,
             "no candidate shares the target's disaster type and "
             "continent; disable homogeneous_only to widen the pool"
         )
-    return min(pool, key=lambda c: (-scores[c.id].dis_sim, c.id)).id
+    return min(pool, key=lambda c: (-scores[c.id]["dis_sim"], c.id)).id

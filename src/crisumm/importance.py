@@ -64,19 +64,14 @@ class RegressionModel:
 
 @dataclass(frozen=True)
 class ImportanceVector:
-    """Integer summary slots per category, summing exactly to m."""
+    """Integer summary slots per category; they sum to the summary
+    length m."""
 
     counts: dict[str, int]
-    m: int
 
     def __post_init__(self) -> None:
         if any(v < 0 for v in self.counts.values()):
             raise ValueError("importance counts must be nonnegative")
-        total = sum(self.counts.values())
-        if total != self.m:
-            raise ValueError(
-                f"importance counts sum to {total}, expected m={self.m}"
-            )
 
 
 def category_shares(result: ClassificationResult,
@@ -248,4 +243,4 @@ def predict_importance(model: RegressionModel,
             raw = model.predict(float(target_fractions.get(cid, 0.0)))
         quotas[cid] = min(max(raw, 0.0), float(available[cid]))
     counts = _apportion(quotas, target_fractions, available, m)
-    return ImportanceVector(counts=counts, m=m)
+    return ImportanceVector(counts=counts)

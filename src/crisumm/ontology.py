@@ -81,19 +81,6 @@ class Ontology:
         return tuple(c.id for c in self.categories)
 
 
-@dataclass(frozen=True)
-class CandidateKeyword:
-    word: str
-    category_id: str
-    frequency: int
-
-    def __post_init__(self) -> None:
-        if self.frequency < 1:
-            raise OntologyError(
-                f"candidate {self.word!r} has frequency {self.frequency}"
-            )
-
-
 def _sorted_categories(categories) -> tuple[Category, ...]:
     return tuple(sorted(categories, key=lambda c: c.id))
 
@@ -238,8 +225,9 @@ def check_min_freq(min_freq: int) -> None:
 def harvest_candidates(ontology: Ontology, docs: list[str],
                        lexicon: PosLexicon, min_freq: int = 3,
                        stopwords: frozenset[str] = frozenset(),
-                       ) -> list[CandidateKeyword]:
-    """Collect vocabulary-extension candidates from auxiliary documents.
+                       ) -> list[dict]:
+    """Collect vocabulary-extension candidates from auxiliary documents:
+    {"category_id", "word", "frequency"} rows.
 
     For each category, sentences containing at least one current
     category keyword are selected; the nouns, verbs, and adjectives of
@@ -256,7 +244,7 @@ def harvest_candidates(ontology: Ontology, docs: list[str],
         for doc in docs
         for sentence in split_sentences(doc)
     ]
-    candidates: list[CandidateKeyword] = []
+    candidates: list[dict] = []
     for cat in ontology.categories:
         vocab = cat.vocabulary(use_extended=True)
         counts: Counter[str] = Counter()
@@ -267,22 +255,22 @@ def harvest_candidates(ontology: Ontology, docs: list[str],
             counts.update(extract_keywords(tokens, lexicon))
         for word, freq in counts.items():
             if freq >= min_freq and word not in vocab:
-                candidates.append(CandidateKeyword(
-                    word=word, category_id=cat.id, frequency=freq,
-                ))
-    candidates.sort(key=lambda c: (c.category_id, -c.frequency, c.word))
+                candidates.append({"category_id": cat.id, "word": word,
+                                   "frequency": freq})
+    candidates.sort(key=lambda c: (c["category_id"], -c["frequency"],
+                                   c["word"]))
     return candidates
 
 
-def candidate_report(candidates: list[CandidateKeyword]) -> str:
+def candidate_report(candidates: list[dict]) -> str:
     """Candidates as CSV text with rows "category_id,word,frequency", in
     the order given (`harvest_candidates` sorts them)."""
     return csv_text([("category_id", "word", "frequency"),
-                     *((c.category_id, c.word, c.frequency)
+                     *((c["category_id"], c["word"], c["frequency"])
                        for c in candidates)])
 
 
-def write_candidate_report(candidates: list[CandidateKeyword],
+def write_candidate_report(candidates: list[dict],
                            path: str | Path) -> None:
     """Write `candidate_report(candidates)` to a file."""
     write_text(path, candidate_report(candidates))
@@ -311,7 +299,7 @@ def load_approvals(path: str | Path) -> dict[tuple[str, str], int]:
 
 
 def apply_approvals(ontology: Ontology,
-                    candidates: list[CandidateKeyword],
+                    candidates: list[dict],
                     approvals: Iterable[tuple[str, str]]) -> Ontology:
     """Move approved candidates into their category's extended keywords.
 
@@ -319,7 +307,7 @@ def apply_approvals(ontology: Ontology,
     harvested; the first that does not raises ApprovalError, to guard
     against typos. Unapproved candidates are discarded.
     """
-    harvested = {(c.category_id, c.word) for c in candidates}
+    harvested = {(c["category_id"], c["word"]) for c in candidates}
     known = set(ontology.category_ids())
     approved_by_cat: dict[str, set[str]] = {}
     for cat_id, word in approvals:

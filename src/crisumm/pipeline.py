@@ -354,13 +354,13 @@ def select(classified: ClassificationResult, importance, ontology: Ontology,
     """The summary's entries and its lines of whitespace-collapsed text."""
     vocab_by_category = {c.id: c.vocabulary(options.use_extended)
                          for c in ontology.categories}
-    summary = summarize(classified.partition, importance, vocab_by_category,
+    entries = summarize(classified.partition, importance, vocab_by_category,
                         table, selector_config(options))
     tweets_by_id = {t.id: t for t in classified.dataset.tweets}
     return {
-        "entries": [asdict(e) for e in summary.entries],
-        "text": [" ".join(tweets_by_id[e.tweet_id].raw_text.split())
-                 for e in summary.entries],
+        "entries": entries,
+        "text": [" ".join(tweets_by_id[e["tweet_id"]].raw_text.split())
+                 for e in entries],
     }
 
 
@@ -371,8 +371,7 @@ def evaluate(summary_lines: list[str], reference: str | Path,
         return [tok for line in lines
                 for tok in corpus.preprocess_text(line, stopwords)]
     reference_lines = read_text(reference).splitlines()
-    return score_summary(tokens(summary_lines),
-                         tokens(reference_lines)).as_dict()
+    return score_summary(tokens(summary_lines), tokens(reference_lines))
 
 
 def _write_report(report: dict, path: Path) -> None:
@@ -380,12 +379,19 @@ def _write_report(report: dict, path: Path) -> None:
     write_text(path, json_text(report))
 
 
+def _remove_quarantine(out_dir: Path) -> None:
+    quarantine = out_dir / "quarantine"
+    if quarantine.exists():
+        shutil.rmtree(quarantine)
+
+
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run every configured stage and write the report to cfg.out_dir.
 
     On a stage failure the partial report is quarantined under
     out_dir/quarantine/report.json and a PipelineStageError naming the
-    stage is raised.
+    stage is raised. Either outcome removes the other's files from
+    out_dir, so only the latest run's outcome is left there.
     """
     cfg.validate()
     out_dir = Path(cfg.out_dir)
@@ -404,7 +410,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 ontology, cfg.vocab_docs, cfg.approvals, lexicon, stopwords,
                 cfg)
             report["vocabulary_extension"] = {
-                "candidates": [asdict(c) for c in candidates],
+                "candidates": candidates,
                 "approved": {
                     c.id: sorted(c.extended_keywords)
                     for c in ontology.categories if c.extended_keywords
@@ -438,10 +444,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         chosen_id = most_similar(target.dataset, [r.dataset for r in others],
                                  scores, cfg.homogeneous_only)
         report["similarity"] = {
-            "matrix": {x: {y: score.dis_sim for y, score in row.items()}
+            "matrix": {x: {y: score["dis_sim"] for y, score in row.items()}
                        for x, row in matrix.items()},
             "most_similar": chosen_id,
-            "most_similar_score": asdict(scores[chosen_id]),
+            "most_similar_score": scores[chosen_id],
         }
 
         stages.append("importance")
@@ -456,13 +462,15 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         report["rouge"] = evaluate(report["summary"]["text"], cfg.reference,
                                    stopwords) if cfg.reference else None
     except Exception as exc:
-        quarantine = out_dir / "quarantine"
-        if quarantine.exists():
-            shutil.rmtree(quarantine)
-        _write_report(report, quarantine / "report.json")
+        _remove_quarantine(out_dir)
+        _write_report(report, out_dir / "quarantine" / "report.json")
+        for name in ("report.json", "summary.json", "summary.txt"):
+            if (out_dir / name).is_file():
+                (out_dir / name).unlink()
         raise PipelineStageError(stages[-1], exc) from exc
 
     _write_report(report, out_dir / "report.json")
     write_text(out_dir / "summary.txt", lines_text(report["summary"]["text"]))
     _write_report(report["summary"], out_dir / "summary.json")
+    _remove_quarantine(out_dir)
     return report

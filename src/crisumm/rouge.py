@@ -3,31 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
 from typing import Sequence
 
 
-@dataclass(frozen=True)
-class RougeScore:
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass(frozen=True)
-class RougeReport:
-    rouge_1: RougeScore
-    rouge_2: RougeScore
-    rouge_l: RougeScore
-
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        return asdict(self)
-
-
-def _f1(precision: float, recall: float) -> float:
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def _scores(precision: float, recall: float) -> dict[str, float]:
+    """{"precision", "recall", "f1"}; F1 is 0 where both are 0."""
+    f1 = 0.0 if precision + recall == 0.0 \
+        else 2.0 * precision * recall / (precision + recall)
+    return {"precision": precision, "recall": recall, "f1": f1}
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
@@ -35,8 +18,9 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
 
 
 def rouge_n(candidate: Sequence[str], reference: Sequence[str],
-            n: int) -> RougeScore:
-    """Clipped n-gram overlap scores; empty n-gram lists yield 0."""
+            n: int) -> dict[str, float]:
+    """Clipped n-gram overlap {"precision", "recall", "f1"}; empty n-gram
+    lists score 0."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     cand = _ngrams(candidate, n)
@@ -44,11 +28,9 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str],
     cand_total = sum(cand.values())
     ref_total = sum(ref.values())
     if cand_total == 0 or ref_total == 0:
-        return RougeScore(0.0, 0.0, 0.0)
+        return _scores(0.0, 0.0)
     overlap = sum((cand & ref).values())
-    precision = overlap / cand_total
-    recall = overlap / ref_total
-    return RougeScore(precision, recall, _f1(precision, recall))
+    return _scores(overlap / cand_total, overlap / ref_total)
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -69,21 +51,20 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
-    """Longest-common-subsequence scores over whole token sequences."""
+def rouge_l(candidate: Sequence[str],
+            reference: Sequence[str]) -> dict[str, float]:
+    """Longest-common-subsequence {"precision", "recall", "f1"} over whole
+    token sequences."""
     if not candidate or not reference:
-        return RougeScore(0.0, 0.0, 0.0)
+        return _scores(0.0, 0.0)
     lcs = _lcs_length(candidate, reference)
-    precision = lcs / len(candidate)
-    recall = lcs / len(reference)
-    return RougeScore(precision, recall, _f1(precision, recall))
+    return _scores(lcs / len(candidate), lcs / len(reference))
 
 
 def score_summary(candidate: Sequence[str],
-                  reference: Sequence[str]) -> RougeReport:
-    """All nine numbers for one candidate/reference pair."""
-    return RougeReport(
-        rouge_1=rouge_n(candidate, reference, 1),
-        rouge_2=rouge_n(candidate, reference, 2),
-        rouge_l=rouge_l(candidate, reference),
-    )
+                  reference: Sequence[str]) -> dict[str, dict[str, float]]:
+    """All nine numbers for one candidate/reference pair, under
+    "rouge_1", "rouge_2" and "rouge_l"."""
+    return {"rouge_1": rouge_n(candidate, reference, 1),
+            "rouge_2": rouge_n(candidate, reference, 2),
+            "rouge_l": rouge_l(candidate, reference)}

@@ -53,36 +53,6 @@ class SelectorConfig:
             raise ValueError(f"unknown selector {self.selector_kind!r}")
 
 
-@dataclass(frozen=True)
-class SummaryEntry:
-    tweet_id: str
-    category_id: str
-    score: float
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Selected tweets in selection order, with their slot counts."""
-
-    entries: tuple[SummaryEntry, ...]
-    importance: ImportanceVector
-
-    def __post_init__(self) -> None:
-        ids = [e.tweet_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("a tweet appears twice in the summary")
-        per_category: dict[str, int] = {}
-        for entry in self.entries:
-            per_category[entry.category_id] = \
-                per_category.get(entry.category_id, 0) + 1
-        expected = {cid: n for cid, n in self.importance.counts.items() if n}
-        if per_category != expected:
-            raise ValueError(
-                f"summary category counts {per_category} do not match the "
-                f"importance vector {expected}"
-            )
-
-
 def keyword_relevance(words: Iterable[str], vocab: Iterable[str],
                       emb: EmbeddingTable) -> dict[str, float]:
     """Each word's `sim1` contribution against `vocab`.
@@ -353,17 +323,19 @@ def select_category(tweets: Sequence[Tweet], count: int,
 def summarize(partition: Mapping[str, Sequence[Tweet]],
               importance: ImportanceVector,
               vocab_by_category: Mapping[str, frozenset[str]],
-              emb: EmbeddingTable, cfg: SelectorConfig) -> Summary:
-    """Fill every category's slots with the configured selector.
+              emb: EmbeddingTable, cfg: SelectorConfig) -> list[dict]:
+    """Fill every category's slots with the configured selector; return
+    the picks in selection order as {"tweet_id", "category_id", "score"}.
 
     Categories are visited once each, in ascending id order. Relevance
     is measured against the category's vocabulary, or for `mmr` against
     the union of all of them. The picks of earlier categories count as
-    redundancy unless `cfg.diversity_same_category_only` is set.
+    redundancy unless `cfg.diversity_same_category_only` is set. A tweet
+    that `partition` lists under two categories must not be picked twice.
     """
     union = frozenset().union(*vocab_by_category.values())
     picked: list[Tweet] = []
-    entries: list[SummaryEntry] = []
+    entries: list[dict] = []
     for cid in sorted(importance.counts):
         need = importance.counts[cid]
         if need == 0:
@@ -373,7 +345,9 @@ def summarize(partition: Mapping[str, Sequence[Tweet]],
         earlier = () if cfg.diversity_same_category_only else picked
         for tweet, score in select_category(partition.get(cid, ()), need,
                                             vocab, emb, cfg, earlier, cid):
-            entries.append(SummaryEntry(tweet_id=tweet.id, category_id=cid,
-                                        score=score))
+            entries.append({"tweet_id": tweet.id, "category_id": cid,
+                            "score": score})
             picked.append(tweet)
-    return Summary(entries=tuple(entries), importance=importance)
+    if len({t.id for t in picked}) != len(picked):
+        raise ValueError("a tweet appears twice in the summary")
+    return entries

@@ -25,7 +25,7 @@ def make_tweet(tweet_id: str, keywords) -> Tweet:
 
 def tweet_ids(summary) -> tuple:
     """The summary's tweet ids in selection order."""
-    return tuple(entry.tweet_id for entry in summary.entries)
+    return tuple(entry["tweet_id"] for entry in summary)
 
 
 # --- tweet keywords ---------------------------------------------------

@@ -283,6 +283,20 @@ class TestExtendVocab:
         assert err == "error: --ontology-out is required with --approvals\n"
         assert not cands.exists()
 
+    def test_ontology_out_needs_approvals(self, tmp_path, capsys, data_dir):
+        # The ontology path does not exist: the flags fail before any
+        # file is read.
+        cands = tmp_path / "cands.csv"
+        extended = tmp_path / "extended.json"
+        code, out, err = run(capsys, "extend-vocab",
+                             "--ontology", str(tmp_path / "missing.json"),
+                             "--docs", str(data_dir / "vocab_docs.txt"),
+                             "--ontology-out", str(extended),
+                             "--candidates-out", str(cands))
+        assert (code, out) == (1, "")
+        assert err == "error: --approvals is required with --ontology-out\n"
+        assert not cands.exists() and not extended.exists()
+
     def test_empty_document_names_file(self, tmp_path, capsys, data_dir):
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")
@@ -595,6 +609,38 @@ class TestPipelineCommand:
         partial = json.loads((quarantine / "report.json").read_text("utf-8"))
         assert "datasets" in partial and "similarity" not in partial
         assert not (out_dir / "report.json").exists()
+
+    def test_failure_removes_an_earlier_success(self, tmp_path, capsys,
+                                                data_dir):
+        out_dir = tmp_path / "run"
+        argv = ["pipeline", "--config", str(tmp_path / "pipeline.cfg"),
+                "--out-dir", str(out_dir)]
+        config_copy(data_dir, tmp_path)
+        assert run(capsys, *argv)[0] == 0
+        outputs = ["report.json", "summary.json", "summary.txt"]
+        assert sorted(p.name for p in out_dir.iterdir()) == outputs
+        # A config that fails its checks touches nothing.
+        config_copy(data_dir, tmp_path, m=0)
+        assert run(capsys, *argv)[0] == 1
+        assert sorted(p.name for p in out_dir.iterdir()) == outputs
+        config_copy(data_dir, tmp_path, m=500)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: stage 'importance' failed: ")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["quarantine"]
+
+    def test_success_removes_an_earlier_failure(self, tmp_path, capsys,
+                                                data_dir):
+        out_dir = tmp_path / "run"
+        argv = ["pipeline", "--config", str(tmp_path / "pipeline.cfg"),
+                "--out-dir", str(out_dir)]
+        config_copy(data_dir, tmp_path, m=500)
+        assert run(capsys, *argv)[0] == 1
+        assert (out_dir / "quarantine" / "report.json").exists()
+        config_copy(data_dir, tmp_path)
+        assert run(capsys, *argv)[0] == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+            ["report.json", "summary.json", "summary.txt"]
 
     @pytest.mark.parametrize("row, message", BAD_APPROVALS)
     def test_bad_approval_fails_extend_vocab_stage(self, tmp_path, capsys,

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crisumm.corpus import DisasterDataset
-from crisumm.disaster_sim import (CategoryProfile, SimilarityScore,
-                                  build_profile, cat_ic, cat_p, dis_sim,
-                                  jensen_shannon_divergence, most_similar)
+from crisumm.disaster_sim import (CategoryProfile, build_profile, cat_ic,
+                                  cat_p, dis_sim, jensen_shannon_divergence,
+                                  most_similar)
 
 from oracles import cosine_exact, jsd_base2, make_tweet
 
@@ -217,21 +217,21 @@ class TestDisSim:
         rng = np.random.default_rng(31)
         for _ in range(100):
             profile = random_profile(rng)
-            assert dis_sim(profile, profile).dis_sim == 1.0
+            assert dis_sim(profile, profile)["dis_sim"] == 1.0
 
     def test_component_blend(self):
         rng = np.random.default_rng(37)
         for _ in range(100):
             px, py = random_profile(rng), random_profile(rng)
             score = dis_sim(px, py, 0.3, 0.7)
-            assert abs(score.dis_sim
-                       - (0.3 * score.cat_ic + 0.7 * score.cat_p)) <= 1e-12
+            blend = 0.3 * score["cat_ic"] + 0.7 * score["cat_p"]
+            assert abs(score["dis_sim"] - blend) <= 1e-12
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(41)
         for _ in range(200):
             px, py = random_profile(rng), random_profile(rng)
-            assert dis_sim(px, py).dis_sim == dis_sim(py, px).dis_sim
+            assert dis_sim(px, py)["dis_sim"] == dis_sim(py, px)["dis_sim"]
 
     def test_weight_validation(self):
         profile = profile_from({"a": [{"x"}]})
@@ -247,7 +247,7 @@ class TestMostSimilar:
                                continent=continent)
 
     def _row(self, **values):
-        return {ds_id: SimilarityScore(dis_sim=v, cat_ic=v, cat_p=v)
+        return {ds_id: {"dis_sim": v, "cat_ic": v, "cat_p": v}
                 for ds_id, v in values.items()}
 
     def test_argmax(self):
@@ -303,5 +303,5 @@ class TestBounds:
         for _ in range(300):
             px, py = random_profile(rng), random_profile(rng)
             score = dis_sim(px, py)
-            for value in (score.cat_ic, score.cat_p, score.dis_sim):
+            for value in score.values():
                 assert 0.0 <= value <= 1.0

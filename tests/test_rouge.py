@@ -17,21 +17,21 @@ class TestRougeN:
         tokens = ["relief", "camp", "open"]
         for n in (1, 2):
             score = rouge_n(tokens, tokens, n)
-            assert (score.precision, score.recall, score.f1) == (1, 1, 1)
+            assert score == {"precision": 1, "recall": 1, "f1": 1}
 
     def test_disjoint_vocabulary(self):
         score = rouge_n(["a", "b"], ["c", "d"], 1)
-        assert (score.precision, score.recall, score.f1) == (0, 0, 0)
+        assert score == {"precision": 0, "recall": 0, "f1": 0}
 
     def test_clipped_counting(self):
         score = rouge_n(["a", "b", "a"], ["a", "b", "b"], 1)
-        assert score.precision == pytest.approx(2 / 3)
-        assert score.recall == pytest.approx(2 / 3)
+        assert score["precision"] == pytest.approx(2 / 3)
+        assert score["recall"] == pytest.approx(2 / 3)
 
     def test_empty_ngram_lists(self):
-        assert rouge_n([], ["a"], 1).f1 == 0.0
-        assert rouge_n(["a"], [], 1).f1 == 0.0
-        assert rouge_n(["a"], ["a", "b"], 2).f1 == 0.0
+        assert rouge_n([], ["a"], 1)["f1"] == 0.0
+        assert rouge_n(["a"], [], 1)["f1"] == 0.0
+        assert rouge_n(["a"], ["a", "b"], 2)["f1"] == 0.0
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -41,16 +41,16 @@ class TestRougeN:
 class TestRougeL:
     def test_identical_sequences(self):
         score = rouge_l(["x", "y", "z"], ["x", "y", "z"])
-        assert (score.precision, score.recall, score.f1) == (1, 1, 1)
+        assert score == {"precision": 1, "recall": 1, "f1": 1}
 
     def test_two_of_three(self):
         score = rouge_l("the cat sat".split(), "the cat ran".split())
-        assert score.precision == pytest.approx(2 / 3)
-        assert score.recall == pytest.approx(2 / 3)
-        assert score.f1 == pytest.approx(2 / 3)
+        assert score["precision"] == pytest.approx(2 / 3)
+        assert score["recall"] == pytest.approx(2 / 3)
+        assert score["f1"] == pytest.approx(2 / 3)
 
     def test_empty_candidate(self):
-        assert rouge_l([], ["a", "b"]).f1 == 0.0
+        assert rouge_l([], ["a", "b"])["f1"] == 0.0
 
 
 class TestProperties:
@@ -60,29 +60,30 @@ class TestProperties:
             a = random_tokens(rng)
             b = random_tokens(rng)
             for n in (1, 2):
-                assert rouge_n(a, b, n).precision == rouge_n(b, a, n).recall
-            assert rouge_l(a, b).precision == rouge_l(b, a).recall
+                assert rouge_n(a, b, n)["precision"] == \
+                    rouge_n(b, a, n)["recall"]
+            assert rouge_l(a, b)["precision"] == rouge_l(b, a)["recall"]
 
     def test_bounds(self):
         rng = np.random.default_rng(73)
         for _ in range(200):
             report = score_summary(random_tokens(rng), random_tokens(rng))
-            for score in (report.rouge_1, report.rouge_2, report.rouge_l):
-                assert 0.0 <= score.precision <= 1.0
-                assert 0.0 <= score.recall <= 1.0
-                assert 0.0 <= score.f1 <= 1.0
+            for score in report.values():
+                assert 0.0 <= score["precision"] <= 1.0
+                assert 0.0 <= score["recall"] <= 1.0
+                assert 0.0 <= score["f1"] <= 1.0
 
     def test_f1_formula(self):
         rng = np.random.default_rng(79)
         for _ in range(100):
             a, b = random_tokens(rng), random_tokens(rng)
             score = rouge_n(a, b, 1)
-            if score.precision + score.recall > 0:
-                want = (2 * score.precision * score.recall
-                        / (score.precision + score.recall))
-                assert score.f1 == pytest.approx(want, abs=1e-15)
+            if score["precision"] + score["recall"] > 0:
+                want = (2 * score["precision"] * score["recall"]
+                        / (score["precision"] + score["recall"]))
+                assert score["f1"] == pytest.approx(want, abs=1e-15)
             else:
-                assert score.f1 == 0.0
+                assert score["f1"] == 0.0
 
     def test_matches_oracles(self):
         rng = np.random.default_rng(83)
@@ -91,11 +92,11 @@ class TestProperties:
             for n in (1, 2):
                 ours = rouge_n(a, b, n)
                 want = oracles.rouge_n_scores(a, b, n)
-                assert (ours.precision, ours.recall, ours.f1) == \
+                assert (ours["precision"], ours["recall"], ours["f1"]) == \
                     pytest.approx(want, abs=1e-12)
             ours = rouge_l(a, b)
             want = oracles.rouge_l_scores(a, b)
-            assert (ours.precision, ours.recall, ours.f1) == \
+            assert (ours["precision"], ours["recall"], ours["f1"]) == \
                 pytest.approx(want, abs=1e-12)
 
 
@@ -121,7 +122,7 @@ class TestLongInputs:
         assert rouge._lcs_length(a, b) == oracles.lcs_length(a, b)
         ours = rouge_l(a, b)
         want = oracles.rouge_l_scores(a, b)
-        assert [ours.precision.hex(), ours.recall.hex(), ours.f1.hex()] == \
+        assert [ours[k].hex() for k in ("precision", "recall", "f1")] == \
             [float(w).hex() for w in want]
 
     def test_subsequence_and_reversal(self):
@@ -134,9 +135,8 @@ class TestLongInputs:
 
 
 class TestReport:
-    def test_as_dict_shape(self):
-        report = score_summary(["a"], ["a"])
-        payload = report.as_dict()
+    def test_report_shape(self):
+        payload = score_summary(["a"], ["a"])
         assert set(payload) == {"rouge_1", "rouge_2", "rouge_l"}
         for scores in payload.values():
             assert set(scores) == {"precision", "recall", "f1"}

@@ -6,9 +6,8 @@ import pytest
 from crisumm import selector as sel
 from crisumm.embeddings import EmbeddingTable
 from crisumm.importance import ImportanceVector
-from crisumm.selector import (SelectorConfig, Summary, SummaryEntry,
-                              dmmr_select, select_category, sim1, sim2,
-                              summarize)
+from crisumm.selector import (SelectorConfig, dmmr_select, select_category,
+                              sim1, sim2, summarize)
 
 import oracles
 from oracles import make_tweet, random_instance
@@ -114,16 +113,16 @@ class TestSim1Memo:
         partition = {"ca": (make_tweet("a1", {"x", "y"}),),
                      "cb": (make_tweet("b1", {"x", "y"}),)}
         vocab = {"ca": frozenset({"va"}), "cb": frozenset({"vb"})}
-        importance = ImportanceVector(counts={"ca": 1, "cb": 1}, m=2)
+        importance = ImportanceVector(counts={"ca": 1, "cb": 1})
         summary = summarize(partition, importance, vocab, emb,
                             SelectorConfig(lam=1.0, selector_kind=kind))
-        for entry in summary.entries:
-            tweet = partition[entry.category_id][0]
-            want = vocab[entry.category_id]
-            assert entry.score == sim1(tweet, want, emb)
-            assert entry.score == pytest.approx(
+        for entry in summary:
+            tweet = partition[entry["category_id"]][0]
+            want = vocab[entry["category_id"]]
+            assert entry["score"] == sim1(tweet, want, emb)
+            assert entry["score"] == pytest.approx(
                 oracles.sim1(tweet, want, emb), abs=1e-9)
-        assert summary.entries[0].score != summary.entries[1].score
+        assert summary[0]["score"] != summary[1]["score"]
 
 
 class TestSim2:
@@ -256,7 +255,7 @@ class TestDmmrSelect:
         partition = {"ca": (make_tweet("prev", {"a"}),),
                      "cb": (make_tweet("t1", {"a"}), make_tweet("t2", {"b"}))}
         vocab = {"ca": frozenset({"v"}), "cb": frozenset({"v"})}
-        importance = ImportanceVector(counts={"ca": 1, "cb": 1}, m=2)
+        importance = ImportanceVector(counts={"ca": 1, "cb": 1})
         for same_only, want in ((True, "t1"), (False, "t2")):
             cfg = SelectorConfig(lam=0.5,
                                  diversity_same_category_only=same_only)
@@ -336,7 +335,7 @@ class TestAblations:
                     vb=[0.0, 1.0])
         partition = {"ca": (make_tweet("t1", {"a"}), make_tweet("t2", {"b"}))}
         vocab = {"ca": frozenset({"vb"}), "cb": frozenset({"va"})}
-        importance = ImportanceVector(counts={"ca": 1, "cb": 0}, m=1)
+        importance = ImportanceVector(counts={"ca": 1, "cb": 0})
         for kind, want in (("max_sim", "t2"), ("mmr", "t1")):
             summary = summarize(partition, importance, vocab, emb,
                                 SelectorConfig(lam=1.0, selector_kind=kind))
@@ -362,21 +361,21 @@ class TestSummarize:
 
     def test_top_tweet_from_each_category(self):
         partition, vocab, emb = self._setup()
-        importance = ImportanceVector(counts={"ca": 1, "cb": 1}, m=2)
+        importance = ImportanceVector(counts={"ca": 1, "cb": 1})
         summary = summarize(partition, importance, vocab, emb,
                             SelectorConfig())
         assert oracles.tweet_ids(summary) == ("a-strong", "b-strong")
 
     def test_degenerate_importance_stays_in_one_category(self):
         partition, vocab, emb = self._setup()
-        importance = ImportanceVector(counts={"ca": 2, "cb": 0}, m=2)
+        importance = ImportanceVector(counts={"ca": 2, "cb": 0})
         summary = summarize(partition, importance, vocab, emb,
                             SelectorConfig())
-        assert {e.category_id for e in summary.entries} == {"ca"}
+        assert {e["category_id"] for e in summary} == {"ca"}
 
     def test_deterministic(self):
         partition, vocab, emb = self._setup()
-        importance = ImportanceVector(counts={"ca": 1, "cb": 1}, m=2)
+        importance = ImportanceVector(counts={"ca": 1, "cb": 1})
         first = summarize(partition, importance, vocab, emb,
                           SelectorConfig())
         second = summarize(partition, importance, vocab, emb,
@@ -385,7 +384,7 @@ class TestSummarize:
 
     def test_overdrawn_category_rejected(self):
         partition, vocab, emb = self._setup()
-        importance = ImportanceVector(counts={"ca": 3, "cb": 0}, m=3)
+        importance = ImportanceVector(counts={"ca": 3, "cb": 0})
         with pytest.raises(ValueError, match="available"):
             summarize(partition, importance, vocab, emb, SelectorConfig())
 
@@ -393,21 +392,23 @@ class TestSummarize:
                                       "eigenvector", "pagerank", "mmr"])
     def test_overdrawn_category_is_named(self, kind):
         partition, vocab, emb = self._setup()
-        importance = ImportanceVector(counts={"ca": 1, "cb": 3}, m=4)
+        importance = ImportanceVector(counts={"ca": 1, "cb": 3})
         with pytest.raises(ValueError,
                            match=r"3 tweets from category 'cb' .* only 2"):
             summarize(partition, importance, vocab, emb,
                       SelectorConfig(selector_kind=kind))
 
     def test_summary_invariants_enforced(self):
-        importance = ImportanceVector(counts={"ca": 2}, m=2)
-        entries = (SummaryEntry("t1", "ca", 1.0),
-                   SummaryEntry("t1", "ca", 0.5))
-        with pytest.raises(ValueError, match="twice"):
-            Summary(entries=entries, importance=importance)
-        with pytest.raises(ValueError, match="match"):
-            Summary(entries=(SummaryEntry("t1", "ca", 1.0),),
-                    importance=importance)
+        # One tweet listed under two categories, with the diversity
+        # penalty off across categories, is the top pick of both.
+        partition, vocab, emb = self._setup()
+        partition["cb"] = partition["ca"]
+        vocab["cb"] = vocab["ca"]
+        importance = ImportanceVector(counts={"ca": 1, "cb": 1})
+        cfg = SelectorConfig(diversity_same_category_only=True)
+        with pytest.raises(ValueError,
+                           match="^a tweet appears twice in the summary$"):
+            summarize(partition, importance, vocab, emb, cfg)
 
     def test_anti_duplication_across_categories(self):
         # Identical keyword sets in two categories: with lam < 1 the
@@ -418,7 +419,7 @@ class TestSummarize:
             "cb": (make_tweet("b1", {"x"}), make_tweet("b2", {"y"})),
         }
         vocab = {"ca": frozenset({"v"}), "cb": frozenset({"v"})}
-        importance = ImportanceVector(counts={"ca": 1, "cb": 1}, m=2)
+        importance = ImportanceVector(counts={"ca": 1, "cb": 1})
         summary = summarize(partition, importance, vocab, emb,
                             SelectorConfig(lam=0.5))
         assert oracles.tweet_ids(summary) == ("a1", "b2")
@@ -440,17 +441,17 @@ class TestSummarize:
         result = classify_corpus(target_dataset, extended_ontology, True)
         importance = ImportanceVector(
             counts={"affected_population": 3, "early_warning": 1,
-                    "infrastructure_damage": 2, "volunteer_support": 2},
-            m=8)
+                    "infrastructure_damage": 2, "volunteer_support": 2})
         vocab = {c.id: c.vocabulary(True)
                  for c in extended_ontology.categories}
         summary = summarize(result.partition, importance, vocab,
                             embedding_table,
                             SelectorConfig(selector_kind=kind))
-        assert len(summary.entries) == 8
+        assert len(summary) == 8
         counts = {}
-        for entry in summary.entries:
-            counts[entry.category_id] = counts.get(entry.category_id, 0) + 1
+        for entry in summary:
+            cid = entry["category_id"]
+            counts[cid] = counts.get(cid, 0) + 1
         assert counts == {k: v for k, v in importance.counts.items() if v}
 
 
@@ -464,8 +465,7 @@ def fixture_run(target_dataset, extended_ontology, embedding_table):
     from crisumm.categorizer import classify_corpus
     result = classify_corpus(target_dataset, extended_ontology, True)
     vocab = {c.id: c.vocabulary(True) for c in extended_ontology.categories}
-    importance = ImportanceVector(counts=FIXTURE_COUNTS,
-                                  m=sum(FIXTURE_COUNTS.values()))
+    importance = ImportanceVector(counts=FIXTURE_COUNTS)
     return result.partition, importance, vocab, embedding_table
 
 
@@ -499,8 +499,8 @@ def test_same_category_switch_in_summarize(fixture_run, kind, same_only):
                                     lam)
         want += [(t.id, cid, score.hex()) for t, score in picks]
         earlier += [t for t, _ in picks]
-    assert [(e.tweet_id, e.category_id, e.score.hex())
-            for e in summary.entries] == want
+    assert [(e["tweet_id"], e["category_id"], e["score"].hex())
+            for e in summary] == want
 
 
 def test_kmeans_scales_exactly_up_to_the_float_maximum(fixture_run):
@@ -512,6 +512,6 @@ def test_kmeans_scales_exactly_up_to_the_float_maximum(fixture_run):
     cfg = SelectorConfig(selector_kind="kmeans")
     plain = summarize(partition, importance, vocab, emb, cfg)
     scaled = summarize(partition, importance, vocab, huge, cfg)
-    assert [(e.tweet_id, e.score.hex()) for e in scaled.entries] == \
-        [(e.tweet_id, float(np.ldexp(e.score, 1023)).hex())
-         for e in plain.entries]
+    assert [(e["tweet_id"], e["score"].hex()) for e in scaled] == \
+        [(e["tweet_id"], float(np.ldexp(e["score"], 1023)).hex())
+         for e in plain]
