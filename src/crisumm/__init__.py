@@ -22,7 +22,6 @@ from .importance import (
     predict_importance,
 )
 from .selector import (
-    SelectorConfig,
     dmmr_select,
     select_category,
     sim1,
@@ -41,8 +40,7 @@ __all__ = [
     "build_profile", "cat_ic", "cat_p", "dis_sim", "most_similar",
     "ImportanceVector", "RegressionModel", "build_training_pairs", "fit",
     "predict_importance",
-    "SelectorConfig", "dmmr_select", "select_category", "sim1",
-    "sim2", "summarize",
+    "dmmr_select", "select_category", "sim1", "sim2", "summarize",
     "rouge_l", "rouge_n", "score_summary",
     "PipelineConfig", "load_config", "run_pipeline",
 ]

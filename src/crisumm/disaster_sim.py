@@ -27,7 +27,6 @@ class CategoryProfile:
     """
 
     counts: dict[str, int]
-    probabilities: dict[str, float]
     top_keywords: dict[str, dict[str, int]]
 
 
@@ -49,12 +48,10 @@ def build_profile(partition: Mapping[str, Sequence[Tweet]],
                   k: int = 50) -> CategoryProfile:
     """Summarize a classification partition into a category profile."""
     counts = {cid: len(tweets) for cid, tweets in partition.items() if tweets}
-    total = sum(counts.values())
-    if total == 0:
+    if not counts:
         raise ValueError("cannot profile an empty partition: "
                          "no classified tweets")
     check_top_k(k)
-    probabilities = {cid: n / total for cid, n in counts.items()}
     top_keywords: dict[str, dict[str, int]] = {}
     for cid in sorted(counts):
         freq: Counter[str] = Counter()
@@ -62,8 +59,7 @@ def build_profile(partition: Mapping[str, Sequence[Tweet]],
             freq.update(tweet.keywords)
         ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
         top_keywords[cid] = dict(ranked)
-    return CategoryProfile(counts=counts, probabilities=probabilities,
-                           top_keywords=top_keywords)
+    return CategoryProfile(counts=counts, top_keywords=top_keywords)
 
 
 def cat_ic(px: CategoryProfile, py: CategoryProfile) -> float:
@@ -108,11 +104,15 @@ def jensen_shannon_divergence(p: Sequence[float],
 
 
 def cat_p(px: CategoryProfile, py: CategoryProfile) -> float:
-    """Category-distribution similarity: 1 - JSD of the two profiles."""
+    """Category-distribution similarity: 1 - JSD of the two profiles'
+    category shares, each category's count over the profile's total."""
     ids = sorted(set(px.counts) | set(py.counts))
-    p = [px.probabilities.get(c, 0.0) for c in ids]
-    q = [py.probabilities.get(c, 0.0) for c in ids]
-    return 1.0 - jensen_shannon_divergence(p, q)
+
+    def shares(profile: CategoryProfile) -> list[float]:
+        total = sum(profile.counts.values())
+        return [profile.counts.get(c, 0) / total for c in ids]
+
+    return 1.0 - jensen_shannon_divergence(shares(px), shares(py))
 
 
 def dis_sim(px: CategoryProfile, py: CategoryProfile,

@@ -113,7 +113,7 @@ def build_training_pairs(result: ClassificationResult,
 
 def check_fit_options(kind: str, ridge_alpha: float, prior_precision: float,
                       noise_precision: float) -> None:
-    """Reject an unknown kind or a hyperparameter out of range.
+    """Reject an unknown kind or an infinite or out-of-range hyperparameter.
 
     Every hyperparameter is checked whatever the kind, so a bad value
     never waits in a config for the kind that would read it.
@@ -124,6 +124,11 @@ def check_fit_options(kind: str, ridge_alpha: float, prior_precision: float,
         raise ValueError(f"ridge_alpha must be >= 0, got {ridge_alpha}")
     if not (prior_precision > 0.0 and noise_precision > 0.0):
         raise ValueError("prior_precision and noise_precision must be > 0")
+    for name, value in (("ridge_alpha", ridge_alpha),
+                        ("prior_precision", prior_precision),
+                        ("noise_precision", noise_precision)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def fit(pairs: Sequence[tuple[float, float]], kind: str = "linear", *,
@@ -161,9 +166,16 @@ def fit(pairs: Sequence[tuple[float, float]], kind: str = "linear", *,
 
     phi = np.column_stack([np.ones(n), np.array(xs)])
     y = np.array(ys)
-    precision = prior_precision * np.eye(2) + noise_precision * phi.T @ phi
-    cov = np.linalg.inv(precision)
-    mean = noise_precision * cov @ phi.T @ y
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            precision = (prior_precision * np.eye(2)
+                         + noise_precision * phi.T @ phi)
+            cov = np.linalg.inv(precision)
+            mean = noise_precision * cov @ phi.T @ y
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"bayesian fit breaks down at prior_precision={prior_precision} "
+            f"and noise_precision={noise_precision}: {exc}") from None
     return RegressionModel(
         kind="bayesian",
         slope=float(mean[1]),

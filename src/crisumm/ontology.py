@@ -71,12 +71,6 @@ class Ontology:
     def K(self) -> int:
         return len(self.categories)
 
-    def get(self, category_id: str) -> Category:
-        for c in self.categories:
-            if c.id == category_id:
-                return c
-        raise KeyError(category_id)
-
     def category_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.categories)
 

@@ -24,7 +24,7 @@ from .importance import (build_training_pairs, category_shares,
                          check_fit_options, fit, predict_importance)
 from .ontology import Ontology, check_min_freq
 from .rouge import score_summary
-from .selector import SelectorConfig, summarize
+from .selector import check_selector_options, summarize
 from .textfile import (InputError, content_lines, json_text, lines_text,
                        read_text, write_text)
 
@@ -104,12 +104,6 @@ DEFAULTS = {f.name: f.default if f.default is not MISSING
             if f.default is not MISSING or f.default_factory is not MISSING}
 
 
-def selector_config(source) -> SelectorConfig:
-    """A SelectorConfig from the same-named attributes of `source`."""
-    return SelectorConfig(**{f.name: getattr(source, f.name)
-                             for f in fields(SelectorConfig)})
-
-
 def _require(ok, message: str) -> None:
     if not ok:
         raise ValueError(message)
@@ -126,8 +120,10 @@ def _exists(key: str):
 
 
 # The stage options' checks: (keys a check reads, the check on an
-# options object). `validate` runs every row, and each subcommand the
-# rows whose keys are all among its flags.
+# options object), the keys in the order the check tests them. All but
+# m's are the stages' own checks, which the stages call as well.
+# `validate` runs every row, and each subcommand the rows whose keys
+# are all among its flags.
 CHECKS = (
     (("m",), lambda o: _require(
         o.m >= 1, f"summary length m must be >= 1, got {o.m}")),
@@ -137,7 +133,8 @@ CHECKS = (
     (("regression_kind", "ridge_alpha", "prior_precision", "noise_precision"),
      lambda o: check_fit_options(o.regression_kind, o.ridge_alpha,
                                  o.prior_precision, o.noise_precision)),
-    (tuple(f.name for f in fields(SelectorConfig)), selector_config),
+    (("lam", "sim1_mode", "selector_kind"),
+     lambda o: check_selector_options(o.selector_kind, o.lam, o.sim1_mode)),
 )
 # A config's checks of its input files.
 _INPUT_CHECKS = (
@@ -355,7 +352,7 @@ def select(classified: ClassificationResult, importance, ontology: Ontology,
     vocab_by_category = {c.id: c.vocabulary(options.use_extended)
                          for c in ontology.categories}
     entries = summarize(classified.partition, importance, vocab_by_category,
-                        table, selector_config(options))
+                        table, options)
     tweets_by_id = {t.id: t for t in classified.dataset.tweets}
     return {
         "entries": entries,

@@ -6,12 +6,15 @@ by keyword overlap with whatever the summary already contains. Five
 alternatives (pure relevance ranking: that loop without the penalty,
 k-means medoids, eigenvector centrality, PageRank, and classic MMR) run
 through one per-category entry point, `select_category`, in id order.
+
+`select_category` and `summarize` read `selector_kind`, `lam`,
+`sim1_mode` and `diversity_same_category_only` from one options object.
+Every selector is deterministic, so none takes a seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,28 +32,16 @@ POWER_TOLERANCE = 1e-10
 PAGERANK_DAMPING = 0.85
 
 
-@dataclass(frozen=True)
-class SelectorConfig:
-    """Tunables for tweet selection.
-
-    `lam` trades relevance against diversity (1.0 means relevance
-    only). Every selector, k-means with its farthest-point
-    initialization included, is fully deterministic, so none takes a
-    seed.
-    """
-
-    lam: float = 0.5
-    sim1_mode: str = "sum"
-    selector_kind: str = "dmmr"
-    diversity_same_category_only: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
-        if self.sim1_mode not in SIM1_MODES:
-            raise ValueError(f"unknown sim1 mode {self.sim1_mode!r}")
-        if self.selector_kind not in SELECTOR_KINDS:
-            raise ValueError(f"unknown selector {self.selector_kind!r}")
+def check_selector_options(selector_kind: str, lam: float,
+                           sim1_mode: str) -> None:
+    """Reject an unknown selector or sim1 mode, or a relevance weight
+    `lam` outside [0, 1] (1.0 weighs relevance only)."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    if sim1_mode not in SIM1_MODES:
+        raise ValueError(f"unknown sim1 mode {sim1_mode!r}")
+    if selector_kind not in SELECTOR_KINDS:
+        raise ValueError(f"unknown selector {selector_kind!r}")
 
 
 def keyword_relevance(words: Iterable[str], vocab: Iterable[str],
@@ -137,7 +128,7 @@ def sim2(a: Tweet, b: Tweet) -> float:
 
 
 def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
-                emb: EmbeddingTable, cfg: SelectorConfig,
+                emb: EmbeddingTable, lam: float, sim1_mode: str,
                 earlier: Sequence[Tweet] = ()) -> list[tuple[Tweet, float]]:
     """Greedy marginal-relevance selection of `count` tweets.
 
@@ -147,13 +138,14 @@ def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
     over no picks is 0 and ties go to the smaller tweet id. Each
     tweet's maximum is kept and raised by the newest pick alone, and
     each distinct keyword's `sim1` contribution is computed once.
-    `count` must not exceed len(tweets); `select_category` checks it.
+    `count` must not exceed len(tweets), and `lam` must lie in [0, 1];
+    `select_category` checks both.
     """
     vocab = frozenset(vocab)
     ordered = sorted(tweets, key=lambda t: t.id)
     table = keyword_relevance(set().union(*(t.keywords for t in ordered)),
                               vocab, emb)
-    relevance = np.array([sim1(t, vocab, emb, cfg.sim1_mode, table)
+    relevance = np.array([sim1(t, vocab, emb, sim1_mode, table)
                           for t in ordered])
     postings = _Postings(ordered)
     redundancy = np.zeros(len(ordered))
@@ -162,7 +154,7 @@ def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
     picked: list[tuple[Tweet, float]] = []
     taken = np.zeros(len(ordered), dtype=bool)
     for _ in range(count):
-        scores = cfg.lam * relevance - (1.0 - cfg.lam) * redundancy
+        scores = lam * relevance - (1.0 - lam) * redundancy
         scores[taken] = -math.inf
         # The first maximum: ties go to the smaller id.
         best = int(np.argmax(scores))
@@ -287,9 +279,10 @@ def _pagerank_scores(matrix: np.ndarray) -> np.ndarray:
 
 def select_category(tweets: Sequence[Tweet], count: int,
                     vocab: Iterable[str], emb: EmbeddingTable,
-                    cfg: SelectorConfig, earlier: Sequence[Tweet] = (),
+                    cfg, earlier: Sequence[Tweet] = (),
                     category_id: str = "") -> list[tuple[Tweet, float]]:
-    """Pick `count` tweets of one category with `cfg.selector_kind`.
+    """Pick `count` tweets of one category with `cfg.selector_kind`,
+    once `check_selector_options` passes `cfg`.
 
     dmmr         the greedy marginal-relevance loop (`dmmr_select`).
     max_sim      pure relevance ranking: the greedy loop at lam = 1.
@@ -299,16 +292,17 @@ def select_category(tweets: Sequence[Tweet], count: int,
     mmr          the greedy loop; `summarize` passes the union of all
                  category vocabularies as `vocab`.
     """
+    check_selector_options(cfg.selector_kind, cfg.lam, cfg.sim1_mode)
     if count > len(tweets):
         raise ValueError(
             f"importance asks for {count} tweets from category "
             f"{category_id!r} but its pool has only {len(tweets)} available"
         )
     kind = cfg.selector_kind
-    if kind == "max_sim":
-        cfg = replace(cfg, lam=1.0)
     if kind in ("dmmr", "mmr", "max_sim"):
-        return dmmr_select(tweets, count, vocab, emb, cfg, earlier)
+        return dmmr_select(tweets, count, vocab, emb,
+                           1.0 if kind == "max_sim" else cfg.lam,
+                           cfg.sim1_mode, earlier)
     if kind == "kmeans":
         return _kmeans_select(tweets, count, emb) if count else []
     ordered = sorted(tweets, key=lambda t: t.id)
@@ -323,7 +317,7 @@ def select_category(tweets: Sequence[Tweet], count: int,
 def summarize(partition: Mapping[str, Sequence[Tweet]],
               importance: ImportanceVector,
               vocab_by_category: Mapping[str, frozenset[str]],
-              emb: EmbeddingTable, cfg: SelectorConfig) -> list[dict]:
+              emb: EmbeddingTable, cfg) -> list[dict]:
     """Fill every category's slots with the configured selector; return
     the picks in selection order as {"tweet_id", "category_id", "score"}.
 

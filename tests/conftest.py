@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -7,6 +8,7 @@ from crisumm import corpus
 from crisumm.embeddings import load_word2vec_text
 from crisumm.ontology import (apply_approvals, harvest_candidates,
                               load_approvals, load_ontology)
+from crisumm.pipeline import DEFAULTS
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -15,6 +17,12 @@ DATA = Path(__file__).resolve().parent / "data"
 settings.register_profile("crisumm", derandomize=True, deadline=None,
                           max_examples=100, database=None)
 settings.load_profile("crisumm")
+
+
+def options(**overrides) -> SimpleNamespace:
+    """Stage options at their `PipelineConfig` defaults, with overrides,
+    as the stage functions read them from a config or the flags."""
+    return SimpleNamespace(**{**DEFAULTS, **overrides})
 
 
 @pytest.fixture(scope="session")

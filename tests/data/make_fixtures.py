@@ -319,8 +319,9 @@ def main() -> None:
         seed_ontology, [VOCAB_DOC], lexicon, min_freq=3, stopwords=stopwords)
     approvals = load_approvals(HERE / "approvals.csv")
     extended_ontology = apply_approvals(seed_ontology, candidates, approvals)
+    extended_by_id = {c.id: c for c in extended_ontology.categories}
     for cid, words in EXTENDED.items():
-        got = extended_ontology.get(cid).extended_keywords
+        got = extended_by_id[cid].extended_keywords
         assert got == frozenset(words), (cid, sorted(got), words)
 
     datasets = {
@@ -342,7 +343,7 @@ def main() -> None:
                 if tweet.keywords & c.vocabulary(True)
             ]
             assert overlapping == [want], (name, tweet.id, overlapping, want)
-            seed_hit = classify(tweet, seed_ontology, False).category_id
+            seed_hit = classify(tweet, seed_ontology, False)["category_id"]
             if tweet.id in extended_ids:
                 assert seed_hit is None, (tweet.id, seed_hit)
             else:

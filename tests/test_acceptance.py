@@ -8,7 +8,6 @@ import json
 import shutil
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 
@@ -18,9 +17,10 @@ from crisumm.importance import RegressionModel, fit, predict_importance
 from crisumm.ontology import Category, Ontology
 from crisumm.pipeline import load_config, run_pipeline
 from crisumm.rouge import rouge_l, rouge_n
-from crisumm.selector import SelectorConfig, dmmr_select, select_category
+from crisumm.selector import dmmr_select, select_category
 
 import oracles
+from conftest import options
 from oracles import make_tweet
 from test_disaster_sim import random_profile
 
@@ -62,17 +62,16 @@ def test_criterion_1_rouge_oracle_equivalence():
 def test_criterion_2_dmmr_greedy_step_optimality():
     with criterion(2, "greedy steps equal the exhaustive argmax"):
         rng = np.random.default_rng(102)
-        cfg = SelectorConfig(lam=0.5)
         started = time.perf_counter()
         for _ in range(200):
             tweets, count, vocab, emb = oracles.random_instance(rng)
-            picks = dmmr_select(tweets, count, vocab, emb, cfg)
+            picks = dmmr_select(tweets, count, vocab, emb, 0.5, "sum")
             assert len(picks) == count
             remaining = sorted(tweets, key=lambda t: t.id)
             pool = []
             for tweet, score in picks:
                 want_id, want_score = oracles.dmmr_step(
-                    remaining, pool, vocab, emb, cfg.lam, cfg.sim1_mode)
+                    remaining, pool, vocab, emb, 0.5, "sum")
                 assert tweet.id == want_id
                 assert abs(score - want_score) <= 1e-9
                 pool.append(tweet)
@@ -84,14 +83,13 @@ def test_criterion_2_dmmr_greedy_step_optimality():
 def test_criterion_3_lambda_one_equals_pure_relevance_ranking():
     with criterion(3, "lambda=1 matches the relevance-only selector"):
         rng = np.random.default_rng(103)
-        cfg = SelectorConfig(lam=1.0)
         for _ in range(100):
             tweets, count, vocab, emb = oracles.random_instance(rng)
             greedy = {t.id for t, _ in
-                      dmmr_select(tweets, count, vocab, emb, cfg)}
+                      dmmr_select(tweets, count, vocab, emb, 1.0, "sum")}
             ranked = {t.id for t, _ in
                       select_category(tweets, count, vocab, emb,
-                                      replace(cfg, selector_kind="max_sim"))}
+                                      options(selector_kind="max_sim"))}
             assert greedy == ranked
 
 

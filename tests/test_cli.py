@@ -374,6 +374,20 @@ class TestImportanceCommand:
                        "'qa01' uses unknown category '1ffected_population'"
                        "\n")
 
+    def test_bayesian_overflow_is_one_line(self, capsys, data_dir):
+        code, out, err = run(capsys, "importance",
+                             "--target", str(data_dir / "target.jsonl"),
+                             "--training",
+                             str(data_dir / "candidate_quake.jsonl"),
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--kind", "bayesian", "--m", "8",
+                             "--noise-precision", "1e308")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bayesian fit breaks down at "
+                              "prior_precision=1.0 and "
+                              "noise_precision=1e+308: overflow")
+        assert err.count("\n") == 1
+
 
 class TestSummarizeCommand:
     def test_selector_flag_is_plumbed_through(self, tmp_path, capsys,
@@ -516,6 +530,9 @@ BAD_FLAGS = [
     (["importance", "--target", "missing/t.jsonl",
       "--training", "missing/c.jsonl", "--m", "8"], "--noise-precision", "0",
      "prior_precision and noise_precision must be > 0"),
+    (["importance", "--target", "missing/t.jsonl",
+      "--training", "missing/c.jsonl", "--m", "8"], "--prior-precision",
+     "inf", "prior_precision must be finite, got inf"),
     (["importance", "--target", "missing/t.jsonl",
       "--training", "missing/c.jsonl"], "--m", "0",
      "summary length m must be >= 1, got 0"),
@@ -780,6 +797,11 @@ class TestPipelineCommand:
         ({"selector_kind": "dmm"}, "unknown selector 'dmm'"),
         ({"lam": "1.5"}, "lambda must lie in [0, 1], got 1.5"),
         ({"m": "0"}, "summary length m must be >= 1, got 0"),
+        ({"ridge_alpha": "inf"}, "ridge_alpha must be finite, got inf"),
+        ({"prior_precision": "inf"},
+         "prior_precision must be finite, got inf"),
+        ({"noise_precision": "inf"},
+         "noise_precision must be finite, got inf"),
     ])
     def test_bad_stage_parameter_fails_before_any_stage(
             self, tmp_path, capsys, data_dir, values, message):

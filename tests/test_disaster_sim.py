@@ -41,16 +41,11 @@ def random_profile(rng, categories=("c0", "c1", "c2", "c3")):
 
 
 class TestBuildProfile:
-    def test_probabilities_from_counts(self):
-        profile = profile_from({
-            "a": [{"x"}] * 6,
-            "b": [{"y"}] * 4,
-        })
-        assert profile.probabilities == {"a": 0.6, "b": 0.4}
-
     def test_single_category(self):
         profile = profile_from({"a": [{"x"}, {"y"}]})
-        assert profile.probabilities == {"a": 1.0}
+        assert profile.counts == {"a": 2}
+        # Any count of one category is the same distribution.
+        assert cat_p(profile, profile_from({"a": [{"z"}]})) == 1.0
 
     def test_top_k_tie_breaks_by_word(self):
         spec = {"a": [{"flood", "rain"}] * 5}
@@ -67,12 +62,6 @@ class TestBuildProfile:
             build_profile({}, k=5)
         with pytest.raises(ValueError, match="classified"):
             build_profile({"a": ()}, k=5)
-
-    def test_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            profile = random_profile(rng)
-            assert abs(sum(profile.probabilities.values()) - 1.0) <= 1e-9
 
 
 class TestCatIC:
@@ -97,6 +86,24 @@ class TestCatIC:
 
 
 class TestCatP:
+    def test_shares_from_counts(self):
+        six_four = profile_from({"a": [{"x"}] * 6, "b": [{"y"}] * 4})
+        three_two = profile_from({"a": [{"x"}] * 3, "b": [{"y"}] * 2})
+        assert cat_p(six_four, three_two) == 1.0
+        point = profile_from({"a": [{"x"}]})
+        assert cat_p(six_four, point) == \
+            1.0 - jensen_shannon_divergence([0.6, 0.4], [1.0, 0.0])
+
+    def test_shares_match_the_entropy_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            px, py = random_profile(rng), random_profile(rng)
+            ids = sorted(px.counts.keys() | py.counts.keys())
+            p, q = ([prof.counts.get(c, 0) / sum(prof.counts.values())
+                     for c in ids] for prof in (px, py))
+            assert abs(sum(p) - 1.0) <= 1e-9
+            assert abs(cat_p(px, py) - (1.0 - jsd_base2(p, q))) < 1e-12
+
     def test_identical_distributions(self):
         profile = profile_from({"a": [{"x"}] * 3, "b": [{"y"}]})
         assert cat_p(profile, profile) == 1.0
@@ -136,11 +143,8 @@ def profile_pairs(draw):
                                     min_size=1, max_size=60))
 
     def profile(top_keywords):
-        counts = {cid: draw(_COUNTS) for cid in top_keywords}
-        total = sum(counts.values())
         return CategoryProfile(
-            counts=counts,
-            probabilities={cid: n / total for cid, n in counts.items()},
+            counts={cid: draw(_COUNTS) for cid in top_keywords},
             top_keywords=top_keywords)
 
     def categories():
@@ -180,10 +184,10 @@ def _float64_cat_ic(px, py):
 
 
 def _float64_cat_p(px, py):
-    """CatP with the distributions as float64 arrays."""
+    """CatP with the category shares as float64 arrays."""
     ids = sorted(set(px.counts) | set(py.counts))
-    p = np.array([px.probabilities.get(c, 0.0) for c in ids])
-    q = np.array([py.probabilities.get(c, 0.0) for c in ids])
+    p, q = (np.array([prof.counts.get(c, 0) for c in ids], dtype=np.float64)
+            / sum(prof.counts.values()) for prof in (px, py))
     m = 0.5 * (p + q)
 
     def half_kl(a):
@@ -196,7 +200,6 @@ def _float64_cat_p(px, py):
 def _only(profile, cid):
     """The profile cut down to the one category `cid`."""
     return CategoryProfile(counts={cid: profile.counts[cid]},
-                           probabilities={cid: 1.0},
                            top_keywords={cid: profile.top_keywords[cid]})
 
 

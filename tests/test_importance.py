@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,10 @@ class TestFit:
             fit(pairs, "ridge", ridge_alpha=-1.0)
         with pytest.raises(ValueError):
             fit(pairs, "bayesian", prior_precision=0.0)
+        for key in ("ridge_alpha", "prior_precision", "noise_precision"):
+            with pytest.raises(ValueError,
+                               match=f"^{key} must be finite, got inf$"):
+                fit(pairs, "bayesian", **{key: math.inf})
 
     def test_unused_hyperparameters_checked_too(self):
         pairs = [(0.0, 0.0), (1.0, 1.0)]
@@ -130,6 +136,14 @@ class TestFit:
             fit(pairs, "linear", ridge_alpha=-1.0)
         with pytest.raises(ValueError, match="noise_precision"):
             fit([], "equal", noise_precision=0.0)
+
+    def test_bayesian_overflow_is_a_value_error(self, recwarn):
+        pairs = [(0.1, 1.0), (0.5, 4.0), (0.9, 8.0)]
+        with pytest.raises(ValueError, match=r"^bayesian fit breaks down at "
+                           r"prior_precision=1\.0 and noise_precision="
+                           r"1e\+308: overflow"):
+            fit(pairs, "bayesian", noise_precision=1e308)
+        assert not recwarn.list
 
 
 class TestRegressionModel:

@@ -18,6 +18,11 @@ def make_ontology(**seed_sets):
     ))
 
 
+def by_id(ontology):
+    """The ontology's categories by id."""
+    return {c.id: c for c in ontology.categories}
+
+
 class TestLoad:
     def test_category_count(self, tmp_path):
         path = tmp_path / "o.json"
@@ -42,7 +47,7 @@ class TestLoad:
         path.write_text(json.dumps({"categories": [
             {"id": "c", "name": "C", "keywords": ["Flood", "FLOOD"]},
         ]}), encoding="utf-8")
-        assert load_ontology(path).get("c").seed_keywords == {"flood"}
+        assert by_id(load_ontology(path))["c"].seed_keywords == {"flood"}
 
     def test_empty_keywords_rejected(self, tmp_path):
         path = tmp_path / "o.json"
@@ -115,10 +120,6 @@ class TestValues:
             Category(id="c", name="c", seed_keywords=frozenset({"x", "y"}),
                      extended_keywords=frozenset({"x", "z"}))
 
-    def test_get_unknown_id_raises_key_error(self):
-        with pytest.raises(KeyError, match="nowhere"):
-            make_ontology(a={"x"}).get("nowhere")
-
 
 class TestLoadMerges:
     @pytest.mark.parametrize("text, message", [
@@ -146,7 +147,7 @@ class TestMerge:
             "broken_bridge": "infra_damage", "blocked_road": "infra_damage",
         })
         assert merged.K == 3
-        assert merged.get("infra_damage").seed_keywords == \
+        assert by_id(merged)["infra_damage"].seed_keywords == \
             {"damage", "bridge", "road"}
 
     def test_empty_map_is_identity(self):
@@ -157,13 +158,13 @@ class TestMerge:
         onto = make_ontology(a={"x"}, b={"x", "y"})
         merged = merge_categories(onto, {"a": "b"})
         assert merged.K == 1
-        assert merged.get("b").seed_keywords == {"x", "y"}
+        assert by_id(merged)["b"].seed_keywords == {"x", "y"}
 
     def test_chain_follows_to_terminal_survivor(self):
         onto = make_ontology(a={"1"}, b={"2"}, c={"3"})
         merged = merge_categories(onto, {"a": "b", "b": "c"})
         assert merged.K == 1
-        assert merged.get("c").seed_keywords == {"1", "2", "3"}
+        assert by_id(merged)["c"].seed_keywords == {"1", "2", "3"}
 
     def test_cycle_rejected(self):
         onto = make_ontology(a={"1"}, b={"2"})
@@ -271,7 +272,8 @@ class TestApprovals:
                                         stopwords=stopwords)
         out = apply_approvals(seed_ontology, candidates,
                               [("infrastructure_damage", "levee")])
-        assert "levee" in out.get("infrastructure_damage").extended_keywords
+        assert "levee" in \
+            by_id(out)["infrastructure_damage"].extended_keywords
 
     def test_unharvested_word_rejected(self, seed_ontology):
         with pytest.raises(OntologyError, match="zzz"):
@@ -284,7 +286,7 @@ class TestApprovals:
 
     def test_extension_is_monotone(self, seed_ontology, extended_ontology):
         for cat in seed_ontology.categories:
-            extended = extended_ontology.get(cat.id)
+            extended = by_id(extended_ontology)[cat.id]
             assert extended.vocabulary(True) >= cat.seed_keywords
 
 

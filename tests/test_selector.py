@@ -1,15 +1,14 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from crisumm import selector as sel
 from crisumm.embeddings import EmbeddingTable
 from crisumm.importance import ImportanceVector
-from crisumm.selector import (SelectorConfig, dmmr_select, select_category,
-                              sim1, sim2, summarize)
+from crisumm.selector import (check_selector_options, dmmr_select,
+                              select_category, sim1, sim2, summarize)
 
 import oracles
+from conftest import options
 from oracles import make_tweet, random_instance
 
 
@@ -93,7 +92,7 @@ class TestSim1Memo:
             tables.clear()
             stacked.clear()
             select_category(tweets, count, scored, emb,
-                            SelectorConfig(selector_kind=kind))
+                            options(selector_kind=kind))
             # One table and one stacking per category call.
             assert len(tables) == 1
             assert len(stacked) == 1
@@ -115,7 +114,7 @@ class TestSim1Memo:
         vocab = {"ca": frozenset({"va"}), "cb": frozenset({"vb"})}
         importance = ImportanceVector(counts={"ca": 1, "cb": 1})
         summary = summarize(partition, importance, vocab, emb,
-                            SelectorConfig(lam=1.0, selector_kind=kind))
+                            options(lam=1.0, selector_kind=kind))
         for entry in summary:
             tweet = partition[entry["category_id"]][0]
             want = vocab[entry["category_id"]]
@@ -145,19 +144,19 @@ class TestDmmrSelect:
     def test_zero_count(self):
         emb = table(a=[1.0])
         assert dmmr_select([make_tweet("t", {"a"})], 0, {"a"}, emb,
-                           SelectorConfig()) == []
+                           0.5, "sum") == []
 
     def test_exhaustion_returns_all(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0], v=[1.0, 1.0])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"})]
-        picks = dmmr_select(tweets, 2, {"v"}, emb, SelectorConfig())
+        picks = dmmr_select(tweets, 2, {"v"}, emb, 0.5, "sum")
         assert {t.id for t, _ in picks} == {"t1", "t2"}
 
     def test_count_above_pool_rejected(self):
         emb = table(a=[1.0])
         with pytest.raises(ValueError, match="pool"):
             select_category([make_tweet("t", {"a"})], 2, {"a"}, emb,
-                            SelectorConfig())
+                            options())
 
     def test_redundant_tweet_loses_to_diverse_one(self, monkeypatch):
         # Hand-set relevance: t2 repeats t1's keywords exactly (sim2 1.0),
@@ -173,7 +172,7 @@ class TestDmmrSelect:
         assert sim2(tweets[0], tweets[1]) == 1.0
         assert sim2(tweets[0], tweets[2]) == sim2(tweets[1], tweets[2]) == 0.0
         emb = EmbeddingTable(dimension=1, vectors={})
-        picks = dmmr_select(tweets, 2, {"v"}, emb, SelectorConfig(lam=0.5))
+        picks = dmmr_select(tweets, 2, {"v"}, emb, 0.5, "sum")
         assert [t.id for t, _ in picks] == ["t1", "t3"]
         assert picks[0][1] == pytest.approx(0.45)
         assert picks[1][1] == pytest.approx(0.25)
@@ -182,15 +181,14 @@ class TestDmmrSelect:
     @pytest.mark.parametrize("mode", ["sum", "mean"])
     def test_every_step_matches_bruteforce(self, lam, mode):
         rng = np.random.default_rng(59)
-        cfg = SelectorConfig(lam=lam, sim1_mode=mode)
         for _ in range(40):
             tweets, count, vocab, emb = random_instance(rng)
-            picks = dmmr_select(tweets, count, vocab, emb, cfg)
+            picks = dmmr_select(tweets, count, vocab, emb, lam, mode)
             remaining = sorted(tweets, key=lambda t: t.id)
             pool = []
             for tweet, score in picks:
                 want_id, want_score = oracles.dmmr_step(
-                    remaining, pool, vocab, emb, cfg.lam, cfg.sim1_mode)
+                    remaining, pool, vocab, emb, lam, mode)
                 assert tweet.id == want_id
                 assert score == pytest.approx(want_score, abs=1e-9)
                 pool.append(tweet)
@@ -200,7 +198,7 @@ class TestDmmrSelect:
     def test_every_step_matches_bruteforce_after_earlier_picks(
             self, same_only):
         rng = np.random.default_rng(71)
-        cfg = SelectorConfig()
+        cfg = options()
         for _ in range(60):
             tweets, count, vocab, emb = random_instance(rng)
             others, _, _, _ = random_instance(rng)
@@ -209,7 +207,8 @@ class TestDmmrSelect:
                        for t in others]
             pool = [t for t, cid in earlier
                     if cid == "this" or not same_only]
-            picks = dmmr_select(tweets, count, vocab, emb, cfg, pool)
+            picks = dmmr_select(tweets, count, vocab, emb, cfg.lam,
+                                cfg.sim1_mode, pool)
             remaining = sorted(tweets, key=lambda t: t.id)
             for tweet, score in picks:
                 want_id, want_score = oracles.dmmr_step(
@@ -221,32 +220,29 @@ class TestDmmrSelect:
 
     def test_lambda_one_equals_pure_relevance(self):
         rng = np.random.default_rng(61)
-        cfg = SelectorConfig(lam=1.0)
         for _ in range(30):
             tweets, count, vocab, emb = random_instance(rng)
-            greedy = dmmr_select(tweets, count, vocab, emb, cfg)
+            greedy = dmmr_select(tweets, count, vocab, emb, 1.0, "sum")
             ranked = select_category(tweets, count, vocab, emb,
-                                     replace(cfg, selector_kind="max_sim"))
+                                     options(selector_kind="max_sim"))
             assert [t.id for t, _ in greedy] == [t.id for t, _ in ranked]
 
     def test_input_order_never_matters(self):
         rng = np.random.default_rng(67)
-        cfg = SelectorConfig()
         for _ in range(25):
             tweets, count, vocab, emb = random_instance(rng)
             baseline = [t.id for t, _ in
-                        dmmr_select(tweets, count, vocab, emb, cfg)]
+                        dmmr_select(tweets, count, vocab, emb, 0.5, "sum")]
             shuffled = list(tweets)
             rng.shuffle(shuffled)
-            assert [t.id for t, _ in
-                    dmmr_select(shuffled, count, vocab, emb, cfg)] == baseline
+            assert [t.id for t, _ in dmmr_select(
+                shuffled, count, vocab, emb, 0.5, "sum")] == baseline
 
     def test_cross_category_summary_penalizes(self):
         emb = table(a=[1.0, 0.0], v=[1.0, 0.0], b=[0.9, 0.1])
         earlier = make_tweet("prev", {"a"})
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"})]
-        picks = dmmr_select(tweets, 1, {"v"}, emb, SelectorConfig(lam=0.5),
-                            [earlier])
+        picks = dmmr_select(tweets, 1, {"v"}, emb, 0.5, "sum", [earlier])
         assert picks[0][0].id == "t2"
 
     def test_same_category_switch_ignores_other_categories(self):
@@ -257,8 +253,7 @@ class TestDmmrSelect:
         vocab = {"ca": frozenset({"v"}), "cb": frozenset({"v"})}
         importance = ImportanceVector(counts={"ca": 1, "cb": 1})
         for same_only, want in ((True, "t1"), (False, "t2")):
-            cfg = SelectorConfig(lam=0.5,
-                                 diversity_same_category_only=same_only)
+            cfg = options(lam=0.5, diversity_same_category_only=same_only)
             summary = summarize(partition, importance, vocab, emb, cfg)
             assert oracles.tweet_ids(summary) == ("prev", want)
 
@@ -270,14 +265,14 @@ class TestAblations:
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"}),
                   make_tweet("t3", {"c"})]
         picks = select_category(tweets, 2, {"v"}, emb,
-                                SelectorConfig(selector_kind="max_sim"))
+                                options(selector_kind="max_sim"))
         assert [t.id for t, _ in picks] == ["t1", "t2"]
 
     def test_max_sim_tie_breaks_by_id(self):
         emb = table(v=[1.0], a=[1.0])
         tweets = [make_tweet("t2", {"a"}), make_tweet("t1", {"a"})]
         picks = select_category(tweets, 1, {"v"}, emb,
-                                SelectorConfig(selector_kind="max_sim"))
+                                options(selector_kind="max_sim"))
         assert picks[0][0].id == "t1"
 
     def test_kmeans_single_cluster_takes_global_medoid(self):
@@ -285,7 +280,7 @@ class TestAblations:
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"}),
                   make_tweet("t3", {"c"})]
         picks = select_category(tweets, 1, set(), emb,
-                                SelectorConfig(selector_kind="kmeans"))
+                                options(selector_kind="kmeans"))
         assert picks[0][0].id == "t3"
 
     def test_kmeans_duplicate_vectors_still_fill_count(self):
@@ -293,7 +288,7 @@ class TestAblations:
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"a"}),
                   make_tweet("t3", {"b"})]
         picks = select_category(tweets, 3, set(), emb,
-                                SelectorConfig(selector_kind="kmeans"))
+                                options(selector_kind="kmeans"))
         assert {t.id for t, _ in picks} == {"t1", "t2", "t3"}
 
     def test_kmeans_separates_clear_clusters(self):
@@ -301,7 +296,7 @@ class TestAblations:
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"a"}),
                   make_tweet("t3", {"b"}), make_tweet("t4", {"b"})]
         picks = select_category(tweets, 2, set(), emb,
-                                SelectorConfig(selector_kind="kmeans"))
+                                options(selector_kind="kmeans"))
         chosen = {t.keywords for t, _ in picks}
         assert chosen == {frozenset({"a"}), frozenset({"b"})}
 
@@ -309,7 +304,7 @@ class TestAblations:
         emb = EmbeddingTable(dimension=1, vectors={})
         tweets = [make_tweet(f"t{i}", {"x", "y"}) for i in range(4)]
         picks = select_category(tweets, 2, set(), emb,
-                                SelectorConfig(selector_kind="pagerank"))
+                                options(selector_kind="pagerank"))
         assert [t.id for t, _ in picks] == ["t0", "t1"]
         scores = [s for _, s in picks]
         assert scores[0] == pytest.approx(scores[1], abs=1e-12)
@@ -319,7 +314,7 @@ class TestAblations:
         hub = make_tweet("hub", {"a", "b", "c"})
         spokes = [make_tweet(f"s{i}", {w}) for i, w in enumerate("abc")]
         picks = select_category([*spokes, hub], 1, set(), emb,
-                                SelectorConfig(selector_kind="eigenvector"))
+                                options(selector_kind="eigenvector"))
         assert picks[0][0].id == "hub"
 
     def test_pagerank_prefers_hub(self):
@@ -327,7 +322,7 @@ class TestAblations:
         hub = make_tweet("hub", {"a", "b", "c"})
         spokes = [make_tweet(f"s{i}", {w}) for i, w in enumerate("abc")]
         picks = select_category([*spokes, hub], 1, set(), emb,
-                                SelectorConfig(selector_kind="pagerank"))
+                                options(selector_kind="pagerank"))
         assert picks[0][0].id == "hub"
 
     def test_mmr_uses_corpus_vocabulary(self):
@@ -338,12 +333,14 @@ class TestAblations:
         importance = ImportanceVector(counts={"ca": 1, "cb": 0})
         for kind, want in (("max_sim", "t2"), ("mmr", "t1")):
             summary = summarize(partition, importance, vocab, emb,
-                                SelectorConfig(lam=1.0, selector_kind=kind))
+                                options(lam=1.0, selector_kind=kind))
             assert oracles.tweet_ids(summary) == (want,)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown selector 'zzz'"):
-            SelectorConfig(selector_kind="zzz")
+        emb = table(a=[1.0])
+        with pytest.raises(ValueError, match="^unknown selector 'zzz'$"):
+            select_category([make_tweet("t", {"a"})], 1, {"a"}, emb,
+                            options(selector_kind="zzz"))
 
 
 class TestSummarize:
@@ -363,30 +360,30 @@ class TestSummarize:
         partition, vocab, emb = self._setup()
         importance = ImportanceVector(counts={"ca": 1, "cb": 1})
         summary = summarize(partition, importance, vocab, emb,
-                            SelectorConfig())
+                            options())
         assert oracles.tweet_ids(summary) == ("a-strong", "b-strong")
 
     def test_degenerate_importance_stays_in_one_category(self):
         partition, vocab, emb = self._setup()
         importance = ImportanceVector(counts={"ca": 2, "cb": 0})
         summary = summarize(partition, importance, vocab, emb,
-                            SelectorConfig())
+                            options())
         assert {e["category_id"] for e in summary} == {"ca"}
 
     def test_deterministic(self):
         partition, vocab, emb = self._setup()
         importance = ImportanceVector(counts={"ca": 1, "cb": 1})
         first = summarize(partition, importance, vocab, emb,
-                          SelectorConfig())
+                          options())
         second = summarize(partition, importance, vocab, emb,
-                           SelectorConfig())
+                           options())
         assert first == second
 
     def test_overdrawn_category_rejected(self):
         partition, vocab, emb = self._setup()
         importance = ImportanceVector(counts={"ca": 3, "cb": 0})
         with pytest.raises(ValueError, match="available"):
-            summarize(partition, importance, vocab, emb, SelectorConfig())
+            summarize(partition, importance, vocab, emb, options())
 
     @pytest.mark.parametrize("kind", ["dmmr", "max_sim", "kmeans",
                                       "eigenvector", "pagerank", "mmr"])
@@ -396,7 +393,7 @@ class TestSummarize:
         with pytest.raises(ValueError,
                            match=r"3 tweets from category 'cb' .* only 2"):
             summarize(partition, importance, vocab, emb,
-                      SelectorConfig(selector_kind=kind))
+                      options(selector_kind=kind))
 
     def test_summary_invariants_enforced(self):
         # One tweet listed under two categories, with the diversity
@@ -405,7 +402,7 @@ class TestSummarize:
         partition["cb"] = partition["ca"]
         vocab["cb"] = vocab["ca"]
         importance = ImportanceVector(counts={"ca": 1, "cb": 1})
-        cfg = SelectorConfig(diversity_same_category_only=True)
+        cfg = options(diversity_same_category_only=True)
         with pytest.raises(ValueError,
                            match="^a tweet appears twice in the summary$"):
             summarize(partition, importance, vocab, emb, cfg)
@@ -421,16 +418,29 @@ class TestSummarize:
         vocab = {"ca": frozenset({"v"}), "cb": frozenset({"v"})}
         importance = ImportanceVector(counts={"ca": 1, "cb": 1})
         summary = summarize(partition, importance, vocab, emb,
-                            SelectorConfig(lam=0.5))
+                            options(lam=0.5))
         assert oracles.tweet_ids(summary) == ("a1", "b2")
 
     def test_selector_config_validation(self):
-        with pytest.raises(ValueError):
-            SelectorConfig(lam=1.5)
-        with pytest.raises(ValueError):
-            SelectorConfig(sim1_mode="median")
-        with pytest.raises(ValueError):
-            SelectorConfig(selector_kind="random")
+        # The one check refuses each bad value with its message, and
+        # both entry points call it on the options object they read.
+        partition, vocab, emb = self._setup()
+        importance = ImportanceVector(counts={"ca": 1, "cb": 1})
+        for bad, message in (
+                ({"lam": 1.5}, r"^lambda must lie in \[0, 1\], got 1\.5$"),
+                ({"lam": -0.1}, r"^lambda must lie in \[0, 1\], got -0\.1$"),
+                ({"sim1_mode": "median"}, r"^unknown sim1 mode 'median'$"),
+                ({"selector_kind": "random"}, r"^unknown selector 'random'$")):
+            cfg = options(**bad)
+            with pytest.raises(ValueError, match=message):
+                check_selector_options(cfg.selector_kind, cfg.lam,
+                                       cfg.sim1_mode)
+            with pytest.raises(ValueError, match=message):
+                select_category(partition["ca"], 1, vocab["ca"], emb, cfg)
+            with pytest.raises(ValueError, match=message):
+                summarize(partition, importance, vocab, emb, cfg)
+        check_selector_options("dmmr", 0.0, "mean")
+        check_selector_options("mmr", 1.0, "sum")
 
     @pytest.mark.parametrize("kind", ["dmmr", "max_sim", "kmeans",
                                       "eigenvector", "pagerank", "mmr"])
@@ -446,7 +456,7 @@ class TestSummarize:
                  for c in extended_ontology.categories}
         summary = summarize(result.partition, importance, vocab,
                             embedding_table,
-                            SelectorConfig(selector_kind=kind))
+                            options(selector_kind=kind))
         assert len(summary) == 8
         counts = {}
         for entry in summary:
@@ -476,13 +486,12 @@ def test_same_category_switch_in_summarize(fixture_run, kind, same_only):
     # Each category is visited once, so under the switch no earlier pick
     # counts as redundancy; without it every earlier category's picks do.
     partition, importance, vocab, emb = fixture_run
-    cfg = SelectorConfig(selector_kind=kind,
-                         diversity_same_category_only=same_only)
+    cfg = options(selector_kind=kind, diversity_same_category_only=same_only)
     summary = summarize(partition, importance, vocab, emb, cfg)
     if kind not in ("dmmr", "mmr", "max_sim"):
         # The other selectors read no earlier picks.
-        flipped = SelectorConfig(selector_kind=kind,
-                                 diversity_same_category_only=not same_only)
+        flipped = options(selector_kind=kind,
+                          diversity_same_category_only=not same_only)
         assert summary == summarize(partition, importance, vocab, emb,
                                     flipped)
         return
@@ -509,7 +518,7 @@ def test_kmeans_scales_exactly_up_to_the_float_maximum(fixture_run):
     partition, importance, vocab, emb = fixture_run
     huge = EmbeddingTable(emb.dimension, {
         w: np.ldexp(v, 1023) for w, v in emb.vectors.items()})
-    cfg = SelectorConfig(selector_kind="kmeans")
+    cfg = options(selector_kind="kmeans")
     plain = summarize(partition, importance, vocab, emb, cfg)
     scaled = summarize(partition, importance, vocab, huge, cfg)
     assert [(e["tweet_id"], e["score"].hex()) for e in scaled] == \

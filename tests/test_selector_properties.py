@@ -5,17 +5,16 @@ tweets without keywords, and build near-ties from duplicated and scaled
 embedding rows.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from crisumm import selector as sel
 from crisumm.embeddings import EmbeddingTable, self_dots
-from crisumm.selector import SelectorConfig, dmmr_select, select_category
+from crisumm.selector import dmmr_select, select_category
 
 import oracles
+from conftest import options
 from oracles import make_tweet
 
 DIM = 3
@@ -72,8 +71,8 @@ def instances(draw, factors=ORDINARY, min_earlier=0, other_category=False):
                for i, keywords in enumerate(draw(st.lists(
                    keyword_sets, min_size=min_earlier, max_size=3)))]
     count = draw(st.integers(0, len(tweets)))
-    cfg = SelectorConfig(lam=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
-                         sim1_mode=draw(st.sampled_from(["sum", "mean"])))
+    cfg = options(lam=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+                  sim1_mode=draw(st.sampled_from(["sum", "mean"])))
     return tweets, count, vocab, corpus_vocab, earlier, emb, cfg
 
 
@@ -88,7 +87,8 @@ def test_memo_matches_per_tweet_sim1(instance):
     def run(kind):
         return _pairs(select_category(
             tweets, count, corpus_vocab if kind == "mmr" else vocab, emb,
-            replace(cfg, selector_kind=kind), [t for t, _ in earlier]))
+            options(**{**vars(cfg), "selector_kind": kind}),
+            [t for t, _ in earlier]))
 
     memoized = {kind: run(kind) for kind in ("dmmr", "mmr", "max_sim")}
     plain = sel.sim1
@@ -106,7 +106,8 @@ def test_every_dmmr_step_is_an_oracle_argmax(instance):
     # carry the oracle's id.
     tweets, count, vocab, _, earlier, emb, cfg = instance
     pool = [t for t, _ in earlier]
-    picks = dmmr_select(tweets, count, vocab, emb, cfg, pool)
+    picks = dmmr_select(tweets, count, vocab, emb, cfg.lam, cfg.sim1_mode,
+                        pool)
     remaining = sorted(tweets, key=lambda t: t.id)
     for tweet, score in picks:
         _, best = oracles.dmmr_step(remaining, pool, vocab, emb, cfg.lam,
@@ -206,7 +207,8 @@ def test_every_dmmr_step_after_earlier_picks(same_only, instance):
     # The earlier picks of category "this" only, or all of them.
     tweets, count, vocab, _, earlier, emb, cfg = instance
     pool = [t for t, cid in earlier if cid == "this" or not same_only]
-    picks = dmmr_select(tweets, count, vocab, emb, cfg, pool)
+    picks = dmmr_select(tweets, count, vocab, emb, cfg.lam, cfg.sim1_mode,
+                        pool)
     # Bit for bit the greedy loop that rescans the whole pool each step.
     relevance = {t.id: sel.sim1(t, vocab, emb, cfg.sim1_mode)
                  for t in tweets}
@@ -233,7 +235,7 @@ def test_kmeans_matches_the_dict_loop(instance, power):
     tweets, count, _, _, _, emb, cfg = instance
     emb = _scaled(emb, lambda v: v * 10.0 ** power)
     count = max(count, 1)
-    cfg = replace(cfg, selector_kind="kmeans")
+    cfg = options(selector_kind="kmeans")
     picks = select_category(tweets, count, frozenset(), emb, cfg)
     assert [(t.id, score.hex()) for t, score in picks] == \
         [(t.id, score.hex())
@@ -246,7 +248,7 @@ def test_kmeans_ignores_the_table_scale(instance, power):
     # squared distances would overflow or underflow at most of these.
     tweets, count, _, _, _, emb, cfg = instance
     count = max(count, 1)
-    cfg = replace(cfg, selector_kind="kmeans")
+    cfg = options(selector_kind="kmeans")
     plain = select_category(tweets, count, frozenset(), emb, cfg)
     scaled = select_category(tweets, count, frozenset(),
                              _scaled(emb, lambda v: np.ldexp(v, power)),
@@ -277,7 +279,7 @@ def test_pagerank_matches_the_row_loop(matrix):
 def test_ranking_selectors_match_the_oracle_ranking(kind, instance):
     tweets, count, vocab, _, earlier, emb, cfg = instance
     picks = select_category(tweets, count, vocab, emb,
-                            replace(cfg, selector_kind=kind),
+                            options(**{**vars(cfg), "selector_kind": kind}),
                             [t for t, _ in earlier])
     ordered = sorted(tweets, key=lambda t: t.id)
     if kind == "max_sim":
