@@ -16,7 +16,6 @@ from .categorizer import classify, classify_corpus
 from .disaster_sim import build_profile, cat_ic, cat_p, dis_sim, most_similar
 from .importance import (
     ImportanceVector,
-    RegressionModel,
     build_training_pairs,
     fit,
     predict_importance,
@@ -38,8 +37,7 @@ __all__ = [
     "EmbeddingTable", "load_word2vec_text",
     "classify", "classify_corpus",
     "build_profile", "cat_ic", "cat_p", "dis_sim", "most_similar",
-    "ImportanceVector", "RegressionModel", "build_training_pairs", "fit",
-    "predict_importance",
+    "ImportanceVector", "build_training_pairs", "fit", "predict_importance",
     "dmmr_select", "select_category", "sim1", "sim2", "summarize",
     "rouge_l", "rouge_n", "score_summary",
     "PipelineConfig", "load_config", "run_pipeline",

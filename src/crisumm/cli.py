@@ -9,8 +9,7 @@ import sys
 from . import ontology as onto
 from .categorizer import ClassificationResult
 from .embeddings import load_word2vec_text
-from .importance import (REGRESSION_KINDS, ImportanceVector, RegressionModel,
-                         category_shares)
+from .importance import REGRESSION_KINDS, ImportanceVector, category_shares
 from .pipeline import (CHECKS, DEFAULTS, KINDS, PipelineStageError,
                        categorize, coverage, evaluate, extend_vocab,
                        load_config, load_resources, load_stopword_list,
@@ -154,8 +153,8 @@ def _cmd_summarize(args) -> int:
     if args.importance:
         importance = _load_importance(args.importance, target, category_ids)
     else:
-        importance, _ = predict_slots(RegressionModel(kind="equal"), target,
-                                      category_ids, args.m)
+        importance = predict_slots({"kind": "equal"}, target, category_ids,
+                                   args.m)
     summary = select(target, importance, ontology, table, args)
     _write_text(args.out_json, json_text({
         "dataset": target.dataset.id,

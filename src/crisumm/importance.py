@@ -3,7 +3,9 @@
 A regression fitted on a similar disaster (category share -> gold
 summary count) is applied to the target's category shares; the raw
 predictions are clamped to availability and apportioned to integers
-summing exactly to the requested summary length.
+summing exactly to the requested summary length. `fit` returns the
+fitted model as the row that `report.json` prints under
+`importance.model`, and `predict_importance` reads that row.
 """
 
 from __future__ import annotations
@@ -17,49 +19,6 @@ import numpy as np
 from .categorizer import ClassificationResult
 
 REGRESSION_KINDS = ("linear", "ridge", "bayesian", "equal")
-
-
-@dataclass(frozen=True)
-class RegressionModel:
-    """Fitted slope/intercept of one regression kind.
-
-    `kind="equal"` is the no-model baseline: it ignores the features
-    and splits the summary length uniformly across categories. A
-    Bayesian model also keeps what `predictive_variance` needs.
-    """
-
-    kind: str
-    slope: float | None = None
-    intercept: float | None = None
-    noise_precision: float | None = None
-    posterior_cov: tuple[tuple[float, float], tuple[float, float]] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in REGRESSION_KINDS:
-            raise ValueError(f"unknown regression kind {self.kind!r}")
-        if self.kind == "equal":
-            if self.slope is not None or self.intercept is not None:
-                raise ValueError("equal-importance model has no coefficients")
-        else:
-            if self.slope is None or self.intercept is None:
-                raise ValueError(f"{self.kind} model needs coefficients")
-            if not (math.isfinite(self.slope)
-                    and math.isfinite(self.intercept)):
-                raise ValueError("non-finite regression coefficients")
-
-    def predict(self, x: float) -> float:
-        if self.kind == "equal":
-            raise ValueError("equal-importance model does not predict; "
-                             "apportion the summary length directly")
-        return self.slope * x + self.intercept
-
-    def predictive_variance(self, x: float) -> float:
-        """Predictive variance at x (informational; Bayesian models only)."""
-        if self.kind != "bayesian" or self.posterior_cov is None:
-            raise ValueError("predictive variance requires a Bayesian model")
-        phi = np.array([1.0, x])
-        cov = np.array(self.posterior_cov)
-        return float(1.0 / self.noise_precision + phi @ cov @ phi)
 
 
 @dataclass(frozen=True)
@@ -111,78 +70,82 @@ def build_training_pairs(result: ClassificationResult,
             for cid in sorted(category_ids)]
 
 
-def check_fit_options(kind: str, ridge_alpha: float, prior_precision: float,
-                      noise_precision: float) -> None:
-    """Reject an unknown kind or an infinite or out-of-range hyperparameter.
+def check_fit_options(options) -> None:
+    """Reject an unknown `regression_kind` or an infinite or out-of-range
+    `ridge_alpha`, `prior_precision` or `noise_precision` of `options`.
 
     Every hyperparameter is checked whatever the kind, so a bad value
     never waits in a config for the kind that would read it.
     """
+    kind, ridge_alpha = options.regression_kind, options.ridge_alpha
     if kind not in REGRESSION_KINDS:
         raise ValueError(f"unknown regression kind {kind!r}")
     if not ridge_alpha >= 0.0:
         raise ValueError(f"ridge_alpha must be >= 0, got {ridge_alpha}")
-    if not (prior_precision > 0.0 and noise_precision > 0.0):
+    if not (options.prior_precision > 0.0 and options.noise_precision > 0.0):
         raise ValueError("prior_precision and noise_precision must be > 0")
-    for name, value in (("ridge_alpha", ridge_alpha),
-                        ("prior_precision", prior_precision),
-                        ("noise_precision", noise_precision)):
+    for name in ("ridge_alpha", "prior_precision", "noise_precision"):
+        value = getattr(options, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def fit(pairs: Sequence[tuple[float, float]], kind: str = "linear", *,
-        ridge_alpha: float = 1.0, prior_precision: float = 1.0,
-        noise_precision: float = 1.0) -> RegressionModel:
-    """Fit a one-feature regression of the requested kind.
+def fit(pairs: Sequence[tuple[float, float]], options,
+        at: Mapping[str, float] | None = None) -> dict:
+    """Fit a one-feature regression of `options.regression_kind`; return
+    the report's model row `{"kind", "slope", "intercept"}`.
 
     linear:   ordinary least squares, that is ridge at alpha = 0.
-    ridge:    least squares with an L2 penalty on the slope only. At
-              alpha = 0, zero feature variance degrades to slope 0 and
-              intercept mean(y) rather than erroring.
-    bayesian: posterior mean under a zero-mean Gaussian prior on both
-              coefficients and Gaussian observation noise.
-    equal:    no fit at all.
+    ridge:    least squares with an L2 penalty of `options.ridge_alpha`
+              on the slope only. At alpha = 0, zero feature variance
+              degrades to slope 0 and intercept mean(y) rather than
+              erroring.
+    bayesian: posterior mean under a zero-mean Gaussian prior of
+              `options.prior_precision` on both coefficients and
+              Gaussian observation noise of `options.noise_precision`.
+              The row also holds `predictive_variance`, the variance
+              at each share of `at` (Bishop, PRML, eq. 3.59), by id.
+    equal:    no fit at all; both coefficients are None.
     """
-    check_fit_options(kind, ridge_alpha, prior_precision, noise_precision)
+    check_fit_options(options)
+    kind = options.regression_kind
     if kind == "equal":
-        return RegressionModel(kind="equal")
+        return {"kind": kind, "slope": None, "intercept": None}
     if len(pairs) < 2:
         raise ValueError(f"{kind} regression needs at least 2 pairs, "
                          f"got {len(pairs)}")
     xs = [float(x) for x, _ in pairs]
     ys = [float(y) for _, y in pairs]
     n = len(pairs)
-    x_mean = math.fsum(xs) / n
-    y_mean = math.fsum(ys) / n
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-
+    row: dict = {"kind": kind}
     if kind in ("linear", "ridge"):
-        penalized = sxx + (ridge_alpha if kind == "ridge" else 0.0)
-        slope = sxy / penalized if penalized > 0.0 else 0.0
-        return RegressionModel(kind=kind, slope=slope,
-                               intercept=y_mean - slope * x_mean)
-
-    phi = np.column_stack([np.ones(n), np.array(xs)])
-    y = np.array(ys)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            precision = (prior_precision * np.eye(2)
-                         + noise_precision * phi.T @ phi)
-            cov = np.linalg.inv(precision)
-            mean = noise_precision * cov @ phi.T @ y
-    except FloatingPointError as exc:
-        raise ValueError(
-            f"bayesian fit breaks down at prior_precision={prior_precision} "
-            f"and noise_precision={noise_precision}: {exc}") from None
-    return RegressionModel(
-        kind="bayesian",
-        slope=float(mean[1]),
-        intercept=float(mean[0]),
-        noise_precision=noise_precision,
-        posterior_cov=tuple(tuple(float(v) for v in row) for row in cov),
-    )
+        x_mean = math.fsum(xs) / n
+        y_mean = math.fsum(ys) / n
+        sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+        sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+        penalized = sxx + (options.ridge_alpha if kind == "ridge" else 0.0)
+        row["slope"] = sxy / penalized if penalized > 0.0 else 0.0
+        row["intercept"] = y_mean - row["slope"] * x_mean
+    else:
+        alpha, beta = options.prior_precision, options.noise_precision
+        phi = np.column_stack([np.ones(n), np.array(xs)])
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                cov = np.linalg.inv(alpha * np.eye(2) + beta * phi.T @ phi)
+                mean = beta * cov @ phi.T @ np.array(ys)
+                noise = np.divide(1.0, beta)
+                row["predictive_variance"] = {
+                    cid: float(noise + np.array([1.0, x]) @ cov
+                               @ np.array([1.0, x]))
+                    for cid, x in (at or {}).items()}
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            raise ValueError(
+                f"bayesian fit breaks down at prior_precision={alpha} "
+                f"and noise_precision={beta}: {exc}") from None
+        row["slope"], row["intercept"] = float(mean[1]), float(mean[0])
+    if not (math.isfinite(row["slope"]) and math.isfinite(row["intercept"])):
+        raise ValueError("non-finite regression coefficients")
+    return row
 
 
 def _apportion(quotas: Mapping[str, float], fractions: Mapping[str, float],
@@ -226,7 +189,7 @@ def _apportion(quotas: Mapping[str, float], fractions: Mapping[str, float],
     return alloc
 
 
-def predict_importance(model: RegressionModel,
+def predict_importance(model: Mapping,
                        target_fractions: Mapping[str, float],
                        available: Mapping[str, int],
                        m: int) -> ImportanceVector:
@@ -249,10 +212,9 @@ def predict_importance(model: RegressionModel,
         )
     quotas = {}
     for cid in categories:
-        if model.kind == "equal":
-            raw = m / len(categories)
-        else:
-            raw = model.predict(float(target_fractions.get(cid, 0.0)))
+        x = float(target_fractions.get(cid, 0.0))
+        raw = m / len(categories) if model["kind"] == "equal" \
+            else model["slope"] * x + model["intercept"]
         quotas[cid] = min(max(raw, 0.0), float(available[cid]))
     counts = _apportion(quotas, target_fractions, available, m)
     return ImportanceVector(counts=counts)

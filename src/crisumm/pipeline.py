@@ -10,6 +10,7 @@ chains them, and each CLI subcommand wraps one.
 from __future__ import annotations
 
 import shutil
+import traceback
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -131,8 +132,7 @@ CHECKS = (
     (("min_freq",), lambda o: check_min_freq(o.min_freq)),
     (("w1", "w2"), lambda o: check_weights(o.w1, o.w2)),
     (("regression_kind", "ridge_alpha", "prior_precision", "noise_precision"),
-     lambda o: check_fit_options(o.regression_kind, o.ridge_alpha,
-                                 o.prior_precision, o.noise_precision)),
+     check_fit_options),
     (("lam", "sim1_mode", "selector_kind"),
      lambda o: check_selector_options(o.selector_kind, o.lam, o.sim1_mode)),
 )
@@ -149,10 +149,17 @@ _INPUT_CHECKS = (
 )
 
 
+def _raised_at(exc: Exception) -> tuple[str, int]:
+    """The file and line of the statement that raised `exc`."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return frame.filename, frame.lineno
+
+
 def run_checks(options, place, rows=CHECKS) -> None:
     """Run each (keys, check) row on `options`. A failure names the place
-    of the first key that fails the check alone, the other keys at their
-    defaults (else of the last key), if `place` gives one."""
+    of the option it is about, if `place` gives one: the first key that,
+    given alone with the other keys at their defaults, fails the same
+    test (the same raise statement), else the last key."""
     for keys, check in rows:
         try:
             check(options)
@@ -161,8 +168,9 @@ def run_checks(options, place, rows=CHECKS) -> None:
                 try:
                     check(SimpleNamespace(**{**DEFAULTS,
                                              key: getattr(options, key)}))
-                except ValueError:
-                    break
+                except ValueError as alone:
+                    if _raised_at(alone) == _raised_at(exc):
+                        break
             if place(key) is None:
                 raise
             raise ValueError(f"{place(key)}: {exc}") from exc
@@ -312,11 +320,11 @@ def similarity_matrix(results: list[ClassificationResult], options):
 
 
 def predict_slots(model, target: ClassificationResult, category_ids, m: int):
-    """(slots of a summary of m, category shares) of the target; too few
+    """The slots of a summary of m over the target's categories; too few
     classified tweets for m names the target's tweets file."""
     fractions, available = category_shares(target, category_ids)
     try:
-        return predict_importance(model, fractions, available, m), fractions
+        return predict_importance(model, fractions, available, m)
     except ValueError as exc:
         raise target.dataset.error(str(exc)) from exc
 
@@ -325,23 +333,13 @@ def weight_categories(target: ClassificationResult,
                       training: ClassificationResult, category_ids, options):
     """Fit on the training disaster; return (importance, report fragment)."""
     pairs = build_training_pairs(training, category_ids)
-    model = fit(pairs, options.regression_kind,
-                ridge_alpha=options.ridge_alpha,
-                prior_precision=options.prior_precision,
-                noise_precision=options.noise_precision)
-    importance, fractions = predict_slots(model, target, category_ids,
-                                          options.m)
-    model_info = {"kind": model.kind, "slope": model.slope,
-                  "intercept": model.intercept}
-    if model.kind == "bayesian":
-        model_info["predictive_variance"] = {
-            cid: model.predictive_variance(fractions[cid])
-            for cid in sorted(category_ids)
-        }
+    fractions, _ = category_shares(target, category_ids)
+    model = fit(pairs, options, at=fractions)
+    importance = predict_slots(model, target, category_ids, options.m)
     return importance, {
         "training_disaster": training.dataset.id,
         "training_pairs": [[x, y] for x, y in pairs],
-        "model": model_info,
+        "model": model,
         "importance": dict(sorted(importance.counts.items())),
     }
 

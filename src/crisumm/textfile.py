@@ -90,8 +90,9 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def json_text(value) -> str:
-    """A JSON document: keys sorted, indented by 2, ending in a newline."""
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    """A JSON document: keys sorted, indented by 2, ending in a newline.
+    A NaN or infinite float raises ValueError, as JSON has none."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def lines_text(lines: Iterable[str]) -> str:

@@ -443,3 +443,19 @@ def ols(pairs):
         return 0.0, y_mean
     slope = fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sxx
     return slope, y_mean - slope * x_mean
+
+
+def bayesian_posterior(pairs, alpha, beta, at):
+    """(slope, intercept, predictive variance by id of `at`) of Bayesian
+    linear regression on features (1, x), from the normal equations
+    A m = beta Phi^T y with A = alpha I + beta Phi^T Phi, solved rather
+    than inverted; the variance at x is 1/beta + phi^T A^-1 phi."""
+    phi = np.array([[1.0, float(x)] for x, _ in pairs])
+    y = np.array([float(y) for _, y in pairs])
+    a = alpha * np.eye(2) + beta * (phi.T @ phi)
+    intercept, slope = np.linalg.solve(a, beta * (phi.T @ y))
+    variance = {}
+    for cid, x in at.items():
+        row = np.array([1.0, float(x)])
+        variance[cid] = 1.0 / beta + float(row @ np.linalg.solve(a, row))
+    return float(slope), float(intercept), variance

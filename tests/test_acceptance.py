@@ -13,7 +13,7 @@ import numpy as np
 
 from crisumm.categorizer import classify, classify_corpus
 from crisumm.disaster_sim import dis_sim, jensen_shannon_divergence
-from crisumm.importance import RegressionModel, fit, predict_importance
+from crisumm.importance import fit, predict_importance
 from crisumm.ontology import Category, Ontology
 from crisumm.pipeline import load_config, run_pipeline
 from crisumm.rouge import rouge_l, rouge_n
@@ -106,9 +106,8 @@ def test_criterion_4_apportionment_soundness():
                 total = 1
             m = int(rng.integers(1, total + 1))
             fractions = {cid: float(rng.uniform(0, 1)) for cid in ids}
-            model = RegressionModel(kind="linear",
-                                    slope=float(rng.uniform(-3, 12)),
-                                    intercept=float(rng.uniform(-2, 2)))
+            model = {"kind": "linear", "slope": float(rng.uniform(-3, 12)),
+                     "intercept": float(rng.uniform(-2, 2))}
             vec = predict_importance(model, fractions, available, m)
             assert sum(vec.counts.values()) == m
             for cid in ids:
@@ -130,11 +129,13 @@ def test_criterion_4_apportionment_soundness():
 def test_criterion_5_regression_recovery():
     with criterion(5, "OLS recovery and ridge-to-OLS convergence"):
         pairs = [(float(x), 2.0 * float(x)) for x in range(6)]
-        model = fit(pairs, "linear")
-        assert abs(model.slope - 2.0) <= 1e-9
-        assert abs(model.intercept) <= 1e-9
-        ols_slope = model.slope
-        gaps = [abs(fit(pairs, "ridge", ridge_alpha=alpha).slope - ols_slope)
+        model = fit(pairs, options())
+        assert abs(model["slope"] - 2.0) <= 1e-9
+        assert abs(model["intercept"]) <= 1e-9
+        ols_slope = model["slope"]
+        gaps = [abs(fit(pairs, options(regression_kind="ridge",
+                                       ridge_alpha=alpha))["slope"]
+                    - ols_slope)
                 for alpha in (1.0, 1e-3, 1e-9)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-6

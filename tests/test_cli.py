@@ -388,6 +388,23 @@ class TestImportanceCommand:
                               "noise_precision=1e+308: overflow")
         assert err.count("\n") == 1
 
+    def test_predictive_variance_overflow_writes_no_infinity(
+            self, tmp_path, capsys, data_dir):
+        out = tmp_path / "importance.json"
+        code, stdout, err = run(capsys, "importance",
+                                "--target", str(data_dir / "target.jsonl"),
+                                "--training",
+                                str(data_dir / "candidate_quake.jsonl"),
+                                "--ontology", str(data_dir / "ontology.json"),
+                                "--kind", "bayesian", "--m", "8",
+                                "--noise-precision", "1e-320",
+                                "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == ("error: bayesian fit breaks down at prior_precision="
+                       "1.0 and noise_precision=1e-320: overflow encountered "
+                       "in divide\n")
+        assert not out.exists()
+
 
 class TestSummarizeCommand:
     def test_selector_flag_is_plumbed_through(self, tmp_path, capsys,
@@ -545,8 +562,27 @@ BAD_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("argv, flag, value, message", BAD_FLAGS,
-                         ids=[f"{a[0]}{f}" for a, f, *_ in BAD_FLAGS])
+# As BAD_FLAGS, with a first bad value already in argv: the message is
+# about the second flag, which is the one named.
+TWO_BAD_FLAGS = [
+    (["similarity", "--datasets", "missing/t.jsonl", "--w1", "0.3"],
+     "--w2", "2.0", "weights must lie in (0, 1), got w1=0.3, w2=2.0"),
+    (["importance", "--target", "missing/t.jsonl", "--training",
+      "missing/c.jsonl", "--m", "8", "--prior-precision", "inf"],
+     "--noise-precision", "0",
+     "prior_precision and noise_precision must be > 0"),
+    (["importance", "--target", "missing/t.jsonl", "--training",
+      "missing/c.jsonl", "--m", "8", "--ridge-alpha", "inf"],
+     "--prior-precision", "0",
+     "prior_precision and noise_precision must be > 0"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value, message",
+                         BAD_FLAGS + TWO_BAD_FLAGS,
+                         ids=[f"{a[0]}{f}" for a, f, *_ in BAD_FLAGS]
+                         + [f"{a[0]}{a[-2]}{f}"
+                            for a, f, *_ in TWO_BAD_FLAGS])
 def test_bad_flag_value_names_flag_before_any_file_is_read(
         capsys, argv, flag, value, message):
     code, out, err = run(capsys, *argv, "--ontology", "missing/o.json",
@@ -802,6 +838,15 @@ class TestPipelineCommand:
          "prior_precision must be finite, got inf"),
         ({"noise_precision": "inf"},
          "noise_precision must be finite, got inf"),
+        # Two bad values: the message is about the first one given, and
+        # its line is named although the check's row lists the other key
+        # first.
+        ({"w2": "2.0", "w1": "0.3"},
+         "weights must lie in (0, 1), got w1=0.3, w2=2.0"),
+        ({"noise_precision": "0", "prior_precision": "inf"},
+         "prior_precision and noise_precision must be > 0"),
+        ({"prior_precision": "0", "ridge_alpha": "inf"},
+         "prior_precision and noise_precision must be > 0"),
     ])
     def test_bad_stage_parameter_fails_before_any_stage(
             self, tmp_path, capsys, data_dir, values, message):
@@ -813,6 +858,22 @@ class TestPipelineCommand:
         line = config_line(cfg_path, next(iter(values)))
         assert err == f"error: pipeline.cfg:{line}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_predictive_variance_overflow_writes_no_infinity(
+            self, tmp_path, capsys, data_dir):
+        cfg_path = config_copy(data_dir, tmp_path, regression_kind="bayesian",
+                               noise_precision="1e-320")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                             "--out-dir", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == ("error: stage 'importance' failed: bayesian fit "
+                       "breaks down at prior_precision=1.0 and "
+                       "noise_precision=1e-320: overflow encountered in "
+                       "divide\n")
+        written = [p for p in out_dir.rglob("*") if p.is_file()]
+        assert written == [out_dir / "quarantine" / "report.json"]
+        assert "Infinity" not in written[0].read_text("utf-8")
 
     def test_missing_path_names_config_line(self, tmp_path, capsys,
                                             data_dir):

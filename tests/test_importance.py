@@ -2,15 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from crisumm.categorizer import classify_corpus
 from crisumm.corpus import DisasterDataset
-from crisumm.importance import (ImportanceVector, RegressionModel,
-                                build_training_pairs, fit,
+from crisumm.importance import (ImportanceVector, build_training_pairs, fit,
                                 predict_importance)
 from crisumm.ontology import Category, Ontology
 
-from oracles import make_tweet, ols
+from conftest import options
+from oracles import bayesian_posterior, make_tweet, ols
+
+EQUAL = {"kind": "equal"}
+
+
+def linear(slope, intercept):
+    """The model row of a linear fit with these coefficients."""
+    return {"kind": "linear", "slope": slope, "intercept": intercept}
 
 
 class TestTrainingPairs:
@@ -52,145 +60,185 @@ class TestTrainingPairs:
 
 class TestFit:
     def test_exact_interpolation(self):
-        model = fit([(0, 0), (1, 1), (2, 2)], "linear")
-        assert model.slope == pytest.approx(1.0, abs=1e-12)
-        assert model.intercept == pytest.approx(0.0, abs=1e-12)
+        model = fit([(0, 0), (1, 1), (2, 2)], options())
+        assert model["slope"] == pytest.approx(1.0, abs=1e-12)
+        assert model["intercept"] == pytest.approx(0.0, abs=1e-12)
 
     def test_collinear_recovery(self):
-        model = fit([(1, 2), (2, 4), (3, 6)], "linear")
-        assert model.slope == pytest.approx(2.0, abs=1e-9)
-        assert model.intercept == pytest.approx(0.0, abs=1e-9)
+        model = fit([(1, 2), (2, 4), (3, 6)], options())
+        assert model["slope"] == pytest.approx(2.0, abs=1e-9)
+        assert model["intercept"] == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_ols_oracle_on_noisy_data(self):
         rng = np.random.default_rng(47)
         for _ in range(50):
             pairs = [(float(x), float(x) * 1.5 + rng.normal())
                      for x in rng.uniform(0, 1, size=int(rng.integers(2, 9)))]
-            model = fit(pairs, "linear")
+            model = fit(pairs, options())
             slope, intercept = ols(pairs)
-            assert model.slope == pytest.approx(slope, abs=1e-9)
-            assert model.intercept == pytest.approx(intercept, abs=1e-9)
+            assert model == {"kind": "linear",
+                             "slope": pytest.approx(slope, abs=1e-9),
+                             "intercept": pytest.approx(intercept, abs=1e-9)}
 
     def test_zero_variance_degenerates_gracefully(self):
-        model = fit([(0.5, 1.0), (0.5, 3.0)], "linear")
-        assert model.slope == 0.0
-        assert model.intercept == 2.0
+        model = fit([(0.5, 1.0), (0.5, 3.0)], options())
+        assert (model["slope"], model["intercept"]) == (0.0, 2.0)
 
     def test_ridge_large_alpha_kills_slope(self):
-        model = fit([(0, 0), (1, 10)], "ridge", ridge_alpha=1e12)
-        assert abs(model.slope) < 1e-9
+        model = fit([(0, 0), (1, 10)],
+                    options(regression_kind="ridge", ridge_alpha=1e12))
+        assert abs(model["slope"]) < 1e-9
 
     def test_ridge_approaches_ols(self):
         pairs = [(0.1, 1.0), (0.4, 2.0), (0.9, 5.0)]
-        ols_slope = fit(pairs, "linear").slope
-        gaps = [abs(fit(pairs, "ridge", ridge_alpha=a).slope - ols_slope)
+        ols_slope = fit(pairs, options())["slope"]
+        gaps = [abs(fit(pairs, options(regression_kind="ridge",
+                                       ridge_alpha=a))["slope"] - ols_slope)
                 for a in (1.0, 1e-3, 1e-9)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-6
 
     def test_bayesian_shrinks_toward_zero(self):
         pairs = [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]
-        ols_model = fit(pairs, "linear")
-        bayes = fit(pairs, "bayesian", prior_precision=1.0,
-                    noise_precision=1.0)
-        assert 0.0 < bayes.slope < ols_model.slope
-        loose = fit(pairs, "bayesian", prior_precision=1e-9,
-                    noise_precision=1e9)
-        assert loose.slope == pytest.approx(ols_model.slope, abs=1e-6)
-        assert loose.intercept == pytest.approx(ols_model.intercept,
-                                                abs=1e-6)
+        ols_model = fit(pairs, options())
+        bayes = fit(pairs, options(regression_kind="bayesian"))
+        assert 0.0 < bayes["slope"] < ols_model["slope"]
+        loose = fit(pairs, options(regression_kind="bayesian",
+                                   prior_precision=1e-9, noise_precision=1e9))
+        assert loose["slope"] == pytest.approx(ols_model["slope"], abs=1e-6)
+        assert loose["intercept"] == pytest.approx(ols_model["intercept"],
+                                                   abs=1e-6)
 
     def test_bayesian_predictive_variance(self):
         pairs = [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]
-        model = fit(pairs, "bayesian")
-        assert model.predictive_variance(1.0) > 0
-        tighter = fit(pairs, "bayesian", noise_precision=100.0)
-        assert tighter.predictive_variance(1.0) < \
-            model.predictive_variance(1.0)
+        at = {"a": 1.0, "b": 0.25}
+        model = fit(pairs, options(regression_kind="bayesian"), at=at)
+        variance = model["predictive_variance"]
+        assert variance.keys() == at.keys()
+        assert variance["a"] > 0 and variance["b"] > 0
+        tighter = fit(pairs, options(regression_kind="bayesian",
+                                     noise_precision=100.0), at=at)
+        assert tighter["predictive_variance"]["a"] < variance["a"]
+        assert fit(pairs, options(regression_kind="bayesian"))[
+            "predictive_variance"] == {}
+
+    @given(pairs=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 20)),
+                          min_size=2, max_size=8),
+           alpha=st.floats(0.01, 100), beta=st.floats(0.01, 100),
+           shares=st.lists(st.floats(0, 1), max_size=5))
+    def test_bayesian_row_matches_the_solve_oracle(self, pairs, alpha, beta,
+                                                   shares):
+        at = {f"c{i}": x for i, x in enumerate(shares)}
+        model = fit(pairs, options(regression_kind="bayesian",
+                                   prior_precision=alpha,
+                                   noise_precision=beta), at=at)
+        slope, intercept, variance = bayesian_posterior(pairs, alpha, beta,
+                                                        at)
+        close = pytest.approx
+        assert model == {"kind": "bayesian",
+                         "slope": close(slope, rel=1e-9, abs=1e-9),
+                         "intercept": close(intercept, rel=1e-9, abs=1e-9),
+                         "predictive_variance": close(variance, rel=1e-9,
+                                                      abs=1e-9)}
+
+    def test_only_bayesian_rows_carry_predictive_variance(self):
+        pairs = [(0.0, 1.0), (1.0, 3.0)]
+        for kind in ("linear", "ridge", "equal"):
+            model = fit(pairs, options(regression_kind=kind), at={"a": 0.5})
+            assert "predictive_variance" not in model
 
     def test_equal_kind_has_no_coefficients(self):
-        model = fit([], "equal")
-        assert model.slope is None and model.intercept is None
-        with pytest.raises(ValueError):
-            model.predict(0.5)
+        model = fit([], options(regression_kind="equal"), at={"a": 0.5})
+        assert model == {"kind": "equal", "slope": None, "intercept": None}
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^unknown regression kind 'lasso'$"):
+            fit([(0.0, 1.0), (1.0, 3.0)], options(regression_kind="lasso"))
+
+    @pytest.mark.parametrize("kind", ["linear", "ridge", "bayesian"])
+    def test_non_finite_coefficients_rejected(self, kind):
+        with pytest.raises(ValueError,
+                           match="^non-finite regression coefficients$"):
+            fit([(0.0, math.nan), (1.0, 3.0)], options(regression_kind=kind))
 
     def test_too_few_pairs_rejected(self):
         for kind in ("linear", "ridge", "bayesian"):
             with pytest.raises(ValueError, match="at least 2"):
-                fit([(1.0, 1.0)], kind)
+                fit([(1.0, 1.0)], options(regression_kind=kind))
 
     def test_invalid_hyperparameters_rejected(self):
         pairs = [(0.0, 0.0), (1.0, 1.0)]
         with pytest.raises(ValueError):
-            fit(pairs, "ridge", ridge_alpha=-1.0)
+            fit(pairs, options(regression_kind="ridge", ridge_alpha=-1.0))
         with pytest.raises(ValueError):
-            fit(pairs, "bayesian", prior_precision=0.0)
+            fit(pairs, options(regression_kind="bayesian",
+                               prior_precision=0.0))
         for key in ("ridge_alpha", "prior_precision", "noise_precision"):
             with pytest.raises(ValueError,
                                match=f"^{key} must be finite, got inf$"):
-                fit(pairs, "bayesian", **{key: math.inf})
+                fit(pairs, options(regression_kind="bayesian",
+                                   **{key: math.inf}))
 
     def test_unused_hyperparameters_checked_too(self):
         pairs = [(0.0, 0.0), (1.0, 1.0)]
         with pytest.raises(ValueError, match="ridge_alpha"):
-            fit(pairs, "linear", ridge_alpha=-1.0)
+            fit(pairs, options(ridge_alpha=-1.0))
         with pytest.raises(ValueError, match="noise_precision"):
-            fit([], "equal", noise_precision=0.0)
+            fit([], options(regression_kind="equal", noise_precision=0.0))
 
     def test_bayesian_overflow_is_a_value_error(self, recwarn):
         pairs = [(0.1, 1.0), (0.5, 4.0), (0.9, 8.0)]
         with pytest.raises(ValueError, match=r"^bayesian fit breaks down at "
                            r"prior_precision=1\.0 and noise_precision="
                            r"1e\+308: overflow"):
-            fit(pairs, "bayesian", noise_precision=1e308)
+            fit(pairs, options(regression_kind="bayesian",
+                               noise_precision=1e308))
         assert not recwarn.list
 
+    def test_singular_posterior_precision_names_the_fit(self):
+        # Equal shares and a vanishing prior leave the precision singular.
+        with pytest.raises(ValueError, match=r"^bayesian fit breaks down at "
+                           r"prior_precision=1e-320 and noise_precision="
+                           r"1\.0: Singular matrix$"):
+            fit([(0.5, 1.0), (0.5, 2.0)],
+                options(regression_kind="bayesian", prior_precision=1e-320))
 
-class TestRegressionModel:
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"kind": "lasso"}, "unknown regression kind 'lasso'"),
-        ({"kind": "equal", "slope": 1.0}, "has no coefficients"),
-        ({"kind": "linear", "slope": 1.0}, "linear model needs coefficients"),
-        ({"kind": "ridge", "slope": float("nan"), "intercept": 0.0},
-         "non-finite regression coefficients"),
-    ])
-    def test_inconsistent_model_rejected(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            RegressionModel(**kwargs)
-
-    def test_predictive_variance_needs_a_bayesian_model(self):
-        model = fit([(0.0, 1.0), (1.0, 3.0)], "linear")
-        with pytest.raises(ValueError, match="requires a Bayesian model"):
-            model.predictive_variance(0.5)
+    def test_predictive_variance_overflow_is_a_value_error(self, recwarn):
+        pairs = [(0.1, 1.0), (0.5, 4.0), (0.9, 8.0)]
+        with pytest.raises(ValueError, match=r"^bayesian fit breaks down at "
+                           r"prior_precision=1\.0 and noise_precision="
+                           r"1e-320: overflow encountered in divide$"):
+            fit(pairs, options(regression_kind="bayesian",
+                               noise_precision=1e-320), at={"a": 0.5})
+        assert not recwarn.list
 
 
 class TestPredictImportance:
     def test_exact_fractions(self):
-        model = RegressionModel(kind="linear", slope=10.0, intercept=0.0)
+        model = linear(10.0, 0.0)
         vec = predict_importance(model, {"a": 0.5, "b": 0.3, "c": 0.2},
                                  {"a": 99, "b": 99, "c": 99}, 10)
         assert vec.counts == {"a": 5, "b": 3, "c": 2}
 
     def test_equal_kind_tie_breaks_by_category_id(self):
-        vec = predict_importance(RegressionModel(kind="equal"),
-                                 {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3},
+        vec = predict_importance(EQUAL, {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3},
                                  {"a": 99, "b": 99, "c": 99}, 10)
         assert vec.counts == {"a": 4, "b": 3, "c": 3}
 
     def test_remainder_tie_prefers_larger_fraction(self):
-        vec = predict_importance(RegressionModel(kind="equal"),
-                                 {"a": 0.2, "b": 0.5, "c": 0.3},
+        vec = predict_importance(EQUAL, {"a": 0.2, "b": 0.5, "c": 0.3},
                                  {"a": 99, "b": 99, "c": 99}, 10)
         assert vec.counts == {"a": 3, "b": 4, "c": 3}
 
     def test_clamp_and_redistribute(self):
-        model = RegressionModel(kind="linear", slope=10.0, intercept=0.0)
+        model = linear(10.0, 0.0)
         vec = predict_importance(model, {"a": 1.0, "b": 0.0, "c": 0.0},
                                  {"a": 4, "b": 9, "c": 9}, 6)
         assert vec.counts == {"a": 4, "b": 1, "c": 1}
 
     def test_negative_predictions_clamp_to_zero(self):
-        model = RegressionModel(kind="linear", slope=10.0, intercept=-5.0)
+        model = linear(10.0, -5.0)
         vec = predict_importance(model, {"a": 0.9, "b": 0.1},
                                  {"a": 20, "b": 20}, 4)
         assert vec.counts["a"] == 4
@@ -204,26 +252,24 @@ class TestPredictImportance:
             total = sum(available.values())
             if total == 0:
                 continue
-            model = RegressionModel(kind="linear",
-                                    slope=float(rng.uniform(-2, 8)),
-                                    intercept=float(rng.uniform(-1, 1)))
+            model = linear(float(rng.uniform(-2, 8)),
+                           float(rng.uniform(-1, 1)))
             fractions = {cid: float(rng.uniform(0, 1)) for cid in ids}
             vec = predict_importance(model, fractions, available, total)
             assert vec.counts == available
 
     def test_shortfall_reported(self):
-        model = RegressionModel(kind="linear", slope=1.0, intercept=0.0)
+        model = linear(1.0, 0.0)
         with pytest.raises(ValueError, match="short by 3"):
             predict_importance(model, {"a": 1.0}, {"a": 2}, 5)
 
     def test_length_below_one_rejected(self):
         with pytest.raises(ValueError, match="must be >= 1, got 0"):
-            predict_importance(RegressionModel(kind="equal"), {"a": 1.0},
-                               {"a": 2}, 0)
+            predict_importance(EQUAL, {"a": 1.0}, {"a": 2}, 0)
 
     def test_no_categories_rejected(self):
         with pytest.raises(ValueError, match="no categories"):
-            predict_importance(RegressionModel(kind="equal"), {}, {}, 1)
+            predict_importance(EQUAL, {}, {}, 1)
 
     def test_importance_vector_invariants(self):
         with pytest.raises(ValueError, match="must be nonnegative"):

@@ -1,6 +1,6 @@
 import pytest
 
-from crisumm.textfile import InputError, read_json
+from crisumm.textfile import InputError, json_text, read_json
 
 
 class TestInputError:
@@ -31,3 +31,11 @@ class TestReadJson:
             read_json(path)
         assert str(excinfo.value) == \
             "v.json:3: invalid JSON (Expecting ':' delimiter)"
+
+
+class TestJsonText:
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"),
+                                       float("nan")])
+    def test_non_finite_float_rejected(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json_text({"model": {"predictive_variance": {"a": value}}})
