@@ -8,15 +8,15 @@ import sys
 
 from . import ontology as onto
 from .categorizer import ClassificationResult
-from .embeddings import load_word2vec_text
 from .importance import REGRESSION_KINDS, ImportanceVector, category_shares
 from .pipeline import (CHECKS, DEFAULTS, KINDS, PipelineStageError,
                        categorize, coverage, evaluate, extend_vocab,
                        load_config, load_resources, load_stopword_list,
-                       predict_slots, run_checks, run_pipeline, select,
-                       similarity_matrix, weight_categories)
+                       load_table, predict_slots, run_checks, run_pipeline,
+                       select, similarity_matrix, weight_categories)
 # Bound here only so that bench/spans.py can wrap them in this module.
 from . import corpus  # noqa: F401
+from .embeddings import load_word2vec_text  # noqa: F401
 from .pipeline import (build_profile, build_training_pairs,  # noqa: F401
                        classify_corpus, dis_sim, fit, most_similar,
                        predict_importance, score_summary, summarize)
@@ -148,7 +148,7 @@ def _load_importance(path: str, target: ClassificationResult,
 
 def _cmd_summarize(args) -> int:
     ontology, [target] = _categorize(args, args.dataset)
-    table = load_word2vec_text(args.embeddings)
+    table = load_table(target, ontology, args)
     category_ids = ontology.category_ids()
     if args.importance:
         importance = _load_importance(args.importance, target, category_ids)

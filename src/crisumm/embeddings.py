@@ -1,9 +1,15 @@
-"""Word-embedding tables in the text word2vec format, plus cosine similarity."""
+"""Word-embedding tables in the text word2vec format, plus cosine similarity.
+
+A run reads an embedding only to score a tweet keyword against a
+category's vocabulary, so the loader checks every row of a file but can
+keep only the rows of the words it is given.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,52 +52,65 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def load_word2vec_text(path: str | Path) -> EmbeddingTable:
+# Rows per numpy call: a block is parsed whole, so the full matrix of a
+# table of which a run reaches a few rows never exists at once.
+BLOCK_ROWS = 512
+
+
+def load_word2vec_text(path: str | Path,
+                       words: Collection[str] | None = None
+                       ) -> EmbeddingTable:
     """Parse a text word2vec file: header "V D", then V lines "word x1 .. xD".
 
     Words are lowercased; on a duplicate word the first occurrence
-    wins. Any arity or numeric problem is reported with its line
-    number. The vectors are rows of one matrix, which numpy parses in
-    one pass; a file it declines is parsed line by line, which names
-    the first bad line.
+    wins. Every row is parsed and checked, but only the rows whose word
+    is in `words` are kept, or all of them when `words` is None. Any
+    arity or numeric problem is reported with its line number. numpy
+    parses the rows a block at a time; a file it declines is parsed
+    line by line, which names the first bad line.
     """
     path = Path(path)
+    vectors: dict[str, np.ndarray] = {}
+    block_words: list[str] = []
+
+    def word_column(word: str) -> float:
+        """Record the row's word; its value in the block is 0. Converting
+        the column, rather than skipping it with usecols, keeps loadtxt's
+        check that every row has the same number of columns."""
+        block_words.append(word.lower())
+        return 0.0
+
     with open_text(path) as fh:
         vocab_size, dimension = _parse_header(path, fh.readline())
-        words = [line.split(None, 1)[0].lower() for line in fh
-                 if not line.isspace()]
-    if len(words) != vocab_size:
-        return _parse_lines(path)
-    if not words:
-        return EmbeddingTable(dimension=dimension, vectors={})
-    with open_text(path) as fh:
-        fh.readline()
-        try:
-            # Sized from the counted rows: loadtxt allocates max_rows
-            # up front, and a header is not trusted with memory.
-            matrix = np.loadtxt(
-                (line for line in fh if not line.isspace()),
-                dtype=np.float64, comments=None, ndmin=2,
-                max_rows=len(words), converters={0: _word_column})
-        except ValueError:
-            return _parse_lines(path)
-    # min and max carry any NaN or infinity through, and unlike
-    # np.isfinite they need no temporary the size of the matrix.
-    if (matrix.shape != (len(words), dimension + 1)
-            or not math.isfinite(matrix.min())
-            or not math.isfinite(matrix.max())):
-        return _parse_lines(path)
-    vectors: dict[str, np.ndarray] = {}
-    for word, vec in zip(words, matrix[:, 1:]):
-        vectors.setdefault(word, vec)
+        lines = (line for line in fh if not line.isspace())
+        rows = 0
+        for first in lines:
+            block_words.clear()
+            try:
+                block = np.loadtxt(
+                    itertools.chain([first], lines), dtype=np.float64,
+                    comments=None, ndmin=2, max_rows=BLOCK_ROWS,
+                    converters={0: word_column})
+            except ValueError:
+                return _parse_lines(path, words)
+            rows += len(block)
+            # min and max carry any NaN or infinity through, and unlike
+            # np.isfinite they need no temporary the size of the block.
+            if (block.shape[1] != dimension + 1
+                    or not math.isfinite(block.min())
+                    or not math.isfinite(block.max())):
+                return _parse_lines(path, words)
+            new: dict[str, int] = {}
+            for i, word in enumerate(block_words):
+                if word not in vectors and (words is None or word in words):
+                    new.setdefault(word, i)
+            # A view would pin the whole block: copy a partly kept one.
+            kept = block[:, 1:] if len(new) == len(block) \
+                else block[list(new.values()), 1:]
+            vectors.update(zip(new, kept))
+    if rows != vocab_size:
+        return _parse_lines(path, words)
     return EmbeddingTable(dimension=dimension, vectors=vectors)
-
-
-def _word_column(word: str) -> float:
-    """The word column's value in the matrix. Converting the column,
-    rather than skipping it with usecols, keeps loadtxt's check that
-    every row has the same number of columns."""
-    return 0.0
 
 
 def _parse_header(path: Path, header: str) -> tuple[int, int]:
@@ -108,12 +127,13 @@ def _parse_header(path: Path, header: str) -> tuple[int, int]:
     return vocab_size, dimension
 
 
-def _parse_lines(path: Path) -> EmbeddingTable:
+def _parse_lines(path: Path,
+                 words: Collection[str] | None = None) -> EmbeddingTable:
     """The line-by-line parser, for every file numpy's pass declines.
 
     It raises the error of the first bad line, and it also accepts what
     `float()` accepts and numpy does not, such as `1_0` or non-ASCII
-    digits.
+    digits. It keeps the rows of `words` as the numpy pass does.
     """
     vectors: dict[str, np.ndarray] = {}
     with open_text(path) as fh:
@@ -139,7 +159,7 @@ def _parse_lines(path: Path) -> EmbeddingTable:
             if not all(math.isfinite(v) for v in values):
                 raise InputError(path, "non-finite vector component",
                                  lineno)
-            if word not in vectors:
+            if word not in vectors and (words is None or word in words):
                 vectors[word] = np.array(values, dtype=np.float64)
         if rows < vocab_size:
             raise InputError(path, f"declared {vocab_size} rows but found "

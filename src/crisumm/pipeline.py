@@ -4,7 +4,9 @@ Every stage's intermediate artifacts and the fully materialized
 configuration are embedded in a single JSON report, so a run can be
 reproduced from its report alone. Identical inputs produce
 byte-identical reports. Each stage is one function below: `run_pipeline`
-chains them, and each CLI subcommand wraps one.
+chains them, and each CLI subcommand wraps one. The embedding table is
+loaded by `load_table` when the summarize stage starts, with only the
+rows that selection can reach.
 """
 
 from __future__ import annotations
@@ -344,6 +346,17 @@ def weight_categories(target: ClassificationResult,
     }
 
 
+def load_table(target: ClassificationResult, ontology: Ontology, options):
+    """The embedding table at `options.embeddings`, holding the rows that
+    selection can reach: the target's tweet keywords and every
+    category's vocabulary, extended if `options.use_extended`. The whole
+    file is still validated; a bad row names its line wherever it is."""
+    words = set().union(*(t.keywords for t in target.dataset.tweets),
+                        *(c.vocabulary(options.use_extended)
+                          for c in ontology.categories))
+    return emb_mod.load_word2vec_text(options.embeddings, words)
+
+
 def select(classified: ClassificationResult, importance, ontology: Ontology,
            table, options) -> dict:
     """The summary's entries and its lines of whitespace-collapsed text."""
@@ -397,7 +410,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     stages = ["load-resources"]
     try:
         stopwords, lexicon, ontology = load_resources(cfg)
-        table = emb_mod.load_word2vec_text(cfg.embeddings)
 
         stages.append("extend-vocab")
         if cfg.vocab_docs and cfg.approvals:
@@ -451,6 +463,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             target, training, ontology.category_ids(), cfg)
 
         stages.append("summarize")
+        table = load_table(target, ontology, cfg)
         report["summary"] = select(target, importance, ontology, table, cfg)
 
         stages.append("evaluate")

@@ -120,6 +120,33 @@ def test_tracer_reads_every_stage_of_a_pipeline_run(tmp_path):
     _assert_restored(bindings)
 
 
+def test_pipeline_loads_only_reachable_rows(tmp_path, target_dataset,
+                                            extended_ontology,
+                                            embedding_table):
+    # The traced `embeddings.rows_loaded` and `reachable_ratio` read the
+    # table the summarize stage loads: the rows of the target's keywords
+    # and of the extended vocabularies, and no other.
+    spans = _load_spans()
+    cli = importlib.import_module("crisumm.cli")
+    bindings = _bindings(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["pipeline", "--config", str(DATA / "pipeline.cfg"),
+                         "--out-dir", str(tmp_path / "run")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    reachable = set().union(
+        *(t.keywords for t in target_dataset.tweets),
+        *(c.vocabulary(True) for c in extended_ontology.categories))
+    assert tracer.counts["rows_loaded"] == \
+        len(reachable & set(embedding_table.vectors)) > 0
+    [words] = tracer.table_words
+    assert words <= tracer.keywords | tracer.vocabulary
+    _assert_restored(bindings)
+
+
 def test_summarize_keeps_the_positional_parameters_the_tracer_reads():
     # `sim2_evals` in bench/spans.py unpacks `summarize`'s first five
     # positional arguments.

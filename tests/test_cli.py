@@ -67,6 +67,26 @@ BAD_APPROVALS = [
 ]
 
 
+@pytest.fixture
+def unreachable_row_broken(tmp_path, data_dir, target_dataset,
+                           extended_ontology):
+    """A copy of tests/data/embeddings.txt whose first row with a word
+    that no target tweet or category vocabulary holds lacks its last
+    number: (the copy, its error message)."""
+    reachable = set().union(
+        *(t.keywords for t in target_dataset.tweets),
+        *(c.vocabulary(True) for c in extended_ontology.categories))
+    lines = (data_dir / "embeddings.txt").read_text("utf-8").splitlines()
+    dim = int(lines[0].split()[1])
+    index = next(i for i, line in enumerate(lines) if i
+                 and line.split()[0].lower() not in reachable)
+    lines[index] = lines[index].rsplit(None, 1)[0]
+    path = tmp_path / "embeddings.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path, (f"embeddings.txt:{index + 1}: expected {dim + 1} fields, "
+                  f"got {dim}")
+
+
 def without_classified_tweets(tmp_path):
     """A tweets file none of whose tweets matches a fixture category."""
     path = tmp_path / "blast_empty.jsonl"
@@ -515,6 +535,19 @@ class TestSummarizeCommand:
         assert (code, out) == (1, "")
         assert err == "error: blast_empty.jsonl: no classified tweets\n"
 
+    def test_bad_unreachable_embedding_row_names_its_line(
+            self, tmp_path, capsys, data_dir, unreachable_row_broken):
+        # Only reachable rows are kept, but every row is checked.
+        bad, message = unreachable_row_broken
+        code, out, err = run(capsys, "summarize",
+                             "--dataset", str(data_dir / "target.jsonl"),
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--embeddings", str(bad),
+                             "--out-json", str(tmp_path / "s.json"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "s.json").exists()
+
     def test_length_beyond_classified_tweets_names_tweets_file(
             self, tmp_path, capsys, data_dir):
         code, _, err = run(capsys, "summarize",
@@ -636,6 +669,23 @@ class TestPipelineCommand:
         assert quarantined.exists()
         partial = json.loads(quarantined.read_text("utf-8"))
         assert "similarity" in partial
+
+    def test_bad_unreachable_embedding_row_fails_summarize_stage(
+            self, tmp_path, capsys, data_dir, unreachable_row_broken):
+        # The table loads when the summarize stage starts, and it checks
+        # the rows that no stage reads as well.
+        bad, message = unreachable_row_broken
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "pipeline", "--config",
+                             str(config_copy(data_dir, tmp_path,
+                                             embeddings=bad)),
+                             "--out-dir", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == f"error: stage 'summarize' failed: {message}\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["quarantine"]
+        partial = json.loads((out_dir / "quarantine" / "report.json")
+                             .read_text("utf-8"))
+        assert "importance" in partial and "summary" not in partial
 
     def test_second_failure_replaces_quarantine(self, tmp_path, capsys,
                                                 data_dir):

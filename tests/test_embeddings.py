@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -200,14 +201,131 @@ def _outcome(load, path):
                              for word, vec in table.vectors.items()]
 
 
-@settings(max_examples=200)
-@given(text=word2vec_texts())
-def test_loader_matches_line_parser(tmp_path_factory, text):
-    """Same words, bit-identical vectors, or the same error message."""
+def _oracle(words=None):
+    """The line parser's table, restricted to `words` unless None."""
+    def load(path):
+        table = oracles.load_word2vec_text(path)
+        if words is None:
+            return table
+        return EmbeddingTable(table.dimension, {
+            w: v for w, v in table.vectors.items() if w in words})
+    return load
+
+
+# Filter words: lowercased table words, mixed-case forms that no
+# lowercased row can match, and a word no table holds.
+FILTER_WORDS = ["flood", "quake", "fire", "\u0130stanbul".lower(), "Flood",
+                "QuAkE", "absent"]
+
+
+@settings(max_examples=300)
+@given(text=word2vec_texts(),
+       words=st.none() | st.frozensets(st.sampled_from(FILTER_WORDS)),
+       block=st.integers(1, 4))
+def test_loader_matches_line_parser(tmp_path_factory, text, words, block):
+    """Same words, bit-identical vectors, or the same error message, for
+    every filter, with blocks small enough that the generated rows span
+    several of them."""
     path = tmp_path_factory.getbasetemp() / "fuzz.txt"
     path.write_bytes(text.encode("utf-8"))
-    assert _outcome(load_word2vec_text, path) == \
-        _outcome(oracles.load_word2vec_text, path)
+    with mock.patch.object(embeddings, "BLOCK_ROWS", block):
+        got = _outcome(lambda p: load_word2vec_text(p, words), path)
+    assert got == _outcome(_oracle(words), path)
+
+
+class TestReachableRows:
+    """`load_word2vec_text(path, words)` keeps the rows of `words` only,
+    and still checks every row."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_duplicate_across_blocks_first_wins(self, tmp_path, extra):
+        # With extra = 1 the last row, a duplicate of the first, is the
+        # one row of the second block.
+        rows = [f"w{i} {i} {-i}" for i in range(embeddings.BLOCK_ROWS
+                                                 + extra)]
+        rows[0], rows[-1] = "Flood 1 1", "FLOOD 9 9"
+        path = write(tmp_path, f"{len(rows)} 2\n" + "\n".join(rows) + "\n")
+        for words in (None, {"flood", "w5", "W7", "absent"}, set(),
+                      {"absent"}):
+            got = _outcome(lambda p: load_word2vec_text(p, words), path)
+            assert got == _outcome(_oracle(words), path)
+        table = load_word2vec_text(path, {"flood", "w5", "W7"})
+        assert list(table.vectors) == ["flood", "w5"]
+        assert table.get("flood").tolist() == [1.0, 1.0]
+        assert len(load_word2vec_text(path)) == len(rows) - 1
+
+    @pytest.mark.parametrize("bad, message", [
+        ("quake 1 2 3", "expected 3 fields, got 4"),
+        ("quake 1 x", "non-numeric vector component"),
+        ("quake 1 nan", "non-finite vector component"),
+        ("quake 1 -inf", "non-finite vector component"),
+    ])
+    def test_bad_row_outside_the_filter_still_raises(self, tmp_path, bad,
+                                                      message):
+        # The bad row sits in a later block than the one kept row.
+        rows = ["flood 1 2"] + [f"w{i} 0 0" for i in
+                                range(embeddings.BLOCK_ROWS)] + [bad]
+        path = write(tmp_path, f"{len(rows)} 2\n" + "\n".join(rows) + "\n")
+        want = f"vec.txt:{len(rows) + 1}: {message}"
+        for words in ({"flood"}, set()):
+            with pytest.raises(InputError) as excinfo:
+                load_word2vec_text(path, words)
+            assert str(excinfo.value) == want
+            assert _outcome(_oracle(words), path) == want
+
+    def test_row_count_is_checked_with_a_filter(self, tmp_path):
+        path = write(tmp_path, "1 2\nflood 1 2\nquake 3 4\n")
+        with pytest.raises(InputError, match="^vec.txt:3: more rows than "
+                           "the declared vocabulary size 1$"):
+            load_word2vec_text(path, {"flood"})
+        path = write(tmp_path, "3 2\nflood 1 2\nquake 3 4\n")
+        with pytest.raises(InputError,
+                           match="^vec.txt: declared 3 rows but found 2$"):
+            load_word2vec_text(path, {"flood"})
+
+    @pytest.mark.parametrize("row", ["quake 1_0 2", "quake \u0661 2",
+                                     "QUAKE 1 \uff12"])
+    def test_line_parser_applies_the_same_filter(self, tmp_path,
+                                                 monkeypatch, row):
+        calls = []
+        parse_lines = embeddings._parse_lines
+
+        def spy(path, words=None):
+            calls.append(words)
+            return parse_lines(path, words)
+        monkeypatch.setattr(embeddings, "_parse_lines", spy)
+        path = write(tmp_path, f"2 2\nFlood 1 2\n{row}\n")
+        table = load_word2vec_text(path, {"flood"})
+        assert calls == [{"flood"}]
+        assert list(table.vectors) == ["flood"]
+        assert table.get("flood").tolist() == [1.0, 2.0]
+        assert list(load_word2vec_text(path, {"quake"}).vectors) == ["quake"]
+        assert len(load_word2vec_text(path, set())) == 0
+
+    def test_filtered_load_holds_no_whole_block(self, tmp_path):
+        # A 10-word filter over a 20,000 x 50 table, 8 MB as float64.
+        # A kept row that is a view pins its whole block, and a block's
+        # lines held in a list cost more than its matrix; either one
+        # takes the peak past a tenth of the full matrix.
+        count, dim = 20_000, 50
+        matrix = np.random.default_rng(3).normal(size=(count, dim))
+        path = tmp_path / "big.txt"
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(f"{count} {dim}\n")
+            for i, row in enumerate(matrix.tolist()):
+                fh.write(f"w{i} {' '.join(map(repr, row))}\n")
+        kept = range(7, count, count // 10)
+        words = {f"w{i}" for i in kept}
+        tracemalloc.start()
+        try:
+            table = load_word2vec_text(path, words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(table.vectors) == [f"w{i}" for i in kept]
+        for i in kept:
+            assert table.get(f"w{i}").tobytes() == matrix[i].tobytes()
+        assert peak < matrix.nbytes / 10
 
 
 def _cosine(a, b):

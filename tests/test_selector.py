@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from crisumm import selector as sel
+from crisumm import pipeline, selector as sel
+from crisumm.categorizer import classify_corpus
 from crisumm.embeddings import EmbeddingTable
 from crisumm.importance import ImportanceVector
-from crisumm.selector import (check_selector_options, dmmr_select,
+from crisumm.selector import (SELECTOR_KINDS, SIM1_MODES,
+                              check_selector_options, dmmr_select,
                               select_category, sim1, sim2, summarize)
 
 import oracles
@@ -524,3 +528,52 @@ def test_kmeans_scales_exactly_up_to_the_float_maximum(fixture_run):
     assert [(e["tweet_id"], e["score"].hex()) for e in scaled] == \
         [(e["tweet_id"], float(np.ldexp(e["score"], 1023)).hex())
          for e in plain]
+
+
+@pytest.mark.parametrize("mode", SIM1_MODES)
+@pytest.mark.parametrize("use_extended", [True, False])
+@pytest.mark.parametrize("kind", SELECTOR_KINDS)
+def test_reachable_rows_select_as_the_whole_table(
+        kind, use_extended, mode, data_dir, target_dataset,
+        extended_ontology, embedding_table):
+    # `load_table` keeps the rows of the target's keywords and of the
+    # category vocabularies; no selector reads another row.
+    cfg = options(selector_kind=kind, use_extended=use_extended,
+                  sim1_mode=mode, embeddings=data_dir / "embeddings.txt")
+    target = classify_corpus(target_dataset, extended_ontology, use_extended)
+    importance = pipeline.predict_slots(
+        {"kind": "equal"}, target, extended_ontology.category_ids(), 8)
+    reachable = pipeline.load_table(target, extended_ontology, cfg)
+    assert 0 < len(reachable) < len(embedding_table)
+
+    def picks(table):
+        summary = pipeline.select(target, importance, extended_ontology,
+                                  table, cfg)
+        return [(e["tweet_id"], e["category_id"], e["score"].hex())
+                for e in summary["entries"]]
+    assert picks(reachable) == picks(embedding_table)
+
+
+@pytest.mark.parametrize("use_extended", [True, False])
+def test_load_table_keeps_keyword_and_vocabulary_rows(
+        use_extended, data_dir, target_dataset, extended_ontology,
+        embedding_table):
+    # Five tweets leave vocabulary words that no tweet of the target holds.
+    few = dataclasses.replace(target_dataset, gold_summary=None,
+                              tweets=target_dataset.tweets[:5])
+    target = classify_corpus(few, extended_ontology, use_extended)
+    cfg = options(use_extended=use_extended,
+                  embeddings=data_dir / "embeddings.txt")
+    keywords = set().union(*(t.keywords for t in few.tweets))
+    vocabulary = set().union(*(c.vocabulary(use_extended)
+                               for c in extended_ontology.categories))
+    want = (keywords | vocabulary) & set(embedding_table.vectors)
+    seed = set().union(*(c.vocabulary(False)
+                         for c in extended_ontology.categories))
+    assert (seed - keywords) & want
+    assert bool((vocabulary - seed - keywords) & want) == use_extended
+    table = pipeline.load_table(target, extended_ontology, cfg)
+    assert set(table.vectors) == want
+    for word in want:
+        assert table.get(word).tobytes() == \
+            embedding_table.get(word).tobytes()
