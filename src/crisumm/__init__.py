@@ -20,13 +20,7 @@ from .importance import (
     fit,
     predict_importance,
 )
-from .selector import (
-    dmmr_select,
-    select_category,
-    sim1,
-    sim2,
-    summarize,
-)
+from .selector import dmmr_select, sim1, sim2, summarize
 from .rouge import rouge_l, rouge_n, score_summary
 from .pipeline import PipelineConfig, load_config, run_pipeline
 
@@ -38,7 +32,7 @@ __all__ = [
     "classify", "classify_corpus",
     "build_profile", "cat_ic", "cat_p", "dis_sim", "most_similar",
     "ImportanceVector", "build_training_pairs", "fit", "predict_importance",
-    "dmmr_select", "select_category", "sim1", "sim2", "summarize",
+    "dmmr_select", "sim1", "sim2", "summarize",
     "rouge_l", "rouge_n", "score_summary",
     "PipelineConfig", "load_config", "run_pipeline",
 ]

@@ -12,8 +12,8 @@ from .importance import REGRESSION_KINDS, ImportanceVector, category_shares
 from .pipeline import (CHECKS, DEFAULTS, KINDS, PipelineStageError,
                        categorize, coverage, evaluate, extend_vocab,
                        load_config, load_resources, load_stopword_list,
-                       load_table, predict_slots, run_checks, run_pipeline,
-                       select, similarity_matrix, weight_categories)
+                       predict_slots, run_checks, run_pipeline, select,
+                       similarity_matrix, weight_categories)
 # Bound here only so that bench/spans.py can wrap them in this module.
 from . import corpus  # noqa: F401
 from .embeddings import load_word2vec_text  # noqa: F401
@@ -148,14 +148,13 @@ def _load_importance(path: str, target: ClassificationResult,
 
 def _cmd_summarize(args) -> int:
     ontology, [target] = _categorize(args, args.dataset)
-    table = load_table(target, ontology, args)
     category_ids = ontology.category_ids()
     if args.importance:
         importance = _load_importance(args.importance, target, category_ids)
     else:
         importance = predict_slots({"kind": "equal"}, target, category_ids,
                                    args.m)
-    summary = select(target, importance, ontology, table, args)
+    summary = select(target, importance, ontology, args)
     _write_text(args.out_json, json_text({
         "dataset": target.dataset.id,
         "selector_kind": args.selector_kind,

@@ -142,7 +142,8 @@ def extract_keywords(tokens: list[str] | tuple[str, ...],
 
 def _check_strings(path: Path, record: dict, kind: str,
                    keys: tuple[str, ...], lineno: int) -> None:
-    """Each of `keys` in `record` must be a string UTF-8 can encode."""
+    """Each of `keys` in `record` must be a string UTF-8 can encode, and
+    an id must hold more than whitespace."""
     for key in keys:
         if key not in record:
             continue
@@ -150,6 +151,9 @@ def _check_strings(path: Path, record: dict, kind: str,
             raise InputError(path, f"{kind} {key} is not a string", lineno)
         if LONE_SURROGATE.search(record[key]):
             raise InputError(path, f"{kind} {key} holds a lone surrogate",
+                             lineno)
+        if key == "id" and not record[key].strip():
+            raise InputError(path, f"{kind} id is empty or only whitespace",
                              lineno)
 
 

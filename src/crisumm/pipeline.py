@@ -4,9 +4,9 @@ Every stage's intermediate artifacts and the fully materialized
 configuration are embedded in a single JSON report, so a run can be
 reproduced from its report alone. Identical inputs produce
 byte-identical reports. Each stage is one function below: `run_pipeline`
-chains them, and each CLI subcommand wraps one. The embedding table is
-loaded by `load_table` when the summarize stage starts, with only the
-rows that selection can reach.
+chains them, and each CLI subcommand wraps one. The summarize stage,
+`select`, loads the embedding table itself, with only the rows that
+selection can reach.
 """
 
 from __future__ import annotations
@@ -346,22 +346,19 @@ def weight_categories(target: ClassificationResult,
     }
 
 
-def load_table(target: ClassificationResult, ontology: Ontology, options):
-    """The embedding table at `options.embeddings`, holding the rows that
-    selection can reach: the target's tweet keywords and every
-    category's vocabulary, extended if `options.use_extended`. The whole
-    file is still validated; a bad row names its line wherever it is."""
-    words = set().union(*(t.keywords for t in target.dataset.tweets),
-                        *(c.vocabulary(options.use_extended)
-                          for c in ontology.categories))
-    return emb_mod.load_word2vec_text(options.embeddings, words)
-
-
 def select(classified: ClassificationResult, importance, ontology: Ontology,
-           table, options) -> dict:
-    """The summary's entries and its lines of whitespace-collapsed text."""
+           options) -> dict:
+    """The summarize stage: the summary's entries and its lines of
+    whitespace-collapsed text. The embedding table at `options.embeddings`
+    is loaded with only the rows selection can reach: the target's tweet
+    keywords and every category's vocabulary, extended if
+    `options.use_extended`. The whole file is still validated; a bad row
+    names its line wherever it is."""
     vocab_by_category = {c.id: c.vocabulary(options.use_extended)
                          for c in ontology.categories}
+    words = set().union(*(t.keywords for t in classified.dataset.tweets),
+                        *vocab_by_category.values())
+    table = emb_mod.load_word2vec_text(options.embeddings, words)
     entries = summarize(classified.partition, importance, vocab_by_category,
                         table, options)
     tweets_by_id = {t.id: t for t in classified.dataset.tweets}
@@ -387,22 +384,21 @@ def _write_report(report: dict, path: Path) -> None:
     write_text(path, json_text(report))
 
 
-def _remove_quarantine(out_dir: Path) -> None:
-    quarantine = out_dir / "quarantine"
-    if quarantine.exists():
-        shutil.rmtree(quarantine)
-
-
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Run every configured stage and write the report to cfg.out_dir.
 
     On a stage failure the partial report is quarantined under
     out_dir/quarantine/report.json and a PipelineStageError naming the
-    stage is raised. Either outcome removes the other's files from
-    out_dir, so only the latest run's outcome is left there.
+    stage is raised. A valid config first clears the previous outcome
+    from out_dir, so only the latest run's outcome is left there.
     """
     cfg.validate()
     out_dir = Path(cfg.out_dir)
+    if (out_dir / "quarantine").exists():
+        shutil.rmtree(out_dir / "quarantine")
+    for name in ("report.json", "summary.json", "summary.txt"):
+        if (out_dir / name).is_file():
+            (out_dir / name).unlink()
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.as_report_dict(),
@@ -412,7 +408,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         stopwords, lexicon, ontology = load_resources(cfg)
 
         stages.append("extend-vocab")
-        if cfg.vocab_docs and cfg.approvals:
+        if cfg.approvals:
             candidates, ontology = extend_vocab(
                 ontology, cfg.vocab_docs, cfg.approvals, lexicon, stopwords,
                 cfg)
@@ -463,22 +459,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             target, training, ontology.category_ids(), cfg)
 
         stages.append("summarize")
-        table = load_table(target, ontology, cfg)
-        report["summary"] = select(target, importance, ontology, table, cfg)
+        report["summary"] = select(target, importance, ontology, cfg)
 
         stages.append("evaluate")
         report["rouge"] = evaluate(report["summary"]["text"], cfg.reference,
                                    stopwords) if cfg.reference else None
     except Exception as exc:
-        _remove_quarantine(out_dir)
         _write_report(report, out_dir / "quarantine" / "report.json")
-        for name in ("report.json", "summary.json", "summary.txt"):
-            if (out_dir / name).is_file():
-                (out_dir / name).unlink()
         raise PipelineStageError(stages[-1], exc) from exc
 
     _write_report(report, out_dir / "report.json")
     write_text(out_dir / "summary.txt", lines_text(report["summary"]["text"]))
     _write_report(report["summary"], out_dir / "summary.json")
-    _remove_quarantine(out_dir)
     return report

@@ -5,11 +5,12 @@ embedding similarity of a tweet to the category vocabulary, penalized
 by keyword overlap with whatever the summary already contains. Five
 alternatives (pure relevance ranking: that loop without the penalty,
 k-means medoids, eigenvector centrality, PageRank, and classic MMR) run
-through one per-category entry point, `select_category`, in id order.
+through the one entry point, `summarize`, which visits the categories
+in id order.
 
-`select_category` and `summarize` read `selector_kind`, `lam`,
-`sim1_mode` and `diversity_same_category_only` from one options object.
-Every selector is deterministic, so none takes a seed.
+`summarize` reads `selector_kind`, `lam`, `sim1_mode` and
+`diversity_same_category_only` from one options object. Every selector
+is deterministic, so none takes a seed.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def dmmr_select(tweets: Sequence[Tweet], count: int, vocab: Iterable[str],
     tweet's maximum is kept and raised by the newest pick alone, and
     each distinct keyword's `sim1` contribution is computed once.
     `count` must not exceed len(tweets), and `lam` must lie in [0, 1];
-    `select_category` checks both.
+    `summarize` checks both.
     """
     vocab = frozenset(vocab)
     ordered = sorted(tweets, key=lambda t: t.id)
@@ -277,34 +278,10 @@ def _pagerank_scores(matrix: np.ndarray) -> np.ndarray:
     return x
 
 
-def select_category(tweets: Sequence[Tweet], count: int,
-                    vocab: Iterable[str], emb: EmbeddingTable,
-                    cfg, earlier: Sequence[Tweet] = (),
-                    category_id: str = "") -> list[tuple[Tweet, float]]:
-    """Pick `count` tweets of one category with `cfg.selector_kind`,
-    once `check_selector_options` passes `cfg`.
-
-    dmmr         the greedy marginal-relevance loop (`dmmr_select`).
-    max_sim      pure relevance ranking: the greedy loop at lam = 1.
-    kmeans       cluster medoids over keyword-embedding vectors.
-    eigenvector  centrality on the complete keyword-cosine graph.
-    pagerank     damped random-walk rank on the same graph.
-    mmr          the greedy loop; `summarize` passes the union of all
-                 category vocabularies as `vocab`.
-    """
-    check_selector_options(cfg.selector_kind, cfg.lam, cfg.sim1_mode)
-    if count > len(tweets):
-        raise ValueError(
-            f"importance asks for {count} tweets from category "
-            f"{category_id!r} but its pool has only {len(tweets)} available"
-        )
-    kind = cfg.selector_kind
-    if kind in ("dmmr", "mmr", "max_sim"):
-        return dmmr_select(tweets, count, vocab, emb,
-                           1.0 if kind == "max_sim" else cfg.lam,
-                           cfg.sim1_mode, earlier)
-    if kind == "kmeans":
-        return _kmeans_select(tweets, count, emb) if count else []
+def _rank_select(tweets: Sequence[Tweet], count: int,
+                 kind: str) -> list[tuple[Tweet, float]]:
+    """The `count` tweets of highest eigenvector centrality or PageRank
+    (`kind`) on the complete `sim2` graph of `tweets`."""
     ordered = sorted(tweets, key=lambda t: t.id)
     matrix = _sim2_matrix(ordered)
     values = _eigenvector_scores(matrix) if kind == "eigenvector" \
@@ -318,15 +295,26 @@ def summarize(partition: Mapping[str, Sequence[Tweet]],
               importance: ImportanceVector,
               vocab_by_category: Mapping[str, frozenset[str]],
               emb: EmbeddingTable, cfg) -> list[dict]:
-    """Fill every category's slots with the configured selector; return
-    the picks in selection order as {"tweet_id", "category_id", "score"}.
+    """Fill every category's slots with the selector `cfg.selector_kind`,
+    once `check_selector_options` passes `cfg`; return the picks in
+    selection order as {"tweet_id", "category_id", "score"}.
 
-    Categories are visited once each, in ascending id order. Relevance
-    is measured against the category's vocabulary, or for `mmr` against
-    the union of all of them. The picks of earlier categories count as
-    redundancy unless `cfg.diversity_same_category_only` is set. A tweet
-    that `partition` lists under two categories must not be picked twice.
+    dmmr         the greedy marginal-relevance loop (`dmmr_select`).
+    max_sim      pure relevance ranking: the greedy loop at lam = 1.
+    kmeans       cluster medoids over keyword-embedding vectors.
+    eigenvector  centrality on the complete keyword-cosine graph.
+    pagerank     damped random-walk rank on the same graph.
+    mmr          the greedy loop against the union of all category
+                 vocabularies.
+
+    Categories are visited once each, in ascending id order; a count
+    above a category's pool is rejected, naming the category. The greedy
+    loop counts the picks of earlier categories as redundancy unless
+    `cfg.diversity_same_category_only` is set. A tweet that `partition`
+    lists under two categories must not be picked twice.
     """
+    check_selector_options(cfg.selector_kind, cfg.lam, cfg.sim1_mode)
+    kind = cfg.selector_kind
     union = frozenset().union(*vocab_by_category.values())
     picked: list[Tweet] = []
     entries: list[dict] = []
@@ -334,11 +322,23 @@ def summarize(partition: Mapping[str, Sequence[Tweet]],
         need = importance.counts[cid]
         if need == 0:
             continue
-        vocab = union if cfg.selector_kind == "mmr" \
-            else vocab_by_category.get(cid, frozenset())
-        earlier = () if cfg.diversity_same_category_only else picked
-        for tweet, score in select_category(partition.get(cid, ()), need,
-                                            vocab, emb, cfg, earlier, cid):
+        tweets = partition.get(cid, ())
+        if need > len(tweets):
+            raise ValueError(
+                f"importance asks for {need} tweets from category "
+                f"{cid!r} but its pool has only {len(tweets)} available")
+        if kind == "kmeans":
+            picks = _kmeans_select(tweets, need, emb)
+        elif kind in ("eigenvector", "pagerank"):
+            picks = _rank_select(tweets, need, kind)
+        else:
+            vocab = union if kind == "mmr" \
+                else vocab_by_category.get(cid, frozenset())
+            earlier = () if cfg.diversity_same_category_only else picked
+            picks = dmmr_select(tweets, need, vocab, emb,
+                                1.0 if kind == "max_sim" else cfg.lam,
+                                cfg.sim1_mode, earlier)
+        for tweet, score in picks:
             entries.append({"tweet_id": tweet.id, "category_id": cid,
                             "score": score})
             picked.append(tweet)

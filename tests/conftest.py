@@ -6,9 +6,11 @@ from hypothesis import settings
 
 from crisumm import corpus
 from crisumm.embeddings import load_word2vec_text
+from crisumm.importance import ImportanceVector
 from crisumm.ontology import (apply_approvals, harvest_candidates,
                               load_approvals, load_ontology)
 from crisumm.pipeline import DEFAULTS
+from crisumm.selector import summarize
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -23,6 +25,16 @@ def options(**overrides) -> SimpleNamespace:
     """Stage options at their `PipelineConfig` defaults, with overrides,
     as the stage functions read them from a config or the flags."""
     return SimpleNamespace(**{**DEFAULTS, **overrides})
+
+
+def select_one(tweets, count, vocab, emb, cfg) -> list:
+    """`summarize` on a partition of one category, `tweets` with the
+    vocabulary `vocab`: its `count` picks as (tweet, score) pairs."""
+    by_id = {t.id: t for t in tweets}
+    entries = summarize({"c": tuple(tweets)},
+                        ImportanceVector(counts={"c": count}),
+                        {"c": frozenset(vocab)}, emb, cfg)
+    return [(by_id[e["tweet_id"]], e["score"]) for e in entries]
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,10 @@ from crisumm.importance import fit, predict_importance
 from crisumm.ontology import Category, Ontology
 from crisumm.pipeline import load_config, run_pipeline
 from crisumm.rouge import rouge_l, rouge_n
-from crisumm.selector import dmmr_select, select_category
+from crisumm.selector import dmmr_select
 
 import oracles
-from conftest import options
+from conftest import options, select_one
 from oracles import make_tweet
 from test_disaster_sim import random_profile
 
@@ -88,8 +88,8 @@ def test_criterion_3_lambda_one_equals_pure_relevance_ranking():
             greedy = {t.id for t, _ in
                       dmmr_select(tweets, count, vocab, emb, 1.0, "sum")}
             ranked = {t.id for t, _ in
-                      select_category(tweets, count, vocab, emb,
-                                      options(selector_kind="max_sim"))}
+                      select_one(tweets, count, vocab, emb,
+                                 options(selector_kind="max_sim"))}
             assert greedy == ranked
 
 

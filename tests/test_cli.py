@@ -1119,6 +1119,39 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: tweets.jsonl:{message}\n"
 
+    @pytest.mark.parametrize("header_id, tweet_id, message", [
+        ("", "t1", "1: header id"),
+        ("  ", "t1", "1: header id"),
+        ("d", "", "2: tweet id"),
+        ("d", " \t", "2: tweet id"),
+    ], ids=["empty_header", "blank_header", "empty_tweet", "blank_tweet"])
+    def test_blank_id_names_file_and_line(self, tmp_path, capsys, data_dir,
+                                          header_id, tweet_id, message):
+        bad = tmp_path / "tweets.jsonl"
+        bad.write_text("".join(json.dumps(record) + "\n" for record in (
+            {"id": header_id, "disaster_type": "natural",
+             "continent": "asia"},
+            {"id": tweet_id, "text": "flood"})), encoding="utf-8")
+        code, out, err = run(capsys, "categorize", "--dataset", str(bad),
+                             "--ontology", str(data_dir / "ontology.json"))
+        assert (code, out) == (1, "")
+        assert err == (f"error: tweets.jsonl:{message} is empty or only "
+                       "whitespace\n")
+
+    def test_blank_dataset_id_fails_similarity(self, tmp_path, capsys,
+                                               data_dir):
+        header, *tweets = (data_dir / "candidate_quake.jsonl").read_text(
+            "utf-8").splitlines(keepends=True)
+        bad = tmp_path / "quake.jsonl"
+        bad.write_text(json.dumps({**json.loads(header), "id": "  "})
+                       + "\n" + "".join(tweets), encoding="utf-8")
+        code, out, err = run(capsys, "similarity", "--datasets",
+                             str(data_dir / "target.jsonl"), str(bad),
+                             "--ontology", str(data_dir / "ontology.json"))
+        assert (code, out) == (1, "")
+        assert err == ("error: quake.jsonl:1: header id is empty or only "
+                       "whitespace\n")
+
     def test_non_string_keyword_names_file_and_entry(self, tmp_path, capsys,
                                                      data_dir):
         bad = tmp_path / "ontology.json"

@@ -3,16 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from crisumm import pipeline, selector as sel
+from crisumm import embeddings, pipeline, selector as sel
 from crisumm.categorizer import classify_corpus
 from crisumm.embeddings import EmbeddingTable
 from crisumm.importance import ImportanceVector
 from crisumm.selector import (SELECTOR_KINDS, SIM1_MODES,
-                              check_selector_options, dmmr_select,
-                              select_category, sim1, sim2, summarize)
+                              check_selector_options, dmmr_select, sim1,
+                              sim2, summarize)
 
 import oracles
-from conftest import options
+from conftest import options, select_one
 from oracles import make_tweet, random_instance
 
 
@@ -91,12 +91,14 @@ class TestSim1Memo:
             tweets, count, vocab, emb = random_instance(rng)
             _, _, corpus_vocab, _ = random_instance(rng)
             corpus_vocab |= vocab
+            # `summarize` visits no category without slots.
+            count = max(count, 1)
             scored = sorted(corpus_vocab if kind == "mmr" else vocab)
             keywords = {w for t in tweets for w in t.keywords}
             tables.clear()
             stacked.clear()
-            select_category(tweets, count, scored, emb,
-                            options(selector_kind=kind))
+            select_one(tweets, count, scored, emb,
+                       options(selector_kind=kind))
             # One table and one stacking per category call.
             assert len(tables) == 1
             assert len(stacked) == 1
@@ -159,8 +161,8 @@ class TestDmmrSelect:
     def test_count_above_pool_rejected(self):
         emb = table(a=[1.0])
         with pytest.raises(ValueError, match="pool"):
-            select_category([make_tweet("t", {"a"})], 2, {"a"}, emb,
-                            options())
+            select_one([make_tweet("t", {"a"})], 2, {"a"}, emb,
+                       options())
 
     def test_redundant_tweet_loses_to_diverse_one(self, monkeypatch):
         # Hand-set relevance: t2 repeats t1's keywords exactly (sim2 1.0),
@@ -227,8 +229,8 @@ class TestDmmrSelect:
         for _ in range(30):
             tweets, count, vocab, emb = random_instance(rng)
             greedy = dmmr_select(tweets, count, vocab, emb, 1.0, "sum")
-            ranked = select_category(tweets, count, vocab, emb,
-                                     options(selector_kind="max_sim"))
+            ranked = select_one(tweets, count, vocab, emb,
+                                options(selector_kind="max_sim"))
             assert [t.id for t, _ in greedy] == [t.id for t, _ in ranked]
 
     def test_input_order_never_matters(self):
@@ -268,47 +270,47 @@ class TestAblations:
                     c=[0.1, 1.0])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"}),
                   make_tweet("t3", {"c"})]
-        picks = select_category(tweets, 2, {"v"}, emb,
-                                options(selector_kind="max_sim"))
+        picks = select_one(tweets, 2, {"v"}, emb,
+                           options(selector_kind="max_sim"))
         assert [t.id for t, _ in picks] == ["t1", "t2"]
 
     def test_max_sim_tie_breaks_by_id(self):
         emb = table(v=[1.0], a=[1.0])
         tweets = [make_tweet("t2", {"a"}), make_tweet("t1", {"a"})]
-        picks = select_category(tweets, 1, {"v"}, emb,
-                                options(selector_kind="max_sim"))
+        picks = select_one(tweets, 1, {"v"}, emb,
+                           options(selector_kind="max_sim"))
         assert picks[0][0].id == "t1"
 
     def test_kmeans_single_cluster_takes_global_medoid(self):
         emb = table(a=[0.0, 0.0], b=[1.0, 0.0], c=[0.5, 0.05])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"b"}),
                   make_tweet("t3", {"c"})]
-        picks = select_category(tweets, 1, set(), emb,
-                                options(selector_kind="kmeans"))
+        picks = select_one(tweets, 1, set(), emb,
+                           options(selector_kind="kmeans"))
         assert picks[0][0].id == "t3"
 
     def test_kmeans_duplicate_vectors_still_fill_count(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"a"}),
                   make_tweet("t3", {"b"})]
-        picks = select_category(tweets, 3, set(), emb,
-                                options(selector_kind="kmeans"))
+        picks = select_one(tweets, 3, set(), emb,
+                           options(selector_kind="kmeans"))
         assert {t.id for t, _ in picks} == {"t1", "t2", "t3"}
 
     def test_kmeans_separates_clear_clusters(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0])
         tweets = [make_tweet("t1", {"a"}), make_tweet("t2", {"a"}),
                   make_tweet("t3", {"b"}), make_tweet("t4", {"b"})]
-        picks = select_category(tweets, 2, set(), emb,
-                                options(selector_kind="kmeans"))
+        picks = select_one(tweets, 2, set(), emb,
+                           options(selector_kind="kmeans"))
         chosen = {t.keywords for t, _ in picks}
         assert chosen == {frozenset({"a"}), frozenset({"b"})}
 
     def test_pagerank_uniform_graph_falls_back_to_id_order(self):
         emb = EmbeddingTable(dimension=1, vectors={})
         tweets = [make_tweet(f"t{i}", {"x", "y"}) for i in range(4)]
-        picks = select_category(tweets, 2, set(), emb,
-                                options(selector_kind="pagerank"))
+        picks = select_one(tweets, 2, set(), emb,
+                           options(selector_kind="pagerank"))
         assert [t.id for t, _ in picks] == ["t0", "t1"]
         scores = [s for _, s in picks]
         assert scores[0] == pytest.approx(scores[1], abs=1e-12)
@@ -317,16 +319,16 @@ class TestAblations:
         emb = EmbeddingTable(dimension=1, vectors={})
         hub = make_tweet("hub", {"a", "b", "c"})
         spokes = [make_tweet(f"s{i}", {w}) for i, w in enumerate("abc")]
-        picks = select_category([*spokes, hub], 1, set(), emb,
-                                options(selector_kind="eigenvector"))
+        picks = select_one([*spokes, hub], 1, set(), emb,
+                           options(selector_kind="eigenvector"))
         assert picks[0][0].id == "hub"
 
     def test_pagerank_prefers_hub(self):
         emb = EmbeddingTable(dimension=1, vectors={})
         hub = make_tweet("hub", {"a", "b", "c"})
         spokes = [make_tweet(f"s{i}", {w}) for i, w in enumerate("abc")]
-        picks = select_category([*spokes, hub], 1, set(), emb,
-                                options(selector_kind="pagerank"))
+        picks = select_one([*spokes, hub], 1, set(), emb,
+                           options(selector_kind="pagerank"))
         assert picks[0][0].id == "hub"
 
     def test_mmr_uses_corpus_vocabulary(self):
@@ -343,8 +345,8 @@ class TestAblations:
     def test_unknown_kind_rejected(self):
         emb = table(a=[1.0])
         with pytest.raises(ValueError, match="^unknown selector 'zzz'$"):
-            select_category([make_tweet("t", {"a"})], 1, {"a"}, emb,
-                            options(selector_kind="zzz"))
+            select_one([make_tweet("t", {"a"})], 1, {"a"}, emb,
+                       options(selector_kind="zzz"))
 
 
 class TestSummarize:
@@ -440,7 +442,7 @@ class TestSummarize:
                 check_selector_options(cfg.selector_kind, cfg.lam,
                                        cfg.sim1_mode)
             with pytest.raises(ValueError, match=message):
-                select_category(partition["ca"], 1, vocab["ca"], emb, cfg)
+                select_one(partition["ca"], 1, vocab["ca"], emb, cfg)
             with pytest.raises(ValueError, match=message):
                 summarize(partition, importance, vocab, emb, cfg)
         check_selector_options("dmmr", 0.0, "mean")
@@ -530,34 +532,51 @@ def test_kmeans_scales_exactly_up_to_the_float_maximum(fixture_run):
          for e in plain]
 
 
+def spy_on_loads(monkeypatch) -> list:
+    """The (words, table) of every later `load_word2vec_text` call."""
+    calls = []
+    real = embeddings.load_word2vec_text
+
+    def spy(path, words=None):
+        calls.append((words, real(path, words)))
+        return calls[-1][1]
+    monkeypatch.setattr(embeddings, "load_word2vec_text", spy)
+    return calls
+
+
 @pytest.mark.parametrize("mode", SIM1_MODES)
 @pytest.mark.parametrize("use_extended", [True, False])
 @pytest.mark.parametrize("kind", SELECTOR_KINDS)
 def test_reachable_rows_select_as_the_whole_table(
-        kind, use_extended, mode, data_dir, target_dataset,
+        kind, use_extended, mode, monkeypatch, data_dir, target_dataset,
         extended_ontology, embedding_table):
-    # `load_table` keeps the rows of the target's keywords and of the
+    # `select` keeps the rows of the target's keywords and of the
     # category vocabularies; no selector reads another row.
-    cfg = options(selector_kind=kind, use_extended=use_extended,
-                  sim1_mode=mode, embeddings=data_dir / "embeddings.txt")
     target = classify_corpus(target_dataset, extended_ontology, use_extended)
     importance = pipeline.predict_slots(
         {"kind": "equal"}, target, extended_ontology.category_ids(), 8)
-    reachable = pipeline.load_table(target, extended_ontology, cfg)
-    assert 0 < len(reachable) < len(embedding_table)
+    vocab = {c.id: c.vocabulary(use_extended)
+             for c in extended_ontology.categories}
+    loads = spy_on_loads(monkeypatch)
 
-    def picks(table):
-        summary = pipeline.select(target, importance, extended_ontology,
-                                  table, cfg)
+    def bits(entries):
         return [(e["tweet_id"], e["category_id"], e["score"].hex())
-                for e in summary["entries"]]
-    assert picks(reachable) == picks(embedding_table)
+                for e in entries]
+    for same_only in (False, True):
+        cfg = options(selector_kind=kind, use_extended=use_extended,
+                      sim1_mode=mode, diversity_same_category_only=same_only,
+                      embeddings=data_dir / "embeddings.txt")
+        summary = pipeline.select(target, importance, extended_ontology, cfg)
+        assert bits(summary["entries"]) == bits(summarize(
+            target.partition, importance, vocab, embedding_table, cfg))
+    [(_, reachable), _] = loads
+    assert 0 < len(reachable) < len(embedding_table)
 
 
 @pytest.mark.parametrize("use_extended", [True, False])
-def test_load_table_keeps_keyword_and_vocabulary_rows(
-        use_extended, data_dir, target_dataset, extended_ontology,
-        embedding_table):
+def test_select_loads_keyword_and_vocabulary_rows(
+        use_extended, monkeypatch, data_dir, target_dataset,
+        extended_ontology, embedding_table):
     # Five tweets leave vocabulary words that no tweet of the target holds.
     few = dataclasses.replace(target_dataset, gold_summary=None,
                               tweets=target_dataset.tweets[:5])
@@ -572,7 +591,11 @@ def test_load_table_keeps_keyword_and_vocabulary_rows(
                          for c in extended_ontology.categories))
     assert (seed - keywords) & want
     assert bool((vocabulary - seed - keywords) & want) == use_extended
-    table = pipeline.load_table(target, extended_ontology, cfg)
+    loads = spy_on_loads(monkeypatch)
+    pipeline.select(target, ImportanceVector(counts={}), extended_ontology,
+                    cfg)
+    [(words, table)] = loads
+    assert set(words) == keywords | vocabulary
     assert set(table.vectors) == want
     for word in want:
         assert table.get(word).tobytes() == \

@@ -11,10 +11,10 @@ from hypothesis import given, strategies as st
 
 from crisumm import selector as sel
 from crisumm.embeddings import EmbeddingTable, self_dots
-from crisumm.selector import dmmr_select, select_category
+from crisumm.selector import dmmr_select
 
 import oracles
-from conftest import options
+from conftest import options, select_one
 from oracles import make_tweet
 
 DIM = 3
@@ -85,9 +85,10 @@ def test_memo_matches_per_tweet_sim1(instance):
     tweets, count, vocab, corpus_vocab, earlier, emb, cfg = instance
 
     def run(kind):
-        return _pairs(select_category(
+        # The greedy loop as `summarize` runs each greedy kind.
+        return _pairs(dmmr_select(
             tweets, count, corpus_vocab if kind == "mmr" else vocab, emb,
-            options(**{**vars(cfg), "selector_kind": kind}),
+            1.0 if kind == "max_sim" else cfg.lam, cfg.sim1_mode,
             [t for t, _ in earlier]))
 
     memoized = {kind: run(kind) for kind in ("dmmr", "mmr", "max_sim")}
@@ -236,7 +237,7 @@ def test_kmeans_matches_the_dict_loop(instance, power):
     emb = _scaled(emb, lambda v: v * 10.0 ** power)
     count = max(count, 1)
     cfg = options(selector_kind="kmeans")
-    picks = select_category(tweets, count, frozenset(), emb, cfg)
+    picks = select_one(tweets, count, frozenset(), emb, cfg)
     assert [(t.id, score.hex()) for t, score in picks] == \
         [(t.id, score.hex())
          for t, score in oracles.kmeans_select(tweets, count, emb)]
@@ -249,10 +250,10 @@ def test_kmeans_ignores_the_table_scale(instance, power):
     tweets, count, _, _, _, emb, cfg = instance
     count = max(count, 1)
     cfg = options(selector_kind="kmeans")
-    plain = select_category(tweets, count, frozenset(), emb, cfg)
-    scaled = select_category(tweets, count, frozenset(),
-                             _scaled(emb, lambda v: np.ldexp(v, power)),
-                             cfg)
+    plain = select_one(tweets, count, frozenset(), emb, cfg)
+    scaled = select_one(tweets, count, frozenset(),
+                        _scaled(emb, lambda v: np.ldexp(v, power)),
+                        cfg)
     assert [(t.id, score.hex()) for t, score in scaled] == \
         [(t.id, float(np.ldexp(score, power)).hex()) for t, score in plain]
 
@@ -278,9 +279,13 @@ def test_pagerank_matches_the_row_loop(matrix):
 @given(instance=instances())
 def test_ranking_selectors_match_the_oracle_ranking(kind, instance):
     tweets, count, vocab, _, earlier, emb, cfg = instance
-    picks = select_category(tweets, count, vocab, emb,
-                            options(**{**vars(cfg), "selector_kind": kind}),
+    if kind == "max_sim":
+        # The greedy loop at lam = 1 ranks, whatever the earlier picks.
+        picks = dmmr_select(tweets, count, vocab, emb, 1.0, cfg.sim1_mode,
                             [t for t, _ in earlier])
+    else:
+        picks = select_one(tweets, count, vocab, emb,
+                           options(**{**vars(cfg), "selector_kind": kind}))
     ordered = sorted(tweets, key=lambda t: t.id)
     if kind == "max_sim":
         scores = {t.id: sel.sim1(t, vocab, emb, cfg.sim1_mode)
