@@ -7,8 +7,8 @@ keep only the rows of the words it is given.
 
 from __future__ import annotations
 
-import itertools
 import math
+import mmap
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,9 +52,9 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-# Rows per numpy call: a block is parsed whole, so the full matrix of a
-# table of which a run reaches a few rows never exists at once.
-BLOCK_ROWS = 512
+# Characters per block: a block is read and checked whole, so the full
+# matrix of a table of which a run reaches a few rows never exists at once.
+BLOCK_CHARS = 1 << 16
 
 
 def load_word2vec_text(path: str | Path,
@@ -63,11 +63,14 @@ def load_word2vec_text(path: str | Path,
     """Parse a text word2vec file: header "V D", then V lines "word x1 .. xD".
 
     Words are lowercased; on a duplicate word the first occurrence
-    wins. Every row is parsed and checked, but only the rows whose word
-    is in `words` are kept, or all of them when `words` is None. Any
-    arity or numeric problem is reported with its line number. numpy
-    parses the rows a block at a time; a file it declines is parsed
-    line by line, which names the first bad line.
+    wins. Every row is checked, but only the rows whose word is in
+    `words` are kept, or all of them when `words` is None. Any arity or
+    numeric problem is reported with its line number. The file is read
+    in blocks of about BLOCK_CHARS characters. numpy parses the kept
+    rows; a block of plain rows (see `_plain`) of which fewer than half
+    are kept is checked without parsing the others, and any other block
+    is parsed whole. A file numpy declines is parsed line by line, which
+    names the first bad line.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
@@ -80,37 +83,120 @@ def load_word2vec_text(path: str | Path,
         block_words.append(word.lower())
         return 0.0
 
+    def new_rows(row_words: list[str]) -> dict[str, int]:
+        """Each word to keep, mapped to its first row in `row_words`."""
+        new: dict[str, int] = {}
+        for i, word in enumerate(row_words):
+            if word not in vectors and (words is None or word in words):
+                new.setdefault(word, i)
+        return new
+
     with open_text(path) as fh:
         vocab_size, dimension = _parse_header(path, fh.readline())
-        lines = (line for line in fh if not line.isspace())
+        # A filtered load copies its kept rows, each a distinct word of
+        # `words`, into one matrix.
+        matrix = None if words is None else _mapped_matrix(len(words),
+                                                           dimension)
         rows = 0
-        for first in lines:
+        for chunk in iter(lambda: fh.readlines(BLOCK_CHARS), []):
+            lines = [line for line in chunk if not line.isspace()]
+            rows += len(lines)
+            if words is not None:
+                # A plain line's word ends at its first space.
+                heads = [line.partition(" ")[0] for line in lines]
+                wanted = new_rows([head.lower() for head in heads]).values()
+                if (2 * len(wanted) < len(lines)
+                        and _plain(lines, heads, dimension)):
+                    lines = [lines[i] for i in wanted]
+            if not lines:
+                continue
             block_words.clear()
             try:
-                block = np.loadtxt(
-                    itertools.chain([first], lines), dtype=np.float64,
-                    comments=None, ndmin=2, max_rows=BLOCK_ROWS,
-                    converters={0: word_column})
+                block = np.loadtxt(lines, dtype=np.float64, comments=None,
+                                   ndmin=2, converters={0: word_column})
             except ValueError:
                 return _parse_lines(path, words)
-            rows += len(block)
             # min and max carry any NaN or infinity through, and unlike
             # np.isfinite they need no temporary the size of the block.
             if (block.shape[1] != dimension + 1
                     or not math.isfinite(block.min())
                     or not math.isfinite(block.max())):
                 return _parse_lines(path, words)
-            new: dict[str, int] = {}
-            for i, word in enumerate(block_words):
-                if word not in vectors and (words is None or word in words):
-                    new.setdefault(word, i)
-            # A view would pin the whole block: copy a partly kept one.
-            kept = block[:, 1:] if len(new) == len(block) \
-                else block[list(new.values()), 1:]
+            new = new_rows(block_words)
+            if not new:
+                continue
+            if matrix is None:
+                # A view would pin the whole block: copy a partly kept one.
+                kept = block[:, 1:] if len(new) == len(block) \
+                    else block[list(new.values()), 1:]
+            else:
+                kept = matrix[len(vectors):len(vectors) + len(new)]
+                np.take(block[:, 1:], list(new.values()), axis=0, out=kept)
             vectors.update(zip(new, kept))
     if rows != vocab_size:
         return _parse_lines(path, words)
     return EmbeddingTable(dimension=dimension, vectors=vectors)
+
+
+def _mapped_matrix(rows: int, columns: int) -> np.ndarray:
+    """A zeroed float64 matrix in an anonymous memory map of its own.
+
+    Pages that no row reaches take no memory, and the whole map goes
+    back to the system with the matrix's last view. Copies block by
+    block, or one matrix from malloc, stay in the heap once the table
+    is freed, as glibc serves blocks up to the largest it has unmapped
+    from the heap: ten `stream-10k` pipelines in one process then
+    peaked 3 MB higher (Linux, glibc 2.36).
+    """
+    if rows * columns == 0:
+        return np.zeros((rows, columns))
+    return np.frombuffer(mmap.mmap(-1, 8 * rows * columns)).reshape(
+        rows, columns)
+
+
+def _plain(lines: list[str], heads: list[str], dimension: int) -> bool:
+    """Whether every line is plain, given its head: the text before its
+    first space.
+
+    A plain line is a word without whitespace, one space and `dimension`
+    ASCII fields separated by single spaces, each of the form `-?d+`,
+    `-?d+.d*` or `-?.d+`, with fewer than 300 digits in a row. loadtxt
+    and `float()` read each such field alike, as a finite number, so a
+    plain line passes the loader's checks without being parsed.
+    """
+    # str.split yields the heads back only if none is empty or holds
+    # whitespace, as str.split and loadtxt both define it.
+    if " ".join(heads).split() != heads:
+        return False
+    # A leading line end stands for the separator before the first field.
+    text = "\n" + "".join([line[len(head) + 1:]
+                          for head, line in zip(heads, lines)])
+    if not text.endswith("\n"):
+        text += "\n"   # the file's last line
+    if not text.isascii():
+        return False
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # The checks run over the non-digit bytes alone; `digit[k]` says
+    # whether a digit lies between the k-th and the next.
+    at = np.flatnonzero(data - ord("0") > 9)
+    byte = data[at]
+    space, end, point, minus = (byte == ord(c) for c in " \n.-")
+    sep = space | end
+    gap = np.diff(at)
+    digit = gap > 1
+    if (sum(map(np.count_nonzero, (sep, point, minus))) != len(at)
+            or gap.max(initial=0) > 300   # 300 digits in a row
+            # A field ends in a digit, or in a point after a digit.
+            or (sep[1:] & ~digit & ~point[:-1]).any()
+            or (sep[2:] & ~digit[1:] & point[1:-1] & ~digit[:-1]).any()
+            # A minus sign starts its field, and no field has two points.
+            or (minus[1:] & ~(sep[:-1] & ~digit)).any()
+            or (point[1:] & point[:-1]).any()):
+        return False
+    # Every `dimension`-th field end, and no other, ends a line.
+    ends = np.flatnonzero(sep)
+    return (len(ends) == 1 + dimension * len(lines)
+            and bool(end[ends[dimension::dimension]].all()))
 
 
 def _parse_header(path: Path, header: str) -> tuple[int, int]:

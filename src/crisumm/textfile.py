@@ -36,12 +36,13 @@ def open_text(path: str | Path,
               newline: str | None = None) -> Iterator[TextIO]:
     """Open `path` as UTF-8 text, by default with universal newlines.
 
+    A leading byte-order mark is skipped, as it is no part of the text.
     Bytes that are not UTF-8 raise InputError "not valid UTF-8", with
     the line numbered as text mode numbers it.
     """
     path = Path(path)
     try:
-        with path.open(encoding="utf-8", newline=newline) as fh:
+        with path.open(encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError:
         raise InputError(path, "not valid UTF-8",

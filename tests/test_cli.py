@@ -129,6 +129,65 @@ INPUT_COMMANDS = [
 ]
 
 
+# Each input kind: its file in a copy of tests/data, the file's text
+# when tests/data has no such file, and a command that reads it, writing
+# its outputs under `out`. A first line that changes the outputs shows
+# whether the file's first word is read.
+BOM_INPUTS = [
+    ("target.jsonl", None, lambda d, out: [
+        "categorize", "--dataset", d / "target.jsonl",
+        "--ontology", d / "ontology.json",
+        "--partition-out", out / "p.jsonl", "--stats-out", out / "s.json"]),
+    ("ontology.json", None, lambda d, out: [
+        "categorize", "--dataset", d / "target.jsonl",
+        "--ontology", d / "ontology.json",
+        "--partition-out", out / "p.jsonl"]),
+    ("merges.json", '{"early_warning": "affected_population"}\n',
+     lambda d, out: [
+         "categorize", "--dataset", d / "target.jsonl",
+         "--ontology", d / "ontology.json", "--merges", d / "merges.json",
+         "--partition-out", out / "p.jsonl"]),
+    ("stopwords.txt", "injured\nthe\n", lambda d, out: [
+        "categorize", "--dataset", d / "target.jsonl",
+        "--ontology", d / "ontology.json", "--stopwords", d / "stopwords.txt",
+        "--partition-out", out / "p.jsonl"]),
+    ("lexicon.txt", "injured\tadverb\n# a comment\n", lambda d, out: [
+        "categorize", "--dataset", d / "target.jsonl",
+        "--ontology", d / "ontology.json", "--lexicon", d / "lexicon.txt",
+        "--partition-out", out / "p.jsonl"]),
+    ("vocab_docs.txt", None, lambda d, out: [
+        "extend-vocab", "--ontology", d / "ontology.json",
+        "--docs", d / "vocab_docs.txt", "--candidates-out", out / "c.csv"]),
+    ("approvals.csv", None, lambda d, out: [
+        "extend-vocab", "--ontology", d / "ontology.json",
+        "--docs", d / "vocab_docs.txt", "--approvals", d / "approvals.csv",
+        "--candidates-out", out / "c.csv", "--ontology-out", out / "o.json"]),
+    ("importance.json", json.dumps({"importance": {
+        "affected_population": 2, "early_warning": 1,
+        "infrastructure_damage": 1, "volunteer_support": 1}}),
+     lambda d, out: [
+         "summarize", "--dataset", d / "target.jsonl",
+         "--ontology", d / "ontology.json",
+         "--embeddings", d / "embeddings.txt",
+         "--importance", d / "importance.json",
+         "--out-json", out / "s.json", "--out-text", out / "s.txt"]),
+    ("embeddings.txt", None, lambda d, out: [
+        "summarize", "--dataset", d / "target.jsonl",
+        "--ontology", d / "ontology.json",
+        "--embeddings", d / "embeddings.txt",
+        "--out-json", out / "s.json", "--out-text", out / "s.txt"]),
+    ("reference.txt", None, lambda d, out: [
+        "evaluate", "--candidate", d / "vocab_docs.txt",
+        "--reference", d / "reference.txt"]),
+    ("summary.txt", "Flood toll rises to 40 across the valley\n",
+     lambda d, out: [
+         "evaluate", "--candidate", d / "summary.txt",
+         "--reference", d / "reference.txt"]),
+    ("pipeline.cfg", None, lambda d, out: [
+        "pipeline", "--config", d / "pipeline.cfg", "--out-dir", out]),
+]
+
+
 class TestEvaluate:
     def test_identical_files_score_one(self, tmp_path, capsys):
         text = "volunteers reached the camp\nbridge repairs begin\n"
@@ -1076,6 +1135,26 @@ class TestExitCodes:
         code, _, err = run(capsys, *map(str, argv(data_dir, bad, tmp_path)))
         assert code == 1
         assert err == f"error: {name}:3: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("name, text, argv", BOM_INPUTS,
+                             ids=[name for name, _, _ in BOM_INPUTS])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, capsys,
+                                                data_dir, name, text, argv):
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        shutil.copytree(data_dir, inputs)
+        path = inputs / name
+        body = path.read_bytes() if text is None else text.encode("utf-8")
+        results = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(bom + body)
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir()
+            code, stdout, err = run(capsys, *map(str, argv(inputs, out)))
+            assert (code, err) == (0, "")
+            results.append((stdout, {
+                str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}))
+        assert results[1] == results[0]
 
     @pytest.mark.parametrize("name, argv", [
         (name, argv) for name, argv in INPUT_COMMANDS

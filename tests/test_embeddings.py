@@ -149,35 +149,43 @@ BLANK_LINES = ["", " ", "\t\t", "\u3000", "\x0b", "\u2029 "]
 NEWLINES = ["\n", "\r\n", "\r"]
 ODD_NUMBERS = ["1_0", "nan", "-inf", "Infinity", "1e400", "-1e400",
                "\u0661\u0662", "\u0663.\u0665", "\uff17", "0x1p3", "abc",
-               "1,5", "1e", "-0.0", "+.5", "1e-320", "4.9e-324", "1E5"]
+               "1,5", "1e", "-0.0", "+.5", "1e-320", "4.9e-324", "1E5",
+               "5.", ".5", "-.5", "-", ".", "-.", "1.2.3", "1-2", "--1",
+               "007", "1" * 310, "0" * 400 + "1"]
 BAD_HEADERS = ["", "3", "a b", "2 0", "-1 2", "2 2 2", "2.0 2", "1_0 2",
                "\uff12 2"]
 FORMATS = [repr, "{:.3f}".format, "{:.6e}".format, "{:.17G}".format]
 
 
 @st.composite
-def numbers(draw, noisy):
+def numbers(draw, noisy, plain=False):
     if noisy and draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from(ODD_NUMBERS))
+    if plain and draw(st.integers(0, 7)):
+        return "{:.3f}".format(draw(st.floats(-1e6, 1e6)))
     value = draw(st.floats(allow_nan=False, allow_infinity=False))
     return draw(st.sampled_from(FORMATS))(value)
 
 
 @st.composite
 def word2vec_texts(draw):
+    """Files of odd rows, or of plain rows (single spaces and mostly
+    plain decimals) that the byte test can pass unparsed."""
     dim = draw(st.integers(1, 4))
     noisy = draw(st.booleans())
+    plain = draw(st.booleans())
+    separators = [" "] if plain else SEPARATORS
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         arity = dim
         if noisy:
             arity += draw(st.sampled_from([0] * 8 + [-1, 1]))
         fields = [draw(st.sampled_from(WORDS))]
-        fields += [draw(numbers(noisy)) for _ in range(max(arity, 0))]
+        fields += [draw(numbers(noisy, plain)) for _ in range(max(arity, 0))]
         line = fields[0]
         for field in fields[1:]:
-            line += draw(st.sampled_from(SEPARATORS)) + field
-        if draw(st.booleans()):
+            line += draw(st.sampled_from(separators)) + field
+        if not plain and draw(st.booleans()):
             line = draw(st.sampled_from(SEPARATORS)) + line
         rows.append(line)
     declared = len(rows) + draw(st.sampled_from([0] * 6 + [-1, 1, 2]))
@@ -221,16 +229,31 @@ FILTER_WORDS = ["flood", "quake", "fire", "\u0130stanbul".lower(), "Flood",
 @settings(max_examples=300)
 @given(text=word2vec_texts(),
        words=st.none() | st.frozensets(st.sampled_from(FILTER_WORDS)),
-       block=st.integers(1, 4))
+       block=st.integers(1, 128))
 def test_loader_matches_line_parser(tmp_path_factory, text, words, block):
     """Same words, bit-identical vectors, or the same error message, for
     every filter, with blocks small enough that the generated rows span
     several of them."""
     path = tmp_path_factory.getbasetemp() / "fuzz.txt"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(embeddings, "BLOCK_ROWS", block):
+    with mock.patch.object(embeddings, "BLOCK_CHARS", block):
         got = _outcome(lambda p: load_word2vec_text(p, words), path)
     assert got == _outcome(_oracle(words), path)
+
+
+def _block_sizes(path):
+    """The non-blank rows of each block the loader reads from `path`."""
+    with path.open(encoding="utf-8") as fh:
+        fh.readline()
+        return [sum(not line.isspace() for line in chunk) for chunk in
+                iter(lambda: fh.readlines(embeddings.BLOCK_CHARS), [])]
+
+
+def _rows_per_block(monkeypatch, rows, count):
+    """Set BLOCK_CHARS so that a block holds `count` of these rows:
+    readlines stops once its lines exceed the hint."""
+    monkeypatch.setattr(embeddings, "BLOCK_CHARS",
+                        sum(len(row) + 1 for row in rows[:count]) - 1)
 
 
 class TestReachableRows:
@@ -238,13 +261,16 @@ class TestReachableRows:
     and still checks every row."""
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_duplicate_across_blocks_first_wins(self, tmp_path, extra):
-        # With extra = 1 the last row, a duplicate of the first, is the
-        # one row of the second block.
-        rows = [f"w{i} {i} {-i}" for i in range(embeddings.BLOCK_ROWS
-                                                 + extra)]
+    def test_duplicate_across_blocks_first_wins(self, tmp_path, monkeypatch,
+                                                extra):
+        # A block holds 40 rows. With extra = 1 the last row, a duplicate
+        # of the first, is the one row of the second block.
+        rows = [f"w{i} {i} {-i}" for i in range(40 + extra)]
         rows[0], rows[-1] = "Flood 1 1", "FLOOD 9 9"
+        _rows_per_block(monkeypatch, rows, 40)
         path = write(tmp_path, f"{len(rows)} 2\n" + "\n".join(rows) + "\n")
+        assert _block_sizes(path) == ([40, 1] if extra == 1
+                                      else [len(rows)])
         for words in (None, {"flood", "w5", "W7", "absent"}, set(),
                       {"absent"}):
             got = _outcome(lambda p: load_word2vec_text(p, words), path)
@@ -260,12 +286,14 @@ class TestReachableRows:
         ("quake 1 nan", "non-finite vector component"),
         ("quake 1 -inf", "non-finite vector component"),
     ])
-    def test_bad_row_outside_the_filter_still_raises(self, tmp_path, bad,
+    def test_bad_row_outside_the_filter_still_raises(self, tmp_path,
+                                                      monkeypatch, bad,
                                                       message):
         # The bad row sits in a later block than the one kept row.
-        rows = ["flood 1 2"] + [f"w{i} 0 0" for i in
-                                range(embeddings.BLOCK_ROWS)] + [bad]
+        rows = ["flood 1 2"] + [f"w{i} 0 0" for i in range(40)] + [bad]
+        _rows_per_block(monkeypatch, rows, 41)
         path = write(tmp_path, f"{len(rows)} 2\n" + "\n".join(rows) + "\n")
+        assert _block_sizes(path) == [41, 1]
         want = f"vec.txt:{len(rows) + 1}: {message}"
         for words in ({"flood"}, set()):
             with pytest.raises(InputError) as excinfo:
@@ -304,8 +332,8 @@ class TestReachableRows:
 
     def test_filtered_load_holds_no_whole_block(self, tmp_path):
         # A 10-word filter over a 20,000 x 50 table, 8 MB as float64.
-        # A kept row that is a view pins its whole block, and a block's
-        # lines held in a list cost more than its matrix; either one
+        # A kept row that is a view pins its whole block, and a block of
+        # 512 lines held in a list costs more than its matrix; either one
         # takes the peak past a tenth of the full matrix.
         count, dim = 20_000, 50
         matrix = np.random.default_rng(3).normal(size=(count, dim))
@@ -326,6 +354,123 @@ class TestReachableRows:
         for i in kept:
             assert table.get(f"w{i}").tobytes() == matrix[i].tobytes()
         assert peak < matrix.nbytes / 10
+        # The kept rows, from ten blocks, are views of one matrix, which
+        # is freed as one allocation.
+        assert len({id(vec.base) for vec in table.vectors.values()}) == 1
+
+    def test_filtered_load_parses_only_kept_plain_rows(self, tmp_path,
+                                                        monkeypatch):
+        # A 10-word filter over a 20,000-row table of plain decimals:
+        # loadtxt sees the kept rows and no other.
+        count, dim = 20_000, 5
+        matrix = np.random.default_rng(4).normal(size=(count, dim))
+        path = tmp_path / "plain.txt"
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(f"{count} {dim}\n")
+            for i, row in enumerate(matrix.tolist()):
+                fh.write(f"w{i} {' '.join(map('{:.3f}'.format, row))}\n")
+        kept = [f"w{i}" for i in range(7, count, count // 10)]
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, converters, **kwargs):
+            def word_column(word):
+                parsed.append(word)
+                return converters[0](word)
+            return loadtxt(*args, converters={0: word_column}, **kwargs)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        table = load_word2vec_text(path, set(kept))
+        assert parsed == kept
+        assert list(table.vectors) == kept
+        assert all(table.get(word).tolist() ==
+                   [float(f"{x:.3f}") for x in matrix[int(word[1:])]]
+                   for word in kept)
+
+
+def _plain(lines, dimension):
+    """The byte test's verdict, with each line's head as the loader
+    takes it."""
+    heads = [line.partition(" ")[0] for line in lines]
+    return embeddings._plain(lines, heads, dimension)
+
+
+class TestPlainRows:
+    """The byte test passes a block unparsed only if loadtxt and `float()`
+    would read every one of its rows alike, as finite numbers, and the
+    word of each is its head."""
+
+    @pytest.mark.parametrize("token, plain", [
+        ("5.", True), (".5", True), ("-.5", True), ("007", True),
+        ("-0.0", True),
+        pytest.param("1" * 299, True, id="299 digits"),
+        pytest.param("-" + "9" * 299, True, id="minus 299 digits"),
+        pytest.param("0." + "0" * 298 + "1", True, id="1e-299"),
+        ("-", False), (".", False), ("-.", False), ("1.2.3", False),
+        ("1-2", False), ("--1", False),
+        pytest.param("1" * 310, False, id="310 digits"),
+        pytest.param("0" * 400 + "1", False, id="401 digits"),
+        pytest.param("1" * 300, False, id="300 digits"),
+        ("+.5", False),
+        ("1e5", False), ("1_0", False), ("\u0661", False), ("nan", False),
+        ("0x1p3", False), ("1,5", False),
+    ])
+    def test_field_decisions(self, token, plain):
+        assert _plain(["flood 1 2\n", f"quake 3 {token}\n", "fire 4 5"],
+                      2) == plain
+
+    @pytest.mark.parametrize("line, plain", [
+        ("FLOOD 1 2\n", True), ("\u0130stanbul 1 2\n", True),
+        ("flood 1 2", True), ("flood  1 2\n", False),
+        (" flood 1 2\n", False), ("flood\t1 2\n", False),
+        ("flood 1  2\n", False), ("flood 1 2 \n", False),
+        ("flood 1\t2\n", False), ("flood 1 2\x0c\n", False),
+        ("flood\t1 2 3\n", False), ("flo\u3000od 1 2\n", False),
+        ("\x85flood 1 2\n", False), ("flood 1\u30002\n", False),
+        ("flood 1 2 3\n", False), ("flood 1\n", False), ("flood\n", False),
+        ("flood", False),
+    ])
+    def test_row_decisions(self, line, plain):
+        assert _plain(["quake 3 4\n", line], 2) == plain
+
+    @settings(max_examples=500)
+    @given(dim=st.integers(1, 4), data=st.data())
+    def test_passed_rows_read_alike(self, dim, data):
+        # Mostly plain decimals, with now and then a near miss.
+        plain = (st.from_regex(r"-?([0-9]{1,4}\.?[0-9]{0,3}|\.[0-9]{1,3})",
+                               fullmatch=True)
+                 | numbers(noisy=False, plain=True))
+        odd = st.sampled_from(ODD_NUMBERS) | st.text("0123456789.-",
+                                                     max_size=6)
+        field = st.integers(0, 5).flatmap(lambda k: odd if k == 0
+                                          else plain)
+        lines = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            arity = data.draw(st.sampled_from([dim] * 4 + [dim - 1, dim + 1]))
+            fields = data.draw(st.lists(field, min_size=arity,
+                                        max_size=arity))
+            lines.append(" ".join([data.draw(st.sampled_from(WORDS))]
+                                  + fields) + "\n")
+        if data.draw(st.booleans()):
+            lines[-1] = lines[-1].rstrip("\n")
+        if not _plain(lines, dim):
+            return
+        for line in lines:
+            assert line.partition(" ")[0] == line.split()[0]
+            fields = line.split()[1:]
+            assert len(fields) == dim
+            values = np.array([float(x) for x in fields])
+            assert np.isfinite(values).all()
+            row = np.loadtxt([line], dtype=np.float64, comments=None,
+                             ndmin=2, converters={0: lambda word: 0.0})
+            assert row.shape == (1, dim + 1)
+            assert row[0, 1:].tobytes() == values.tobytes()
+
+    @given(st.lists(st.lists(st.floats(-9e298, 9e298), min_size=3,
+                             max_size=3), min_size=1, max_size=5))
+    def test_generator_rows_pass(self, rows):
+        lines = [f"w{i} " + " ".join(map("{:.3f}".format, row)) + "\n"
+                 for i, row in enumerate(rows)]
+        assert _plain(lines, 3)
 
 
 def _cosine(a, b):

@@ -1,6 +1,7 @@
 import pytest
 
-from crisumm.textfile import InputError, json_text, read_json
+from crisumm.textfile import (InputError, content_lines, json_text,
+                              read_json, read_text)
 
 
 class TestInputError:
@@ -31,6 +32,21 @@ class TestReadJson:
             read_json(path)
         assert str(excinfo.value) == \
             "v.json:3: invalid JSON (Expecting ':' delimiter)"
+
+
+class TestByteOrderMark:
+    def test_only_a_leading_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"\xef\xbb\xbfflood\n\xef\xbb\xbfquake\n")
+        assert read_text(path) == "flood\n\ufeffquake\n"
+        assert list(content_lines(path)) == [(1, "flood"),
+                                             (2, "\ufeffquake")]
+
+    def test_line_of_a_bad_byte_counts_the_mark_line(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"\xef\xbb\xbfflood\nqu\xffake\n")
+        with pytest.raises(InputError, match=r"^words.txt:2: not valid"):
+            read_text(path)
 
 
 class TestJsonText:
