@@ -12,7 +12,7 @@ from .importance import REGRESSION_KINDS, ImportanceVector, category_shares
 from .pipeline import (CHECKS, DEFAULTS, KINDS, PipelineStageError,
                        categorize, coverage, evaluate, extend_vocab,
                        load_config, load_resources, load_stopword_list,
-                       predict_slots, run_checks, run_pipeline, select,
+                       predict_slots, run_pipeline, select,
                        similarity_matrix, weight_categories)
 # Bound here only so that bench/spans.py can wrap them in this module.
 from . import corpus  # noqa: F401
@@ -21,8 +21,8 @@ from .pipeline import (build_profile, build_training_pairs,  # noqa: F401
                        classify_corpus, dis_sim, fit, most_similar,
                        predict_importance, score_summary, summarize)
 from .selector import SELECTOR_KINDS, SIM1_MODES
-from .textfile import (InputError, csv_text, json_text, lines_text, read_json,
-                       read_text, write_text)
+from .textfile import (InputError, OptionError, csv_text, json_text,
+                       lines_text, read_json, read_text, write_text)
 
 # Flags not spelled "--" + the field name with "-" for "_".
 _FLAGS = {"lam": "--lambda", "selector_kind": "--selector",
@@ -271,12 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    flags = getattr(args, "flags", {})
+    args = build_parser().parse_args(argv)
+    # A key the subcommand has no flag for is checked at its default.
+    options = argparse.Namespace(**{**DEFAULTS, **vars(args)})
     try:
-        run_checks(args, flags.get, [row for row in CHECKS
-                                     if flags.keys() >= set(row[0])])
+        for check in CHECKS:
+            check(options)
+    except OptionError as exc:
+        print(f"error: {args.flags[exc.key]}: {exc}", file=sys.stderr)
+        return 1
+    try:
         return args.func(args)
     except (PipelineStageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import DisasterDataset, Tweet
+from .textfile import OptionError
 
 
 @dataclass(frozen=True)
@@ -33,15 +34,18 @@ class CategoryProfile:
 def check_top_k(k: int) -> None:
     """Reject a profile size below 1."""
     if k < 1:
-        raise ValueError(f"top-k must be positive, got {k}")
+        raise OptionError("top_k", f"top-k must be positive, got {k}")
 
 
 def check_weights(w1: float, w2: float) -> None:
-    """Reject blend weights outside (0, 1) or not summing to 1."""
+    """Reject blend weights outside (0, 1), naming the first such weight,
+    or not summing to 1, naming w1 unless it is the even split 0.5."""
     if not (0.0 < w1 < 1.0 and 0.0 < w2 < 1.0):
-        raise ValueError(f"weights must lie in (0, 1), got w1={w1}, w2={w2}")
+        raise OptionError("w1" if not 0.0 < w1 < 1.0 else "w2",
+                          f"weights must lie in (0, 1), got w1={w1}, w2={w2}")
     if abs(w1 + w2 - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {w1} + {w2}")
+        raise OptionError("w1" if w1 != 0.5 else "w2",
+                          f"weights must sum to 1, got {w1} + {w2}")
 
 
 def build_profile(partition: Mapping[str, Sequence[Tweet]],

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .categorizer import ClassificationResult
+from .textfile import OptionError
 
 REGRESSION_KINDS = ("linear", "ridge", "bayesian", "equal")
 
@@ -79,15 +80,19 @@ def check_fit_options(options) -> None:
     """
     kind, ridge_alpha = options.regression_kind, options.ridge_alpha
     if kind not in REGRESSION_KINDS:
-        raise ValueError(f"unknown regression kind {kind!r}")
+        raise OptionError("regression_kind",
+                          f"unknown regression kind {kind!r}")
     if not ridge_alpha >= 0.0:
-        raise ValueError(f"ridge_alpha must be >= 0, got {ridge_alpha}")
-    if not (options.prior_precision > 0.0 and options.noise_precision > 0.0):
-        raise ValueError("prior_precision and noise_precision must be > 0")
+        raise OptionError("ridge_alpha",
+                          f"ridge_alpha must be >= 0, got {ridge_alpha}")
+    for name in ("prior_precision", "noise_precision"):
+        if not getattr(options, name) > 0.0:
+            raise OptionError(
+                name, "prior_precision and noise_precision must be > 0")
     for name in ("ridge_alpha", "prior_precision", "noise_precision"):
         value = getattr(options, name)
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise OptionError(name, f"{name} must be finite, got {value}")
 
 
 def fit(pairs: Sequence[tuple[float, float]], options,

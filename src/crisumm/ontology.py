@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import PosLexicon, extract_keywords, preprocess_text
-from .textfile import (InputError, csv_text, json_text, open_text, read_json,
-                       write_text)
+from .textfile import (InputError, OptionError, csv_text, json_text, open_text,
+                       read_json, write_text)
 
 
 class OntologyError(ValueError):
@@ -84,8 +84,10 @@ def load_ontology(path: str | Path) -> Ontology:
 
     Expected shape: {"categories": [{"id", "name", "keywords": [...]}]}.
     An optional "extended_keywords" list per category round-trips a
-    previously extended ontology. Keywords are lowercased and deduped.
-    No categories, or two with one id, is an error naming the file.
+    previously extended ontology. Keywords are lowercased and deduped;
+    an empty one, or one holding whitespace, could match no token and
+    is an error. No categories, or two with one id, is an error naming
+    the file.
     """
     data = read_json(path)
     raw_categories = data.get("categories") if isinstance(data, dict) \
@@ -106,6 +108,11 @@ def load_ontology(path: str | Path) -> Ontology:
                 if not isinstance(word, str):
                     raise InputError(path, f"{where}: {key!r} entry "
                                      f"{word!r} is not a string")
+                # A token is a str.split piece, so it never equals these.
+                if word.split() != [word]:
+                    problem = "holds whitespace" if word else "is empty"
+                    raise InputError(path, f"{where}: {key!r} entry "
+                                     f"{word!r} {problem}")
             words[key] = frozenset(w.lower() for w in values)
         for key in ("id", "name"):
             if not isinstance(entry.get(key, ""), str):
@@ -213,7 +220,8 @@ def split_sentences(text: str) -> list[str]:
 def check_min_freq(min_freq: int) -> None:
     """Reject a candidate frequency threshold below 1."""
     if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+        raise OptionError("min_freq",
+                          f"min_freq must be >= 1, got {min_freq}")
 
 
 def harvest_candidates(ontology: Ontology, docs: list[str],

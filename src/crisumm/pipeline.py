@@ -12,10 +12,8 @@ selection can reach.
 from __future__ import annotations
 
 import shutil
-import traceback
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from types import SimpleNamespace
 from typing import get_args, get_origin, get_type_hints
 
 from . import corpus, ontology as onto, embeddings as emb_mod
@@ -28,8 +26,8 @@ from .importance import (build_training_pairs, category_shares,
 from .ontology import Ontology, check_min_freq
 from .rouge import score_summary
 from .selector import check_selector_options, summarize
-from .textfile import (InputError, content_lines, json_text, lines_text,
-                       read_text, write_text)
+from .textfile import (InputError, OptionError, content_lines, json_text,
+                       lines_text, read_text, write_text)
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +80,8 @@ class PipelineConfig:
         """Run every check, so a bad value fails before any stage runs
         and leaves no quarantine behind. The messages are bare:
         `load_config` has already placed the values it read."""
-        run_checks(self, lambda key: None, CHECKS + _INPUT_CHECKS)
+        for check in CHECKS + _INPUT_CHECKS:
+            check(self)
 
     def as_report_dict(self) -> dict:
         """The fields as JSON values, each path a string."""
@@ -107,9 +106,9 @@ DEFAULTS = {f.name: f.default if f.default is not MISSING
             if f.default is not MISSING or f.default_factory is not MISSING}
 
 
-def _require(ok, message: str) -> None:
+def _require(ok, key: str, message: str) -> None:
     if not ok:
-        raise ValueError(message)
+        raise OptionError(key, message)
 
 
 def _exists(key: str):
@@ -117,65 +116,35 @@ def _exists(key: str):
     def check(cfg) -> None:
         paths = getattr(cfg, key)
         for path in paths if isinstance(paths, list) else [paths]:
-            _require(path is None or Path(path).exists(),
+            _require(path is None or Path(path).exists(), key,
                      f"{key} path does not exist: {path}")
     return check
 
 
-# The stage options' checks: (keys a check reads, the check on an
-# options object), the keys in the order the check tests them. All but
-# m's are the stages' own checks, which the stages call as well.
-# `validate` runs every row, and each subcommand the rows whose keys
-# are all among its flags.
+# The stage options' checks on an options object. All but m's are the
+# stages' own checks, which the stages call as well. Each failure is an
+# OptionError naming the key its message is about.
 CHECKS = (
-    (("m",), lambda o: _require(
-        o.m >= 1, f"summary length m must be >= 1, got {o.m}")),
-    (("top_k",), lambda o: check_top_k(o.top_k)),
-    (("min_freq",), lambda o: check_min_freq(o.min_freq)),
-    (("w1", "w2"), lambda o: check_weights(o.w1, o.w2)),
-    (("regression_kind", "ridge_alpha", "prior_precision", "noise_precision"),
-     check_fit_options),
-    (("lam", "sim1_mode", "selector_kind"),
-     lambda o: check_selector_options(o.selector_kind, o.lam, o.sim1_mode)),
+    lambda o: _require(o.m >= 1, "m",
+                       f"summary length m must be >= 1, got {o.m}"),
+    lambda o: check_top_k(o.top_k),
+    lambda o: check_min_freq(o.min_freq),
+    lambda o: check_weights(o.w1, o.w2),
+    check_fit_options,
+    lambda o: check_selector_options(o.selector_kind, o.lam, o.sim1_mode),
 )
 # A config's checks of its input files.
 _INPUT_CHECKS = (
-    *(((key,), _exists(key)) for key, kind in KINDS.items()
+    *(_exists(key) for key, kind in KINDS.items()
       if kind in (Path, list) and key != "out_dir"),
-    (("candidates",), lambda o: _require(
-        o.candidates, "at least one candidate dataset is required")),
-    (("vocab_docs", "approvals"), lambda o: _require(
+    lambda o: _require(o.candidates, "candidates",
+                       "at least one candidate dataset is required"),
+    lambda o: _require(
         (o.approvals is None) == (not o.vocab_docs),
+        "vocab_docs" if o.vocab_docs else "approvals",
         "vocab_docs and approvals enable vocabulary extension together; "
-        "set both or neither")),
+        "set both or neither"),
 )
-
-
-def _raised_at(exc: Exception) -> tuple[str, int]:
-    """The file and line of the statement that raised `exc`."""
-    frame = traceback.extract_tb(exc.__traceback__)[-1]
-    return frame.filename, frame.lineno
-
-
-def run_checks(options, place, rows=CHECKS) -> None:
-    """Run each (keys, check) row on `options`. A failure names the place
-    of the option it is about, if `place` gives one: the first key that,
-    given alone with the other keys at their defaults, fails the same
-    test (the same raise statement), else the last key."""
-    for keys, check in rows:
-        try:
-            check(options)
-        except ValueError as exc:
-            for key in keys:
-                try:
-                    check(SimpleNamespace(**{**DEFAULTS,
-                                             key: getattr(options, key)}))
-                except ValueError as alone:
-                    if _raised_at(alone) == _raised_at(exc):
-                        break
-            if place(key) is None:
-                raise
-            raise ValueError(f"{place(key)}: {exc}") from exc
 
 
 def load_config(path: str | Path,
@@ -230,8 +199,10 @@ def load_config(path: str | Path,
     elif "out_dir" not in values:
         raise InputError(path, "out_dir not set and no override given")
     cfg = PipelineConfig(**values)
-    run_checks(cfg, lambda key: f"{path.name}:{lines[key]}" if key in lines
-               else path.name, CHECKS + _INPUT_CHECKS)
+    try:
+        cfg.validate()
+    except OptionError as exc:
+        raise InputError(path, str(exc), lines.get(exc.key)) from exc
     return cfg
 
 
@@ -371,12 +342,17 @@ def select(classified: ClassificationResult, importance, ontology: Ontology,
 
 def evaluate(summary_lines: list[str], reference: str | Path,
              stopwords) -> dict:
-    """ROUGE-1/2/L of the summary lines against a reference file's lines."""
+    """ROUGE-1/2/L of the summary lines against a reference file's lines.
+    A reference without a token to score against names its file; an
+    empty summary scores 0."""
     def tokens(lines):
         return [tok for line in lines
                 for tok in corpus.preprocess_text(line, stopwords)]
-    reference_lines = read_text(reference).splitlines()
-    return score_summary(tokens(summary_lines), tokens(reference_lines))
+    reference_tokens = tokens(read_text(reference).splitlines())
+    if not reference_tokens:
+        raise InputError(reference, "reference summary holds no words to "
+                         "score against")
+    return score_summary(tokens(summary_lines), reference_tokens)
 
 
 def _write_report(report: dict, path: Path) -> None:

@@ -23,6 +23,7 @@ import numpy as np
 from .corpus import Tweet
 from .embeddings import EmbeddingTable, cosines, self_dots
 from .importance import ImportanceVector
+from .textfile import OptionError
 
 SELECTOR_KINDS = ("dmmr", "max_sim", "kmeans", "eigenvector", "pagerank",
                   "mmr")
@@ -38,11 +39,12 @@ def check_selector_options(selector_kind: str, lam: float,
     """Reject an unknown selector or sim1 mode, or a relevance weight
     `lam` outside [0, 1] (1.0 weighs relevance only)."""
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+        raise OptionError("lam", f"lambda must lie in [0, 1], got {lam}")
     if sim1_mode not in SIM1_MODES:
-        raise ValueError(f"unknown sim1 mode {sim1_mode!r}")
+        raise OptionError("sim1_mode", f"unknown sim1 mode {sim1_mode!r}")
     if selector_kind not in SELECTOR_KINDS:
-        raise ValueError(f"unknown selector {selector_kind!r}")
+        raise OptionError("selector_kind",
+                          f"unknown selector {selector_kind!r}")
 
 
 def keyword_relevance(words: Iterable[str], vocab: Iterable[str],

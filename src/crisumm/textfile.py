@@ -1,5 +1,6 @@
 """The package's file formats: UTF-8 text in, UTF-8 text with `\n` line
-ends out, the layouts written, and the one error the loaders raise."""
+ends out, the layouts written, the one error the loaders raise, and the
+one error an option check raises."""
 
 from __future__ import annotations
 
@@ -29,6 +30,14 @@ class InputError(ValueError):
         where = self.path.name if line is None \
             else f"{self.path.name}:{line}"
         super().__init__(f"{where}: {message}")
+
+
+class OptionError(ValueError):
+    """A bad option value; `key` is the PipelineConfig field it is about."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(message)
 
 
 @contextmanager

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -6,12 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from crisumm.cli import main
+from crisumm.cli import build_parser, main
+from crisumm.disaster_sim import CategoryProfile, dis_sim
 from crisumm.embeddings import EmbeddingTable, load_word2vec_text
-from crisumm.pipeline import PipelineStageError, load_config, run_pipeline
-from crisumm.selector import SELECTOR_KINDS
-from crisumm.textfile import InputError
+from crisumm.importance import ImportanceVector, fit
+from crisumm.pipeline import (CHECKS, DEFAULTS, PipelineStageError,
+                              load_config, run_pipeline)
+from crisumm.selector import SELECTOR_KINDS, summarize
+from crisumm.textfile import InputError, OptionError
 
+from conftest import options
 from oracles import save_word2vec_text
 
 
@@ -202,6 +207,28 @@ class TestEvaluate:
         for variant in ("rouge_1", "rouge_2", "rouge_l"):
             for metric in ("precision", "recall", "f1"):
                 assert report[variant][metric] == 1.0
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "the of and\n", "-- !!\n"],
+                             ids=["empty", "blank", "stopwords", "symbols"])
+    def test_reference_without_words_names_file(self, tmp_path, capsys,
+                                                data_dir, text):
+        reference = tmp_path / "ref.txt"
+        reference.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "evaluate",
+                             "--candidate", str(data_dir / "reference.txt"),
+                             "--reference", str(reference))
+        assert (code, out) == (1, "")
+        assert err == ("error: ref.txt: reference summary holds no words to "
+                       "score against\n")
+
+    def test_empty_candidate_scores_zero(self, tmp_path, capsys, data_dir):
+        candidate = tmp_path / "cand.txt"
+        candidate.write_text("", encoding="utf-8")
+        code, out, _ = run(capsys, "evaluate", "--candidate", str(candidate),
+                           "--reference", str(data_dir / "reference.txt"))
+        assert code == 0
+        assert {value for variant in json.loads(out).values()
+                for value in variant.values()} == {0.0}
 
 
 class TestCategorize:
@@ -669,18 +696,79 @@ TWO_BAD_FLAGS = [
      "prior_precision and noise_precision must be > 0"),
 ]
 
+BAD_FLAG_IDS = ([f"{a[0]}{f}" for a, f, *_ in BAD_FLAGS]
+                + [f"{a[0]}{a[-2]}{f}" for a, f, *_ in TWO_BAD_FLAGS])
+
 
 @pytest.mark.parametrize("argv, flag, value, message",
-                         BAD_FLAGS + TWO_BAD_FLAGS,
-                         ids=[f"{a[0]}{f}" for a, f, *_ in BAD_FLAGS]
-                         + [f"{a[0]}{a[-2]}{f}"
-                            for a, f, *_ in TWO_BAD_FLAGS])
+                         BAD_FLAGS + TWO_BAD_FLAGS, ids=BAD_FLAG_IDS)
 def test_bad_flag_value_names_flag_before_any_file_is_read(
         capsys, argv, flag, value, message):
     code, out, err = run(capsys, *argv, "--ontology", "missing/o.json",
                          flag, value)
     assert (code, out) == (1, "")
     assert err == f"error: {flag}: {message}\n"
+
+
+def test_every_check_passes_at_the_defaults():
+    # A subcommand checks each key it has no flag for at its default.
+    for check in CHECKS:
+        check(argparse.Namespace(**DEFAULTS))
+
+
+@pytest.mark.parametrize("argv, flag, value, message",
+                         BAD_FLAGS + TWO_BAD_FLAGS, ids=BAD_FLAG_IDS)
+def test_bad_flag_value_raises_option_error_keyed_to_the_flag(
+        argv, flag, value, message):
+    args = build_parser().parse_args([*argv, "--ontology", "missing/o.json",
+                                      flag, value])
+    with pytest.raises(OptionError) as excinfo:
+        for check in CHECKS:
+            check(argparse.Namespace(**{**DEFAULTS, **vars(args)}))
+    assert str(excinfo.value) == message
+    assert args.flags[excinfo.value.key] == flag
+
+
+def test_weights_off_the_even_split_name_w1(capsys):
+    code, out, err = run(capsys, "similarity", "--datasets", "missing/t.jsonl",
+                         "missing/c.jsonl", "--ontology", "missing/o.json",
+                         "--w1", "0.7")
+    assert (code, out) == (1, "")
+    assert err == "error: --w1: weights must sum to 1, got 0.7 + 0.5\n"
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["similarity", "--datasets", "missing/t.jsonl", "--w1", "2", "--w2",
+      "-1"], "--w1",
+     "weights must lie in (0, 1), got w1=2.0, w2=-1.0"),
+    (["importance", "--target", "missing/t.jsonl", "--training",
+      "missing/c.jsonl", "--m", "8", "--noise-precision", "0",
+      "--prior-precision", "0"], "--prior-precision",
+     "prior_precision and noise_precision must be > 0"),
+], ids=["weights", "precisions"])
+def test_two_bad_keys_of_one_message_name_the_first(capsys, argv, flag,
+                                                    message):
+    code, out, err = run(capsys, *argv, "--ontology", "missing/o.json")
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag}: {message}\n"
+
+
+_PROFILE = CategoryProfile(counts={"c": 1}, top_keywords={"c": {"x": 1}})
+
+
+@pytest.mark.parametrize("call, key, message", [
+    (lambda: dis_sim(_PROFILE, _PROFILE, w1=2), "w1",
+     "weights must lie in (0, 1), got w1=2, w2=0.5"),
+    (lambda: fit([], options(prior_precision=-1.0)), "prior_precision",
+     "prior_precision and noise_precision must be > 0"),
+    (lambda: summarize({}, ImportanceVector(counts={}), {}, None,
+                       options(lam=1.5)), "lam",
+     "lambda must lie in [0, 1], got 1.5"),
+], ids=["dis_sim", "fit", "summarize"])
+def test_library_checks_raise_value_errors(call, key, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert (str(excinfo.value), excinfo.value.key) == (message, key)
 
 
 class TestPipelineCommand:
@@ -1016,6 +1104,20 @@ class TestPipelineCommand:
                        "70 classified tweets available for a summary of 500 "
                        "(short by 430)\n")
 
+    def test_empty_reference_fails_evaluate_stage(self, tmp_path, capsys,
+                                                  data_dir):
+        reference = tmp_path / "ref.txt"
+        reference.write_text("", encoding="utf-8")
+        cfg_path = config_copy(data_dir, tmp_path, reference=reference)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                             "--out-dir", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == ("error: stage 'evaluate' failed: ref.txt: reference "
+                       "summary holds no words to score against\n")
+        assert not (out_dir / "report.json").exists()
+        assert (out_dir / "quarantine" / "report.json").is_file()
+
     def test_duplicate_dataset_id_fails_load_datasets_stage(
             self, tmp_path, capsys, data_dir):
         copy = tmp_path / "copy.jsonl"
@@ -1242,6 +1344,27 @@ class TestExitCodes:
         assert code == 1
         assert err == ("error: ontology.json: categories[0]: 'keywords' "
                        "entry 3 is not a string\n")
+
+    @pytest.mark.parametrize("key, word, problem", [
+        ("keywords", "Storm Surge", "holds whitespace"),
+        ("keywords", " flood ", "holds whitespace"),
+        ("keywords", "", "is empty"),
+        ("extended_keywords", "surge\u00a0tide", "holds whitespace"),
+    ], ids=["inner space", "edge spaces", "empty", "extended no-break space"])
+    def test_unmatchable_keyword_names_file_and_entry(
+            self, tmp_path, capsys, data_dir, key, word, problem):
+        # A tweet's tokens are str.split pieces, so no token could equal
+        # such a keyword.
+        ontology = json.loads((data_dir / "ontology.json").read_text("utf-8"))
+        ontology["categories"][0].setdefault(key, []).append(word)
+        bad = tmp_path / "ontology.json"
+        bad.write_text(json.dumps(ontology), encoding="utf-8")
+        code, out, err = run(capsys, "categorize",
+                             "--dataset", str(data_dir / "target.jsonl"),
+                             "--ontology", str(bad))
+        assert (code, out) == (1, "")
+        assert err == (f"error: ontology.json: categories[0]: {key!r} entry "
+                       f"{word!r} {problem}\n")
 
     @pytest.mark.parametrize("scale", ["1e-160", "1e-170", "1e160",
                                        "1e300"])

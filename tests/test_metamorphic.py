@@ -1,11 +1,13 @@
-"""End-to-end metamorphic relations: input changes that no summary sees.
+"""End-to-end metamorphic relations: input changes with a known effect on
+every summary, most of them none.
 
 A summarizer has no oracle for the right summary, but some changes to
-its inputs must leave the summary as it was (metamorphic testing: Chen,
-Cheung & Yiu, 1998). Each relation changes a copy of an input set, runs
-`run_pipeline` on both for every selector, and requires the same
-summary entries: tweet id, category and score bits. The input sets are
-tests/data and a small corpus from bench/gen.py.
+its inputs must leave the summary as it was, or change it in a known
+way (metamorphic testing: Chen, Cheung & Yiu, 1998). Each relation
+changes a copy of an input set, runs `run_pipeline` on both for every
+selector, and requires the same summary entries, tweet id, category
+and score bits, or the entries the change maps them to. The input sets
+are tests/data and a small corpus from bench/gen.py.
 """
 
 import dataclasses
@@ -147,3 +149,77 @@ def test_relation_keeps_every_summary(corpora, baselines, tmp_path,
     # Plain unreached rows are checked unparsed; the others are parsed.
     if relation.startswith("unreached"):
         assert any(passed) == (relation == "unreached plain rows")
+
+
+def _prefixed_tweet_ids(inputs):
+    """Every tweet id under the prefix "p", which keeps their order."""
+    for path in _tweet_files(inputs):
+        header, *tweets = path.read_text(encoding="utf-8").splitlines()
+        tweets = [json.dumps({**record, "id": "p" + record["id"]})
+                  for record in map(json.loads, tweets)]
+        path.write_text("\n".join([header, *tweets]) + "\n",
+                        encoding="utf-8")
+
+
+def _copied_training_disaster(inputs):
+    """A copy of the candidate the run trains on, under a larger id, so
+    that it ties with the original and loses. The copy has no gold
+    labels, which profiles do not read, so a run that trained on it
+    would fail."""
+    cfg = load_config(inputs / "pipeline.cfg", out_dir=inputs / "probe")
+    chosen = run_pipeline(cfg)["similarity"]["most_similar"]
+    shutil.rmtree(inputs / "probe")
+    for path in cfg.candidates:
+        header, *tweets = map(json.loads, path.read_text(
+            encoding="utf-8").splitlines())
+        if header["id"] == chosen:
+            lines = [{**header, "id": chosen + "~"}, *(
+                {key: value for key, value in tweet.items()
+                 if key != "gold_category"} for tweet in tweets)]
+            (inputs / "copy.jsonl").write_text("".join(
+                json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    config = inputs / "pipeline.cfg"
+    config.write_text(config.read_text(encoding="utf-8").replace(
+        "\ncandidates = ", "\ncandidates = copy.jsonl, "), encoding="utf-8")
+
+
+def _doubled_embeddings(inputs):
+    """Every embedding component times 2, which is exact in binary."""
+    path = inputs / "embeddings.txt"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    rows = [" ".join([word, *(repr(2 * float(v)) for v in values)])
+            for word, *values in map(str.split, rows)]
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
+def _doubled_kmeans_scores(kind, entries):
+    # k-means scores are minus a medoid's distance to its centroid, which
+    # doubles; every other selector's scores are cosines or graph ranks.
+    return [(tweet_id, category, (2 * float.fromhex(score)).hex())
+            for tweet_id, category, score in entries] \
+        if kind == "kmeans" else entries
+
+
+# Relations whose summary follows from the baseline's: (the change, the
+# entries expected from a selector kind and its baseline entries).
+MAPPED_RELATIONS = {
+    "prefixed tweet ids": (_prefixed_tweet_ids, lambda kind, entries: [
+        ("p" + tweet_id, category, score)
+        for tweet_id, category, score in entries]),
+    "copied training disaster": (_copied_training_disaster,
+                                 lambda kind, entries: entries),
+    "doubled embeddings": (_doubled_embeddings, _doubled_kmeans_scores),
+}
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "generated"])
+@pytest.mark.parametrize("relation", MAPPED_RELATIONS)
+def test_relation_maps_every_summary(corpora, baselines, tmp_path, corpus,
+                                     relation):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(corpora[corpus], inputs)
+    change, expected = MAPPED_RELATIONS[relation]
+    change(inputs)
+    assert _summaries(inputs, tmp_path / "out") == {
+        kind: expected(kind, entries)
+        for kind, entries in baselines[corpus].items()}
