@@ -157,8 +157,67 @@ def _check_strings(path: Path, record: dict, kind: str,
                              lineno)
 
 
+_NO_KEYWORDS: frozenset[str] = frozenset()
+
+
+class PieceKeywords(dict):
+    """Whitespace piece -> its keywords under one stopword list and
+    lexicon; a piece is tokenized the first time it is looked up.
+
+    The patterns `preprocess_text` removes never span whitespace, so a
+    piece's keywords do not depend on its neighbours, and a tweet's
+    keywords are the union of its pieces'. One memo can serve every
+    file a command loads.
+    """
+
+    __slots__ = ("stopwords", "lexicon")
+
+    def __init__(self, stopwords: frozenset[str], lexicon: PosLexicon):
+        super().__init__()
+        self.stopwords = stopwords
+        self.lexicon = lexicon
+
+    def __missing__(self, piece: str) -> frozenset[str]:
+        # Most pieces give no keyword; sharing one empty set keeps the
+        # memo small.
+        found = self[piece] = extract_keywords(
+            preprocess_text(piece, self.stopwords), self.lexicon) \
+            or _NO_KEYWORDS
+        return found
+
+
+_decode = json.JSONDecoder().raw_decode
+
+
+def _json_object(path: Path, line: str, lineno: int) -> dict:
+    """The JSON object on one line, or InputError naming the line."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise InputError(path, f"invalid JSON ({exc.msg})", lineno) from exc
+    if not isinstance(record, dict):
+        raise InputError(path, "expected a JSON object", lineno)
+    return record
+
+
+def _check_tweet(path: Path, record: dict, seen: set[str],
+                 lineno: int) -> None:
+    """A tweet record has an id and a text, its values are strings
+    UTF-8 can encode, and its id is new."""
+    missing = {"id", "text"} - record.keys()
+    if missing:
+        raise InputError(path, f"tweet record missing {sorted(missing)}",
+                         lineno)
+    _check_strings(path, record, "tweet", ("id", "text", "gold_category"),
+                   lineno)
+    if record["id"] in seen:
+        raise InputError(path, f"duplicate tweet id {record['id']!r}",
+                         lineno)
+
+
 def load_tweets(path: str | Path, stopwords: frozenset[str],
-                lexicon: PosLexicon) -> DisasterDataset:
+                lexicon: PosLexicon,
+                pieces: PieceKeywords | None = None) -> DisasterDataset:
     """Load a JSONL tweet file into a preprocessed dataset.
 
     Line 1 is a header object with "id", "disaster_type", and
@@ -166,64 +225,66 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
     "text", plus "gold_category" on tweets belonging to the gold
     summary. All of these are strings. Record order is preserved.
 
-    A tweet's keywords are the union of its whitespace pieces' keywords:
-    the patterns `preprocess_text` removes never span whitespace, so a
-    piece's keywords do not depend on its neighbours. Each distinct
-    piece is tokenized once per call.
+    A tweet's keywords come from `pieces`, a memo built from the same
+    `stopwords` and `lexicon` objects (ValueError otherwise), or from a
+    fresh one when it is None.
     """
     path = Path(path)
-    piece_keywords: dict[str, frozenset[str]] = {}
-    header = None
+    if pieces is None:
+        pieces = PieceKeywords(stopwords, lexicon)
+    elif pieces.stopwords is not stopwords or pieces.lexicon is not lexicon:
+        raise ValueError("the piece memo was built from other stopwords "
+                         "or another lexicon")
+    lines = content_lines(path, comments=False)
+    for lineno, line in lines:
+        header = _json_object(path, line, lineno)
+        missing = {"id", "disaster_type", "continent"} - header.keys()
+        if missing:
+            raise InputError(path, f"header missing {sorted(missing)}",
+                             lineno)
+        disaster_type = header["disaster_type"]
+        if not isinstance(disaster_type, str) \
+                or disaster_type not in DISASTER_TYPES:
+            raise InputError(path, f"disaster_type must be one of "
+                             f"{sorted(DISASTER_TYPES)}", lineno)
+        _check_strings(path, header, "header", ("id", "continent"), lineno)
+        break
+    else:
+        raise InputError(path, "empty file, header expected")
+    keywords_of = pieces.__getitem__
     tweets: list[Tweet] = []
     gold: list[tuple[str, str]] = []
     seen: set[str] = set()
-    for lineno, line in content_lines(path, comments=False):
+    for lineno, line in lines:
+        # One C decode. A stripped line ends in no whitespace, so this
+        # takes all of it exactly when json.loads accepts it; json.loads
+        # runs again only to word the error.
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(path, f"invalid JSON ({exc.msg})",
-                             lineno) from exc
-        if not isinstance(record, dict):
-            raise InputError(path, "expected a JSON object", lineno)
-        if header is None:
-            missing = {"id", "disaster_type", "continent"} - record.keys()
-            if missing:
-                raise InputError(path, f"header missing {sorted(missing)}",
-                                 lineno)
-            disaster_type = record["disaster_type"]
-            if not isinstance(disaster_type, str) \
-                    or disaster_type not in DISASTER_TYPES:
-                raise InputError(path, f"disaster_type must be one of "
-                                 f"{sorted(DISASTER_TYPES)}", lineno)
-            _check_strings(path, record, "header", ("id", "continent"),
-                           lineno)
-            header = record
-            continue
-        missing = {"id", "text"} - record.keys()
-        if missing:
-            raise InputError(path, f"tweet record missing "
-                             f"{sorted(missing)}", lineno)
-        _check_strings(path, record, "tweet", ("id", "text", "gold_category"),
-                       lineno)
+            record, end = _decode(line)
+        except ValueError:
+            record = end = None
+        if type(record) is not dict or end != len(line):
+            record = _json_object(path, line, lineno)
+        # A line passing this test passes every check: the input is
+        # strict UTF-8, so a lone surrogate can only come from a \u
+        # escape.
+        if not (type(record.get("id")) is str
+                and type(record.get("text")) is str
+                and type(record.get("gold_category", "")) is str
+                and record["id"] not in seen and record["id"].strip()
+                and "\\u" not in line):
+            _check_tweet(path, record, seen, lineno)
         tweet_id = record["id"]
-        if tweet_id in seen:
-            raise InputError(path, f"duplicate tweet id {tweet_id!r}",
-                             lineno)
-        seen.add(tweet_id)
         text = record["text"]
-        keywords = []
-        for piece in text.split():
-            found = piece_keywords.get(piece)
-            if found is None:
-                found = piece_keywords[piece] = extract_keywords(
-                    preprocess_text(piece, stopwords), lexicon)
-            keywords.append(found)
+        seen.add(tweet_id)
+        # Unpacking a list gives an argument tuple of exact size; one
+        # unpacked from `map` is grown then shrunk, and the tuple free
+        # list would keep those larger blocks, about 1 MB per run.
         tweets.append(Tweet(id=tweet_id, raw_text=text,
-                            keywords=frozenset().union(*keywords)))
+                            keywords=frozenset().union(
+                                *list(map(keywords_of, text.split())))))
         if "gold_category" in record:
             gold.append((tweet_id, record["gold_category"]))
-    if header is None:
-        raise InputError(path, "empty file, header expected")
     return DisasterDataset(
         id=header["id"],
         tweets=tuple(tweets),

@@ -85,9 +85,10 @@ def load_ontology(path: str | Path) -> Ontology:
     Expected shape: {"categories": [{"id", "name", "keywords": [...]}]}.
     An optional "extended_keywords" list per category round-trips a
     previously extended ontology. Keywords are lowercased and deduped;
-    an empty one, or one holding whitespace, could match no token and
-    is an error. No categories, or two with one id, is an error naming
-    the file.
+    an empty one, one holding whitespace, and one that tokenizing would
+    change, such as 'Flood!', '#flood', 'of' or '2019', could match no
+    token and are errors. No categories, or two with one id, is an error
+    naming the file.
     """
     data = read_json(path)
     raw_categories = data.get("categories") if isinstance(data, dict) \
@@ -113,6 +114,11 @@ def load_ontology(path: str | Path) -> Ontology:
                     problem = "holds whitespace" if word else "is empty"
                     raise InputError(path, f"{where}: {key!r} entry "
                                      f"{word!r} {problem}")
+                # Nor one that tokenizing would trim, drop or change.
+                if preprocess_text(word, frozenset()) != [word.lower()]:
+                    raise InputError(path, f"{where}: {key!r} entry "
+                                     f"{word!r} can never be a tweet "
+                                     f"keyword")
             words[key] = frozenset(w.lower() for w in values)
         for key in ("id", "name"):
             if not isinstance(entry.get(key, ""), str):

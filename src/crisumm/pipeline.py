@@ -256,8 +256,11 @@ def categorize(paths: list, stopwords, lexicon, ontology: Ontology, options,
     """Load tweet files, rejecting two with one dataset id, and classify
     each against the ontology, with its extended vocabulary if
     `options.use_extended`: one result per file, in path order. `enter`
-    is called with "categorize" once the files are loaded."""
-    datasets = [corpus.load_tweets(p, stopwords, lexicon) for p in paths]
+    is called with "categorize" once the files are loaded. The files
+    share one piece memo, so each distinct piece is tokenized once."""
+    pieces = corpus.PieceKeywords(stopwords, lexicon)
+    datasets = [corpus.load_tweets(p, stopwords, lexicon, pieces)
+                for p in paths]
     first: dict[str, DisasterDataset] = {}
     for ds in datasets:
         earlier = first.setdefault(ds.id, ds)

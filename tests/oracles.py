@@ -6,6 +6,7 @@ deliberately shares no code with the package under test.
 
 from __future__ import annotations
 
+import json
 import re
 from math import fsum, isfinite, log2, sqrt
 from sys import float_info
@@ -13,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from crisumm.corpus import Tweet
+from crisumm.corpus import DisasterDataset, Tweet
 from crisumm.embeddings import EmbeddingTable
-from crisumm.textfile import InputError
+from crisumm.textfile import InputError, content_lines
 
 
 def make_tweet(tweet_id: str, keywords) -> Tweet:
@@ -57,6 +58,71 @@ def tweet_keywords(raw: str, stopwords, tags: dict) -> frozenset:
                                                 "adjective")):
             keywords.add(token)
     return frozenset(keywords)
+
+
+def _check_strings(path, record, kind, keys, lineno):
+    for key in keys:
+        if key not in record:
+            continue
+        value = record[key]
+        if not isinstance(value, str):
+            raise InputError(path, f"{kind} {key} is not a string", lineno)
+        if any(0xD800 <= ord(ch) <= 0xDFFF for ch in value):
+            raise InputError(path, f"{kind} {key} holds a lone surrogate",
+                             lineno)
+        if key == "id" and not value.strip():
+            raise InputError(path, f"{kind} id is empty or only whitespace",
+                             lineno)
+
+
+def load_tweets(path, stopwords, lexicon) -> DisasterDataset:
+    """The line-at-a-time loader: `json.loads` and every check on every
+    line, in the order header, object, missing keys, strings, duplicate
+    id; keywords from each whole text."""
+    path = Path(path)
+    header = None
+    tweets, gold, seen = [], [], set()
+    for lineno, line in content_lines(path, comments=False):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(path, f"invalid JSON ({exc.msg})", lineno)
+        if not isinstance(record, dict):
+            raise InputError(path, "expected a JSON object", lineno)
+        if header is None:
+            missing = {"id", "disaster_type", "continent"} - record.keys()
+            if missing:
+                raise InputError(path, f"header missing {sorted(missing)}",
+                                 lineno)
+            if record["disaster_type"] not in ("natural", "man-made"):
+                raise InputError(path, "disaster_type must be one of "
+                                 "['man-made', 'natural']", lineno)
+            _check_strings(path, record, "header", ("id", "continent"),
+                           lineno)
+            header = record
+            continue
+        missing = {"id", "text"} - record.keys()
+        if missing:
+            raise InputError(path, f"tweet record missing "
+                             f"{sorted(missing)}", lineno)
+        _check_strings(path, record, "tweet", ("id", "text", "gold_category"),
+                       lineno)
+        if record["id"] in seen:
+            raise InputError(path, f"duplicate tweet id {record['id']!r}",
+                             lineno)
+        seen.add(record["id"])
+        tweets.append(Tweet(id=record["id"], raw_text=record["text"],
+                            keywords=tweet_keywords(record["text"], stopwords,
+                                                    lexicon.tags)))
+        if "gold_category" in record:
+            gold.append((record["id"], record["gold_category"]))
+    if header is None:
+        raise InputError(path, "empty file, header expected")
+    return DisasterDataset(id=header["id"], tweets=tuple(tweets),
+                           disaster_type=header["disaster_type"],
+                           continent=header["continent"],
+                           gold_summary=tuple(gold) if gold else None,
+                           path=path)
 
 
 # --- word2vec text ----------------------------------------------------

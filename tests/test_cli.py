@@ -1366,6 +1366,27 @@ class TestExitCodes:
         assert err == (f"error: ontology.json: categories[0]: {key!r} entry "
                        f"{word!r} {problem}\n")
 
+    @pytest.mark.parametrize("key, word", [
+        ("keywords", "Flood!"),
+        ("keywords", "#flood"),
+        ("keywords", "of"),
+        ("extended_keywords", "2019"),
+    ], ids=["punctuation", "hashtag", "short", "no letter"])
+    def test_keyword_tokenizing_changes_names_file_and_entry(
+            self, tmp_path, capsys, data_dir, key, word):
+        # Tokenizing trims 'Flood!' and '#flood' to 'flood' and drops
+        # 'of' and '2019', so no tweet keyword could equal them.
+        ontology = json.loads((data_dir / "ontology.json").read_text("utf-8"))
+        ontology["categories"][0].setdefault(key, []).append(word)
+        bad = tmp_path / "ontology.json"
+        bad.write_text(json.dumps(ontology), encoding="utf-8")
+        code, out, err = run(capsys, "categorize",
+                             "--dataset", str(data_dir / "target.jsonl"),
+                             "--ontology", str(bad))
+        assert (code, out) == (1, "")
+        assert err == (f"error: ontology.json: categories[0]: {key!r} entry "
+                       f"{word!r} can never be a tweet keyword\n")
+
     @pytest.mark.parametrize("scale", ["1e-160", "1e-170", "1e160",
                                        "1e300"])
     def test_extreme_embedding_magnitudes_summarize(self, tmp_path, capsys,

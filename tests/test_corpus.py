@@ -6,13 +6,17 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from crisumm import corpus
 from crisumm.corpus import (_EMOJI_RE, _MENTION_RE, _URL_RE, DisasterDataset,
-                            PosLexicon, extract_keywords, load_lexicon,
-                            load_stopwords, load_tweets, preprocess_text)
+                            PieceKeywords, PosLexicon, extract_keywords,
+                            load_lexicon, load_stopwords, load_tweets,
+                            preprocess_text)
+from crisumm.pipeline import load_config, run_pipeline
 from crisumm.textfile import InputError
 
+import oracles
 from oracles import make_tweet, tweet_keywords
 
 STOPWORDS_SHA256 = \
@@ -295,6 +299,135 @@ class TestPieceKeywords:
             for match in pattern.finditer(text):
                 assert not any(ch.isspace() for ch in match.group()), \
                     (pattern.pattern, match.group())
+
+
+# Tweet lines: one of each fault (not JSON, trailing data, not an
+# object, a missing key, a non-string field, a lone surrogate escape in
+# each field, a repeated or blank id, a U+FEFF opening a line), and lines
+# that pass though they hold a \u (an escaped backslash before u, a
+# surrogate pair) or a U+FEFF inside a string.
+ODD_LINES = [
+    "{not json", '{"id": "t1", "text": "flood"} x',
+    '{"id": "t1", "text": "flood"}{"id": "t2"}', "[1]", "42", "null",
+    '"flood"', '{"id": "t1"}', '{"text": "flood"}', '{"id": 3, "text": "x"}',
+    '{"id": "t1", "text": null}', '{"id": "t1", "text": "x", '
+    '"gold_category": []}', '{"id": NaN, "text": "x"}',
+    r'{"id": "t\ud800", "text": "flood"}',
+    r'{"id": "t4", "text": "flood\udfff"}',
+    r'{"id": "t5", "text": "flood", "gold_category": "\ud800"}',
+    r'{"id": "t6", "text": "a\\u0041 flood"}',
+    r'{"id": "t7", "text": "flood \ud83d\ude00"}',
+    r'{"id": "t1", "text": "flood again"}',
+    '{"id": " ", "text": "flood"}', '{"id": "", "text": "flood"}',
+    '\ufeff{"id": "t8", "text": "flood"}',
+    '{"id": "t9", "text": "fl\ufeffood"}',
+]
+
+HEADER = '{"id": "d", "disaster_type": "natural", "continent": "asia"}'
+tweet_records = st.fixed_dictionaries(
+    {"id": st.sampled_from(["t1", "t2", "t3", "t4", "t5", "t6", "été"]),
+     "text": tweet_texts},
+    optional={"gold_category": st.sampled_from(["c1", "c2"])})
+# Plain records, with ids drawn so that some repeat, each written with
+# or without \u escapes.
+tweet_lines = st.lists(
+    st.builds(lambda r, ascii: json.dumps(r, ensure_ascii=ascii),
+              tweet_records, st.booleans()), max_size=6)
+
+
+class TestLoadTweetsOracle:
+    """The fast path of load_tweets gives the line-at-a-time loader's
+    dataset, or its error string."""
+
+    @pytest.fixture(scope="class")
+    def tweets_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("oracle") / "tweets.jsonl"
+
+    def _assert_same(self, path, lines, stopwords, lexicon):
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+        outcomes = []
+        for load in (load_tweets, oracles.load_tweets):
+            try:
+                outcomes.append(load(path, stopwords, lexicon))
+            except InputError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @given(lines=tweet_lines)
+    def test_same_dataset_or_error(self, tweets_file, stopwords, lexicon,
+                                   lines):
+        self._assert_same(tweets_file, [HEADER, *lines], stopwords, lexicon)
+
+    @pytest.mark.parametrize("odd", ODD_LINES)
+    @settings(max_examples=20)
+    @given(lines=tweet_lines, at=st.integers(0, 6))
+    def test_odd_line_among_plain_ones(self, tweets_file, stopwords, lexicon,
+                                       odd, lines, at):
+        self._assert_same(tweets_file, [HEADER, *lines[:at], odd, *lines[at:]],
+                          stopwords, lexicon)
+
+    @pytest.mark.parametrize("header", [
+        "{bad", "[]", '{"id": "d", "disaster_type": "natural"}',
+        r'{"id": "d\ud800", "disaster_type": "natural", "continent": "asia"}',
+        '{"id": " ", "disaster_type": "natural", "continent": "asia"}',
+    ])
+    def test_same_header_error(self, tweets_file, stopwords, lexicon,
+                               header):
+        self._assert_same(tweets_file, [header, ODD_LINES[0]], stopwords,
+                          lexicon)
+
+
+class TestPieceMemo:
+    PATHS = ("target.jsonl", "candidate_quake.jsonl", "candidate_blast.jsonl")
+
+    def test_shared_memo_gives_the_keywords_of_separate_loads(
+            self, data_dir, stopwords, lexicon):
+        paths = [data_dir / name for name in self.PATHS]
+        separate = [load_tweets(p, stopwords, lexicon) for p in paths]
+        for order in (paths, paths[::-1]):
+            pieces = PieceKeywords(stopwords, lexicon)
+            shared = {p: load_tweets(p, stopwords, lexicon, pieces)
+                      for p in order}
+            assert [shared[p] for p in paths] == separate
+
+    def test_memo_from_other_stopwords_or_lexicon_refused(
+            self, data_dir, stopwords, lexicon):
+        path = data_dir / "target.jsonl"
+        for pieces in (PieceKeywords(stopwords | {"flood"}, lexicon),
+                       PieceKeywords(stopwords, PosLexicon(lexicon.tags))):
+            with pytest.raises(ValueError, match="piece memo"):
+                load_tweets(path, stopwords, lexicon, pieces)
+
+    def test_pipeline_tokenizes_each_distinct_piece_once(
+            self, data_dir, tmp_path, monkeypatch):
+        calls = []
+        inside = []
+        load, tokenize = corpus.load_tweets, corpus.preprocess_text
+
+        def spy_load(*args, **kwargs):
+            inside.append(True)
+            try:
+                return load(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def spy_tokenize(text, stopwords):
+            if inside:
+                calls.append(text)
+            return tokenize(text, stopwords)
+
+        monkeypatch.setattr(corpus, "load_tweets", spy_load)
+        monkeypatch.setattr(corpus, "preprocess_text", spy_tokenize)
+        run_pipeline(load_config(data_dir / "pipeline.cfg",
+                                 out_dir=tmp_path))
+        pieces = Counter()
+        for name in self.PATHS:
+            lines = (data_dir / name).read_text("utf-8").splitlines()
+            pieces.update({piece for line in lines[1:]
+                           for piece in json.loads(line)["text"].split()})
+        assert pieces.most_common(1)[0][1] > 1, "no piece spans two files"
+        assert Counter(calls) == Counter(set(pieces))
 
 
 class TestResourceFiles:

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import crisumm
 from crisumm.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -104,6 +107,27 @@ def test_same_set_of_outputs(outputs):
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_output_is_byte_identical(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_bytes()
+
+
+def test_pipeline_outputs_do_not_depend_on_hash_seed(tmp_path):
+    # String hashing is salted per process, so set iteration order can
+    # differ between processes; no output may show it. Both runs write
+    # to one directory, as the report echoes it.
+    src = str(Path(crisumm.__file__).resolve().parent.parent)
+    out = tmp_path / "out"
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "crisumm", "pipeline",
+                        "--config", str(DATA / "pipeline.cfg"),
+                        "--out-dir", str(out)], env=env, check=True)
+        outputs.append({p.name: p.read_bytes()
+                        for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["report.json", "summary.json",
+                                  "summary.txt"]
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":

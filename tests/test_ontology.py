@@ -27,7 +27,7 @@ class TestLoad:
     def test_category_count(self, tmp_path):
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"categories": [
-            {"id": f"c{i}", "name": f"C{i}", "keywords": ["w%d" % i]}
+            {"id": f"c{i}", "name": f"C{i}", "keywords": ["word%d" % i]}
             for i in range(4)
         ]}), encoding="utf-8")
         assert load_ontology(path).K == 4
@@ -35,8 +35,8 @@ class TestLoad:
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "o.json"
         path.write_text(json.dumps({"categories": [
-            {"id": "damage", "name": "a", "keywords": ["x"]},
-            {"id": "damage", "name": "b", "keywords": ["y"]},
+            {"id": "damage", "name": "a", "keywords": ["flood"]},
+            {"id": "damage", "name": "b", "keywords": ["rescue"]},
         ]}), encoding="utf-8")
         with pytest.raises(InputError, match=r"^o\.json: duplicate category "
                            r"ids \['damage'\]$"):
