@@ -67,8 +67,8 @@ def _categorize(args, *paths):
     """The ontology of `args`, and the classification result of each
     tweets file in `paths`; two files may share a dataset id."""
     resources = load_resources(args)
-    return resources[2], [result for path in paths
-                          for result in categorize([path], *resources, args)]
+    return resources[2], categorize(list(paths), *resources, args,
+                                    distinct_ids=False)
 
 
 def _cmd_extend_vocab(args) -> int:

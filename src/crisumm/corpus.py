@@ -114,16 +114,20 @@ def preprocess_text(raw: str, stopwords: frozenset[str]) -> list[str]:
     """Clean one text into ordered lowercase content tokens.
 
     URLs, @-mentions, and emoji are removed; hashtags lose the '#' but
-    keep the word; each whitespace-separated piece is trimmed of
-    leading/trailing punctuation and lowercased. Tokens shorter than 3
+    keep the word; each whitespace-separated piece is lowercased and
+    trimmed of leading/trailing punctuation. Tokens shorter than 3
     characters, tokens without any letter, and stopwords are dropped.
+
+    Cleaning the tokens again gives them back unchanged. That is why
+    the trim comes after lowercasing: 'İ' lowercases to 'i' and a
+    combining dot, which is not a letter.
     """
     text = _URL_RE.sub(" ", raw)
     text = _MENTION_RE.sub(" ", text)
     text = _EMOJI_RE.sub(" ", text)
     tokens = []
     for piece in text.split():
-        piece = _EDGE_TRIM_RE.sub("", piece).lower()
+        piece = _EDGE_TRIM_RE.sub("", piece.lower())
         if len(piece) < 3:
             continue
         if not any(ch.isalpha() for ch in piece):
@@ -200,23 +204,8 @@ def _json_object(path: Path, line: str, lineno: int) -> dict:
     return record
 
 
-def _check_tweet(path: Path, record: dict, seen: set[str],
-                 lineno: int) -> None:
-    """A tweet record has an id and a text, its values are strings
-    UTF-8 can encode, and its id is new."""
-    missing = {"id", "text"} - record.keys()
-    if missing:
-        raise InputError(path, f"tweet record missing {sorted(missing)}",
-                         lineno)
-    _check_strings(path, record, "tweet", ("id", "text", "gold_category"),
-                   lineno)
-    if record["id"] in seen:
-        raise InputError(path, f"duplicate tweet id {record['id']!r}",
-                         lineno)
-
-
 def load_tweets(path: str | Path, stopwords: frozenset[str],
-                lexicon: PosLexicon,
+                lexicon: PosLexicon, *,
                 pieces: PieceKeywords | None = None) -> DisasterDataset:
     """Load a JSONL tweet file into a preprocessed dataset.
 
@@ -225,16 +214,13 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
     "text", plus "gold_category" on tweets belonging to the gold
     summary. All of these are strings. Record order is preserved.
 
-    A tweet's keywords come from `pieces`, a memo built from the same
-    `stopwords` and `lexicon` objects (ValueError otherwise), or from a
-    fresh one when it is None.
+    A tweet's keywords come from `pieces`, a memo built from these
+    `stopwords` and `lexicon` that the loads of one command share
+    (`pipeline.categorize`), or else from a fresh memo.
     """
     path = Path(path)
     if pieces is None:
         pieces = PieceKeywords(stopwords, lexicon)
-    elif pieces.stopwords is not stopwords or pieces.lexicon is not lexicon:
-        raise ValueError("the piece memo was built from other stopwords "
-                         "or another lexicon")
     lines = content_lines(path, comments=False)
     for lineno, line in lines:
         header = _json_object(path, line, lineno)
@@ -265,18 +251,18 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
             record = end = None
         if type(record) is not dict or end != len(line):
             record = _json_object(path, line, lineno)
-        # A line passing this test passes every check: the input is
-        # strict UTF-8, so a lone surrogate can only come from a \u
-        # escape.
-        if not (type(record.get("id")) is str
-                and type(record.get("text")) is str
-                and type(record.get("gold_category", "")) is str
-                and record["id"] not in seen and record["id"].strip()
-                and "\\u" not in line):
-            _check_tweet(path, record, seen, lineno)
+        missing = {"id", "text"} - record.keys()
+        if missing:
+            raise InputError(path, f"tweet record missing "
+                             f"{sorted(missing)}", lineno)
+        _check_strings(path, record, "tweet", ("id", "text", "gold_category"),
+                       lineno)
         tweet_id = record["id"]
-        text = record["text"]
+        if tweet_id in seen:
+            raise InputError(path, f"duplicate tweet id {tweet_id!r}",
+                             lineno)
         seen.add(tweet_id)
+        text = record["text"]
         # Unpacking a list gives an argument tuple of exact size; one
         # unpacked from `map` is grown then shrunk, and the tuple free
         # list would keep those larger blocks, about 1 MB per run.

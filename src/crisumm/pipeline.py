@@ -252,17 +252,18 @@ def extend_vocab(ontology: Ontology, docs: list, approvals, lexicon,
 
 
 def categorize(paths: list, stopwords, lexicon, ontology: Ontology, options,
-               enter=None) -> list[ClassificationResult]:
-    """Load tweet files, rejecting two with one dataset id, and classify
-    each against the ontology, with its extended vocabulary if
-    `options.use_extended`: one result per file, in path order. `enter`
-    is called with "categorize" once the files are loaded. The files
-    share one piece memo, so each distinct piece is tokenized once."""
+               enter=None, distinct_ids=True) -> list[ClassificationResult]:
+    """Load tweet files, rejecting two with one dataset id if
+    `distinct_ids`, and classify each against the ontology, with its
+    extended vocabulary if `options.use_extended`: one result per file,
+    in path order. `enter` is called with "categorize" once the files
+    are loaded. The files share one piece memo, so each distinct piece
+    is tokenized once."""
     pieces = corpus.PieceKeywords(stopwords, lexicon)
-    datasets = [corpus.load_tweets(p, stopwords, lexicon, pieces)
+    datasets = [corpus.load_tweets(p, stopwords, lexicon, pieces=pieces)
                 for p in paths]
     first: dict[str, DisasterDataset] = {}
-    for ds in datasets:
+    for ds in datasets if distinct_ids else ():
         earlier = first.setdefault(ds.id, ds)
         if earlier is not ds:
             raise ds.error(f"dataset id {ds.id!r} is also the id of "

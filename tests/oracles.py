@@ -43,15 +43,15 @@ def tweet_keywords(raw: str, stopwords, tags: dict) -> frozenset:
     """The keywords of one whole tweet text, tokenized in one pass.
 
     URLs, then mentions, then emoji runs become spaces; each remaining
-    whitespace piece loses its leading and trailing non-alphanumerics
-    and is lowercased. A token is a keyword if it has 3 or more
+    whitespace piece is lowercased and loses its leading and trailing
+    non-alphanumerics. A token is a keyword if it has 3 or more
     characters, holds a letter, is no stopword, and `tags` (word ->
     part of speech, default noun) makes it a noun, verb or adjective.
     """
     text = _EMOJI.sub(" ", _MENTION.sub(" ", _URL.sub(" ", raw)))
     keywords = set()
     for piece in text.split():
-        token = _EDGE.sub("", piece).lower()
+        token = _EDGE.sub("", piece.lower())
         if (len(token) >= 3 and any(ch.isalpha() for ch in token)
                 and token not in stopwords
                 and tags.get(token, "noun") in ("noun", "verb",

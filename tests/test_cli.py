@@ -446,6 +446,18 @@ class TestImportanceCommand:
         assert sum(payload["importance"].values()) == 8
         assert payload["model"]["kind"] == "linear"
 
+    def test_training_may_share_the_target_id(self, tmp_path, capsys,
+                                              data_dir):
+        out = tmp_path / "importance.json"
+        code, _, err = run(capsys, "importance",
+                           "--target", str(data_dir / "target.jsonl"),
+                           "--training", str(data_dir / "target.jsonl"),
+                           "--ontology", str(data_dir / "ontology.json"),
+                           "--m", "8", "--out", str(out))
+        assert (code, err) == (0, "")
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["training_disaster"] == "flood_asia_2019"
+
     def test_bayesian_reports_predictive_variance(self, tmp_path, capsys,
                                                   data_dir):
         out = tmp_path / "importance.json"

@@ -13,6 +13,7 @@ from crisumm.corpus import (_EMOJI_RE, _MENTION_RE, _URL_RE, DisasterDataset,
                             PieceKeywords, PosLexicon, extract_keywords,
                             load_lexicon, load_stopwords, load_tweets,
                             preprocess_text)
+from crisumm.cli import main
 from crisumm.pipeline import load_config, run_pipeline
 from crisumm.textfile import InputError
 
@@ -70,6 +71,17 @@ class TestPreprocess:
             once = preprocess_text(raw, stopwords)
             twice = preprocess_text(" ".join(once), stopwords)
             assert Counter(once) == Counter(twice), raw
+
+    @given(raw=st.text(st.one_of(st.characters(),
+                                 st.sampled_from("İIi#@.! "))))
+    def test_tokens_clean_to_themselves(self, raw):
+        tokens = preprocess_text(raw, frozenset())
+        assert preprocess_text(" ".join(tokens), frozenset()) == tokens
+
+    def test_dotted_capital_i_at_an_edge(self):
+        # 'İ'.lower() is 'i' and U+0307, a combining dot that is no letter.
+        assert preprocess_text("İZMİRLİ İstanbul", frozenset()) == \
+            ["i\u0307zmi\u0307rli", "i\u0307stanbul"]
 
 
 class TestExtractKeywords:
@@ -336,8 +348,8 @@ tweet_lines = st.lists(
 
 
 class TestLoadTweetsOracle:
-    """The fast path of load_tweets gives the line-at-a-time loader's
-    dataset, or its error string."""
+    """load_tweets, with its one decode per line and its piece memo,
+    gives the line-at-a-time loader's dataset, or its error string."""
 
     @pytest.fixture(scope="class")
     def tweets_file(self, tmp_path_factory):
@@ -387,20 +399,13 @@ class TestPieceMemo:
         separate = [load_tweets(p, stopwords, lexicon) for p in paths]
         for order in (paths, paths[::-1]):
             pieces = PieceKeywords(stopwords, lexicon)
-            shared = {p: load_tweets(p, stopwords, lexicon, pieces)
+            shared = {p: load_tweets(p, stopwords, lexicon, pieces=pieces)
                       for p in order}
             assert [shared[p] for p in paths] == separate
 
-    def test_memo_from_other_stopwords_or_lexicon_refused(
-            self, data_dir, stopwords, lexicon):
-        path = data_dir / "target.jsonl"
-        for pieces in (PieceKeywords(stopwords | {"flood"}, lexicon),
-                       PieceKeywords(stopwords, PosLexicon(lexicon.tags))):
-            with pytest.raises(ValueError, match="piece memo"):
-                load_tweets(path, stopwords, lexicon, pieces)
-
-    def test_pipeline_tokenizes_each_distinct_piece_once(
-            self, data_dir, tmp_path, monkeypatch):
+    @pytest.fixture
+    def tokenized(self, monkeypatch):
+        """The pieces that `preprocess_text` is given inside load_tweets."""
         calls = []
         inside = []
         load, tokenize = corpus.load_tweets, corpus.preprocess_text
@@ -419,15 +424,34 @@ class TestPieceMemo:
 
         monkeypatch.setattr(corpus, "load_tweets", spy_load)
         monkeypatch.setattr(corpus, "preprocess_text", spy_tokenize)
-        run_pipeline(load_config(data_dir / "pipeline.cfg",
-                                 out_dir=tmp_path))
+        return calls
+
+    def _distinct_pieces(self, data_dir, names):
         pieces = Counter()
-        for name in self.PATHS:
+        for name in names:
             lines = (data_dir / name).read_text("utf-8").splitlines()
             pieces.update({piece for line in lines[1:]
                            for piece in json.loads(line)["text"].split()})
         assert pieces.most_common(1)[0][1] > 1, "no piece spans two files"
-        assert Counter(calls) == Counter(set(pieces))
+        return Counter(set(pieces))
+
+    def test_pipeline_tokenizes_each_distinct_piece_once(
+            self, data_dir, tmp_path, tokenized):
+        run_pipeline(load_config(data_dir / "pipeline.cfg",
+                                 out_dir=tmp_path))
+        assert Counter(tokenized) == \
+            self._distinct_pieces(data_dir, self.PATHS)
+
+    def test_importance_command_tokenizes_each_distinct_piece_once(
+            self, data_dir, tmp_path, tokenized):
+        names = ("target.jsonl", "candidate_quake.jsonl")
+        assert main(["importance", "--ontology",
+                     str(data_dir / "ontology.json"),
+                     "--target", str(data_dir / names[0]),
+                     "--training", str(data_dir / names[1]),
+                     "--m", "8",
+                     "--out", str(tmp_path / "importance.json")]) == 0
+        assert Counter(tokenized) == self._distinct_pieces(data_dir, names)
 
 
 class TestResourceFiles:

@@ -284,6 +284,22 @@ class TestApprovals:
         with pytest.raises(OntologyError, match="nope"):
             apply_approvals(seed_ontology, [], [("nope", "levee")])
 
+    def test_harvested_word_saves_and_loads(self, tmp_path, lexicon):
+        # A token ending in 'İ' lowercases to end in a combining dot,
+        # which the trim removes, so the saved word loads again.
+        ontology = make_ontology(quake=["quake"])
+        candidates = harvest_candidates(
+            ontology, ["Quake hits İZMİRLİ. Quake İZMİRLİ!"], lexicon,
+            min_freq=2)
+        assert candidates == [{"category_id": "quake",
+                               "word": "i\u0307zmi\u0307rli",
+                               "frequency": 2}]
+        extended = apply_approvals(ontology, candidates,
+                                   [("quake", "i\u0307zmi\u0307rli")])
+        path = tmp_path / "o.json"
+        save_ontology(extended, path)
+        assert load_ontology(path) == extended
+
     def test_extension_is_monotone(self, seed_ontology, extended_ontology):
         for cat in seed_ontology.categories:
             extended = by_id(extended_ontology)[cat.id]
