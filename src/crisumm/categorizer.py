@@ -65,15 +65,21 @@ def classify(tweet: Tweet, ontology: Ontology, use_extended: bool) -> dict:
     score 0 and matched_by "none". Otherwise matched_by records whether
     the winning overlap came from seed words, extended words, or both.
     """
-    return _classifier(ontology, use_extended)(tweet)
+    vocabulary, decide = _decider(ontology, use_extended)
+    category_id, score, matched_by = decide(tweet.keywords & vocabulary)
+    return {"tweet_id": tweet.id, "category_id": category_id,
+            "score": score, "matched_by": matched_by}
 
 
-def _classifier(ontology: Ontology, use_extended: bool
-                ) -> Callable[[Tweet], dict]:
-    """`classify` against one ontology, with each vocabulary built once.
+def _decider(ontology: Ontology, use_extended: bool
+             ) -> tuple[frozenset[str], Callable[[frozenset[str]], tuple]]:
+    """The union of the category vocabularies, and the function that
+    takes a tweet's keywords within that union, its hits, to the
+    (category_id, score, matched_by) of `classify`.
 
-    A keyword -> categories index lets each tweet count hits only in
-    the categories its keywords belong to.
+    A tweet's assignment depends on its hits alone. A keyword ->
+    categories index lets each hit set count only in the categories
+    its words belong to.
     """
     categories = sorted(ontology.categories, key=lambda c: c.id)
     index: dict[str, list[int]] = {}
@@ -81,29 +87,27 @@ def _classifier(ontology: Ontology, use_extended: bool
         for word in category.vocabulary(use_extended):
             index.setdefault(word, []).append(pos)
 
-    def assign(tweet: Tweet) -> dict:
-        hits: dict[int, int] = {}
-        for word in tweet.keywords:
-            for pos in index.get(word, ()):
-                hits[pos] = hits.get(pos, 0) + 1
-        if not hits:
-            return {"tweet_id": tweet.id, "category_id": None, "score": 0,
-                    "matched_by": "none"}
-        score = max(hits.values())
-        best = categories[min(pos for pos, n in hits.items() if n == score)]
-        seed_hits = not tweet.keywords.isdisjoint(best.seed_keywords)
+    def decide(hits: frozenset[str]) -> tuple:
+        counts: dict[int, int] = {}
+        for word in hits:
+            for pos in index[word]:
+                counts[pos] = counts.get(pos, 0) + 1
+        if not counts:
+            return None, 0, "none"
+        score = max(counts.values())
+        best = categories[min(pos for pos, n in counts.items() if n == score)]
+        seed_hits = not hits.isdisjoint(best.seed_keywords)
         ext_hits = use_extended \
-            and not tweet.keywords.isdisjoint(best.extended_keywords)
+            and not hits.isdisjoint(best.extended_keywords)
         if seed_hits and ext_hits:
             matched_by = "both"
         elif ext_hits:
             matched_by = "extended"
         else:
             matched_by = "seed"
-        return {"tweet_id": tweet.id, "category_id": best.id,
-                "score": score, "matched_by": matched_by}
+        return best.id, score, matched_by
 
-    return assign
+    return frozenset(index), decide
 
 
 def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
@@ -111,23 +115,30 @@ def classify_corpus(dataset: DisasterDataset, ontology: Ontology,
     """Classify every tweet in a dataset and partition it by category.
 
     The partition holds only categories that received at least one
-    tweet, in dataset order.
+    tweet, in dataset order. Tweets share few distinct hit sets, so
+    each is decided once per call.
     """
-    assign = _classifier(ontology, use_extended)
-    assignments = []
-    cells: dict[str, list[Tweet]] = {}
+    vocabulary, decide = _decider(ontology, use_extended)
     # A tweet is seed-classifiable exactly when it shares a keyword with
-    # some category's seed vocabulary.
+    # some category's seed vocabulary, which lies within `vocabulary`.
     seed_words = frozenset().union(*(c.seed_keywords
                                      for c in ontology.categories))
+    decided: dict[frozenset[str], tuple] = {}
+    assignments = []
+    cells: dict[str, list[Tweet]] = {}
     seed_classified = 0
     for tweet in dataset.tweets:
-        row = assign(tweet)
-        assignments.append(row)
-        if row["category_id"] is not None:
-            cells.setdefault(row["category_id"], []).append(tweet)
-        if not tweet.keywords.isdisjoint(seed_words):
-            seed_classified += 1
+        hits = tweet.keywords & vocabulary
+        outcome = decided.get(hits)
+        if outcome is None:
+            outcome = decided[hits] = (*decide(hits),
+                                       not hits.isdisjoint(seed_words))
+        category_id, score, matched_by, seeded = outcome
+        assignments.append({"tweet_id": tweet.id, "category_id": category_id,
+                            "score": score, "matched_by": matched_by})
+        if category_id is not None:
+            cells.setdefault(category_id, []).append(tweet)
+        seed_classified += seeded
     classified = sum(len(cell) for cell in cells.values())
     stats = CorpusStats(
         total=len(dataset.tweets),

@@ -12,8 +12,10 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
-from .textfile import LONE_SURROGATE, InputError, content_lines
+from .textfile import (LONE_SURROGATE, NESTED_TOO_DEEPLY, InputError,
+                       content_lines)
 
 DISASTER_TYPES = frozenset({"natural", "man-made"})
 
@@ -42,9 +44,9 @@ _EMOJI_RE = re.compile(
 _EDGE_TRIM_RE = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class Tweet:
-    """One preprocessed microtext."""
+class Tweet(NamedTuple):
+    """One preprocessed microtext, immutable and compared field by field.
+    A named tuple is much cheaper to build than a frozen dataclass."""
 
     id: str
     raw_text: str
@@ -122,9 +124,15 @@ def preprocess_text(raw: str, stopwords: frozenset[str]) -> list[str]:
     the trim comes after lowercasing: 'İ' lowercases to 'i' and a
     combining dot, which is not a letter.
     """
-    text = _URL_RE.sub(" ", raw)
-    text = _MENTION_RE.sub(" ", text)
-    text = _EMOJI_RE.sub(" ", text)
+    # Each pattern runs only where it can match: a URL holds ':' or
+    # '.', a mention '@', and every emoji codepoint is non-ASCII.
+    text = raw
+    if ":" in text or "." in text:
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    if not text.isascii():
+        text = _EMOJI_RE.sub(" ", text)
     tokens = []
     for piece in text.split():
         piece = _EDGE_TRIM_RE.sub("", piece.lower())
@@ -145,15 +153,21 @@ def extract_keywords(tokens: list[str] | tuple[str, ...],
 
 
 def _check_strings(path: Path, record: dict, kind: str,
-                   keys: tuple[str, ...], lineno: int) -> None:
+                   keys: tuple[str, ...], lineno: int,
+                   escaped: bool = True) -> None:
     """Each of `keys` in `record` must be a string UTF-8 can encode, and
-    an id must hold more than whitespace."""
+    an id must hold more than whitespace.
+
+    Strict UTF-8 text decodes to no lone surrogate; only a JSON `\\u`
+    escape makes one. So a caller whose line holds no backslash passes
+    `escaped=False`, and the surrogate search is skipped.
+    """
     for key in keys:
         if key not in record:
             continue
         if not isinstance(record[key], str):
             raise InputError(path, f"{kind} {key} is not a string", lineno)
-        if LONE_SURROGATE.search(record[key]):
+        if escaped and LONE_SURROGATE.search(record[key]):
             raise InputError(path, f"{kind} {key} holds a lone surrogate",
                              lineno)
         if key == "id" and not record[key].strip():
@@ -199,6 +213,8 @@ def _json_object(path: Path, line: str, lineno: int) -> dict:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise InputError(path, f"invalid JSON ({exc.msg})", lineno) from exc
+    except RecursionError:
+        raise InputError(path, NESTED_TOO_DEEPLY, lineno) from None
     if not isinstance(record, dict):
         raise InputError(path, "expected a JSON object", lineno)
     return record
@@ -247,7 +263,7 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
         # runs again only to word the error.
         try:
             record, end = _decode(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             record = end = None
         if type(record) is not dict or end != len(line):
             record = _json_object(path, line, lineno)
@@ -256,7 +272,7 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
             raise InputError(path, f"tweet record missing "
                              f"{sorted(missing)}", lineno)
         _check_strings(path, record, "tweet", ("id", "text", "gold_category"),
-                       lineno)
+                       lineno, "\\" in line)
         tweet_id = record["id"]
         if tweet_id in seen:
             raise InputError(path, f"duplicate tweet id {tweet_id!r}",
@@ -266,9 +282,8 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
         # Unpacking a list gives an argument tuple of exact size; one
         # unpacked from `map` is grown then shrunk, and the tuple free
         # list would keep those larger blocks, about 1 MB per run.
-        tweets.append(Tweet(id=tweet_id, raw_text=text,
-                            keywords=frozenset().union(
-                                *list(map(keywords_of, text.split())))))
+        tweets.append(Tweet(tweet_id, text, frozenset().union(
+            *list(map(keywords_of, text.split())))))
         if "gold_category" in record:
             gold.append((tweet_id, record["gold_category"]))
     return DisasterDataset(

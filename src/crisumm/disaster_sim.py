@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .corpus import DisasterDataset, Tweet
@@ -58,9 +59,7 @@ def build_profile(partition: Mapping[str, Sequence[Tweet]],
     check_top_k(k)
     top_keywords: dict[str, dict[str, int]] = {}
     for cid in sorted(counts):
-        freq: Counter[str] = Counter()
-        for tweet in partition[cid]:
-            freq.update(tweet.keywords)
+        freq = Counter(chain.from_iterable(t.keywords for t in partition[cid]))
         ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
         top_keywords[cid] = dict(ranked)
     return CategoryProfile(counts=counts, top_keywords=top_keywords)

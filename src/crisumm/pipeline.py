@@ -283,7 +283,9 @@ def coverage(stats: CorpusStats) -> dict:
 
 def similarity_matrix(results: list[ClassificationResult], options):
     """Profile each classified dataset and score every ordered pair of
-    distinct ids."""
+    distinct ids, each row in id order. `dis_sim` is symmetric to the
+    bit, so each unordered pair is scored once and its mirrored cell
+    gets a copy."""
     for result in results:
         if not result.stats.classified:
             raise result.dataset.error("cannot profile an empty partition: "
@@ -291,9 +293,13 @@ def similarity_matrix(results: list[ClassificationResult], options):
     profiles = {r.dataset.id: build_profile(r.partition, k=options.top_k)
                 for r in results}
     ids = sorted(profiles)
-    return {x: {y: dis_sim(profiles[x], profiles[y], options.w1, options.w2)
-                for y in ids if y != x}
-            for x in ids}
+    matrix: dict[str, dict[str, dict]] = {x: {} for x in ids}
+    for i, x in enumerate(ids):
+        for y in ids[i + 1:]:
+            score = matrix[x][y] = dis_sim(profiles[x], profiles[y],
+                                           options.w1, options.w2)
+            matrix[y][x] = dict(score)
+    return matrix
 
 
 def predict_slots(model, target: ClassificationResult, category_ids, m: int):

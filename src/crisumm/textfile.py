@@ -18,6 +18,12 @@ from typing import TextIO
 # encode it, so no output file could hold it.
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
+# The message for JSON nested deeper than the decoder's recursion limit.
+NESTED_TOO_DEEPLY = "JSON nested too deeply"
+# What moves the nesting depth or the line count; a string is one
+# token, so the brackets in it do not count.
+_JSON_DEPTH_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"|[][{}\n]')
+
 
 class InputError(ValueError):
     """A malformed input file: "<file>:<line>: <message>", or
@@ -85,12 +91,32 @@ def read_json(path: str | Path):
     text = read_text(path)
     try:
         value = json.loads(text)
+        encoded = json.dumps(value, ensure_ascii=False)
     except json.JSONDecodeError as exc:
         raise InputError(path, f"invalid JSON ({exc.msg})",
                          exc.lineno) from exc
-    if LONE_SURROGATE.search(json.dumps(value, ensure_ascii=False)):
+    except RecursionError:
+        raise InputError(path, NESTED_TOO_DEEPLY,
+                         _deepest_line(text)) from None
+    if LONE_SURROGATE.search(encoded):
         raise InputError(path, "a JSON string holds a lone surrogate")
     return value
+
+
+def _deepest_line(text: str) -> int:
+    """The line on which JSON `text` first reaches its greatest depth."""
+    depth = deepest = 0
+    line = at = 1
+    for token in _JSON_DEPTH_TOKEN.findall(text):
+        if token == "\n":
+            line += 1
+        elif token in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, at = depth, line
+        elif token in ("]", "}"):
+            depth -= 1
+    return at
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crisumm.categorizer import classify, classify_corpus
+from crisumm import categorizer
+from crisumm.categorizer import CorpusStats, classify, classify_corpus
 from crisumm.corpus import DisasterDataset
 from crisumm.ontology import Category, Ontology
 
@@ -147,6 +150,60 @@ class TestClassifyCorpus:
                 cells.setdefault(want[0], []).append(tweet)
         assert result.partition == {c: tuple(t) for c, t in cells.items()}
         assert result.stats.classified == sum(map(len, cells.values()))
+
+    @pytest.mark.parametrize("use_extended", [True, False])
+    @given(data=st.data())
+    def test_shared_hit_sets_match_the_oracle(self, use_extended, data):
+        # Tweets draw their vocabulary hits from a few sets and add words
+        # no category holds, so many tweets share a hit set but no
+        # keyword set.
+        words = [f"w{i}" for i in range(6)]
+        subsets = st.frozensets(st.sampled_from(words), max_size=4)
+        categories = []
+        for cid in data.draw(st.lists(st.sampled_from("dbca"), min_size=1,
+                                      max_size=4, unique=True)):
+            seeds = data.draw(subsets)
+            categories.append(Category(
+                id=cid, name=cid, seed_keywords=seeds,
+                extended_keywords=data.draw(subsets) - seeds))
+        onto = Ontology(categories=tuple(categories))
+        hit_sets = data.draw(st.lists(subsets, min_size=1, max_size=3))
+        tweets = [make_tweet(f"t{i}", data.draw(st.sampled_from(hit_sets))
+                             | {f"x{i}", f"x{i}{j}"})
+                  for i, j in enumerate(data.draw(st.lists(
+                      st.integers(0, 3), min_size=1, max_size=12)))]
+        decided = Counter()
+        real = categorizer._decider
+
+        def spy(ontology, use_extended):
+            vocabulary, decide = real(ontology, use_extended)
+
+            def counted(hits):
+                decided[hits] += 1
+                return decide(hits)
+            return vocabulary, counted
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(categorizer, "_decider", spy)
+            result = classify_corpus(self._dataset(tweets), onto,
+                                     use_extended)
+        vocabulary = frozenset().union(*(c.vocabulary(use_extended)
+                                         for c in onto.categories))
+        assert decided == Counter({t.keywords & vocabulary for t in tweets})
+        cells = {}
+        for tweet, got in zip(tweets, result.assignments):
+            want = oracles.classify(tweet, onto, use_extended)
+            assert got == dict(zip(("tweet_id", "category_id", "score",
+                                    "matched_by"), (tweet.id, *want)))
+            if want[0] is not None:
+                cells.setdefault(want[0], []).append(tweet)
+        assert result.partition == {c: tuple(t) for c, t in cells.items()}
+        seed = sum(oracles.classify(t, onto, False)[0] is not None
+                   for t in tweets)
+        assert result.stats == CorpusStats(
+            total=len(tweets), classified=sum(map(len, cells.values())),
+            seed_classified=seed,
+            extended_gain=sum(map(len, cells.values())) - seed)
 
     @pytest.mark.parametrize("use_extended", [True, False])
     def test_seed_stats_match_a_seed_only_pass(self, use_extended):

@@ -1294,6 +1294,40 @@ class TestExitCodes:
         assert err == \
             f"error: {name}: a JSON string holds a lone surrogate\n"
 
+    @pytest.mark.parametrize("name, argv", [
+        (name, argv) for name, argv in INPUT_COMMANDS
+        if name.endswith(".json")])
+    def test_json_nested_too_deeply_names_file_and_line(
+            self, tmp_path, capsys, data_dir, name, argv):
+        bad = tmp_path / name
+        bad.write_text('{\n"a": "[[",\n"b": ' + "[" * 100_000 + "\n",
+                       encoding="utf-8")
+        code, out, err = run(capsys,
+                             *map(str, argv(data_dir, bad, tmp_path)))
+        assert (code, out) == (1, "")
+        assert err == f"error: {name}:3: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("lines, lineno", [
+        (["[" * 100_000], 1),
+        (['{"id": "d", "disaster_type": "natural", "continent": '
+          + "[" * 100_000], 1),
+        (['{"id": "d", "disaster_type": "natural", "continent": "asia"}',
+          '{"id": "t1", "text": "flood"}', "[" * 100_000], 3),
+        (['{"id": "d", "disaster_type": "natural", "continent": "asia"}',
+          '{"id": "t1", "text": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+         2),
+    ], ids=["header", "header_field", "tweet", "tweet_field"])
+    def test_tweets_nested_too_deeply_name_file_and_line(
+            self, tmp_path, capsys, data_dir, lines, lineno):
+        bad = tmp_path / "tweets.jsonl"
+        bad.write_text("".join(line + "\n" for line in lines),
+                       encoding="utf-8")
+        code, out, err = run(capsys, "categorize", "--dataset", str(bad),
+                             "--ontology", str(data_dir / "ontology.json"))
+        assert (code, out) == (1, "")
+        assert err == f"error: tweets.jsonl:{lineno}: JSON nested too " \
+            "deeply\n"
+
     @pytest.mark.parametrize("header, tweet, message", [
         ({"id": 7}, {}, "1: header id is not a string"),
         ({"continent": None}, {}, "1: header continent is not a string"),

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from crisumm import corpus
 from crisumm.corpus import (_EMOJI_RE, _MENTION_RE, _URL_RE, DisasterDataset,
-                            PieceKeywords, PosLexicon, extract_keywords,
+                            PieceKeywords, PosLexicon, Tweet,
+                            extract_keywords,
                             load_lexicon, load_stopwords, load_tweets,
                             preprocess_text)
 from crisumm.cli import main
@@ -82,6 +83,18 @@ class TestPreprocess:
         # 'İ'.lower() is 'i' and U+0307, a combining dot that is no letter.
         assert preprocess_text("İZMİRLİ İstanbul", frozenset()) == \
             ["i\u0307zmi\u0307rli", "i\u0307stanbul"]
+
+    @given(raw=st.lists(st.one_of(
+        st.sampled_from([*":.@/#_ ", "flood", "Rescue", "w", "http://",
+                         "HTTPS://", "www.", "WWW.", "@user", "😢", "🙏🏽",
+                         "👩‍🚒", "❤️", "\u200d", "\ufe0f", "é", "İ", "ß",
+                         "\xa0", "\u3000"]),
+        st.characters()), max_size=30).map("".join))
+    def test_pattern_guards_change_nothing(self, raw, stopwords):
+        # Each pattern runs only where its text can match; the oracle
+        # runs all three on every text.
+        assert preprocess_text(raw, stopwords) == \
+            oracles.preprocess_text(raw, stopwords)
 
 
 class TestExtractKeywords:
@@ -249,6 +262,33 @@ class TestLoadTweets:
         assert str(excinfo.value) == \
             f"tweets.jsonl:{message} holds a lone surrogate"
 
+    @pytest.mark.parametrize("line, message", [
+        (r'{"id": "t\ud800", "text": "flood"}', "tweet id"),
+        (r'{"id": "t1", "text": "fl\ud800ood"}', "tweet text"),
+        (r'{"id": "t1", "text": "flood", "gold_category": "\udfff"}',
+         "tweet gold_category"),
+    ], ids=["id", "text", "gold_category"])
+    def test_escaped_lone_surrogate_names_line(self, tmp_path, stopwords,
+                                               lexicon, line, message):
+        path = self._write(tmp_path, [
+            self._header(), '{"id": "t0", "text": "flood"}', line])
+        with pytest.raises(InputError) as excinfo:
+            load_tweets(path, stopwords, lexicon)
+        assert str(excinfo.value) == \
+            f"tweets.jsonl:3: {message} holds a lone surrogate"
+
+    def test_other_escapes_load_unchanged(self, tmp_path, stopwords,
+                                          lexicon):
+        path = self._write(tmp_path, [
+            self._header(),
+            r'{"id": "t\"1\\", "text": "flood\nwater \"bridge\" a\\b",'
+            r' "gold_category": "c\\1"}'])
+        dataset = load_tweets(path, stopwords, lexicon)
+        [tweet] = dataset.tweets
+        assert tweet == Tweet('t"1\\', 'flood\nwater "bridge" a\\b',
+                              frozenset({"flood", "water", "bridge", "a\\b"}))
+        assert dataset.gold_summary == (('t"1\\', "c\\1"),)
+
     def test_surrogate_pair_is_one_character(self, tmp_path, stopwords,
                                              lexicon):
         path = self._write(tmp_path, [
@@ -333,6 +373,7 @@ ODD_LINES = [
     '{"id": " ", "text": "flood"}', '{"id": "", "text": "flood"}',
     '\ufeff{"id": "t8", "text": "flood"}',
     '{"id": "t9", "text": "fl\ufeffood"}',
+    r'{"id": "t\"10", "text": "a\\b \"flood\"\nwater\t\/x"}',
 ]
 
 HEADER = '{"id": "d", "disaster_type": "natural", "continent": "asia"}'
@@ -527,3 +568,25 @@ class TestValueChecks:
         with pytest.raises(ValueError, match="unknown tag 'bogus' for word "
                            "'flood'"):
             PosLexicon(tags={"flood": "bogus"})
+
+
+class TestTweet:
+    def test_fields_cannot_be_set(self):
+        tweet = make_tweet("t1", {"flood"})
+        for name in ("id", "raw_text", "keywords", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(tweet, name, "x")
+        assert tweet == make_tweet("t1", {"flood"})
+
+    def test_equal_fields_are_equal_and_hash_alike(self):
+        a = Tweet(id="t1", raw_text="flood now", keywords=frozenset({"flood"}))
+        b = Tweet("t1", "flood now", frozenset({"flood"}))
+        assert a == b and not a != b
+        assert hash(a) == hash(b) == hash(("t1", "flood now",
+                                           frozenset({"flood"})))
+        assert len({a, b}) == 1
+        for other in (a._replace(id="t2"), a._replace(raw_text="flood"),
+                      a._replace(keywords=frozenset())):
+            assert a != other
+        assert (a.id, a.raw_text, a.keywords) == \
+            ("t1", "flood now", frozenset({"flood"}))

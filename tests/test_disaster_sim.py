@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from crisumm import pipeline
+from crisumm.categorizer import classify_corpus
 from crisumm.corpus import DisasterDataset
 from crisumm.disaster_sim import (CategoryProfile, build_profile, cat_ic,
                                   cat_p, dis_sim, jensen_shannon_divergence,
                                   most_similar)
+from crisumm.ontology import Category, Ontology
+from crisumm.pipeline import similarity_matrix
 
+from conftest import options
 from oracles import cosine_exact, jsd_base2, make_tweet
 
 
@@ -215,6 +220,56 @@ def test_integer_sums_give_the_float64_bits(pair):
         assert cat_ic(ox, oy).hex() == _float64_cat_ic(ox, oy).hex()
 
 
+@given(profile_pairs(), st.floats(0.01, 0.99))
+def test_dis_sim_is_symmetric_to_the_bit(pair, w1):
+    w2 = 1.0 - w1
+    assume(w1 != w2)
+    px, py = pair
+    forward, backward = dis_sim(px, py, w1, w2), dis_sim(py, px, w1, w2)
+    assert list(forward) == ["dis_sim", "cat_ic", "cat_p"]
+    assert {key: value.hex() for key, value in forward.items()} == \
+        {key: value.hex() for key, value in backward.items()}
+
+
+class TestSimilarityMatrix:
+    def test_each_cell_is_a_fresh_dis_sim_of_its_ordered_pair(
+            self, monkeypatch):
+        rng = np.random.default_rng(47)
+        words = [f"w{i}" for i in range(12)]
+        onto = Ontology(categories=tuple(
+            Category(id=f"c{i}", name=f"c{i}", seed_keywords=frozenset(
+                words[3 * i:3 * i + 4])) for i in range(4)))
+        results = []
+        for ds_id in ("e", "b", "d", "a", "c"):
+            tweets = tuple(make_tweet(f"t{i}", {str(w) for w in rng.choice(
+                words, int(rng.integers(1, 5)), replace=False)})
+                for i in range(int(rng.integers(3, 15))))
+            results.append(classify_corpus(DisasterDataset(
+                id=ds_id, tweets=tweets, disaster_type="natural",
+                continent="asia"), onto, True))
+        calls = []
+
+        def counted(*args):
+            calls.append(args[:2])
+            return dis_sim(*args)
+
+        monkeypatch.setattr(pipeline, "dis_sim", counted)
+        matrix = similarity_matrix(results, options(top_k=3, w1=0.3,
+                                                    w2=0.7))
+        ids = sorted(r.dataset.id for r in results)
+        assert len(calls) == len(ids) * (len(ids) - 1) // 2
+        profiles = {r.dataset.id: build_profile(r.partition, k=3)
+                    for r in results}
+        assert list(matrix) == ids
+        for x in ids:
+            assert list(matrix[x]) == [y for y in ids if y != x]
+            for y, score in matrix[x].items():
+                fresh = dis_sim(profiles[x], profiles[y], 0.3, 0.7)
+                assert {key: value.hex() for key, value in score.items()} \
+                    == {key: value.hex() for key, value in fresh.items()}
+                assert score is not matrix[y][x]
+
+
 class TestDisSim:
     def test_self_similarity_exact(self):
         rng = np.random.default_rng(31)
@@ -288,7 +343,6 @@ class TestMostSimilar:
     def test_bundled_corpus_prefers_homogeneous_twin(
             self, target_dataset, quake_dataset, blast_dataset,
             extended_ontology):
-        from crisumm.categorizer import classify_corpus
         profiles = {
             ds.id: build_profile(
                 classify_corpus(ds, extended_ontology, True).partition, k=25)

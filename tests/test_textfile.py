@@ -1,5 +1,6 @@
 import pytest
 
+from crisumm import textfile
 from crisumm.textfile import (InputError, content_lines, json_text,
                               read_json, read_text)
 
@@ -18,6 +19,35 @@ class TestInputError:
 
 
 class TestReadJson:
+    @pytest.mark.parametrize("text, line", [
+        ("[" * 100_000, 1),
+        ('{"a": "[[[",\n"b": [[1],\n[[' + "[" * 100_000 + "\n", 3),
+        ('{"a": "\\"[[[",\n"b": ' + '{"c": ' * 100_000, 2),
+        ("[[\n" + "[" * 50_000 + "]" * 50_000 + ",\n"
+         + "[" * 100_000 + "]" * 100_000 + "]]", 3),
+    ], ids=["one_line", "strings_do_not_count", "escaped_quote", "deepest"])
+    def test_nesting_past_the_recursion_limit_names_its_line(
+            self, tmp_path, text, line):
+        path = tmp_path / "v.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError) as excinfo:
+            read_json(path)
+        assert str(excinfo.value) == f"v.json:{line}: JSON nested too deeply"
+
+    def test_recursion_in_the_surrogate_check_names_its_line(
+            self, tmp_path, monkeypatch):
+        # A value the decoder takes at the very edge of the limit can
+        # still be too deep for the encoder.
+        def too_deep(value, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        path = tmp_path / "v.json"
+        path.write_text('{\n"a": [[[1]]]}', encoding="utf-8")
+        monkeypatch.setattr(textfile.json, "dumps", too_deep)
+        with pytest.raises(InputError) as excinfo:
+            read_json(path)
+        assert str(excinfo.value) == "v.json:2: JSON nested too deeply"
+
     def test_value(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text('{"a": [1, "b"]}', encoding="utf-8")
