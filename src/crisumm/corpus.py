@@ -45,8 +45,9 @@ _EDGE_TRIM_RE = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
 
 
 class Tweet(NamedTuple):
-    """One preprocessed microtext, immutable and compared field by field.
-    A named tuple is much cheaper to build than a frozen dataclass."""
+    """One preprocessed microtext. A named tuple, which is much cheaper
+    to build than a frozen dataclass: immutable, it equals, hashes and
+    unpacks as the plain tuple of its fields."""
 
     id: str
     raw_text: str
@@ -124,15 +125,9 @@ def preprocess_text(raw: str, stopwords: frozenset[str]) -> list[str]:
     the trim comes after lowercasing: 'İ' lowercases to 'i' and a
     combining dot, which is not a letter.
     """
-    # Each pattern runs only where it can match: a URL holds ':' or
-    # '.', a mention '@', and every emoji codepoint is non-ASCII.
-    text = raw
-    if ":" in text or "." in text:
-        text = _URL_RE.sub(" ", text)
-    if "@" in text:
-        text = _MENTION_RE.sub(" ", text)
-    if not text.isascii():
-        text = _EMOJI_RE.sub(" ", text)
+    text = _URL_RE.sub(" ", raw)
+    text = _MENTION_RE.sub(" ", text)
+    text = _EMOJI_RE.sub(" ", text)
     tokens = []
     for piece in text.split():
         piece = _EDGE_TRIM_RE.sub("", piece.lower())
@@ -153,21 +148,15 @@ def extract_keywords(tokens: list[str] | tuple[str, ...],
 
 
 def _check_strings(path: Path, record: dict, kind: str,
-                   keys: tuple[str, ...], lineno: int,
-                   escaped: bool = True) -> None:
+                   keys: tuple[str, ...], lineno: int) -> None:
     """Each of `keys` in `record` must be a string UTF-8 can encode, and
-    an id must hold more than whitespace.
-
-    Strict UTF-8 text decodes to no lone surrogate; only a JSON `\\u`
-    escape makes one. So a caller whose line holds no backslash passes
-    `escaped=False`, and the surrogate search is skipped.
-    """
+    an id must hold more than whitespace."""
     for key in keys:
         if key not in record:
             continue
         if not isinstance(record[key], str):
             raise InputError(path, f"{kind} {key} is not a string", lineno)
-        if escaped and LONE_SURROGATE.search(record[key]):
+        if LONE_SURROGATE.search(record[key]):
             raise InputError(path, f"{kind} {key} holds a lone surrogate",
                              lineno)
         if key == "id" and not record[key].strip():
@@ -272,7 +261,7 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
             raise InputError(path, f"tweet record missing "
                              f"{sorted(missing)}", lineno)
         _check_strings(path, record, "tweet", ("id", "text", "gold_category"),
-                       lineno, "\\" in line)
+                       lineno)
         tweet_id = record["id"]
         if tweet_id in seen:
             raise InputError(path, f"duplicate tweet id {tweet_id!r}",

@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import re
+import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -97,14 +98,22 @@ def read_json(path: str | Path):
                          exc.lineno) from exc
     except RecursionError:
         raise InputError(path, NESTED_TOO_DEEPLY,
-                         _deepest_line(text)) from None
+                         _too_deep_line(text)) from None
     if LONE_SURROGATE.search(encoded):
         raise InputError(path, "a JSON string holds a lone surrogate")
     return value
 
 
-def _deepest_line(text: str) -> int:
-    """The line on which JSON `text` first reaches its greatest depth."""
+def _too_deep_line(text: str) -> int:
+    """The line on which JSON `text` first nests deeper than the
+    recursion limit, or, if it never does, the line on which it first
+    reaches its greatest depth.
+
+    The decoder gives up a little short of the limit, as the calls
+    below it count too, so a line nested to just under the limit is
+    named only if no line goes past it.
+    """
+    limit = sys.getrecursionlimit()
     depth = deepest = 0
     line = at = 1
     for token in _JSON_DEPTH_TOKEN.findall(text):
@@ -112,6 +121,8 @@ def _deepest_line(text: str) -> int:
             line += 1
         elif token in ("[", "{"):
             depth += 1
+            if depth > limit:
+                return line
             if depth > deepest:
                 deepest, at = depth, line
         elif token in ("]", "}"):

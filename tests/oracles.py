@@ -39,31 +39,25 @@ _EMOJI = re.compile("[\U0001F000-\U0001F0FF\U0001F100-\U0001F1FF"
 _EDGE = re.compile(r"^[\W_]+|[\W_]+$")
 
 
-def preprocess_text(raw: str, stopwords) -> list:
-    """The ordered tokens of one text, each pattern run on every text.
+def tweet_keywords(raw: str, stopwords, tags: dict) -> frozenset:
+    """The keywords of one whole tweet text, tokenized in one pass.
 
     URLs, then mentions, then emoji runs become spaces; each remaining
     whitespace piece is lowercased and loses its leading and trailing
-    non-alphanumerics. A token has 3 or more characters, holds a letter
-    and is no stopword.
+    non-alphanumerics. A token is a keyword if it has 3 or more
+    characters, holds a letter, is no stopword, and `tags` (word ->
+    part of speech, default noun) makes it a noun, verb or adjective.
     """
     text = _EMOJI.sub(" ", _MENTION.sub(" ", _URL.sub(" ", raw)))
-    tokens = []
+    keywords = set()
     for piece in text.split():
         token = _EDGE.sub("", piece.lower())
         if (len(token) >= 3 and any(ch.isalpha() for ch in token)
-                and token not in stopwords):
-            tokens.append(token)
-    return tokens
-
-
-def tweet_keywords(raw: str, stopwords, tags: dict) -> frozenset:
-    """The keywords of one whole tweet text, tokenized in one pass: the
-    tokens that `tags` (word -> part of speech, default noun) makes a
-    noun, verb or adjective."""
-    return frozenset(token for token in preprocess_text(raw, stopwords)
-                     if tags.get(token, "noun") in ("noun", "verb",
-                                                    "adjective"))
+                and token not in stopwords
+                and tags.get(token, "noun") in ("noun", "verb",
+                                                "adjective")):
+            keywords.add(token)
+    return frozenset(keywords)
 
 
 def _check_strings(path, record, kind, keys, lineno):

@@ -24,8 +24,13 @@ class TestReadJson:
         ('{"a": "[[[",\n"b": [[1],\n[[' + "[" * 100_000 + "\n", 3),
         ('{"a": "\\"[[[",\n"b": ' + '{"c": ' * 100_000, 2),
         ("[[\n" + "[" * 50_000 + "]" * 50_000 + ",\n"
-         + "[" * 100_000 + "]" * 100_000 + "]]", 3),
-    ], ids=["one_line", "strings_do_not_count", "escaped_quote", "deepest"])
+         + "[" * 100_000 + "]" * 100_000 + "]]", 2),
+        # Nested to 998, under the limit of 1,000 but past where the
+        # decoder gives up; no line goes past the limit.
+        ("[[\n" + "[" * 996 + "]" * 996 + ",\n"
+         + "[" * 10 + "]" * 10 + "]]", 2),
+    ], ids=["one_line", "strings_do_not_count", "escaped_quote",
+            "first_past_the_limit", "deepest_under_the_limit"])
     def test_nesting_past_the_recursion_limit_names_its_line(
             self, tmp_path, text, line):
         path = tmp_path / "v.json"
