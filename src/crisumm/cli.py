@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import ontology as onto
@@ -21,8 +20,9 @@ from .pipeline import (build_profile, build_training_pairs,  # noqa: F401
                        classify_corpus, dis_sim, fit, most_similar,
                        predict_importance, score_summary, summarize)
 from .selector import SELECTOR_KINDS, SIM1_MODES
-from .textfile import (InputError, OptionError, csv_text, json_text,
-                       lines_text, read_json, read_text, write_text)
+from .textfile import (InputError, OptionError, csv_text, json_lines,
+                       json_text, lines_text, read_json, read_text,
+                       write_text)
 
 # Flags not spelled "--" + the field name with "-" for "_".
 _FLAGS = {"lam": "--lambda", "selector_kind": "--selector",
@@ -87,8 +87,7 @@ def _cmd_extend_vocab(args) -> int:
 
 def _cmd_categorize(args) -> int:
     _, [result] = _categorize(args, args.dataset)
-    _write_text(args.partition_out, lines_text(
-        json.dumps(row, sort_keys=True) for row in result.assignments))
+    _write_text(args.partition_out, json_lines(result.assignments))
     _write_text(args.stats_out, json_text(coverage(result.stats)))
     return 0
 

@@ -11,6 +11,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
@@ -138,8 +139,83 @@ def write_text(path: str | Path, text: str) -> None:
 
 def json_text(value) -> str:
     """A JSON document: keys sorted, indented by 2, ending in a newline.
-    A NaN or infinite float raises ValueError, as JSON has none."""
-    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    A NaN or infinite float raises ValueError, as JSON has none.
+
+    The text is that of `json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`, but `indent` would send every value through
+    json's pure-Python encoder; here each container of scalars, and
+    each list of such dicts, is one call to its C encoder.
+    """
+    return _indented(value, "\n") + "\n"
+
+
+def json_lines(rows) -> str:
+    """One line per row, as `json.dumps(row, sort_keys=True)` writes it,
+    for a list of dicts of scalars, in one call to json's C encoder. A
+    NaN or infinite float raises ValueError."""
+    if not _dicts_of_scalars(rows):
+        raise TypeError("json_lines takes a list of dicts of scalars")
+    if not rows:
+        return ""
+    return "{" + _rows(rows, "\n", "}\n{").replace(",\n", ", ") + "}\n"
+
+
+def _dicts_of_scalars(value) -> bool:
+    """Whether every member of the list `value` is a dict that holds no
+    container."""
+    return all(issubclass(kind, dict) for kind in set(map(type, value))) \
+        and not _holds_containers(chain.from_iterable(map(dict.values,
+                                                          value)))
+
+
+def _holds_containers(members) -> bool:
+    return any(issubclass(kind, (dict, list, tuple))
+               for kind in set(map(type, members)))
+
+
+def _encode(value, newline: str) -> str:
+    """`value` in one C encoder call, keys sorted, each item separator
+    followed by `newline`."""
+    return json.dumps(value, sort_keys=True, allow_nan=False,
+                      separators=("," + newline, ": "))
+
+
+def _rows(rows, newline: str, seam: str) -> str:
+    """The dicts of scalars `rows` encoded with `newline` after each
+    item separator, from inside the first row's opening brace to
+    inside the last row's closing one, with `seam` between rows.
+
+    A JSON string never holds a raw newline, and only a row's closing
+    brace can come right before an item separator, so every "}," +
+    `newline` + "{" is a seam between rows.
+    """
+    return _encode(rows, newline)[2:-2].replace("}," + newline + "{", seam)
+
+
+def _indented(value, newline: str) -> str:
+    """`value` as `json.dumps(indent=2, ...)` writes it after `newline`,
+    the line break and indentation before it."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value, allow_nan=False)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not _holds_containers(value.values()):
+            return "{" + inner + _encode(value, inner)[1:-1] + newline + "}"
+        # Each key as json writes one: a number, bool or None as a str.
+        members = (json.dumps({key: 0}, allow_nan=False)[1:-4] + ": "
+                   + _indented(member, inner)
+                   for key, member in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
+    if not _holds_containers(value):
+        return "[" + inner + _encode(value, inner)[1:-1] + newline + "]"
+    if all(value) and _dicts_of_scalars(value):
+        row = inner + "  "
+        return ("[" + inner + "{" + row
+                + _rows(value, row, inner + "}," + inner + "{" + row)
+                + inner + "}" + newline + "]")
+    return ("[" + inner
+            + ("," + inner).join(_indented(item, inner) for item in value)
+            + newline + "]")
 
 
 def lines_text(lines: Iterable[str]) -> str:

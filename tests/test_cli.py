@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from crisumm import corpus
 from crisumm.cli import build_parser, main
 from crisumm.disaster_sim import CategoryProfile, dis_sim
 from crisumm.embeddings import EmbeddingTable, load_word2vec_text
@@ -16,6 +17,7 @@ from crisumm.pipeline import (CHECKS, DEFAULTS, PipelineStageError,
 from crisumm.selector import SELECTOR_KINDS, summarize
 from crisumm.textfile import InputError, OptionError
 
+import oracles
 from conftest import options
 from oracles import save_word2vec_text
 
@@ -249,6 +251,35 @@ class TestCategorize:
         stats = json.loads(stats_path.read_text(encoding="utf-8"))
         assert stats["classified"] == 60
         assert stats["fraction_seed"] == pytest.approx(60 / 70)
+
+    def test_tied_categories_go_to_the_smaller_id(
+            self, tmp_path, capsys, data_dir, seed_ontology, stopwords,
+            lexicon):
+        # Two early-warning words and two infrastructure-damage words,
+        # in either order; no fixture or bench tweet ties.
+        tweets = tmp_path / "tied.jsonl"
+        tweets.write_text("".join(json.dumps(record) + "\n" for record in (
+            {"id": "tied", "disaster_type": "natural", "continent": "asia"},
+            {"id": "t1", "text": "Bridge collapsed as sirens sound warning"},
+            {"id": "t2", "text": "Warning sirens then the bridge collapsed"},
+        )), encoding="utf-8")
+        partition_path = tmp_path / "partition.jsonl"
+        code, _, _ = run(capsys, "categorize", "--dataset", str(tweets),
+                         "--ontology", str(data_dir / "ontology.json"),
+                         "--partition-out", str(partition_path),
+                         "--stats-out", str(tmp_path / "stats.json"))
+        assert code == 0
+        rows = [json.loads(line) for line in
+                partition_path.read_text(encoding="utf-8").splitlines()]
+        dataset = corpus.load_tweets(tweets, stopwords, lexicon)
+        for row, tweet in zip(rows, dataset.tweets, strict=True):
+            overlaps = {c.id: oracles.sem_sim(tweet, c, False)
+                        for c in seed_ontology.categories}
+            assert overlaps["infrastructure_damage"] == 2
+            assert (row["category_id"], row["score"]) == \
+                ("early_warning", 2)
+            assert (row["category_id"], row["score"], row["matched_by"]) \
+                == oracles.classify(tweet, seed_ontology, False)
 
 
 class TestMergesFlag:

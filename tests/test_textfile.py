@@ -1,8 +1,15 @@
+import json
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crisumm import textfile
-from crisumm.textfile import (InputError, content_lines, json_text,
-                              read_json, read_text)
+from crisumm.textfile import (InputError, content_lines, json_lines,
+                              json_text, read_json, read_text)
+
+GOLDEN_REPORT = Path(__file__).resolve().parent / "golden" / \
+    "pipeline-report.json"
 
 
 class TestInputError:
@@ -84,9 +91,96 @@ class TestByteOrderMark:
             read_text(path)
 
 
+def indented(value) -> str:
+    """The text `json_text` must give: that of json's own indent=2
+    encoder, which is pure Python."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# Pieces that could fool a search for the seams between encoded rows.
+strings = st.lists(st.sampled_from(
+    ["", "a", "},", "{", "}", "]", "[", ",", "\n", '"', "\\", ": ",
+     "},\n  {", "é", "火", "\U0001F30A", "\ud800"]) | st.text(max_size=3),
+    max_size=4).map("".join)
+scalars = (strings | st.booleans() | st.none()
+           | st.integers() | st.sampled_from([2**63, -2**63 - 1, 2**70])
+           | st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 0.1, -1.5e300])
+           | st.floats(allow_nan=False, allow_infinity=False))
+flat_rows = st.dictionaries(strings, scalars, max_size=4)
+# Lists of flat rows are the first base case, as the reports are made
+# of them; over the 300 draws they take the one-call row path 84 times.
+json_values = st.recursive(
+    st.lists(flat_rows, max_size=5) | scalars
+    | st.dictionaries(strings, scalars | st.just([]) | st.just({}),
+                      max_size=3),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(strings, children, max_size=4)
+                      | st.tuples(children, children)),
+    max_leaves=20)
+
+
+def non_finite_in(shape: str, x: float):
+    return {
+        "top": x,
+        "flat_list": [1, x],
+        "flat_dict": {"a": x},
+        "row": [{"a": 1}, {"b": "c", "d": x}],
+        "nested_row": {"rows": [{"a": 1, "b": x}], "n": 2},
+        "key": {x: [1]},
+        "deep": {"a": {"b": [1, {"c": [x]}]}},
+    }[shape]
+
+
 class TestJsonText:
+    @settings(max_examples=300)
+    @given(json_values)
+    def test_same_text_as_the_indenting_encoder(self, value):
+        assert json_text(value) == indented(value)
+
     @pytest.mark.parametrize("value", [float("inf"), -float("inf"),
                                        float("nan")])
     def test_non_finite_float_rejected(self, value):
         with pytest.raises(ValueError, match="not JSON compliant"):
             json_text({"model": {"predictive_variance": {"a": value}}})
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"),
+                                       float("nan")])
+    @pytest.mark.parametrize("shape", ["top", "flat_list", "flat_dict",
+                                       "row", "nested_row", "key", "deep"])
+    def test_non_finite_float_rejected_anywhere(self, value, shape):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json_text(non_finite_in(shape, value))
+
+    def test_a_report_never_reaches_the_pure_python_encoder(
+            self, monkeypatch):
+        report = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))
+        rows = report["target_assignments"]
+        report["target_assignments"] = [
+            {**row, "tweet_id": f"{row['tweet_id']}-{i}"}
+            for i in range(10_000 // len(rows) + 1) for row in rows
+        ][:10_000]
+        want = indented(report)
+
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was called")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode",
+                            pure_python_encoder)
+        assert json_text(report) == want
+
+
+class TestJsonLines:
+    @given(st.lists(flat_rows, max_size=5))
+    def test_each_row_as_json_dumps_writes_it(self, rows):
+        assert json_lines(rows) == "".join(
+            json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("rows", [[{"a": [1]}], [{"a": 1}, [2]],
+                                      [{"a": {"b": 1}}]])
+    def test_rows_holding_containers_rejected(self, rows):
+        with pytest.raises(TypeError, match="dicts of scalars"):
+            json_lines(rows)
+
+    def test_non_finite_float_rejected(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json_lines([{"a": 1}, {"b": float("nan")}])
