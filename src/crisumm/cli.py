@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import ontology as onto
@@ -270,6 +271,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand with the cyclic garbage collector paused.
+
+    A command makes no reference cycles, so a collection during it
+    would only scan again the tweets and tables it has loaded. The
+    caller's collector state comes back however the command ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     # A key the subcommand has no flag for is checked at its default.
     options = argparse.Namespace(**{**DEFAULTS, **vars(args)})

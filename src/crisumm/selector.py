@@ -91,7 +91,9 @@ def sim1(tweet: Tweet, vocab: Iterable[str], emb: EmbeddingTable,
     """
     if memo is None:
         memo = keyword_relevance(tweet.keywords, vocab, emb)
-    total = math.fsum(memo[w] for w in sorted(tweet.keywords))
+    # fsum is correctly rounded, so the order of the terms cannot change
+    # a bit of the total.
+    total = math.fsum(map(memo.__getitem__, tweet.keywords))
     if mode == "mean":
         return total / len(tweet.keywords) if tweet.keywords else 0.0
     if mode != "sum":

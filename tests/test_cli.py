@@ -1,13 +1,14 @@
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from crisumm import corpus
+from crisumm import cli, corpus
 from crisumm.cli import build_parser, main
 from crisumm.disaster_sim import CategoryProfile, dis_sim
 from crisumm.embeddings import EmbeddingTable, load_word2vec_text
@@ -1497,3 +1498,84 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["categorize"])
         assert excinfo.value.code == 2
+
+
+@pytest.fixture(params=[True, False], ids=["caller-enabled",
+                                           "caller-disabled"])
+def collector(request):
+    """The cyclic collector on or off as the caller left it; the test's
+    own state is restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector while its command runs, and
+    leaves it as it found it however the command ends."""
+
+    @pytest.fixture
+    def during(self, monkeypatch):
+        """Whether the collector was on while the evaluate command ran."""
+        seen = []
+        command = cli._cmd_evaluate
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return command(args)
+        monkeypatch.setattr(cli, "_cmd_evaluate", spy)
+        return seen
+
+    def test_exit_zero(self, capsys, data_dir, collector, during):
+        reference = str(data_dir / "reference.txt")
+        code, _, _ = run(capsys, "evaluate", "--candidate", reference,
+                         "--reference", reference)
+        assert (code, during) == (0, [False])
+        assert gc.isenabled() is collector
+
+    def test_exit_one_on_a_bad_input_file(self, capsys, tmp_path, data_dir,
+                                          collector, during):
+        code, _, err = run(capsys, "evaluate",
+                           "--candidate", str(tmp_path / "missing.txt"),
+                           "--reference", str(data_dir / "reference.txt"))
+        assert (code, during) == (1, [False])
+        assert err.startswith("error: ")
+        assert gc.isenabled() is collector
+
+    def test_exit_one_on_a_bad_option(self, capsys, collector):
+        argv, flag, value, _ = BAD_FLAGS[0]
+        code, _, _ = run(capsys, *argv, "--ontology", "missing/o.json",
+                         flag, value)
+        assert code == 1
+        assert gc.isenabled() is collector
+
+    def test_usage_error(self, collector):
+        with pytest.raises(SystemExit):
+            main(["categorize"])
+        assert gc.isenabled() is collector
+
+    def test_raised_exception(self, monkeypatch, data_dir, collector):
+        def crash(args):
+            raise RuntimeError("crash")
+        monkeypatch.setattr(cli, "_cmd_evaluate", crash)
+        reference = str(data_dir / "reference.txt")
+        with pytest.raises(RuntimeError):
+            main(["evaluate", "--candidate", reference,
+                  "--reference", reference])
+        assert gc.isenabled() is collector
+
+
+def test_pipeline_makes_no_reference_cycles(data_dir, tmp_path):
+    # What the pause rests on: with the collector off, a run leaves no
+    # cyclic garbage behind for it to find.
+    cfg = load_config(data_dir / "pipeline.cfg", out_dir=tmp_path)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run_pipeline(cfg)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -4,6 +4,7 @@ import json
 import re
 from collections import Counter
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -372,42 +373,55 @@ tweet_records = st.fixed_dictionaries(
     optional={"gold_category": st.sampled_from(["c1", "c2"])})
 # Plain records, with ids drawn so that some repeat, each written with
 # or without \u escapes.
-tweet_lines = st.lists(
-    st.builds(lambda r, ascii: json.dumps(r, ensure_ascii=ascii),
-              tweet_records, st.booleans()), max_size=6)
+tweet_line = st.builds(lambda r, ascii: json.dumps(r, ensure_ascii=ascii),
+                       tweet_records, st.booleans())
+tweet_lines = st.lists(tweet_line, max_size=6)
+# Lines per chunk in load_tweets: a few, so that a file spans chunks,
+# and the default.
+chunk_sizes = st.sampled_from([1, 2, 3, corpus.CHUNK_LINES])
+
+
+def load_outcomes(path, stopwords, lexicon):
+    """What load_tweets and the line-at-a-time loader give for `path`:
+    a dataset or an error string each."""
+    outcomes = []
+    for load in (load_tweets, oracles.load_tweets):
+        try:
+            outcomes.append(load(path, stopwords, lexicon))
+        except InputError as exc:
+            outcomes.append(str(exc))
+    return outcomes
 
 
 class TestLoadTweetsOracle:
-    """load_tweets, with its one decode per line and its piece memo,
+    """load_tweets, with its chunked rule passes and its piece memo,
     gives the line-at-a-time loader's dataset, or its error string."""
 
     @pytest.fixture(scope="class")
     def tweets_file(self, tmp_path_factory):
         return tmp_path_factory.mktemp("oracle") / "tweets.jsonl"
 
-    def _assert_same(self, path, lines, stopwords, lexicon):
+    def _assert_same(self, path, lines, stopwords, lexicon,
+                     chunk=corpus.CHUNK_LINES):
         path.write_text("".join(line + "\n" for line in lines),
                         encoding="utf-8")
-        outcomes = []
-        for load in (load_tweets, oracles.load_tweets):
-            try:
-                outcomes.append(load(path, stopwords, lexicon))
-            except InputError as exc:
-                outcomes.append(str(exc))
+        with mock.patch.object(corpus, "CHUNK_LINES", chunk):
+            outcomes = load_outcomes(path, stopwords, lexicon)
         assert outcomes[0] == outcomes[1]
 
-    @given(lines=tweet_lines)
+    @given(lines=tweet_lines, chunk=chunk_sizes)
     def test_same_dataset_or_error(self, tweets_file, stopwords, lexicon,
-                                   lines):
-        self._assert_same(tweets_file, [HEADER, *lines], stopwords, lexicon)
+                                   lines, chunk):
+        self._assert_same(tweets_file, [HEADER, *lines], stopwords, lexicon,
+                          chunk)
 
     @pytest.mark.parametrize("odd", ODD_LINES)
     @settings(max_examples=20)
-    @given(lines=tweet_lines, at=st.integers(0, 6))
+    @given(lines=tweet_lines, at=st.integers(0, 6), chunk=chunk_sizes)
     def test_odd_line_among_plain_ones(self, tweets_file, stopwords, lexicon,
-                                       odd, lines, at):
+                                       odd, lines, at, chunk):
         self._assert_same(tweets_file, [HEADER, *lines[:at], odd, *lines[at:]],
-                          stopwords, lexicon)
+                          stopwords, lexicon, chunk)
 
     @pytest.mark.parametrize("header", [
         "{bad", "[]", '{"id": "d", "disaster_type": "natural"}',
@@ -418,6 +432,110 @@ class TestLoadTweetsOracle:
                                header):
         self._assert_same(tweets_file, [header, ODD_LINES[0]], stopwords,
                           lexicon)
+
+
+class TestLoadTweetsChunks:
+    """load_tweets with chunks of 1, 2 and 3 lines, so that faults,
+    repeated ids and gold categories fall in one chunk or across
+    chunks, gives the line-at-a-time loader's dataset or error, and
+    the error the rules' order sets."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def chunk_lines(self, request, monkeypatch):
+        monkeypatch.setattr(corpus, "CHUNK_LINES", request.param)
+
+    def _load(self, path, lines, stopwords, lexicon):
+        path.write_text("".join(line + "\n" for line in lines),
+                        encoding="utf-8")
+        outcome, expected = load_outcomes(path, stopwords, lexicon)
+        assert outcome == expected
+        return outcome
+
+    @pytest.mark.parametrize("first, second", [
+        ('{"id": 3, "text": "x"}', "{bad"),
+        ("{bad", '{"id": 3, "text": "x"}'),
+        ('{"id": "t1", "text": "x"}', '{"id": "t2"}'),
+        ('{"id": "t2", "text": "x", "gold_category": 5}', "[1]"),
+        (r'{"id": "t2", "text": "a\ud800"}', '{"id": " ", "text": "x"}'),
+    ])
+    @pytest.mark.parametrize("gap", [0, 1, 2])
+    def test_the_earlier_of_two_faulty_lines_wins(
+            self, tmp_path, stopwords, lexicon, chunk_lines, first, second,
+            gap):
+        plain = ['{"id": "t1", "text": "flood"}'] + [
+            f'{{"id": "p{i}", "text": "rescue"}}' for i in range(gap)]
+        error = self._load(tmp_path / "tweets.jsonl",
+                           [HEADER, plain[0], first, *plain[1:], second],
+                           stopwords, lexicon)
+        assert error.startswith("tweets.jsonl:3: ")
+
+    @pytest.mark.parametrize("line, message", [
+        (r'{"id": 3, "text": "a\ud800"}', "tweet id is not a string"),
+        ('{"id": " ", "text": null}', "tweet id is empty or only whitespace"),
+        (r'{"id": "t\ud800", "text": 5}', "tweet id holds a lone surrogate"),
+        (r'{"id": "t2", "text": "x\ud800", "gold_category": 5}',
+         "tweet text holds a lone surrogate"),
+        ('{"id": "t1", "text": "x", "gold_category": 5}',
+         "tweet gold_category is not a string"),
+        (r'{"id": "t1", "text": "x", "gold_category": "\udfff"}',
+         "tweet gold_category holds a lone surrogate"),
+        ('{"id": [], "text": "x"} x', "invalid JSON (Extra data)"),
+        ('[{"id": "t1"}]', "expected a JSON object"),
+        ('{"text": 5}', "tweet record missing ['id']"),
+    ])
+    def test_on_one_line_the_earlier_rule_wins(
+            self, tmp_path, stopwords, lexicon, chunk_lines, line, message):
+        error = self._load(tmp_path / "tweets.jsonl",
+                           [HEADER, '{"id": "t1", "text": "flood"}', line],
+                           stopwords, lexicon)
+        assert error == f"tweets.jsonl:3: {message}"
+
+    def test_an_id_first_used_in_an_earlier_chunk_repeats(
+            self, tmp_path, stopwords, lexicon, chunk_lines):
+        lines = [HEADER, *(f'{{"id": "t{i}", "text": "flood"}}'
+                           for i in range(1, 5)),
+                 '{"id": "t2", "text": "rescue"}']
+        error = self._load(tmp_path / "tweets.jsonl", lines, stopwords,
+                           lexicon)
+        assert error == "tweets.jsonl:6: duplicate tweet id 't2'"
+
+    @pytest.mark.parametrize("after", [1, 2, 3, 4])
+    def test_a_json_fault_is_named_before_a_later_undecodable_byte(
+            self, tmp_path, stopwords, lexicon, chunk_lines, after):
+        # The text reader decodes the file in blocks of a few kB, and
+        # raises at the first block holding the bad byte. Each line after
+        # the fault is long, so the bad byte, at the end of line
+        # 2 + `after`, lies in a block after the one that ends line 2:
+        # in line 2's chunk or in a later one, by the chunk size.
+        long_text = "flood " * 4000
+        lines = [HEADER.encode(), b"{bad"] + [
+            f'{{"id": "t{i}", "text": "{long_text}"}}'.encode()
+            for i in range(1, after)] + [
+            b'{"id": "tx", "text": "' + long_text.encode() + b'\xff"}']
+        path = tmp_path / "tweets.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        outcome, expected = load_outcomes(path, stopwords, lexicon)
+        assert outcome == expected == (
+            "tweets.jsonl:2: invalid JSON (Expecting property name "
+            "enclosed in double quotes)")
+        # Without the fault, the bad byte is what the load reports.
+        lines[1] = b'{"id": "t0", "text": "flood"}'
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        outcome, expected = load_outcomes(path, stopwords, lexicon)
+        assert outcome == expected == \
+            f"tweets.jsonl:{2 + after}: not valid UTF-8"
+
+    def test_gold_categories_across_chunks(self, tmp_path, stopwords,
+                                           lexicon, chunk_lines):
+        gold = {2: "c1", 3: "c2", 4: "c1", 6: "c2", 7: "c2"}
+        lines = [HEADER] + [
+            json.dumps({"id": f"t{i}", "text": "flood rescue",
+                        **({"gold_category": gold[i]} if i in gold else {})})
+            for i in range(1, 8)]
+        dataset = self._load(tmp_path / "tweets.jsonl", lines, stopwords,
+                             lexicon)
+        assert dataset.gold_summary == tuple(
+            (f"t{i}", category) for i, category in gold.items())
 
 
 class TestPieceMemo:

@@ -126,6 +126,33 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+@given(st.data())
+def test_sim1_bits_do_not_depend_on_keyword_order(data):
+    # Each keyword's contribution is the oracle's, so only the order in
+    # which sim1 adds them could set its total apart from the oracle's.
+    words = [f"w{i}" for i in range(12)]
+    vocab_words = [f"v{i}" for i in range(4)]
+    emb = data.draw(embeddings(vocab_words + words))
+    vocab = data.draw(st.frozensets(st.sampled_from(vocab_words),
+                                    min_size=1))
+    keywords = data.draw(st.lists(st.sampled_from([*words, "oov"]),
+                                  unique=True, max_size=10))
+    mode = data.draw(st.sampled_from(["sum", "mean"]))
+    memo = {w: oracles.sim1(make_tweet("w", {w}), vocab, emb)
+            for w in keywords}
+    expected = _bits([oracles.sim1(make_tweet("t", keywords), vocab, emb,
+                                   mode)])
+    # A set that held more words and lost them keeps a larger table, so
+    # it iterates in an order of its own.
+    padding = [f"p{i}" for i in range(40)]
+    shrunk = set(keywords + padding)
+    shrunk.difference_update(padding)
+    for built in (frozenset(keywords), frozenset(reversed(keywords)),
+                  shrunk):
+        tweet = make_tweet("t", ())._replace(keywords=built)
+        assert _bits([sel.sim1(tweet, vocab, emb, mode, memo)]) == expected
+
+
 @given(instances(factors=EXTREME))
 def test_each_sim1_contribution_is_the_best_per_pair_cosine(instance):
     tweets, _, vocab, _, _, emb, _ = instance
