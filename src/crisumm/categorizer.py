@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .corpus import DisasterDataset, Tweet
+from .corpus import DatasetHeader, DisasterDataset, Tweet
+from .disaster_sim import CategoryProfile
 from .ontology import Ontology
 
 
@@ -54,6 +55,24 @@ class ClassificationResult:
     assignments: tuple[dict, ...]
     partition: dict[str, tuple[Tweet, ...]]
     stats: CorpusStats
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """The classified tweets per category, in partition order."""
+        return {cid: len(cell) for cid, cell in self.partition.items()}
+
+
+@dataclass(frozen=True)
+class ProfiledDataset:
+    """A classification result reduced to what the similarity and
+    importance stages read of it, without a tweet: the dataset's header,
+    its coverage, its `counts` and its profile, which is None when no
+    tweet was classified."""
+
+    dataset: DatasetHeader
+    stats: CorpusStats
+    counts: dict[str, int]
+    profile: CategoryProfile | None
 
 
 def classify(tweet: Tweet, ontology: Ontology, use_extended: bool) -> dict:

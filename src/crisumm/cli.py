@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 
@@ -12,8 +13,8 @@ from .importance import REGRESSION_KINDS, ImportanceVector, category_shares
 from .pipeline import (CHECKS, DEFAULTS, KINDS, PipelineStageError,
                        categorize, coverage, evaluate, extend_vocab,
                        load_config, load_resources, load_stopword_list,
-                       predict_slots, run_pipeline, select,
-                       similarity_matrix, weight_categories)
+                       predict_slots, profile_datasets, run_pipeline,
+                       select, similarity_matrix, weight_categories)
 # Bound here only so that bench/spans.py can wrap them in this module.
 from . import corpus  # noqa: F401
 from .embeddings import load_word2vec_text  # noqa: F401
@@ -65,8 +66,9 @@ def _add_option(parser: argparse.ArgumentParser, key: str,
 
 
 def _categorize(args, *paths):
-    """The ontology of `args`, and the classification result of each
-    tweets file in `paths`; two files may share a dataset id."""
+    """The ontology of `args`, and an iterator over the classification
+    result of each tweets file in `paths`; two files may share a
+    dataset id."""
     resources = load_resources(args)
     return resources[2], categorize(list(paths), *resources, args,
                                     distinct_ids=False)
@@ -94,8 +96,8 @@ def _cmd_categorize(args) -> int:
 
 
 def _cmd_similarity(args) -> int:
-    matrix = similarity_matrix(
-        categorize(args.datasets, *load_resources(args), args), args)
+    matrix = similarity_matrix(profile_datasets(
+        categorize(args.datasets, *load_resources(args), args), args), args)
     rows = [["dataset", *matrix, "most_similar"]]
     for x, row in matrix.items():
         cells = [f"{row[y]['dis_sim']:.6f}" if y != x else ""
@@ -181,7 +183,12 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: each
+    build costs milliseconds and leaves its objects for the cyclic
+    collector, which `main` pauses. A subcommand runs the `_cmd_`
+    function of its name."""
     parser = argparse.ArgumentParser(
         prog="crisumm",
         description="Ontology-guided extractive summarization of "
@@ -200,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--approvals", help="approved (category_id,word) CSV")
     p.add_argument("--ontology-out",
                    help="where to write the extended ontology JSON")
-    p.set_defaults(func=_cmd_extend_vocab)
 
     p = sub.add_parser("categorize", help="assign tweets to categories")
     _add_resource_args(p)
@@ -208,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option(p, "use_extended", help="match against seed vocabulary only")
     p.add_argument("--partition-out", default="-")
     p.add_argument("--stats-out", default="-")
-    p.set_defaults(func=_cmd_categorize)
 
     p = sub.add_parser("similarity",
                        help="pairwise disaster similarity matrix")
@@ -217,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     for key in ("use_extended", "top_k", "w1", "w2"):
         _add_option(p, key)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_similarity)
 
     p = sub.add_parser("importance",
                        help="predict per-category summary slots")
@@ -231,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     for key in ("ridge_alpha", "prior_precision", "noise_precision"):
         _add_option(p, key)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_importance)
 
     p = sub.add_parser("summarize", help="select the summary tweets")
     _add_resource_args(p)
@@ -251,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "selected from the same category")
     p.add_argument("--out-json", default="-")
     p.add_argument("--out-text", default="-")
-    p.set_defaults(func=_cmd_summarize)
 
     p = sub.add_parser("evaluate", help="ROUGE-1/2/L scores")
     p.add_argument("--candidate", required=True,
@@ -260,12 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference summary, one tweet per line")
     p.add_argument("--stopwords")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="run every phase end to end")
     p.add_argument("--config", required=True, help="key = value config file")
     p.add_argument("--out-dir", help="override the config's out_dir")
-    p.set_defaults(func=_cmd_pipeline)
 
     return parser
 
@@ -296,8 +296,10 @@ def _run(argv: list[str] | None) -> int:
     except OptionError as exc:
         print(f"error: {args.flags[exc.key]}: {exc}", file=sys.stderr)
         return 1
+    # Looked up on each call, not bound into the parser built once.
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (PipelineStageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

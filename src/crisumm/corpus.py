@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import accumulate, compress, count, islice, repeat, starmap
-from operator import contains, eq, is_not, itemgetter, ne
+from operator import attrgetter, contains, eq, is_not, itemgetter, ne
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,6 +59,23 @@ class Tweet(NamedTuple):
 
 
 @dataclass(frozen=True)
+class DatasetHeader:
+    """A disaster dataset without its tweets: what the stages after
+    categorization read of a candidate (see `DisasterDataset`)."""
+
+    id: str
+    disaster_type: str
+    continent: str
+    gold_summary: tuple[tuple[str, str], ...] | None = None
+    path: Path | None = None
+
+    def error(self, message: str) -> ValueError:
+        """An error in this dataset's content, naming its file if any."""
+        return InputError(self.path, message) if self.path \
+            else ValueError(f"dataset {self.id!r}: {message}")
+
+
+@dataclass(frozen=True)
 class DisasterDataset:
     """A tweet collection for one disaster event.
 
@@ -80,22 +97,26 @@ class DisasterDataset:
                 f"disaster_type must be one of {sorted(DISASTER_TYPES)}, "
                 f"got {self.disaster_type!r}"
             )
-        seen: set[str] = set()
-        for t in self.tweets:
-            if t.id in seen:
-                raise ValueError(f"duplicate tweet id {t.id!r}")
-            seen.add(t.id)
+        ids = set(map(attrgetter("id"), self.tweets))
+        if len(ids) < len(self.tweets):
+            seen: set[str] = set()
+            for t in self.tweets:
+                if t.id in seen:
+                    raise ValueError(f"duplicate tweet id {t.id!r}")
+                seen.add(t.id)
         if self.gold_summary is not None:
             for tweet_id, _ in self.gold_summary:
-                if tweet_id not in seen:
+                if tweet_id not in ids:
                     raise ValueError(
                         f"gold summary references unknown tweet id {tweet_id!r}"
                     )
 
-    def error(self, message: str) -> ValueError:
-        """An error in this dataset's content, naming its file if any."""
-        return InputError(self.path, message) if self.path \
-            else ValueError(f"dataset {self.id!r}: {message}")
+    def header(self) -> DatasetHeader:
+        """This dataset without its tweets."""
+        return DatasetHeader(self.id, self.disaster_type, self.continent,
+                             self.gold_summary, self.path)
+
+    error = DatasetHeader.error
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
 
-from .corpus import DisasterDataset, Tweet
+from .corpus import DatasetHeader, DisasterDataset, Tweet
 from .textfile import OptionError
 
 
@@ -129,16 +129,17 @@ def dis_sim(px: CategoryProfile, py: CategoryProfile,
     return {"dis_sim": combined, "cat_ic": ic, "cat_p": p}
 
 
-def most_similar(target: DisasterDataset,
-                 candidates: Sequence[DisasterDataset],
+def most_similar(target: DisasterDataset | DatasetHeader,
+                 candidates: Sequence[DisasterDataset | DatasetHeader],
                  scores: Mapping[str, Mapping[str, float]],
                  homogeneous_only: bool = False) -> str:
     """Pick the candidate whose `scores[id]["dis_sim"]` is highest.
 
-    `scores` is the target's row of the similarity matrix. With
-    `homogeneous_only`, only candidates sharing the target's disaster
-    type and continent are considered. Ties go to the smallest
-    candidate id.
+    The datasets may be whole or their headers: only ids, types and
+    continents are read. `scores` is the target's row of the similarity
+    matrix. With `homogeneous_only`, only candidates sharing the
+    target's disaster type and continent are considered. Ties go to the
+    smallest candidate id.
     """
     if not candidates:
         raise ValueError("no candidate datasets given")

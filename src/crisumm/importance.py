@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .categorizer import ClassificationResult
+from .categorizer import ClassificationResult, ProfiledDataset
 from .textfile import OptionError
 
 REGRESSION_KINDS = ("linear", "ridge", "bayesian", "equal")
@@ -34,22 +34,23 @@ class ImportanceVector:
             raise ValueError("importance counts must be nonnegative")
 
 
-def category_shares(result: ClassificationResult,
+def category_shares(result: ClassificationResult | ProfiledDataset,
                     category_ids: Sequence[str]) -> tuple[dict, dict]:
     """(share of the classified tweets, tweet count) per category; the
     share is the regression feature of training and prediction alike."""
-    available = {cid: len(result.partition.get(cid, ()))
-                 for cid in category_ids}
+    counts = result.counts
+    available = {cid: counts.get(cid, 0) for cid in category_ids}
     total = sum(available.values())
     if total == 0:
         raise result.dataset.error("no classified tweets")
     return {cid: n / total for cid, n in available.items()}, available
 
 
-def build_training_pairs(result: ClassificationResult,
+def build_training_pairs(result: ClassificationResult | ProfiledDataset,
                          category_ids: Sequence[str],
                          ) -> list[tuple[float, float]]:
-    """One (category share, gold count) pair per ontology category.
+    """One (category share, gold count) pair per ontology category, from
+    a classified dataset or its reduction.
 
     The target is how many gold-summary tweets carry that category
     label.

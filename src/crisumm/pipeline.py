@@ -4,21 +4,29 @@ Every stage's intermediate artifacts and the fully materialized
 configuration are embedded in a single JSON report, so a run can be
 reproduced from its report alone. Identical inputs produce
 byte-identical reports. Each stage is one function below: `run_pipeline`
-chains them, and each CLI subcommand wraps one. The summarize stage,
-`select`, loads the embedding table itself, with only the rows that
-selection can reach.
+chains them, and each CLI subcommand wraps one.
+
+Only the target's tweets are read after the similarity stage, so the
+candidate disasters are taken one at a time: `categorize` loads and
+classifies a file, `profile_datasets` reduces it to its header, counts
+and profile, and its tweets are freed before the next file is read. A
+run holds the target and one candidate's tweets, however many
+candidates it compares. The summarize stage, `select`, loads the
+embedding table itself, with only the rows that selection can reach.
 """
 
 from __future__ import annotations
 
 import shutil
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from . import corpus, ontology as onto, embeddings as emb_mod
-from .categorizer import ClassificationResult, CorpusStats, classify_corpus
-from .corpus import DisasterDataset
+from .categorizer import (ClassificationResult, CorpusStats,
+                          ProfiledDataset, classify_corpus)
 from .disaster_sim import (build_profile, check_top_k, check_weights,
                            dis_sim, most_similar)
 from .importance import (build_training_pairs, category_shares,
@@ -252,26 +260,57 @@ def extend_vocab(ontology: Ontology, docs: list, approvals, lexicon,
 
 
 def categorize(paths: list, stopwords, lexicon, ontology: Ontology, options,
-               enter=None, distinct_ids=True) -> list[ClassificationResult]:
-    """Load tweet files, rejecting two with one dataset id if
-    `distinct_ids`, and classify each against the ontology, with its
-    extended vocabulary if `options.use_extended`: one result per file,
-    in path order. `enter` is called with "categorize" once the files
-    are loaded. The files share one piece memo, so each distinct piece
-    is tokenized once."""
+               enter: Callable[[str], object] = lambda stage: None,
+               distinct_ids=True) -> Iterator[ClassificationResult]:
+    """Load each tweet file and classify it against the ontology, with
+    its extended vocabulary if `options.use_extended`: one result per
+    file, in path order, each yielded before the next file is read. The
+    files share one piece memo, so each distinct piece is tokenized once.
+
+    If `distinct_ids`, a file with the dataset id of an earlier one is
+    classified no more and fails once every file is loaded, so that a
+    fault in a later file is raised first. `enter` is called with
+    "load-datasets" before a file is read and with "categorize" before
+    it is classified.
+    """
     pieces = corpus.PieceKeywords(stopwords, lexicon)
-    datasets = [corpus.load_tweets(p, stopwords, lexicon, pieces=pieces)
-                for p in paths]
-    first: dict[str, DisasterDataset] = {}
-    for ds in datasets if distinct_ids else ():
-        earlier = first.setdefault(ds.id, ds)
-        if earlier is not ds:
-            raise ds.error(f"dataset id {ds.id!r} is also the id of "
-                           f"{earlier.path}")
-    if enter:
-        enter("categorize")
-    return [classify_corpus(ds, ontology, options.use_extended)
-            for ds in datasets]
+    first: dict[str, int] = {}
+    duplicate = None
+    for index, path in enumerate(paths):
+        enter("load-datasets")
+        dataset = corpus.load_tweets(path, stopwords, lexicon, pieces=pieces)
+        if distinct_ids and duplicate is None:
+            earlier = first.setdefault(dataset.id, index)
+            if earlier != index:
+                duplicate = dataset.error(f"dataset id {dataset.id!r} is "
+                                          f"also the id of "
+                                          f"{Path(paths[earlier])}")
+        if duplicate is None:
+            enter("categorize")
+            yield classify_corpus(dataset, ontology, options.use_extended)
+        # Free this file's tweets before the next file is read.
+        del dataset
+    if duplicate is not None:
+        raise duplicate
+
+
+def profile_datasets(results: Iterable[ClassificationResult],
+                     options) -> list[ProfiledDataset]:
+    """Reduce each classification result, as it comes, to what the
+    similarity and importance stages read of it: the dataset's header,
+    its coverage, its category counts and its `build_profile` profile of
+    `options.top_k` keywords a category, or None when no tweet was
+    classified (`similarity_matrix` rejects that). No result is held
+    past its reduction, so over `categorize`'s results a caller holds
+    one file's tweets at a time."""
+    def reduce(result: ClassificationResult) -> ProfiledDataset:
+        return ProfiledDataset(
+            result.dataset.header(), result.stats, result.counts,
+            build_profile(result.partition, k=options.top_k)
+            if result.stats.classified else None)
+    # Unlike a loop variable, `map` keeps no result while it asks for
+    # the next one.
+    return list(map(reduce, results))
 
 
 def coverage(stats: CorpusStats) -> dict:
@@ -281,17 +320,18 @@ def coverage(stats: CorpusStats) -> dict:
         "fraction_extended_gain")}
 
 
-def similarity_matrix(results: list[ClassificationResult], options):
-    """Profile each classified dataset and score every ordered pair of
-    distinct ids, each row in id order. `dis_sim` is symmetric to the
-    bit, so each unordered pair is scored once and its mirrored cell
-    gets a copy."""
-    for result in results:
-        if not result.stats.classified:
-            raise result.dataset.error("cannot profile an empty partition: "
-                                       "no classified tweets")
-    profiles = {r.dataset.id: build_profile(r.partition, k=options.top_k)
-                for r in results}
+def similarity_matrix(profiled: list[ProfiledDataset], options):
+    """Score every ordered pair of distinct ids among the profiled
+    datasets with the weights `options.w1` and `options.w2`, each row in
+    id order. The first dataset without a profile, none of whose tweets
+    was classified, fails here, naming its file. `dis_sim` is symmetric
+    to the bit, so each unordered pair is scored once and its mirrored
+    cell gets a copy."""
+    for p in profiled:
+        if p.profile is None:
+            raise p.dataset.error("cannot profile an empty partition: "
+                                  "no classified tweets")
+    profiles = {p.dataset.id: p.profile for p in profiled}
     ids = sorted(profiles)
     matrix: dict[str, dict[str, dict]] = {x: {} for x in ids}
     for i, x in enumerate(ids):
@@ -313,8 +353,10 @@ def predict_slots(model, target: ClassificationResult, category_ids, m: int):
 
 
 def weight_categories(target: ClassificationResult,
-                      training: ClassificationResult, category_ids, options):
-    """Fit on the training disaster; return (importance, report fragment)."""
+                      training: ClassificationResult | ProfiledDataset,
+                      category_ids, options):
+    """Fit on the training disaster, whole or profiled; return
+    (importance, report fragment)."""
     pairs = build_training_pairs(training, category_ids)
     fractions, _ = category_shares(target, category_ids)
     model = fit(pairs, options, at=fractions)
@@ -417,20 +459,20 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             ],
         }
 
-        stages.append("load-datasets")
         results = categorize([cfg.target, *cfg.candidates], stopwords,
                              lexicon, ontology, cfg, stages.append)
-        target, *others = results
+        target = next(results)
+        profiled = profile_datasets(chain([target], results), cfg)
         report["datasets"] = {
-            r.dataset.id: {**coverage(r.stats), "category_counts": {
-                cid: len(cell) for cid, cell in r.partition.items()}}
-            for r in results}
+            p.dataset.id: {**coverage(p.stats), "category_counts": p.counts}
+            for p in profiled}
         report["target_assignments"] = list(target.assignments)
 
         stages.append("similarity")
-        matrix = similarity_matrix(results, cfg)
+        matrix = similarity_matrix(profiled, cfg)
         scores = matrix[target.dataset.id]
-        chosen_id = most_similar(target.dataset, [r.dataset for r in others],
+        others = profiled[1:]
+        chosen_id = most_similar(target.dataset, [p.dataset for p in others],
                                  scores, cfg.homogeneous_only)
         report["similarity"] = {
             "matrix": {x: {y: score["dis_sim"] for y, score in row.items()}
@@ -440,7 +482,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         }
 
         stages.append("importance")
-        training = next(r for r in others if r.dataset.id == chosen_id)
+        training = next(p for p in others if p.dataset.id == chosen_id)
         importance, report["importance"] = weight_categories(
             target, training, ontology.category_ids(), cfg)
 

@@ -4,17 +4,20 @@ import dataclasses
 import gc
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from crisumm import cli, corpus
+from crisumm.categorizer import classify_corpus
 from crisumm.cli import build_parser, main
-from crisumm.disaster_sim import CategoryProfile, dis_sim
+from crisumm.disaster_sim import CategoryProfile, build_profile, dis_sim
 from crisumm.embeddings import EmbeddingTable, load_word2vec_text
 from crisumm.importance import ImportanceVector, fit
 from crisumm.pipeline import (CHECKS, DEFAULTS, PipelineStageError,
-                              load_config, run_pipeline)
+                              categorize, load_config, profile_datasets,
+                              run_pipeline)
 from crisumm.selector import SELECTOR_KINDS, summarize
 from crisumm.textfile import InputError, OptionError
 
@@ -103,6 +106,18 @@ def without_classified_tweets(tmp_path):
         '"continent": "asia"}\n'
         '{"id": "e1", "text": "nothing to see"}\n', encoding="utf-8")
     return path
+
+
+def malformed_candidate(data_dir, tmp_path):
+    """A copy of candidate_quake.jsonl, as bad.jsonl, whose line 3 is not
+    JSON: (the copy, its error message)."""
+    lines = (data_dir / "candidate_quake.jsonl").read_text(
+        "utf-8").splitlines()
+    lines[2] = "{"
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path, ("bad.jsonl:3: invalid JSON (Expecting property name "
+                  "enclosed in double quotes)")
 
 
 # (input file name, argv of a command that reads it) for each input.
@@ -373,6 +388,21 @@ class TestSimilarity:
         assert (code, out) == (1, "")
         assert err == ("error: blast_empty.jsonl: cannot profile an empty "
                        "partition: no classified tweets\n")
+
+    def test_later_malformed_file_wins_over_earlier_faults(
+            self, tmp_path, capsys, data_dir):
+        # Every file is loaded before a duplicate id or an empty
+        # partition is reported.
+        copy = tmp_path / "copy.jsonl"
+        shutil.copyfile(data_dir / "target.jsonl", copy)
+        bad, message = malformed_candidate(data_dir, tmp_path)
+        code, out, err = run(capsys, "similarity", "--datasets",
+                             str(data_dir / "target.jsonl"),
+                             str(without_classified_tweets(tmp_path)),
+                             str(copy), str(bad),
+                             "--ontology", str(data_dir / "ontology.json"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
 
 class TestExtendVocab:
@@ -855,7 +885,9 @@ class TestPipelineCommand:
         with pytest.raises(PipelineStageError) as excinfo:
             run_pipeline(cfg)
         assert excinfo.value.stage == "importance"
-        assert "gold" in str(excinfo.value)
+        assert str(excinfo.value.__cause__) == (
+            "nogold.jsonl: no gold summary (no tweet has a gold_category); "
+            "cannot build regression training pairs")
         quarantined = tmp_path / "run" / "quarantine" / "report.json"
         assert quarantined.exists()
         partial = json.loads(quarantined.read_text("utf-8"))
@@ -1174,6 +1206,39 @@ class TestPipelineCommand:
         assert err == ("error: stage 'load-datasets' failed: copy.jsonl: "
                        "dataset id 'flood_asia_2019' is also the id of "
                        f"{data_dir / 'target.jsonl'}\n")
+
+    def test_later_malformed_file_wins_over_a_duplicate_dataset_id(
+            self, tmp_path, capsys, data_dir):
+        copy = tmp_path / "copy.jsonl"
+        shutil.copyfile(data_dir / "target.jsonl", copy)
+        bad, message = malformed_candidate(data_dir, tmp_path)
+        cfg_path = config_copy(data_dir, tmp_path, candidates=", ".join(
+            [str(data_dir / "candidate_quake.jsonl"), str(copy), str(bad)]))
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                           "--out-dir", str(out_dir))
+        assert code == 1
+        assert err == f"error: stage 'load-datasets' failed: {message}\n"
+        partial = json.loads((out_dir / "quarantine" / "report.json")
+                             .read_text("utf-8"))
+        assert "ontology" in partial and "datasets" not in partial
+
+    def test_later_malformed_file_wins_over_an_empty_partition(
+            self, tmp_path, capsys, data_dir):
+        # The empty candidate is reported at stage 'similarity', which a
+        # fault in loading a later file never reaches.
+        bad, message = malformed_candidate(data_dir, tmp_path)
+        cfg_path = config_copy(data_dir, tmp_path, candidates=", ".join(
+            [str(without_classified_tweets(tmp_path)),
+             str(data_dir / "candidate_quake.jsonl"), str(bad)]))
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "pipeline", "--config", str(cfg_path),
+                           "--out-dir", str(out_dir))
+        assert code == 1
+        assert err == f"error: stage 'load-datasets' failed: {message}\n"
+        partial = json.loads((out_dir / "quarantine" / "report.json")
+                             .read_text("utf-8"))
+        assert "ontology" in partial and "datasets" not in partial
 
     def test_lone_surrogate_fails_before_any_output(self, tmp_path, capsys,
                                                     data_dir):
@@ -1566,6 +1631,36 @@ class TestCollectorPause:
         assert gc.isenabled() is collector
 
 
+class TestParserBuiltOnce:
+    def test_two_commands_build_one_parser(self, capsys, data_dir):
+        build_parser.cache_clear()
+        reference = str(data_dir / "reference.txt")
+        for _ in range(2):
+            code, _, _ = run(capsys, "evaluate", "--candidate", reference,
+                             "--reference", reference)
+            assert code == 0
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_repeated_command_leaves_no_cyclic_garbage(self, capsys,
+                                                       data_dir, tmp_path):
+        argv = ["summarize", "--dataset", str(data_dir / "target.jsonl"),
+                "--ontology", str(data_dir / "ontology.json"),
+                "--embeddings", str(data_dir / "embeddings.txt"),
+                "--out-json", str(tmp_path / "s.json"),
+                "--out-text", str(tmp_path / "s.txt")]
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                assert run(capsys, *argv)[0] == 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+
 def test_pipeline_makes_no_reference_cycles(data_dir, tmp_path):
     # What the pause rests on: with the collector off, a run leaves no
     # cyclic garbage behind for it to find.
@@ -1579,3 +1674,50 @@ def test_pipeline_makes_no_reference_cycles(data_dir, tmp_path):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_categorize_yields_a_file_before_reading_the_next(
+        data_dir, tmp_path, stopwords, lexicon, seed_ontology):
+    results = categorize([data_dir / "target.jsonl",
+                          tmp_path / "missing.jsonl"], stopwords, lexicon,
+                         seed_ontology, options(top_k=5))
+    [profiled] = profile_datasets([next(results)], options(top_k=5))
+    target = corpus.load_tweets(data_dir / "target.jsonl", stopwords,
+                                lexicon)
+    classified = classify_corpus(target, seed_ontology)
+    assert profiled.dataset == target.header()
+    assert (profiled.stats, profiled.counts) == (classified.stats,
+                                                 classified.counts)
+    assert profiled.profile == build_profile(classified.partition, k=5)
+    with pytest.raises(FileNotFoundError):
+        next(results)
+
+
+def test_pipeline_memory_does_not_grow_with_the_candidates(data_dir,
+                                                            tmp_path):
+    # A run holds the target and one candidate's tweets at a time: eight
+    # candidates of about 1,400 tweets each need little more memory at
+    # the peak than one.
+    header, *tweets = (data_dir / "candidate_quake.jsonl").read_text(
+        "utf-8").splitlines()
+    records = [json.loads(line) for line in tweets]
+    body = "".join(json.dumps({**record, "id": f"{record['id']}-{n}"}) + "\n"
+                   for n in range(40) for record in records)
+    paths = []
+    for i in range(8):
+        path = tmp_path / f"quake{i}.jsonl"
+        path.write_text(json.dumps({**json.loads(header), "id": f"quake{i}"})
+                        + "\n" + body, encoding="utf-8")
+        paths.append(path)
+    cfg = load_config(data_dir / "pipeline.cfg", out_dir=tmp_path / "run")
+    peaks = []
+    for candidates in (paths[:1], paths):
+        cfg.candidates = candidates
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one, eight = peaks
+    assert eight < 1.5 * one, peaks

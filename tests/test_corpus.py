@@ -667,6 +667,12 @@ class TestValueChecks:
         with pytest.raises(ValueError, match="duplicate tweet id 't1'"):
             self._dataset(ids=("t1", "t1"))
 
+    def test_first_repeat_is_named(self):
+        # t2 is first seen first, but t1 is the first to be seen again.
+        with pytest.raises(ValueError) as excinfo:
+            self._dataset(ids=("t2", "t1", "t1", "t2"))
+        assert str(excinfo.value) == "duplicate tweet id 't1'"
+
     def test_unknown_gold_tweet_rejected(self):
         with pytest.raises(ValueError, match="unknown tweet id 't9'"):
             self._dataset(gold=(("t9", "a"),))

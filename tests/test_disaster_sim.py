@@ -11,7 +11,7 @@ from crisumm.disaster_sim import (CategoryProfile, build_profile, cat_ic,
                                   cat_p, dis_sim, jensen_shannon_divergence,
                                   most_similar)
 from crisumm.ontology import Category, Ontology
-from crisumm.pipeline import similarity_matrix
+from crisumm.pipeline import profile_datasets, similarity_matrix
 
 from conftest import options
 from oracles import cosine_exact, jsd_base2, make_tweet
@@ -254,8 +254,8 @@ class TestSimilarityMatrix:
             return dis_sim(*args)
 
         monkeypatch.setattr(pipeline, "dis_sim", counted)
-        matrix = similarity_matrix(results, options(top_k=3, w1=0.3,
-                                                    w2=0.7))
+        opts = options(top_k=3, w1=0.3, w2=0.7)
+        matrix = similarity_matrix(profile_datasets(results, opts), opts)
         ids = sorted(r.dataset.id for r in results)
         assert len(calls) == len(ids) * (len(ids) - 1) // 2
         profiles = {r.dataset.id: build_profile(r.partition, k=3)
