@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
-from itertools import accumulate, compress, count, islice, repeat, starmap
-from operator import attrgetter, contains, eq, is_not, itemgetter, ne
+from itertools import compress, islice, repeat, starmap
+from operator import attrgetter, contains
 from pathlib import Path
 from typing import NamedTuple
 
-from .textfile import (NESTED_TOO_DEEPLY, InputError,
-                       content_lines)
+from .textfile import (LONE_SURROGATE, InputError, content_lines,
+                       json_faults)
 
 DISASTER_TYPES = frozenset({"natural", "man-made"})
 
@@ -232,91 +232,83 @@ def _chunks(lines: Iterator, size: int) -> Iterator[list]:
         yield chunk
 
 
-def _json_fault(line: str) -> str:
-    """How json.loads words its refusal of `line`, a line that is not
-    one JSON value."""
-    try:
-        json.loads(line)
-    except json.JSONDecodeError as exc:
-        return f"invalid JSON ({exc.msg})"
-    except RecursionError:
-        return NESTED_TOO_DEEPLY
-
-
-class _Chunk:
-    """Numbered JSONL lines, each decoded once, then checked rule by rule.
-
-    A rule is one pass over the lines before the earliest fault found
-    so far. So the fault reported is that of the earliest faulty line
-    and, on that line, of the rule checked first: the same as checking
-    each line in turn with every rule in order.
-    """
-
-    def __init__(self, path: Path, numbered: list[tuple[int, str]]):
-        self.path = path
-        self.numbers, self.lines = zip(*numbered)
-        decoded: list[tuple[object, int]] = []
+def _record(path: Path, lineno: int, line: str,
+            seen: set[str] | None = None) -> dict:
+    """The record on line `lineno`, `line`, of the tweet file `path`: the
+    header if `seen` is None, else a tweet, whose id joins `seen`. The
+    first rule the line breaks raises InputError: (1) it is one JSON
+    value, (2) an object, (3) with the required keys; (4) a header's
+    disaster_type is one of DISASTER_TYPES; (5) a header's id and
+    continent, and a tweet's id, text and any gold_category, are strings
+    with no lone surrogate, an id more than whitespace; (6) a tweet's id
+    is not in `seen`."""
+    fault = partial(InputError, path, line=lineno)
+    with json_faults(path, line, lineno):
         try:
-            # extend keeps the lines decoded before one that is not JSON.
-            decoded.extend(map(_scan, self.lines, repeat(0)))
-        except (ValueError, RecursionError):
-            pass
-        self.records, ends = zip(*decoded) if decoded else ((), ())
-        self.limit, self.message = len(self.lines), ""
-        json_fault = lambda at: _json_fault(self.lines[at])  # noqa: E731
-        self._fault(len(decoded), json_fault)
-        # A stripped line is one JSON value only if the value ends it.
-        self.check(map(ne, ends, map(len, self.lines)), json_fault)
-        self.check(map(is_not, map(type, self.records), repeat(dict)),
-                   lambda at: "expected a JSON object")
+            record, end = _scan(line, 0)
+        except StopIteration:
+            end = 0
+        if end < len(line):
+            json.loads(line)   # the same scanner: it refuses and says why
+    if type(record) is not dict:
+        raise fault("expected a JSON object")
+    header = seen is None
+    missing = ({"id", "disaster_type", "continent"} if header
+               else {"id", "text"}).difference(record)
+    if missing:
+        raise fault(f"{'header' if header else 'tweet record'} missing "
+                    f"{sorted(missing)}")
+    types = sorted(DISASTER_TYPES)   # a list: the value may be unhashable
+    if header and record["disaster_type"] not in types:
+        raise fault(f"disaster_type must be one of {types}")
+    kind = "header" if header else "tweet"
+    for key in ("id", "continent") if header else ("id", "text",
+                                                   "gold_category"):
+        value = record.get(key, "")
+        if type(value) is not str:
+            raise fault(f"{kind} {key} is not a string")
+        if LONE_SURROGATE.search(value):
+            raise fault(f"{kind} {key} holds a lone surrogate")
+        if key == "id" and not value.strip():
+            raise fault(f"{kind} id is empty or only whitespace")
+    if not header:
+        if record["id"] in seen:
+            raise fault(f"duplicate tweet id {record['id']!r}")
+        seen.add(record["id"])
+    return record
 
-    def _fault(self, at: int, message: Callable[[int], str]) -> None:
-        if at < self.limit:
-            self.limit, self.message = at, message(at)
 
-    def check(self, faults: Iterable,
-              message: Callable[[int], str]) -> None:
-        """A fault, worded by `message(line position)`, on the first line
-        before the limit whose item in `faults` is true."""
-        self._fault(next(compress(count(), islice(faults, self.limit)),
-                         self.limit), message)
+def _fields(records: tuple[dict, ...] | list[dict]) -> list[list]:
+    """The id, text and gold_category columns of tweet records: None
+    where an id or a text is missing, "" where a category is."""
+    return [list(map(dict.get, records, repeat(key), repeat(default)))
+            for key, default in (("id", None), ("text", None),
+                                 ("gold_category", ""))]
 
-    def check_keys(self, kind: str, required: frozenset[str]) -> None:
-        self.check(map(required.difference, self.records),
-                   lambda at: f"{kind} missing "
-                   f"{sorted(required.difference(self.records[at]))}")
 
-    def check_strings(self, kind: str,
-                      keys: tuple[str, ...]) -> list[list[str]]:
-        """Each of `keys` a string UTF-8 can encode, and an id more than
-        whitespace. Return the column of each, "" where it is absent;
-        a column is whole only if no fault is found."""
-        columns = []
-        for key in keys:
-            column = list(map(dict.get, self.records[:self.limit],
-                              repeat(key), repeat("")))
-            self.check(map(is_not, map(type, column), repeat(str)),
-                       lambda at: f"{kind} {key} is not a string")
-            del column[self.limit:]
-            try:
-                "".join(column).encode()
-            except UnicodeEncodeError as exc:
-                # A lone surrogate is the one code point UTF-8 cannot
-                # encode; find the value it is in.
-                self._fault(bisect_right(list(accumulate(map(len, column))),
-                                         exc.start),
-                            lambda at: f"{kind} {key} holds a lone surrogate")
-            if key == "id":
-                self.check(map(eq, map(str.strip, column), repeat("")),
-                           lambda at: f"{kind} id is empty or only "
-                           f"whitespace")
-            columns.append(column)
-        return columns
-
-    def raise_fault(self) -> None:
-        if self.limit < len(self.lines):
-            raise InputError(self.path, self.message,
-                             self.numbers[self.limit])
+def _columns(lines: list[str], seen: set[str]) -> tuple | None:
+    """The records of tweet lines and their `_fields` if each passes
+    `_record` in turn with a running `seen`, else None, by C-level passes."""
+    try:
+        # Where `_scan` ends the map early, `ends` is short, or empty,
+        # which the unpacking refuses.
+        records, ends = zip(*map(_scan, lines, repeat(0)))
+    except (ValueError, RecursionError):
+        return None
+    # A stripped line is one JSON value only if the value ends it.
+    if ends != tuple(map(len, lines)) or set(map(type, records)) != {dict}:
+        return None
+    ids, texts, categories = _fields(records)
+    try:
+        # str.join refuses None, for a missing id or text, and any other
+        # value that is not a string; UTF-8 refuses a lone surrogate.
+        "".join(ids + texts + categories).encode()
+    except (TypeError, UnicodeEncodeError):
+        return None
+    if not all(map(str.strip, ids)) or len(set(ids)) < len(ids) \
+            or not seen.isdisjoint(ids):
+        return None
+    return records, ids, texts, categories
 
 
 def load_tweets(path: str | Path, stopwords: frozenset[str],
@@ -329,15 +321,11 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
     "text", plus "gold_category" on tweets belonging to the gold
     summary. All of these are strings. Record order is preserved.
 
-    The tweet lines are read CHUNK_LINES at a time and each is decoded
-    once. A tweet line must be one JSON object holding "id" and "text";
-    then, for each of "id", "text" and "gold_category" in turn, the
-    value must be a string, hold no lone surrogate and, for an id, hold
-    more than whitespace; last, no earlier line may hold its id. The
-    error raised names the earliest line at fault and, on that line,
-    the first of these rules it breaks. A chunk ends where the file
-    stops being readable, so a fault on an earlier line is still
-    reported before the unreadable one.
+    `_record` states the rules a line keeps; the error raised names the
+    earliest line at fault and the first rule it breaks. Lines are read
+    CHUNK_LINES at a time, and a chunk that `_columns` refuses is checked
+    line by line. A chunk ends where the file stops being readable, so a
+    fault on an earlier line is still reported before the unreadable one.
 
     A tweet's keywords come from `pieces`, a memo built from these
     `stopwords` and `lexicon` that the loads of one command share
@@ -350,32 +338,19 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
     first = next(lines, None)
     if first is None:
         raise InputError(path, "empty file, header expected")
-    head = _Chunk(path, [first])
-    head.check_keys("header", frozenset({"id", "disaster_type",
-                                         "continent"}))
-    head.check((not isinstance(kind, str) or kind not in DISASTER_TYPES
-                for kind in map(itemgetter("disaster_type"), head.records)),
-               lambda at: f"disaster_type must be one of "
-               f"{sorted(DISASTER_TYPES)}")
-    head.check_strings("header", ("id", "continent"))
-    head.raise_fault()
-    header = head.records[0]
+    header = _record(path, *first)
     keywords_of = pieces.__getitem__
     tweets: list[Tweet] = []
     gold: list[tuple[str, str]] = []
     seen: set[str] = set()
     for numbered in _chunks(lines, CHUNK_LINES):
-        chunk = _Chunk(path, numbered)
-        chunk.check_keys("tweet record", frozenset({"id", "text"}))
-        ids, texts, categories = chunk.check_strings(
-            "tweet", ("id", "text", "gold_category"))
-        # Each id's first position in the chunk, or -1 if an earlier
-        # chunk holds it; a line whose id is first elsewhere repeats it.
-        first_at = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-        first_at.update(dict.fromkeys(seen.intersection(first_at), -1))
-        chunk.check(map(ne, map(first_at.__getitem__, ids), count()),
-                    lambda at: f"duplicate tweet id {ids[at]!r}")
-        chunk.raise_fault()
+        columns = _columns([line for _, line in numbered], seen)
+        if columns is None:
+            # `_record` raises the first faulty line's error. With none, as
+            # for a line nested near the recursion limit, its records serve.
+            records = [_record(path, *item, seen) for item in numbered]
+            columns = records, *_fields(records)
+        records, ids, texts, categories = columns
         seen.update(ids)
         # Unpacking a list gives an argument tuple of exact size; one
         # unpacked from `map` is grown then shrunk, and the tuple free
@@ -387,7 +362,7 @@ def load_tweets(path: str | Path, stopwords: frozenset[str],
         tweets.extend(map(tuple.__new__, repeat(Tweet), zip(
             ids, texts, starmap(_NO_KEYWORDS.union, pieces_keywords))))
         gold.extend(compress(zip(ids, categories),
-                             map(contains, chunk.records,
+                             map(contains, records,
                                  repeat("gold_category"))))
     return DisasterDataset(
         id=header["id"],

@@ -93,10 +93,6 @@ def load_word2vec_text(path: str | Path,
 
     with open_text(path) as fh:
         vocab_size, dimension = _parse_header(path, fh.readline())
-        # A filtered load copies its kept rows, each a distinct word of
-        # `words`, into one matrix.
-        matrix = None if words is None else _mapped_matrix(len(words),
-                                                           dimension)
         rows = 0
         for chunk in iter(lambda: fh.readlines(BLOCK_CHARS), []):
             lines = [line for line in chunk if not line.isspace()]
@@ -125,11 +121,15 @@ def load_word2vec_text(path: str | Path,
             new = new_rows(block_words)
             if not new:
                 continue
-            if matrix is None:
+            if words is None:
                 # A view would pin the whole block: copy a partly kept one.
                 kept = block[:, 1:] if len(new) == len(block) \
                     else block[list(new.values()), 1:]
             else:
+                if not vectors:
+                    # The kept rows, distinct words of `words`, go into one
+                    # matrix, made once a block has the header's width.
+                    matrix = _mapped_matrix(len(words), dimension)
                 kept = matrix[len(vectors):len(vectors) + len(new)]
                 np.take(block[:, 1:], list(new.values()), axis=0, out=kept)
             vectors.update(zip(new, kept))
@@ -148,8 +148,6 @@ def _mapped_matrix(rows: int, columns: int) -> np.ndarray:
     from the heap: ten `stream-10k` pipelines in one process then
     peaked 3 MB higher (Linux, glibc 2.36).
     """
-    if rows * columns == 0:
-        return np.zeros((rows, columns))
     return np.frombuffer(mmap.mmap(-1, 8 * rows * columns)).reshape(
         rows, columns)
 

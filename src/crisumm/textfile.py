@@ -20,8 +20,6 @@ from typing import TextIO
 # encode it, so no output file could hold it.
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
-# The message for JSON nested deeper than the decoder's recursion limit.
-NESTED_TOO_DEEPLY = "JSON nested too deeply"
 # What moves the nesting depth or the line count; a string is one
 # token, so the brackets in it do not count.
 _JSON_DEPTH_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"|[][{}\n]')
@@ -91,18 +89,27 @@ def read_json(path: str | Path):
     """The JSON value in `path`; a syntax error names its line, and a
     string holding a lone surrogate is an error too."""
     text = read_text(path)
-    try:
+    with json_faults(path, text):
         value = json.loads(text)
         encoded = json.dumps(value, ensure_ascii=False)
-    except json.JSONDecodeError as exc:
-        raise InputError(path, f"invalid JSON ({exc.msg})",
-                         exc.lineno) from exc
-    except RecursionError:
-        raise InputError(path, NESTED_TOO_DEEPLY,
-                         _too_deep_line(text)) from None
     if LONE_SURROGATE.search(encoded):
         raise InputError(path, "a JSON string holds a lone surrogate")
     return value
+
+
+@contextmanager
+def json_faults(path: str | Path, text: str,
+                line: int | None = None) -> Iterator[None]:
+    """Raise json's refusal of `text`, the whole of `path` or its line
+    `line`, as InputError naming the line at fault."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise InputError(path, f"invalid JSON ({exc.msg})",
+                         line or exc.lineno) from exc
+    except RecursionError:
+        raise InputError(path, "JSON nested too deeply",
+                         line or _too_deep_line(text)) from None
 
 
 def _too_deep_line(text: str) -> int:

@@ -708,6 +708,25 @@ class TestSummarizeCommand:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("dimension", [10 ** 11, 10 ** 20 - 1])
+    def test_huge_embedding_dimension_names_the_first_row(
+            self, tmp_path, capsys, data_dir, dimension):
+        # summarize keeps only reachable rows; the header's dimension is
+        # trusted only once a row has matched it.
+        bad = tmp_path / "e2.txt"
+        bad.write_text(f"3 {dimension}\n" + "".join(
+            f"{word} 1 2 3 4 5 6 7 8\n" for word in ("flood", "quake",
+                                                     "storm")),
+            encoding="utf-8")
+        code, out, err = run(capsys, "summarize",
+                             "--dataset", str(data_dir / "target.jsonl"),
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--embeddings", str(bad),
+                             "--out-json", str(tmp_path / "s.json"))
+        assert (code, out) == (1, "")
+        assert err == (f"error: e2.txt:2: expected {dimension + 1} fields, "
+                       "got 9\n")
+
     def test_length_beyond_classified_tweets_names_tweets_file(
             self, tmp_path, capsys, data_dir):
         code, _, err = run(capsys, "summarize",

@@ -4,11 +4,12 @@ import json
 import re
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crisumm import corpus
 from crisumm.corpus import (_EMOJI_RE, _MENTION_RE, _URL_RE, DisasterDataset,
@@ -536,6 +537,63 @@ class TestLoadTweetsChunks:
                              lexicon)
         assert dataset.gold_summary == tuple(
             (f"t{i}", category) for i, category in gold.items())
+
+
+# Lines nested past the decoder's limit, as a whole and in a field.
+DEEP_LINES = ["[" * 100_000,
+              '{"id": "t1", "text": ' + "[" * 100_000 + "]" * 100_000 + "}"]
+
+
+class TestChunkPass:
+    """The whole-chunk pass `_columns` and the per-line rules `_record`
+    accept the same chunks and give the same records."""
+
+    @pytest.mark.parametrize("odd", [None, *ODD_LINES, *DEEP_LINES])
+    @settings(max_examples=20)
+    @given(lines=tweet_lines, at=st.integers(0, 6),
+           other=st.lists(st.sampled_from(ODD_LINES + DEEP_LINES),
+                          max_size=1),
+           seen=st.sets(st.sampled_from(["t1", "t2", "t3", "t4", "été"])))
+    def test_accepts_a_chunk_exactly_when_every_line_passes(
+            self, odd, lines, at, other, seen):
+        # Plain lines, whose ids repeat, around `odd` and maybe one more
+        # odd line; `seen` holds the ids of earlier chunks.
+        lines = [*lines[:at], *([odd] if odd else []), *lines[at:], *other]
+        assume(lines)
+        running = set(seen)
+        try:
+            records = [corpus._record(Path("tweets.jsonl"), lineno, line,
+                                      running)
+                       for lineno, line in enumerate(lines, start=2)]
+        except InputError:
+            records = None
+        earlier = set(seen)
+        columns = corpus._columns(lines, seen)
+        assert seen == earlier
+        if records is None:
+            assert columns is None
+        else:
+            assert columns is not None
+            assert list(columns[0]) == records
+            assert list(columns[1:]) == corpus._fields(records)
+
+    @pytest.fixture(scope="class")
+    def tweets_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("refused") / "tweets.jsonl"
+
+    @given(lines=tweet_lines, chunk=chunk_sizes)
+    def test_a_refused_chunk_that_passes_line_by_line_still_loads(
+            self, tweets_file, stopwords, lexicon, lines, chunk):
+        # A line nested near the recursion limit can be refused by the
+        # chunk pass and pass `_record`; refusing every chunk takes that
+        # path on every line.
+        tweets_file.write_text(
+            "".join(line + "\n" for line in [HEADER, *lines]),
+            encoding="utf-8")
+        with mock.patch.object(corpus, "CHUNK_LINES", chunk), \
+                mock.patch.object(corpus, "_columns", lambda *args: None):
+            refused, expected = load_outcomes(tweets_file, stopwords, lexicon)
+        assert refused == expected
 
 
 class TestPieceMemo:

@@ -108,6 +108,23 @@ class TestLoader:
             "vec.txt: declared 1000000000 rows but found 2"
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("dimension", [10 ** 11, 10 ** 20 - 1])
+    def test_huge_declared_dimension_names_the_first_row(self, tmp_path,
+                                                         dimension):
+        # A filtered load keeps its rows in a matrix of the header's
+        # width, which must not be made before a row has that width.
+        path = write(tmp_path, f"3 {dimension}\n" + "".join(
+            f"{word} 1 2 3 4 5 6 7 8\n" for word in ("flood", "quake",
+                                                     "storm")))
+        want = f"vec.txt:2: expected {dimension + 1} fields, got 9"
+        # 2,001 rows of 10 ** 11 floats exceed any 64-bit address space.
+        many = {"storm", *(f"w{i}" for i in range(2000))}
+        for words in ({"flood"}, many, set(), None):
+            with pytest.raises(InputError) as excinfo:
+                load_word2vec_text(path, words)
+            assert str(excinfo.value) == want
+        assert _outcome(_oracle(), path) == want
+
     def test_undecodable_byte_names_line(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_bytes(b"2 2\r\nflood 1 1\r\nqu\xffake 2 2\n")
