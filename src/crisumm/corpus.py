@@ -61,7 +61,12 @@ class Tweet(NamedTuple):
 @dataclass(frozen=True)
 class DatasetHeader:
     """A disaster dataset without its tweets: what the stages after
-    categorization read of a candidate (see `DisasterDataset`)."""
+    categorization read of a candidate.
+
+    `gold_summary` pairs tweet ids with the category their annotator
+    assigned; it is None when the dataset carries no reference summary.
+    `path` is the tweets file it was loaded from, if any.
+    """
 
     id: str
     disaster_type: str
@@ -76,20 +81,11 @@ class DatasetHeader:
 
 
 @dataclass(frozen=True)
-class DisasterDataset:
-    """A tweet collection for one disaster event.
+class DisasterDataset(DatasetHeader):
+    """A tweet collection for one disaster event: its header plus its
+    tweets, which are given by keyword."""
 
-    `gold_summary` pairs tweet ids with the category their annotator
-    assigned; it is None when the dataset carries no reference summary.
-    `path` is the tweets file it was loaded from, if any.
-    """
-
-    id: str
-    tweets: tuple[Tweet, ...]
-    disaster_type: str
-    continent: str
-    gold_summary: tuple[tuple[str, str], ...] | None = None
-    path: Path | None = None
+    tweets: tuple[Tweet, ...] = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.disaster_type not in DISASTER_TYPES:
@@ -115,8 +111,6 @@ class DisasterDataset:
         """This dataset without its tweets."""
         return DatasetHeader(self.id, self.disaster_type, self.continent,
                              self.gold_summary, self.path)
-
-    error = DatasetHeader.error
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
 
-from .corpus import DatasetHeader, DisasterDataset, Tweet
+from .corpus import DatasetHeader, Tweet
 from .textfile import OptionError
 
 
@@ -129,8 +129,7 @@ def dis_sim(px: CategoryProfile, py: CategoryProfile,
     return {"dis_sim": combined, "cat_ic": ic, "cat_p": p}
 
 
-def most_similar(target: DisasterDataset | DatasetHeader,
-                 candidates: Sequence[DisasterDataset | DatasetHeader],
+def most_similar(target: DatasetHeader, candidates: Sequence[DatasetHeader],
                  scores: Mapping[str, Mapping[str, float]],
                  homogeneous_only: bool = False) -> str:
     """Pick the candidate whose `scores[id]["dis_sim"]` is highest.

@@ -12,7 +12,7 @@ classifies a file, `profile_datasets` reduces it to its header, counts
 and profile, and its tweets are freed before the next file is read. A
 run holds the target and one candidate's tweets, however many
 candidates it compares. The summarize stage, `select`, loads the
-embedding table itself, with only the rows that selection can reach.
+embedding table itself, with only the rows its selector reads.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .importance import (build_training_pairs, category_shares,
                          check_fit_options, fit, predict_importance)
 from .ontology import Ontology, check_min_freq
 from .rouge import score_summary
-from .selector import check_selector_options, summarize
+from .selector import check_selector_options, scored_words, summarize
 from .textfile import (InputError, OptionError, content_lines, json_text,
                        lines_text, read_text, write_text)
 
@@ -373,15 +373,14 @@ def select(classified: ClassificationResult, importance, ontology: Ontology,
            options) -> dict:
     """The summarize stage: the summary's entries and its lines of
     whitespace-collapsed text. The embedding table at `options.embeddings`
-    is loaded with only the rows selection can reach: the target's tweet
-    keywords and every category's vocabulary, extended if
-    `options.use_extended`. The whole file is still validated; a bad row
-    names its line wherever it is."""
+    is loaded with only the rows the selector reads (`scored_words`),
+    the vocabularies extended if `options.use_extended`. The whole file
+    is still validated; a bad row names its line wherever it is."""
     vocab_by_category = {c.id: c.vocabulary(options.use_extended)
                          for c in ontology.categories}
-    words = set().union(*(t.keywords for t in classified.dataset.tweets),
-                        *vocab_by_category.values())
-    table = emb_mod.load_word2vec_text(options.embeddings, words)
+    table = emb_mod.load_word2vec_text(options.embeddings, scored_words(
+        classified.partition, importance, vocab_by_category,
+        options.selector_kind))
     entries = summarize(classified.partition, importance, vocab_by_category,
                         table, options)
     tweets_by_id = {t.id: t for t in classified.dataset.tweets}

@@ -242,20 +242,30 @@ def _sim2_matrix(tweets: Sequence[Tweet]) -> np.ndarray:
     return matrix
 
 
-def _eigenvector_scores(matrix: np.ndarray) -> np.ndarray:
-    """Principal-eigenvector scores via power iteration."""
-    n = matrix.shape[0]
+def _power_iterate(step, n: int) -> np.ndarray:
+    """Apply `step` from the uniform vector of size n until one step moves
+    the iterate by less than POWER_TOLERANCE (L1), for at most
+    POWER_ITERATIONS steps. A step that returns None ends the iteration
+    at the iterate it was given."""
     x = np.full(n, 1.0 / n)
     for _ in range(POWER_ITERATIONS):
-        nxt = matrix @ x
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:
+        nxt = step(x)
+        if nxt is None:
             break
-        nxt = nxt / norm
         if float(np.sum(np.abs(nxt - x))) < POWER_TOLERANCE:
             return nxt
         x = nxt
     return x
+
+
+def _eigenvector_scores(matrix: np.ndarray) -> np.ndarray:
+    """Principal-eigenvector scores via power iteration; a step to the
+    zero vector ends it."""
+    def step(x: np.ndarray) -> np.ndarray | None:
+        nxt = matrix @ x
+        norm = float(np.linalg.norm(nxt))
+        return None if norm == 0.0 else nxt / norm
+    return _power_iterate(step, matrix.shape[0])
 
 
 def _pagerank_scores(matrix: np.ndarray) -> np.ndarray:
@@ -269,17 +279,14 @@ def _pagerank_scores(matrix: np.ndarray) -> np.ndarray:
     # a row without weight adds x * 0.0 / 1.0 = +0.0, which moves no sum.
     divisors = np.where(row_sums == 0.0, 1.0, row_sums)[:, None]
     terms = np.empty_like(matrix)
-    x = np.full(n, 1.0 / n)
     d = PAGERANK_DAMPING
-    for _ in range(POWER_ITERATIONS):
+
+    def step(x: np.ndarray) -> np.ndarray:
         dangling = float(np.sum(x[row_sums == 0.0])) / n
         np.multiply(x[:, None], matrix, out=terms)
         spread = np.divide(terms, divisors, out=terms).sum(axis=0)
-        nxt = (1.0 - d) / n + d * (spread + dangling)
-        if float(np.sum(np.abs(nxt - x))) < POWER_TOLERANCE:
-            return nxt
-        x = nxt
-    return x
+        return (1.0 - d) / n + d * (spread + dangling)
+    return _power_iterate(step, n)
 
 
 def _rank_select(tweets: Sequence[Tweet], count: int,
@@ -293,6 +300,27 @@ def _rank_select(tweets: Sequence[Tweet], count: int,
     # A stable sort of the id-ordered pool: ties go to the smaller id.
     top = np.argsort(-values, kind="stable")[:count]
     return [(ordered[i], float(values[i])) for i in top]
+
+
+def scored_words(partition: Mapping[str, Sequence[Tweet]],
+                 importance: ImportanceVector,
+                 vocab_by_category: Mapping[str, frozenset[str]],
+                 kind: str) -> set[str]:
+    """The words whose embeddings `summarize` reads with the selector
+    `kind`. eigenvector and pagerank rank on keyword overlap alone, so
+    they read none. The others read the keywords of the tweets in the
+    categories with slots; dmmr and max_sim add those categories'
+    vocabularies, and mmr adds every vocabulary."""
+    if kind in ("eigenvector", "pagerank"):
+        return set()
+    filled = [cid for cid, need in importance.counts.items() if need]
+    words = set().union(*(t.keywords for cid in filled
+                          for t in partition.get(cid, ())))
+    if kind == "mmr":
+        words.update(*vocab_by_category.values())
+    elif kind != "kmeans":
+        words.update(*(vocab_by_category.get(cid, ()) for cid in filled))
+    return words
 
 
 def summarize(partition: Mapping[str, Sequence[Tweet]],

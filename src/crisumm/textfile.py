@@ -20,9 +20,11 @@ from typing import TextIO
 # encode it, so no output file could hold it.
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
-# What moves the nesting depth or the line count; a string is one
-# token, so the brackets in it do not count.
-_JSON_DEPTH_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"|[][{}\n]')
+# A string, a number, a bracket or a line end. A string is one token,
+# so the brackets and digits in it do not count; a number token that is
+# all digits is an integer's.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"'
+                         r'|[0-9]+(?:\.[0-9]*)?(?:[eE][-+]?[0-9]*)?|[][{}\n]')
 
 
 class InputError(ValueError):
@@ -110,6 +112,24 @@ def json_faults(path: str | Path, text: str,
     except RecursionError:
         raise InputError(path, "JSON nested too deeply",
                          line or _too_deep_line(text)) from None
+    except ValueError as exc:
+        # int() refuses a string of more digits than its limit.
+        limit = sys.get_int_max_str_digits()
+        raise InputError(path, f"a JSON integer has more than {limit} "
+                         "digits", line or _long_integer_line(text, limit)
+                         ) from exc
+
+
+def _long_integer_line(text: str, limit: int) -> int | None:
+    """The line of the first integer of JSON `text` that has more than
+    `limit` digits, if any."""
+    line = 1
+    for token in _JSON_TOKEN.findall(text):
+        if token == "\n":
+            line += 1
+        elif token.isdigit() and len(token) > limit:
+            return line
+    return None
 
 
 def _too_deep_line(text: str) -> int:
@@ -124,7 +144,7 @@ def _too_deep_line(text: str) -> int:
     limit = sys.getrecursionlimit()
     depth = deepest = 0
     line = at = 1
-    for token in _JSON_DEPTH_TOKEN.findall(text):
+    for token in _JSON_TOKEN.findall(text):
         if token == "\n":
             line += 1
         elif token in ("[", "{"):

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import shutil
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -119,6 +120,9 @@ def malformed_candidate(data_dir, tmp_path):
     return path, ("bad.jsonl:3: invalid JSON (Expecting property name "
                   "enclosed in double quotes)")
 
+
+# int() refuses a string of more digits than this; 0 is no limit.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 # (input file name, argv of a command that reads it) for each input.
 INPUT_COMMANDS = [
@@ -706,6 +710,27 @@ class TestSummarizeCommand:
                              "--out-json", str(tmp_path / "s.json"))
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("selector", ["eigenvector", "pagerank"])
+    @pytest.mark.parametrize("row", [1, -1], ids=["first", "last"])
+    def test_graph_selector_checks_every_embedding_row(
+            self, tmp_path, capsys, data_dir, selector, row):
+        # eigenvector and pagerank keep no row, but every row is checked.
+        lines = (data_dir / "embeddings.txt").read_text("utf-8").splitlines()
+        dim = int(lines[0].split()[1])
+        lines[row] = lines[row].rsplit(None, 1)[0]
+        bad = tmp_path / "embeddings.txt"
+        bad.write_text("".join(line + "\n" for line in lines),
+                       encoding="utf-8")
+        code, out, err = run(capsys, "summarize",
+                             "--dataset", str(data_dir / "target.jsonl"),
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--embeddings", str(bad), "--selector", selector,
+                             "--out-json", str(tmp_path / "s.json"))
+        assert (code, out) == (1, "")
+        assert err == (f"error: embeddings.txt:{row % len(lines) + 1}: "
+                       f"expected {dim + 1} fields, got {dim}\n")
         assert not (tmp_path / "s.json").exists()
 
     @pytest.mark.parametrize("dimension", [10 ** 11, 10 ** 20 - 1])
@@ -1443,6 +1468,45 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: tweets.jsonl:{lineno}: JSON nested too " \
             "deeply\n"
+
+    @pytest.mark.skipif(INT_DIGITS == 0, reason="int() has no digit limit")
+    @pytest.mark.parametrize("name, argv", [
+        (name, argv) for name, argv in INPUT_COMMANDS
+        if name.endswith(".json")])
+    def test_json_integer_past_the_digit_limit_names_file_and_line(
+            self, tmp_path, capsys, data_dir, name, argv):
+        bad = tmp_path / name
+        long = "1" * (INT_DIGITS + 1)
+        bad.write_text(f'{{\n"a": "{long}",\n"b": [{long}.0, {long}]}}\n',
+                       encoding="utf-8")
+        code, out, err = run(capsys,
+                             *map(str, argv(data_dir, bad, tmp_path)))
+        assert (code, out) == (1, "")
+        assert err == f"error: {name}:3: a JSON integer has more than " \
+            f"{INT_DIGITS} digits\n"
+
+    @pytest.mark.skipif(INT_DIGITS == 0, reason="int() has no digit limit")
+    @pytest.mark.parametrize("header, tweet, lineno", [
+        ({"id": 0}, {}, 1),
+        ({}, {"id": 0}, 2),
+        ({}, {"text": "flood", "retweets": 0}, 2),
+    ], ids=["header", "tweet", "tweet_extra_key"])
+    def test_tweet_integer_past_the_digit_limit_names_file_and_line(
+            self, tmp_path, capsys, data_dir, header, tweet, lineno):
+        # Each 0 becomes an integer of more digits than int() reads.
+        bad = tmp_path / "tweets.jsonl"
+        records = ({"id": "d", "disaster_type": "natural",
+                    "continent": "asia", **header},
+                   {"id": "t1", "text": "flood", **tweet},
+                   {"id": "t2", "text": "quake"})
+        bad.write_text("".join(
+            json.dumps(r).replace(": 0", ": " + "7" * (INT_DIGITS + 1))
+            + "\n" for r in records), encoding="utf-8")
+        code, out, err = run(capsys, "categorize", "--dataset", str(bad),
+                             "--ontology", str(data_dir / "ontology.json"))
+        assert (code, out) == (1, "")
+        assert err == f"error: tweets.jsonl:{lineno}: a JSON integer has " \
+            f"more than {INT_DIGITS} digits\n"
 
     @pytest.mark.parametrize("header, tweet, message", [
         ({"id": 7}, {}, "1: header id is not a string"),

@@ -544,19 +544,44 @@ def spy_on_loads(monkeypatch) -> list:
     return calls
 
 
+def sparse_slots(target_dataset, ontology, use_extended):
+    """Every third target tweet, classified, and one slot in each of its
+    categories but the first, which gets none: (result, importance)."""
+    few = dataclasses.replace(target_dataset, gold_summary=None,
+                              tweets=target_dataset.tweets[::3])
+    target = classify_corpus(few, ontology, use_extended)
+    counts = {cid: 1 for cid, tweets in target.partition.items() if tweets}
+    counts[min(counts)] = 0
+    return target, ImportanceVector(counts=counts)
+
+
+def rows_read(kind, target, importance, vocab) -> set:
+    """The words whose rows the selector `kind` reads: eigenvector and
+    pagerank none; the others the keywords of the tweets in categories
+    with slots, with those categories' vocabularies for dmmr and
+    max_sim, and with every vocabulary for mmr."""
+    filled = [cid for cid, need in importance.counts.items() if need]
+    keywords = set().union(*(t.keywords for cid in filled
+                             for t in target.partition[cid]))
+    return {"eigenvector": set(), "pagerank": set(), "kmeans": keywords,
+            "dmmr": keywords.union(*(vocab[cid] for cid in filled)),
+            "max_sim": keywords.union(*(vocab[cid] for cid in filled)),
+            "mmr": keywords.union(*vocab.values())}[kind]
+
+
 @pytest.mark.parametrize("mode", SIM1_MODES)
 @pytest.mark.parametrize("use_extended", [True, False])
 @pytest.mark.parametrize("kind", SELECTOR_KINDS)
-def test_reachable_rows_select_as_the_whole_table(
+def test_select_loads_the_rows_its_selector_reads(
         kind, use_extended, mode, monkeypatch, data_dir, target_dataset,
         extended_ontology, embedding_table):
-    # `select` keeps the rows of the target's keywords and of the
-    # category vocabularies; no selector reads another row.
-    target = classify_corpus(target_dataset, extended_ontology, use_extended)
-    importance = pipeline.predict_slots(
-        {"kind": "equal"}, target, extended_ontology.category_ids(), 8)
+    # `select` keeps only the rows the selector reads, and selects as
+    # over the whole table.
+    target, importance = sparse_slots(target_dataset, extended_ontology,
+                                      use_extended)
     vocab = {c.id: c.vocabulary(use_extended)
              for c in extended_ontology.categories}
+    want = rows_read(kind, target, importance, vocab)
     loads = spy_on_loads(monkeypatch)
 
     def bits(entries):
@@ -569,34 +594,29 @@ def test_reachable_rows_select_as_the_whole_table(
         summary = pipeline.select(target, importance, extended_ontology, cfg)
         assert bits(summary["entries"]) == bits(summarize(
             target.partition, importance, vocab, embedding_table, cfg))
-    [(_, reachable), _] = loads
-    assert 0 < len(reachable) < len(embedding_table)
+    assert [set(words) for words, _ in loads] == [want, want]
+    table = loads[0][1]
+    assert set(table.vectors) == want & set(embedding_table.vectors)
+    for word in table.vectors:
+        assert table.get(word).tobytes() == \
+            embedding_table.get(word).tobytes()
 
 
 @pytest.mark.parametrize("use_extended", [True, False])
-def test_select_loads_keyword_and_vocabulary_rows(
-        use_extended, monkeypatch, data_dir, target_dataset,
-        extended_ontology, embedding_table):
-    # Five tweets leave vocabulary words that no tweet of the target holds.
-    few = dataclasses.replace(target_dataset, gold_summary=None,
-                              tweets=target_dataset.tweets[:5])
-    target = classify_corpus(few, extended_ontology, use_extended)
-    cfg = options(use_extended=use_extended,
-                  embeddings=data_dir / "embeddings.txt")
-    keywords = set().union(*(t.keywords for t in few.tweets))
-    vocabulary = set().union(*(c.vocabulary(use_extended)
-                               for c in extended_ontology.categories))
-    want = (keywords | vocabulary) & set(embedding_table.vectors)
+def test_selectors_read_nested_row_sets(use_extended, target_dataset,
+                                        extended_ontology, embedding_table):
+    # On the input above, each kind's rows strictly hold the previous
+    # kind's, and only mmr reads the rows of the vocabulary of a
+    # category without slots, extended words among them only when the
+    # extended vocabulary is in use.
+    target, importance = sparse_slots(target_dataset, extended_ontology,
+                                      use_extended)
+    vocab = {c.id: c.vocabulary(use_extended)
+             for c in extended_ontology.categories}
+    embedded = set(embedding_table.vectors)
+    nested = [rows_read(kind, target, importance, vocab) & embedded
+              for kind in ("pagerank", "kmeans", "dmmr", "mmr")]
+    assert all(a < b for a, b in zip(nested, nested[1:]))
     seed = set().union(*(c.vocabulary(False)
                          for c in extended_ontology.categories))
-    assert (seed - keywords) & want
-    assert bool((vocabulary - seed - keywords) & want) == use_extended
-    loads = spy_on_loads(monkeypatch)
-    pipeline.select(target, ImportanceVector(counts={}), extended_ontology,
-                    cfg)
-    [(words, table)] = loads
-    assert set(words) == keywords | vocabulary
-    assert set(table.vectors) == want
-    for word in want:
-        assert table.get(word).tobytes() == \
-            embedding_table.get(word).tobytes()
+    assert bool((nested[-1] - nested[-2]) - seed) == use_extended

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,11 @@ from crisumm.textfile import (InputError, content_lines, json_lines,
 
 GOLDEN_REPORT = Path(__file__).resolve().parent / "golden" / \
     "pipeline-report.json"
+
+# int() refuses a string of more digits than this; 0 is no limit.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    not INT_DIGITS, reason="int() has no digit limit here")
 
 
 class TestInputError:
@@ -59,6 +65,19 @@ class TestReadJson:
         with pytest.raises(InputError) as excinfo:
             read_json(path)
         assert str(excinfo.value) == "v.json:2: JSON nested too deeply"
+
+    @needs_int_digit_limit
+    def test_integer_past_the_digit_limit_names_its_line(self, tmp_path):
+        # A string of digits and a float's digits are no integer's.
+        long = "9" * (INT_DIGITS + 1)
+        path = tmp_path / "v.json"
+        path.write_text(f'{{"a": [1, "{long}",\n{long}.5, {long}e1,\n'
+                        f'"\\"{long}", -{long}, {long}]}}\n',
+                        encoding="utf-8")
+        with pytest.raises(InputError) as excinfo:
+            read_json(path)
+        assert str(excinfo.value) == \
+            f"v.json:3: a JSON integer has more than {INT_DIGITS} digits"
 
     def test_value(self, tmp_path):
         path = tmp_path / "v.json"
