@@ -64,12 +64,12 @@ def load_word2vec_text(path: str | Path,
 
     Words are lowercased; on a duplicate word the first occurrence
     wins. Every row is checked, but only the rows whose word is in
-    `words` are kept, or all of them when `words` is None. Any arity or
-    numeric problem is reported with its line number. The file is read
-    in blocks of about BLOCK_CHARS characters. numpy parses the kept
-    rows; a block of plain rows (see `_plain`) of which fewer than half
-    are kept is checked without parsing the others, and any other block
-    is parsed whole. A file numpy declines is parsed line by line, which
+    `words` are kept, or all of them when `words` is None. The file is
+    read in blocks of about BLOCK_CHARS characters. numpy parses the
+    kept rows; a block of plain rows (see `_plain`) of which fewer than
+    half are kept is checked without parsing the others, and any other
+    block is parsed whole. A block that numpy declines, or that passes
+    the declared row count, is checked line by line with `_row`, which
     names the first bad line.
     """
     path = Path(path)
@@ -94,47 +94,66 @@ def load_word2vec_text(path: str | Path,
     with open_text(path) as fh:
         vocab_size, dimension = _parse_header(path, fh.readline())
         rows = 0
+        lineno = 2   # of the next block's first line
         for chunk in iter(lambda: fh.readlines(BLOCK_CHARS), []):
+            first, lineno = lineno, lineno + len(chunk)
             lines = [line for line in chunk if not line.isspace()]
-            rows += len(lines)
-            if words is not None:
-                # A plain line's word ends at its first space.
-                heads = [line.partition(" ")[0] for line in lines]
-                wanted = new_rows([head.lower() for head in heads]).values()
-                if (2 * len(wanted) < len(lines)
-                        and _plain(lines, heads, dimension)):
-                    lines = [lines[i] for i in wanted]
-            if not lines:
-                continue
-            block_words.clear()
-            try:
-                block = np.loadtxt(lines, dtype=np.float64, comments=None,
-                                   ndmin=2, converters={0: word_column})
-            except ValueError:
-                return _parse_lines(path, words)
+            seen, rows = rows, rows + len(lines)
+            block = None
+            if rows <= vocab_size:
+                if words is not None:
+                    # A plain line's word ends at its first space.
+                    heads = [line.partition(" ")[0] for line in lines]
+                    wanted = new_rows([h.lower() for h in heads]).values()
+                    if (2 * len(wanted) < len(lines)
+                            and _plain(lines, heads, dimension)):
+                        lines = [lines[i] for i in wanted]
+                if not lines:
+                    continue
+                block_words.clear()
+                try:
+                    block = np.loadtxt(lines, dtype=np.float64,
+                                       comments=None, ndmin=2,
+                                       converters={0: word_column})[:, 1:]
+                except ValueError:
+                    pass
             # min and max carry any NaN or infinity through, and unlike
             # np.isfinite they need no temporary the size of the block.
-            if (block.shape[1] != dimension + 1
+            if (block is None or block.shape[1] != dimension
                     or not math.isfinite(block.min())
                     or not math.isfinite(block.max())):
-                return _parse_lines(path, words)
+                # The block is checked row by row: the first fault raises,
+                # or `float()` reads its rows, such as `1_0`.
+                block_words.clear()
+                values = []
+                for n, line in enumerate(chunk, start=first):
+                    if line.isspace():
+                        continue
+                    seen += 1
+                    if seen > vocab_size:
+                        raise InputError(path, f"more rows than the declared "
+                                         f"vocabulary size {vocab_size}", n)
+                    word, row = _row(path, n, line, dimension)
+                    block_words.append(word)
+                    values.append(row)
+                block = np.array(values, dtype=np.float64)
             new = new_rows(block_words)
             if not new:
                 continue
             if words is None:
                 # A view would pin the whole block: copy a partly kept one.
-                kept = block[:, 1:] if len(new) == len(block) \
-                    else block[list(new.values()), 1:]
+                kept = block if len(new) == len(block) \
+                    else block[list(new.values())]
             else:
                 if not vectors:
                     # The kept rows, distinct words of `words`, go into one
                     # matrix, made once a block has the header's width.
                     matrix = _mapped_matrix(len(words), dimension)
                 kept = matrix[len(vectors):len(vectors) + len(new)]
-                np.take(block[:, 1:], list(new.values()), axis=0, out=kept)
+                np.take(block, list(new.values()), axis=0, out=kept)
             vectors.update(zip(new, kept))
-    if rows != vocab_size:
-        return _parse_lines(path, words)
+    if rows < vocab_size:
+        raise InputError(path, f"declared {vocab_size} rows but found {rows}")
     return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
@@ -211,44 +230,22 @@ def _parse_header(path: Path, header: str) -> tuple[int, int]:
     return vocab_size, dimension
 
 
-def _parse_lines(path: Path,
-                 words: Collection[str] | None = None) -> EmbeddingTable:
-    """The line-by-line parser, for every file numpy's pass declines.
-
-    It raises the error of the first bad line, and it also accepts what
-    `float()` accepts and numpy does not, such as `1_0` or non-ASCII
-    digits. It keeps the rows of `words` as the numpy pass does.
-    """
-    vectors: dict[str, np.ndarray] = {}
-    with open_text(path) as fh:
-        vocab_size, dimension = _parse_header(path, fh.readline())
-        rows = 0
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            rows += 1
-            if rows > vocab_size:
-                raise InputError(path, f"more rows than the declared "
-                                 f"vocabulary size {vocab_size}", lineno)
-            fields = line.split()
-            if len(fields) != dimension + 1:
-                raise InputError(path, f"expected {dimension + 1} fields, "
-                                 f"got {len(fields)}", lineno)
-            word = fields[0].lower()
-            try:
-                values = [float(x) for x in fields[1:]]
-            except ValueError as exc:
-                raise InputError(path, "non-numeric vector component",
-                                 lineno) from exc
-            if not all(math.isfinite(v) for v in values):
-                raise InputError(path, "non-finite vector component",
-                                 lineno)
-            if word not in vectors and (words is None or word in words):
-                vectors[word] = np.array(values, dtype=np.float64)
-        if rows < vocab_size:
-            raise InputError(path, f"declared {vocab_size} rows but found "
-                             f"{rows}")
-    return EmbeddingTable(dimension=dimension, vectors=vectors)
+def _row(path: Path, lineno: int, line: str,
+         dimension: int) -> tuple[str, list[float]]:
+    """The lowercased word and the values of row `line`: the word, then
+    `dimension` fields that `float()` reads as finite numbers."""
+    fields = line.split()
+    if len(fields) != dimension + 1:
+        raise InputError(path, f"expected {dimension + 1} fields, "
+                         f"got {len(fields)}", lineno)
+    try:
+        values = [float(x) for x in fields[1:]]
+    except ValueError as exc:
+        raise InputError(path, "non-numeric vector component",
+                         lineno) from exc
+    if not all(map(math.isfinite, values)):
+        raise InputError(path, "non-finite vector component", lineno)
+    return fields[0].lower(), values
 
 
 _TINY = np.finfo(np.float64).tiny

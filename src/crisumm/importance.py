@@ -180,18 +180,17 @@ def _apportion(quotas: Mapping[str, float], fractions: Mapping[str, float],
                           available[cid] - alloc[cid])
             alloc[cid] += portion
             remaining -= portion
-        if remaining > 0:
-            by_remainder = sorted(
-                active,
-                key=lambda cid: (-(share[cid] - math.floor(share[cid])),
-                                 -fractions.get(cid, 0.0), cid),
-            )
-            for cid in by_remainder:
-                if remaining == 0:
-                    break
-                if alloc[cid] < available[cid]:
-                    alloc[cid] += 1
-                    remaining -= 1
+        by_remainder = sorted(
+            active,
+            key=lambda cid: (-(share[cid] - math.floor(share[cid])),
+                             -fractions.get(cid, 0.0), cid),
+        )
+        for cid in by_remainder:
+            if remaining == 0:
+                break
+            if alloc[cid] < available[cid]:
+                alloc[cid] += 1
+                remaining -= 1
     return alloc
 
 

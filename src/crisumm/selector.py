@@ -65,14 +65,13 @@ def keyword_relevance(words: Iterable[str], vocab: Iterable[str],
     embedded = [w for w in relevance if w in emb]
     rows = emb.rows(sorted(set(vocab)) + embedded)
     vocab_rows, keys = np.split(rows, [len(rows) - len(embedded)])
-    if len(vocab_rows) and len(keys):
-        key_dots = self_dots(keys)
-        best = np.full(len(keys), -math.inf)
-        for row in vocab_rows:
-            values = cosines(keys, row, key_dots)
-            np.copyto(best, values, where=values > best)
-        relevance.update(zip(embedded, (max(value, 0.0)
-                                        for value in best.tolist())))
+    key_dots = self_dots(keys)
+    best = np.full(len(keys), -math.inf)
+    for row in vocab_rows:
+        values = cosines(keys, row, key_dots)
+        np.copyto(best, values, where=values > best)
+    relevance.update(zip(embedded, (max(value, 0.0)
+                                    for value in best.tolist())))
     return relevance
 
 

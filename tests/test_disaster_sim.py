@@ -8,10 +8,11 @@ from crisumm import pipeline
 from crisumm.categorizer import classify_corpus
 from crisumm.corpus import DisasterDataset
 from crisumm.disaster_sim import (CategoryProfile, build_profile, cat_ic,
-                                  cat_p, dis_sim, jensen_shannon_divergence,
-                                  most_similar)
+                                  cat_p, check_weights, dis_sim,
+                                  jensen_shannon_divergence, most_similar)
 from crisumm.ontology import Category, Ontology
 from crisumm.pipeline import profile_datasets, similarity_matrix
+from crisumm.textfile import OptionError
 
 from conftest import options
 from oracles import cosine_exact, jsd_base2, make_tweet
@@ -297,6 +298,17 @@ class TestDisSim:
             dis_sim(profile, profile, 0.7, 0.7)
         with pytest.raises(ValueError):
             dis_sim(profile, profile, 0.0, 1.0)
+        # Each end of the range, with the weight it names, and the sum's
+        # tolerance of 1e-9 from either side.
+        for w1, w2, key, message in [
+                (0.0, 0.5, "w1", "lie in"), (1.0, 0.5, "w1", "lie in"),
+                (0.5, 0.0, "w2", "lie in"), (0.5, 1.0, "w2", "lie in"),
+                (0.3, 0.7 + 2e-9, "w1", "sum to")]:
+            with pytest.raises(OptionError,
+                               match=f"^weights must {message}") as excinfo:
+                check_weights(w1, w2)
+            assert excinfo.value.key == key
+        check_weights(0.3, 0.7 + 5e-10)
 
 
 class TestMostSimilar:

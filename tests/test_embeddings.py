@@ -134,9 +134,10 @@ class TestLoader:
 
     def test_plain_files_take_the_numpy_pass(self, tmp_path, data_dir,
                                              monkeypatch):
-        def refuse(path):
-            raise AssertionError(f"{path.name} went to the line parser")
-        monkeypatch.setattr(embeddings, "_parse_lines", refuse)
+        def refuse(path, lineno, line, dimension):
+            raise AssertionError(f"{path.name}:{lineno} went to the row "
+                                 f"check")
+        monkeypatch.setattr(embeddings, "_row", refuse)
         assert len(load_word2vec_text(data_dir / "embeddings.txt")) > 0
         path = write(tmp_path, "3 2\n\nFlood\t1 -0.0\n \u3000\n"
                                "flood 9 9\r\nQuake  1e-320 2.5E3 \n")
@@ -332,20 +333,76 @@ class TestReachableRows:
                                      "QUAKE 1 \uff12"])
     def test_line_parser_applies_the_same_filter(self, tmp_path,
                                                  monkeypatch, row):
-        calls = []
-        parse_lines = embeddings._parse_lines
+        # The row that only float() reads and a duplicate of the first
+        # row make up the second block, which alone goes to the row check.
+        rows = ["Flood 1 2"] + [f"w{i} 0 0" for i in range(40)] + [
+            row, "FLOOD 9 9"]
+        _rows_per_block(monkeypatch, rows, 41)
+        path = write(tmp_path, f"{len(rows)} 2\n" + "\n".join(rows) + "\n")
+        assert _block_sizes(path) == [41, 2]
+        checked = []
+        row_check = embeddings._row
 
-        def spy(path, words=None):
-            calls.append(words)
-            return parse_lines(path, words)
-        monkeypatch.setattr(embeddings, "_parse_lines", spy)
-        path = write(tmp_path, f"2 2\nFlood 1 2\n{row}\n")
+        def spy(path, lineno, line, dimension):
+            checked.append((lineno, line))
+            return row_check(path, lineno, line, dimension)
+        monkeypatch.setattr(embeddings, "_row", spy)
         table = load_word2vec_text(path, {"flood"})
-        assert calls == [{"flood"}]
+        assert checked == [(43, row + "\n"), (44, "FLOOD 9 9\n")]
         assert list(table.vectors) == ["flood"]
         assert table.get("flood").tolist() == [1.0, 2.0]
         assert list(load_word2vec_text(path, {"quake"}).vectors) == ["quake"]
         assert len(load_word2vec_text(path, set())) == 0
+        for words in (None, {"flood", "quake", "w3"}, {"quake"}, set()):
+            got = _outcome(lambda p: load_word2vec_text(p, words), path)
+            assert got == _outcome(_oracle(words), path)
+
+    def test_bad_last_row_is_named_in_one_pass(self, tmp_path, monkeypatch):
+        rows = [f"w{i:03} 1 2" for i in range(100)] + ["last 1"]
+        _rows_per_block(monkeypatch, rows, 40)
+        path = write(tmp_path, f"{len(rows)} 2\n" + "\n".join(rows) + "\n")
+        assert _block_sizes(path) == [40, 40, 21]
+        opened, checked = [], []
+        open_text, row_check = embeddings.open_text, embeddings._row
+
+        def open_spy(path, *args, **kwargs):
+            opened.append(path)
+            return open_text(path, *args, **kwargs)
+
+        def row_spy(path, lineno, line, dimension):
+            checked.append(lineno)
+            return row_check(path, lineno, line, dimension)
+        monkeypatch.setattr(embeddings, "open_text", open_spy)
+        monkeypatch.setattr(embeddings, "_row", row_spy)
+        want = "vec.txt:102: expected 3 fields, got 2"
+        for words in (None, {"w003", "last"}, set()):
+            opened.clear()
+            checked.clear()
+            with pytest.raises(InputError) as excinfo:
+                load_word2vec_text(path, words)
+            assert str(excinfo.value) == want
+            assert opened == [path]
+            # The third block starts on line 82.
+            assert checked == list(range(82, 103))
+        assert _outcome(_oracle(), path) == want
+
+    @pytest.mark.parametrize("at, want", [
+        (1, "vec.txt:3: non-numeric vector component"),
+        (4, "vec.txt:5: more rows than the declared vocabulary size 3"),
+    ])
+    def test_first_fault_of_a_surplus_block_is_named(self, tmp_path, at,
+                                                      want):
+        # One block of five rows where three are declared: the bad row
+        # comes before the fourth row, the first surplus one, or after it.
+        rows = ["flood 1 2", "quake 3 4", "fire 5 6", "storm 7 8"]
+        rows.insert(at, "smoke 1 x")
+        path = write(tmp_path, "3 2\n" + "\n".join(rows) + "\n")
+        assert _block_sizes(path) == [5]
+        for words in (None, {"flood"}, set()):
+            with pytest.raises(InputError) as excinfo:
+                load_word2vec_text(path, words)
+            assert str(excinfo.value) == want
+        assert _outcome(_oracle(), path) == want
 
     def test_filtered_load_holds_no_whole_block(self, tmp_path):
         # A 10-word filter over a 20,000 x 50 table, 8 MB as float64.

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from crisumm.categorizer import classify_corpus
 from crisumm.corpus import DisasterDataset
-from crisumm.importance import (ImportanceVector, build_training_pairs, fit,
-                                predict_importance)
+from crisumm.importance import (ImportanceVector, build_training_pairs,
+                                category_shares, fit, predict_importance)
 from crisumm.ontology import Category, Ontology
 
 from conftest import options
@@ -52,6 +52,16 @@ class TestTrainingPairs:
         with pytest.raises(ValueError, match="gold summary"):
             build_training_pairs(self._classified(None), ["a", "b"])
 
+    def test_one_classified_tweet(self):
+        dataset = DisasterDataset(id="d", tweets=(make_tweet("t0", {"a"}),),
+                                  disaster_type="natural", continent="asia",
+                                  gold_summary=None)
+        ontology = Ontology(tuple(Category(c, c, frozenset({c}))
+                                  for c in "ab"))
+        result = classify_corpus(dataset, ontology)
+        assert category_shares(result, ["a", "b"]) == \
+            ({"a": 1.0, "b": 0.0}, {"a": 1, "b": 0})
+
     def test_unknown_gold_category_rejected(self):
         with pytest.raises(ValueError, match="mystery"):
             build_training_pairs(self._classified((("t0", "mystery"),)),
@@ -94,8 +104,8 @@ class TestFit:
         ols_slope = fit(pairs, options())["slope"]
         gaps = [abs(fit(pairs, options(regression_kind="ridge",
                                        ridge_alpha=a))["slope"] - ols_slope)
-                for a in (1.0, 1e-3, 1e-9)]
-        assert gaps[0] > gaps[1] > gaps[2]
+                for a in (1.0, 1e-3, 1e-9, 0.0)]
+        assert gaps[0] > gaps[1] > gaps[2] > gaps[3] == 0.0
         assert gaps[2] < 1e-6
 
     def test_bayesian_shrinks_toward_zero(self):
@@ -257,6 +267,14 @@ class TestPredictImportance:
             fractions = {cid: float(rng.uniform(0, 1)) for cid in ids}
             vec = predict_importance(model, fractions, available, total)
             assert vec.counts == available
+
+    def test_all_zero_quotas_split_equally(self):
+        # Every prediction clamps to 0: the slots are split equally, and
+        # the one left over goes to the largest fraction.
+        vec = predict_importance(linear(1.0, -5.0),
+                                 {"a": 0.1, "b": 0.3, "c": 0.2},
+                                 {"a": 5, "b": 5, "c": 5}, 4)
+        assert vec.counts == {"a": 1, "b": 2, "c": 1}
 
     def test_shortfall_reported(self):
         model = linear(1.0, 0.0)

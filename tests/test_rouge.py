@@ -140,3 +140,9 @@ class TestReport:
         assert set(payload) == {"rouge_1", "rouge_2", "rouge_l"}
         for scores in payload.values():
             assert set(scores) == {"precision", "recall", "f1"}
+
+    def test_rouge_2_counts_bigrams(self):
+        # The pair shares the bigram "a b" and no trigram.
+        payload = score_summary(["a", "b", "c"], ["a", "b", "d"])
+        assert payload["rouge_2"] == {"precision": 0.5, "recall": 0.5,
+                                      "f1": 0.5}
