@@ -169,6 +169,12 @@ def extract_keywords(tokens: list[str] | tuple[str, ...],
 _NO_KEYWORDS: frozenset[str] = frozenset()
 
 
+# A piece that starts with one of these, lowercased, and has a character
+# after it is one URL to `_URL_RE`: the match starts at its first
+# character and `\S+` runs to its end.
+_URL_PREFIXES = ("http://", "https://", "www.")
+
+
 class PieceKeywords(dict):
     """Whitespace piece -> its keywords under one stopword list and
     lexicon; a piece is tokenized the first time it is looked up.
@@ -177,6 +183,14 @@ class PieceKeywords(dict):
     piece's keywords do not depend on its neighbours, and a tweet's
     keywords are the union of its pieces'. One memo can serve every
     file a command loads.
+
+    Three shapes of piece skip `preprocess_text`'s regex passes, with
+    the keywords those passes give: a plain ASCII word (`isascii` and
+    `isalnum`) is its own only token, lowercased; a piece that starts
+    with `@` has none, as `_MENTION_RE` removes it, with any URL inside
+    it leaving only the `@`; and a piece that starts with one of
+    `_URL_PREFIXES`, in any case, and goes on past it has none. A
+    property test checks every shape against `preprocess_text`.
     """
 
     __slots__ = ("stopwords", "lexicon")
@@ -187,11 +201,23 @@ class PieceKeywords(dict):
         self.lexicon = lexicon
 
     def __missing__(self, piece: str) -> frozenset[str]:
-        # Most pieces give no keyword; sharing one empty set keeps the
-        # memo small.
-        found = self[piece] = extract_keywords(
-            preprocess_text(piece, self.stopwords), self.lexicon) \
-            or _NO_KEYWORDS
+        if piece.isascii() and piece.isalnum():
+            # Nothing to remove or trim; a letter unless all digits.
+            token = piece.lower()
+            found = frozenset((token,)) if len(token) >= 3 \
+                and not token.isdigit() and token not in self.stopwords \
+                and self.lexicon.tag(token) in KEYWORD_TAGS else _NO_KEYWORDS
+        elif piece[0] == "@" or any(
+                len(piece) > len(prefix)
+                and piece[:len(prefix)].lower() == prefix
+                for prefix in _URL_PREFIXES):
+            found = _NO_KEYWORDS
+        else:
+            # Most pieces give no keyword; sharing one empty set keeps
+            # the memo small.
+            found = extract_keywords(preprocess_text(piece, self.stopwords),
+                                     self.lexicon) or _NO_KEYWORDS
+        self[piece] = found
         return found
 
 

@@ -50,8 +50,10 @@ def check_weights(w1: float, w2: float) -> None:
 
 
 def build_profile(partition: Mapping[str, Sequence[Tweet]],
-                  k: int = 50) -> CategoryProfile:
-    """Summarize a classification partition into a category profile."""
+                  k: int) -> CategoryProfile:
+    """Summarize a classification partition into a category profile:
+    each populated category's tweet count and its `k` most frequent
+    keywords."""
     counts = {cid: len(tweets) for cid, tweets in partition.items() if tweets}
     if not counts:
         raise ValueError("cannot profile an empty partition: "

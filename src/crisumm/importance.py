@@ -39,6 +39,7 @@ def category_shares(result: ClassificationResult | ProfiledDataset,
     """(share of the classified tweets, tweet count) per category; the
     share is the regression feature of training and prediction alike."""
     counts = result.counts
+    # A category that no tweet was classified into is not in `counts`.
     available = {cid: counts.get(cid, 0) for cid in category_ids}
     total = sum(available.values())
     if total == 0:

@@ -16,7 +16,7 @@ is deterministic, so none takes a seed.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -232,12 +232,19 @@ def _kmeans_select(tweets: Sequence[Tweet], count: int,
     return picked
 
 
-def _sim2_matrix(tweets: Sequence[Tweet]) -> np.ndarray:
+def _sim2_rows(tweets: Sequence[Tweet]) -> Iterator[np.ndarray]:
+    """Each row of the tweets' sim2 matrix in turn, its diagonal entry 0."""
     postings = _Postings(tweets)
-    matrix = np.empty((len(tweets), len(tweets)))
     for i, tweet in enumerate(tweets):
-        matrix[i] = postings.sim2(tweet)
-    np.fill_diagonal(matrix, 0.0)
+        row = postings.sim2(tweet)
+        row[i] = 0.0
+        yield row
+
+
+def _sim2_matrix(tweets: Sequence[Tweet]) -> np.ndarray:
+    matrix = np.empty((len(tweets), len(tweets)))
+    for i, row in enumerate(_sim2_rows(tweets)):
+        matrix[i] = row
     return matrix
 
 
@@ -267,24 +274,38 @@ def _eigenvector_scores(matrix: np.ndarray) -> np.ndarray:
     return _power_iterate(step, matrix.shape[0])
 
 
-def _pagerank_scores(matrix: np.ndarray) -> np.ndarray:
-    """PageRank over the weighted similarity graph.
+def _pagerank_scores(rows: Iterable[np.ndarray]) -> np.ndarray:
+    """PageRank over the weighted similarity graph whose matrix `rows`
+    gives row by row (a 2-D array does).
 
-    Rows with no outgoing weight spread their mass uniformly.
+    Rows with no outgoing weight spread their mass uniformly. Only the
+    nonzero weights are kept, in row order. A step spreads x_i * w_ij /
+    d_i from each, with d_i the row's sum, and `np.bincount` adds each
+    column's terms in row order: the bits of a dense loop over rows,
+    whose zero weights add +0.0 and move no sum.
     """
-    n = matrix.shape[0]
-    row_sums = matrix.sum(axis=1)
-    # Summing axis 0 adds the rows in order, as a loop over rows would;
-    # a row without weight adds x * 0.0 / 1.0 = +0.0, which moves no sum.
-    divisors = np.where(row_sums == 0.0, 1.0, row_sums)[:, None]
-    terms = np.empty_like(matrix)
+    sums, cols, weights = [], [], []
+    for row in rows:
+        # The bits of matrix.sum(axis=1): the same pairwise sum.
+        sums.append(row.sum())
+        nonzero = np.flatnonzero(row)
+        cols.append(nonzero)
+        weights.append(row[nonzero])
+    n = len(sums)
+    row_sums = np.array(sums)
+    dangling = row_sums == 0.0
+    counts = np.array([len(c) for c in cols])
+    cols = np.concatenate(cols)
+    weights = np.concatenate(weights)
+    divisors = np.repeat(np.where(dangling, 1.0, row_sums), counts)
     d = PAGERANK_DAMPING
 
     def step(x: np.ndarray) -> np.ndarray:
-        dangling = float(np.sum(x[row_sums == 0.0])) / n
-        np.multiply(x[:, None], matrix, out=terms)
-        spread = np.divide(terms, divisors, out=terms).sum(axis=0)
-        return (1.0 - d) / n + d * (spread + dangling)
+        terms = np.repeat(x, counts)
+        np.multiply(terms, weights, out=terms)
+        np.divide(terms, divisors, out=terms)
+        spread = np.bincount(cols, weights=terms, minlength=n)
+        return (1.0 - d) / n + d * (spread + float(np.sum(x[dangling])) / n)
     return _power_iterate(step, n)
 
 
@@ -293,9 +314,8 @@ def _rank_select(tweets: Sequence[Tweet], count: int,
     """The `count` tweets of highest eigenvector centrality or PageRank
     (`kind`) on the complete `sim2` graph of `tweets`."""
     ordered = sorted(tweets, key=lambda t: t.id)
-    matrix = _sim2_matrix(ordered)
-    values = _eigenvector_scores(matrix) if kind == "eigenvector" \
-        else _pagerank_scores(matrix)
+    values = _eigenvector_scores(_sim2_matrix(ordered)) \
+        if kind == "eigenvector" else _pagerank_scores(_sim2_rows(ordered))
     # A stable sort of the id-ordered pool: ties go to the smaller id.
     top = np.argsort(-values, kind="stable")[:count]
     return [(ordered[i], float(values[i])) for i in top]

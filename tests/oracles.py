@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written in plain Python with naive algorithms and
-deliberately shares no code with the package under test.
+deliberately shares no code with the package under test, but for
+`piece_keywords`, which is the package's own regex path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from crisumm.corpus import DisasterDataset, Tweet
+from crisumm.corpus import (DisasterDataset, Tweet, extract_keywords,
+                            preprocess_text)
 from crisumm.embeddings import EmbeddingTable
 from crisumm.textfile import InputError, content_lines
 
@@ -58,6 +60,12 @@ def tweet_keywords(raw: str, stopwords, tags: dict) -> frozenset:
                                                 "adjective")):
             keywords.add(token)
     return frozenset(keywords)
+
+
+def piece_keywords(piece: str, stopwords, lexicon) -> frozenset:
+    """The keywords of one whitespace piece by `preprocess_text`'s regex
+    passes: what the piece memo's shortcuts must give without them."""
+    return extract_keywords(preprocess_text(piece, stopwords), lexicon)
 
 
 def _check_strings(path, record, kind, keys, lineno):

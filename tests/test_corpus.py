@@ -308,6 +308,26 @@ tweet_texts = st.lists(
     max_size=12).map(lambda parts: "".join(a + b for a, b in parts))
 
 
+def _any_case(word: str):
+    return st.tuples(*(st.sampled_from(sorted({ch, ch.upper()}))
+                       for ch in word)).map("".join)
+
+
+# One whitespace piece: each shape the memo decides without the regexes
+# (URL prefixes in any case, bare or with more after them, mentions,
+# plain ASCII words) next to the pieces that look like them but are not
+# (`ſ` is an `s` to the case-blind URL pattern; `K` and `İ` change on
+# lowercasing; a digit-only or 2-character word, a stopword and `_`).
+pieces = st.lists(st.one_of(
+    st.sampled_from(["http://", "https://", "www."]).flatmap(_any_case),
+    st.sampled_from(["@", "#", "_", ".", ":", "/", "😢", "ſ", "K", "İ",
+                     "x", "ab", "the", "and", "quickly", "flood",
+                     "12", "2015", "nh10"]).flatmap(_any_case),
+    st.text(max_size=3)), min_size=1, max_size=4).map(
+        lambda parts: "".join(ch for ch in "".join(parts)
+                              if not ch.isspace())).filter(bool)
+
+
 class TestPieceKeywords:
     """load_tweets tokenizes each distinct whitespace piece once; a
     tweet's keywords must still be those of its whole text."""
@@ -329,6 +349,25 @@ class TestPieceKeywords:
         dataset = load_tweets(tweets_file, stopwords, lexicon)
         assert [t.keywords for t in dataset.tweets] == \
             [tweet_keywords(text, stopwords, lexicon.tags) for text in texts]
+
+    @settings(max_examples=1000)
+    @given(piece=pieces)
+    def test_memo_matches_the_regex_path(self, stopwords, lexicon, piece):
+        memo = PieceKeywords(stopwords, lexicon)
+        assert memo[piece] == oracles.piece_keywords(piece, stopwords,
+                                                     lexicon)
+
+    @pytest.mark.parametrize("piece, keywords", [
+        ("http://", {"http"}), ("HTTPS://", {"https"}), ("wWw.", {"www"}),
+        ("hTTp://x", set()), ("Www.a", set()), ("httpſ://x", set()),
+        ("@", set()), ("@http://x", set()), ("@flood", set()),
+        ("Flood", {"flood"}), ("NH10", {"nh10"}), ("2015", set()),
+        ("ab", set()), ("The", set()), ("quickly", set()),
+        ("_flood_", {"flood"}), ("sİ", set()), ("İst", {"i̇st"}),
+    ])
+    def test_piece_shapes(self, stopwords, lexicon, piece, keywords):
+        assert PieceKeywords(stopwords, lexicon)[piece] == keywords
+        assert oracles.piece_keywords(piece, stopwords, lexicon) == keywords
 
     def test_regex_whitespace_is_str_whitespace(self):
         every = "".join(map(chr, range(0x110000)))
@@ -611,10 +650,10 @@ class TestPieceMemo:
 
     @pytest.fixture
     def tokenized(self, monkeypatch):
-        """The pieces that `preprocess_text` is given inside load_tweets."""
+        """The pieces that the memo tokenizes inside load_tweets."""
         calls = []
         inside = []
-        load, tokenize = corpus.load_tweets, corpus.preprocess_text
+        load, tokenize = corpus.load_tweets, PieceKeywords.__missing__
 
         def spy_load(*args, **kwargs):
             inside.append(True)
@@ -623,13 +662,13 @@ class TestPieceMemo:
             finally:
                 inside.pop()
 
-        def spy_tokenize(text, stopwords):
+        def spy_tokenize(memo, piece):
             if inside:
-                calls.append(text)
-            return tokenize(text, stopwords)
+                calls.append(piece)
+            return tokenize(memo, piece)
 
         monkeypatch.setattr(corpus, "load_tweets", spy_load)
-        monkeypatch.setattr(corpus, "preprocess_text", spy_tokenize)
+        monkeypatch.setattr(PieceKeywords, "__missing__", spy_tokenize)
         return calls
 
     def _distinct_pieces(self, data_dir, names):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,27 @@ class TestAblations:
         picks = select_one([*spokes, hub], 1, set(), emb,
                            options(selector_kind="pagerank"))
         assert picks[0][0].id == "hub"
+
+    # This test's tracemalloc peak with the dense PageRank, which held an
+    # n x n matrix and an n x n buffer of terms (numpy 2.4, Python 3.11).
+    DENSE_PAGERANK_PEAK = 23_140_872
+
+    def test_pagerank_memory_on_a_dense_category(self):
+        # 1,200 tweets of 1-4 words from a Zipf vocabulary of 40: 39% of
+        # the sim2 entries are nonzero, as in the bench's stream-10k.
+        rng = np.random.default_rng(0)
+        p = 1.0 / np.arange(1, 41)
+        p /= p.sum()
+        tweets = [make_tweet(f"t{i:04d}", {
+            f"w{j}" for j in rng.choice(40, rng.integers(1, 5), p=p)})
+            for i in range(1200)]
+        tracemalloc.start()
+        try:
+            sel._rank_select(tweets, 5, "pagerank")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.DENSE_PAGERANK_PEAK, peak
 
     def test_mmr_uses_corpus_vocabulary(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0], va=[1.0, 0.0],

@@ -302,6 +302,29 @@ def test_pagerank_matches_the_row_loop(matrix):
         _bits(oracles.pagerank_scores(matrix))
 
 
+def _dense_graph(n, zeros, seed):
+    """An n x n graph whose weights are 0 with probability `zeros`."""
+    rng = np.random.default_rng(seed)
+    weights = rng.choice([0.25, 1 / 3, 0.5, 0.7071, 1.0, 0.123456789],
+                         size=(n, n))
+    return np.where(rng.random((n, n)) < zeros, 0.0, weights)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.zeros((1, 1)), np.ones((1, 1)), np.zeros((6, 6)),
+    # Rows 0, 3 and 6 dangle.
+    _dense_graph(7, 0.0, 1) * (np.arange(7) % 3 != 0)[:, None],
+    # 35% and 60% nonzero, wide enough for pairwise row sums.
+    _dense_graph(300, 0.65, 2), _dense_graph(300, 0.4, 3),
+], ids=["n=1 zero", "n=1 self-loop", "all zero", "dangling rows",
+        "35% nonzero", "60% nonzero"])
+def test_pagerank_graphs_match_the_row_loop(matrix):
+    want = _bits(oracles.pagerank_scores(matrix))
+    assert _bits(sel._pagerank_scores(matrix)) == want
+    # Rows given one at a time, as `_rank_select` gives them.
+    assert _bits(sel._pagerank_scores(iter(matrix))) == want
+
+
 @pytest.mark.parametrize("kind", ["max_sim", "eigenvector", "pagerank"])
 @given(instance=instances())
 def test_ranking_selectors_match_the_oracle_ranking(kind, instance):
