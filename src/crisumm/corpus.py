@@ -131,6 +131,10 @@ class PosLexicon:
     def tag(self, word: str) -> str:
         return self.tags.get(word, _DEFAULT_TAG)
 
+    def is_keyword(self, word: str) -> bool:
+        """Whether `word` is tagged noun, verb or adjective."""
+        return self.tag(word) in KEYWORD_TAGS
+
 
 def preprocess_text(raw: str, stopwords: frozenset[str]) -> list[str]:
     """Clean one text into ordered lowercase content tokens.
@@ -150,29 +154,25 @@ def preprocess_text(raw: str, stopwords: frozenset[str]) -> list[str]:
     tokens = []
     for piece in text.split():
         piece = _EDGE_TRIM_RE.sub("", piece.lower())
-        if len(piece) < 3:
-            continue
-        if not any(ch.isalpha() for ch in piece):
-            continue
-        if piece in stopwords:
-            continue
-        tokens.append(piece)
+        if _kept(piece, stopwords):
+            tokens.append(piece)
     return tokens
+
+
+def _kept(token: str, stopwords: frozenset[str]) -> bool:
+    """Whether cleaning keeps a lowercased, trimmed piece as a token: it
+    has 3 or more characters, a letter among them, and is no stopword."""
+    return len(token) >= 3 and token not in stopwords \
+        and any(map(str.isalpha, token))
 
 
 def extract_keywords(tokens: list[str] | tuple[str, ...],
                      lexicon: PosLexicon) -> frozenset[str]:
     """Return the set of tokens tagged noun, verb, or adjective."""
-    return frozenset(t for t in tokens if lexicon.tag(t) in KEYWORD_TAGS)
+    return frozenset(filter(lexicon.is_keyword, tokens))
 
 
 _NO_KEYWORDS: frozenset[str] = frozenset()
-
-
-# A piece that starts with one of these, lowercased, and has a character
-# after it is one URL to `_URL_RE`: the match starts at its first
-# character and `\S+` runs to its end.
-_URL_PREFIXES = ("http://", "https://", "www.")
 
 
 class PieceKeywords(dict):
@@ -184,13 +184,11 @@ class PieceKeywords(dict):
     keywords are the union of its pieces'. One memo can serve every
     file a command loads.
 
-    Three shapes of piece skip `preprocess_text`'s regex passes, with
-    the keywords those passes give: a plain ASCII word (`isascii` and
-    `isalnum`) is its own only token, lowercased; a piece that starts
-    with `@` has none, as `_MENTION_RE` removes it, with any URL inside
-    it leaving only the `@`; and a piece that starts with one of
-    `_URL_PREFIXES`, in any case, and goes on past it has none. A
-    property test checks every shape against `preprocess_text`.
+    A plain ASCII word (`isascii` and `isalnum`) skips the regex passes
+    of `preprocess_text`: none of them matches in it, so its one
+    candidate token is itself, lowercased, kept by the same `_kept` and
+    `PosLexicon.is_keyword` rules. A property test checks the memo
+    against `extract_keywords(preprocess_text(...))`.
     """
 
     __slots__ = ("stopwords", "lexicon")
@@ -202,16 +200,9 @@ class PieceKeywords(dict):
 
     def __missing__(self, piece: str) -> frozenset[str]:
         if piece.isascii() and piece.isalnum():
-            # Nothing to remove or trim; a letter unless all digits.
             token = piece.lower()
-            found = frozenset((token,)) if len(token) >= 3 \
-                and not token.isdigit() and token not in self.stopwords \
-                and self.lexicon.tag(token) in KEYWORD_TAGS else _NO_KEYWORDS
-        elif piece[0] == "@" or any(
-                len(piece) > len(prefix)
-                and piece[:len(prefix)].lower() == prefix
-                for prefix in _URL_PREFIXES):
-            found = _NO_KEYWORDS
+            found = frozenset((token,)) if _kept(token, self.stopwords) \
+                and self.lexicon.is_keyword(token) else _NO_KEYWORDS
         else:
             # Most pieces give no keyword; sharing one empty set keeps
             # the memo small.

@@ -64,7 +64,7 @@ def tweet_keywords(raw: str, stopwords, tags: dict) -> frozenset:
 
 def piece_keywords(piece: str, stopwords, lexicon) -> frozenset:
     """The keywords of one whitespace piece by `preprocess_text`'s regex
-    passes: what the piece memo's shortcuts must give without them."""
+    passes: what the piece memo's shortcut must give without them."""
     return extract_keywords(preprocess_text(piece, stopwords), lexicon)
 
 

@@ -24,6 +24,24 @@ def table(**vectors):
     })
 
 
+def _zipf_category(words):
+    """1,200 tweets of 1-4 keywords each from a Zipf vocabulary."""
+    rng = np.random.default_rng(0)
+    p = 1.0 / np.arange(1, words + 1)
+    p /= p.sum()
+    return [make_tweet(f"t{i:04d}", {
+        f"w{j}" for j in rng.choice(words, rng.integers(1, 5), p=p)})
+        for i in range(1200)]
+
+
+def _one_keyword_category():
+    """1,200 tweets that all hold `quake`, and up to 3 other keywords."""
+    rng = np.random.default_rng(0)
+    return [make_tweet(f"t{i:04d}", {"quake"} | {
+        f"w{j}" for j in rng.choice(200, rng.integers(0, 4))})
+        for i in range(1200)]
+
+
 class TestSim1:
     def test_identical_vector_scores_one(self):
         emb = table(flood=[1.0, 2.0], water=[1.0, 2.0])
@@ -332,26 +350,48 @@ class TestAblations:
                            options(selector_kind="pagerank"))
         assert picks[0][0].id == "hub"
 
-    # This test's tracemalloc peak with the dense PageRank, which held an
-    # n x n matrix and an n x n buffer of terms (numpy 2.4, Python 3.11).
-    DENSE_PAGERANK_PEAK = 23_140_872
-
-    def test_pagerank_memory_on_a_dense_category(self):
-        # 1,200 tweets of 1-4 words from a Zipf vocabulary of 40: 39% of
-        # the sim2 entries are nonzero, as in the bench's stream-10k.
-        rng = np.random.default_rng(0)
-        p = 1.0 / np.arange(1, 41)
-        p /= p.sum()
-        tweets = [make_tweet(f"t{i:04d}", {
-            f"w{j}" for j in rng.choice(40, rng.integers(1, 5), p=p)})
-            for i in range(1200)]
+    @pytest.mark.parametrize("tweets, share", [
+        # Every tweet holds `quake`: every entry is nonzero.
+        (_one_keyword_category(), 1.0),
+        # 39% nonzero, but up to 43% by the count of keyword pairs.
+        (_zipf_category(40), 1.0),
+        # 20% nonzero: only the nonzero weights are held.
+        (_zipf_category(300), 0.5),
+    ], ids=["one shared keyword", "39% nonzero", "20% nonzero"])
+    def test_pagerank_memory(self, tweets, share):
+        n = len(tweets)
+        # The dense form's footprint: the n x n matrix and its n x n
+        # terms, 8 bytes an entry each, and up to 16 length-n vectors.
+        dense = 2 * 8 * n * n + 16 * 8 * n
         tracemalloc.start()
         try:
             sel._rank_select(tweets, 5, "pagerank")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= self.DENSE_PAGERANK_PEAK, peak
+        assert peak <= share * dense, (peak, dense)
+
+    @pytest.mark.parametrize("holders, form", [
+        (10, "_sparse_pagerank_scores"), (11, "_pagerank_scores")])
+    def test_pagerank_is_held_dense_past_two_fifths(self, monkeypatch,
+                                                     holders, form):
+        # 15 tweets, `holders` of them sharing `a`: holders * (holders - 1)
+        # ordered pairs, against 2/5 of 15 * 15 = 90.
+        tweets = [make_tweet(f"t{i:02d}", {f"w{i}", "a"} if i < holders
+                             else {f"w{i}"}) for i in range(15)]
+        calls = []
+
+        def spy(name):
+            real = getattr(sel, name)
+
+            def call(graph):
+                calls.append(name)
+                return real(graph)
+            monkeypatch.setattr(sel, name, call)
+        spy("_pagerank_scores")
+        spy("_sparse_pagerank_scores")
+        sel._rank_select(tweets, 3, "pagerank")
+        assert calls == [form]
 
     def test_mmr_uses_corpus_vocabulary(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0], va=[1.0, 0.0],

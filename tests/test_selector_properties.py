@@ -298,8 +298,9 @@ def graphs(draw):
 
 @given(graphs())
 def test_pagerank_matches_the_row_loop(matrix):
-    assert _bits(sel._pagerank_scores(matrix)) == \
-        _bits(oracles.pagerank_scores(matrix))
+    want = _bits(oracles.pagerank_scores(matrix))
+    assert _bits(sel._pagerank_scores(matrix)) == want
+    assert _bits(sel._sparse_pagerank_scores(matrix)) == want
 
 
 def _dense_graph(n, zeros, seed):
@@ -321,8 +322,9 @@ def _dense_graph(n, zeros, seed):
 def test_pagerank_graphs_match_the_row_loop(matrix):
     want = _bits(oracles.pagerank_scores(matrix))
     assert _bits(sel._pagerank_scores(matrix)) == want
+    assert _bits(sel._sparse_pagerank_scores(matrix)) == want
     # Rows given one at a time, as `_rank_select` gives them.
-    assert _bits(sel._pagerank_scores(iter(matrix))) == want
+    assert _bits(sel._sparse_pagerank_scores(iter(matrix))) == want
 
 
 @pytest.mark.parametrize("kind", ["max_sim", "eigenvector", "pagerank"])
