@@ -32,6 +32,11 @@ SIM1_MODES = ("sum", "mean")
 POWER_ITERATIONS = 100
 POWER_TOLERANCE = 1e-10
 PAGERANK_DAMPING = 0.85
+# About how many graph weights PageRank joins into one array. A step
+# makes two temporaries per block, 8 bytes a weight; at this size glibc
+# reuses their heap memory, where at 1 << 16 it gave them fresh pages
+# every step.
+PAGERANK_BLOCK = 1 << 14
 
 
 def check_selector_options(selector_kind: str, lam: float,
@@ -105,28 +110,25 @@ class _Postings:
     every tweet's `sim2` with one other tweet at once."""
 
     def __init__(self, tweets: Sequence[Tweet]) -> None:
-        self._positions: dict[str, list[int]] = {}
+        positions: dict[str, list[int]] = {}
         for i, tweet in enumerate(tweets):
             for word in tweet.keywords:
-                self._positions.setdefault(word, []).append(i)
+                positions.setdefault(word, []).append(i)
+        self._positions = {word: np.array(held, dtype=np.intp)
+                           for word, held in positions.items()}
         self._sizes = np.array([len(t.keywords) for t in tweets],
                                dtype=np.int64)
 
-    def shared_pairs(self) -> int:
-        """The ordered pairs of distinct tweets that share a keyword,
-        counted once per keyword they share: at least the nonzero
-        off-diagonal entries of the tweets' sim2 matrix."""
-        return sum(len(p) * (len(p) - 1) for p in self._positions.values())
-
     def sim2(self, other: Tweet) -> np.ndarray:
         """sim2(tweet, other) for every tweet, in the tweets' order."""
-        hits = [i for word in other.keywords
-                for i in self._positions.get(word, ())]
+        hits = [self._positions[word] for word in other.keywords
+                if word in self._positions]
         values = np.zeros(len(self._sizes))
         if hits:
             # An integer overlap over the root of an integer product:
             # the roundings of the scalar formula, so the same bits.
-            overlap = np.bincount(hits, minlength=len(values))
+            overlap = np.bincount(np.concatenate(hits),
+                                  minlength=len(values))
             np.divide(overlap, np.sqrt(self._sizes * len(other.keywords)),
                       out=values, where=self._sizes > 0)
         return values
@@ -280,59 +282,51 @@ def _eigenvector_scores(matrix: np.ndarray) -> np.ndarray:
     return _power_iterate(step, matrix.shape[0])
 
 
-def _pagerank_scores(matrix: np.ndarray) -> np.ndarray:
-    """PageRank over the weighted similarity graph.
+def _block(stop: int, pieces: Sequence[tuple[np.ndarray, np.ndarray]]
+           ) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows before `stop` whose (columns, weights) are `pieces`,
+    joined: their span, their weight counts, columns and weights."""
+    cols, weights = zip(*pieces)
+    return (slice(stop - len(pieces), stop), np.array([len(c) for c in cols]),
+            np.concatenate(cols), np.concatenate(weights))
 
-    Rows with no outgoing weight spread their mass uniformly. The matrix
-    and the buffer of terms hold 16 bytes per entry.
+
+def _pagerank_scores(rows: Iterable[np.ndarray]) -> np.ndarray:
+    """PageRank over the weighted graph that `rows` gives row by row (a
+    2-D array does). Rows with no outgoing weight spread their mass
+    uniformly.
+
+    Only the nonzero weights are held, 12 bytes each (an int32 column
+    and the weight), in blocks of about PAGERANK_BLOCK weights. A step
+    spreads x_i * w_ij / d_i from each weight, and `np.add.at` adds each
+    column's terms in row order, as a dense sum over axis 0 does; the
+    zero weights it skips would add +0.0 and move no sum.
     """
-    n = matrix.shape[0]
-    row_sums = matrix.sum(axis=1)
-    # Summing axis 0 adds the rows in order, as a loop over rows would;
-    # a row without weight adds x * 0.0 / 1.0 = +0.0, which moves no sum.
-    divisors = np.where(row_sums == 0.0, 1.0, row_sums)[:, None]
-    terms = np.empty_like(matrix)
-    d = PAGERANK_DAMPING
-
-    def step(x: np.ndarray) -> np.ndarray:
-        dangling = float(np.sum(x[row_sums == 0.0])) / n
-        np.multiply(x[:, None], matrix, out=terms)
-        spread = np.divide(terms, divisors, out=terms).sum(axis=0)
-        return (1.0 - d) / n + d * (spread + dangling)
-    return _power_iterate(step, n)
-
-
-def _sparse_pagerank_scores(rows: Iterable[np.ndarray]) -> np.ndarray:
-    """`_pagerank_scores` of the matrix that `rows` gives row by row (a
-    2-D array does), with the same bits, holding only its nonzero
-    weights: 32 bytes per nonzero weight (column, weight, divisor and
-    one step's term).
-
-    A step spreads x_i * w_ij / d_i from each weight, and `np.bincount`
-    adds each column's terms in row order, as the dense sum over axis 0
-    does; the zero weights it skips would add +0.0 and move no sum.
-    """
-    sums, cols, weights = [], [], []
+    sums, blocks, pieces, held = [], [], [], 0
     for row in rows:
         # The bits of matrix.sum(axis=1): the same pairwise sum.
         sums.append(row.sum())
-        nonzero = np.flatnonzero(row)
-        cols.append(nonzero)
-        weights.append(row[nonzero])
+        nonzero = row.nonzero()[0]
+        pieces.append((nonzero.astype(np.int32), row[nonzero]))
+        held += len(nonzero)
+        if held >= PAGERANK_BLOCK:
+            blocks.append(_block(len(sums), pieces))
+            pieces, held = [], 0
+    if pieces:
+        blocks.append(_block(len(sums), pieces))
     n = len(sums)
-    row_sums = np.array(sums)
-    counts = np.array([len(c) for c in cols])
-    cols = np.concatenate(cols)
-    weights = np.concatenate(weights)
-    divisors = np.repeat(np.where(row_sums == 0.0, 1.0, row_sums), counts)
+    dangles = np.array(sums) == 0.0
+    divisors = np.where(dangles, 1.0, sums)
     d = PAGERANK_DAMPING
 
     def step(x: np.ndarray) -> np.ndarray:
-        dangling = float(np.sum(x[row_sums == 0.0])) / n
-        terms = np.repeat(x, counts)
-        np.multiply(terms, weights, out=terms)
-        np.divide(terms, divisors, out=terms)
-        spread = np.bincount(cols, weights=terms, minlength=n)
+        dangling = float(np.sum(x[dangles])) / n
+        spread = np.zeros(n)
+        for span, counts, cols, weights in blocks:
+            terms = np.repeat(x[span], counts)
+            np.multiply(terms, weights, out=terms)
+            np.divide(terms, np.repeat(divisors[span], counts), out=terms)
+            np.add.at(spread, cols, terms)
         return (1.0 - d) / n + d * (spread + dangling)
     return _power_iterate(step, n)
 
@@ -340,20 +334,15 @@ def _sparse_pagerank_scores(rows: Iterable[np.ndarray]) -> np.ndarray:
 def _rank_select(tweets: Sequence[Tweet], count: int,
                  kind: str) -> list[tuple[Tweet, float]]:
     """The `count` tweets of highest eigenvector centrality or PageRank
-    (`kind`) on the complete `sim2` graph of `tweets`.
-
-    PageRank holds only the nonzero weights where at most 2/5 of the
-    entries can be nonzero: at 32 bytes per weight against the dense
-    form's 16 per entry, and about twice the work per weight, it then
-    takes less memory and time. A denser graph is held dense.
+    (`kind`) on the complete `sim2` graph of `tweets`. Eigenvector
+    centrality multiplies the dense matrix; PageRank takes its rows one
+    at a time and holds only their nonzero weights.
     """
     ordered = sorted(tweets, key=lambda t: t.id)
     if kind == "eigenvector":
         values = _eigenvector_scores(_sim2_matrix(ordered))
-    elif 5 * _Postings(ordered).shared_pairs() <= 2 * len(ordered) ** 2:
-        values = _sparse_pagerank_scores(_sim2_rows(ordered))
     else:
-        values = _pagerank_scores(_sim2_matrix(ordered))
+        values = _pagerank_scores(_sim2_rows(ordered))
     # A stable sort of the id-ordered pool: ties go to the smaller id.
     top = np.argsort(-values, kind="stable")[:count]
     return [(ordered[i], float(values[i])) for i in top]

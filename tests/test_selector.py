@@ -352,16 +352,15 @@ class TestAblations:
 
     @pytest.mark.parametrize("tweets, share", [
         # Every tweet holds `quake`: every entry is nonzero.
-        (_one_keyword_category(), 1.0),
-        # 39% nonzero, but up to 43% by the count of keyword pairs.
-        (_zipf_category(40), 1.0),
-        # 20% nonzero: only the nonzero weights are held.
-        (_zipf_category(300), 0.5),
+        (_one_keyword_category(), 0.9),
+        (_zipf_category(40), 0.5),
+        (_zipf_category(300), 0.3),
     ], ids=["one shared keyword", "39% nonzero", "20% nonzero"])
     def test_pagerank_memory(self, tweets, share):
         n = len(tweets)
-        # The dense form's footprint: the n x n matrix and its n x n
+        # A dense form's footprint: an n x n matrix and its n x n
         # terms, 8 bytes an entry each, and up to 16 length-n vectors.
+        # Only the nonzero weights are held, 12 bytes each.
         dense = 2 * 8 * n * n + 16 * 8 * n
         tracemalloc.start()
         try:
@@ -370,28 +369,6 @@ class TestAblations:
         finally:
             tracemalloc.stop()
         assert peak <= share * dense, (peak, dense)
-
-    @pytest.mark.parametrize("holders, form", [
-        (10, "_sparse_pagerank_scores"), (11, "_pagerank_scores")])
-    def test_pagerank_is_held_dense_past_two_fifths(self, monkeypatch,
-                                                     holders, form):
-        # 15 tweets, `holders` of them sharing `a`: holders * (holders - 1)
-        # ordered pairs, against 2/5 of 15 * 15 = 90.
-        tweets = [make_tweet(f"t{i:02d}", {f"w{i}", "a"} if i < holders
-                             else {f"w{i}"}) for i in range(15)]
-        calls = []
-
-        def spy(name):
-            real = getattr(sel, name)
-
-            def call(graph):
-                calls.append(name)
-                return real(graph)
-            monkeypatch.setattr(sel, name, call)
-        spy("_pagerank_scores")
-        spy("_sparse_pagerank_scores")
-        sel._rank_select(tweets, 3, "pagerank")
-        assert calls == [form]
 
     def test_mmr_uses_corpus_vocabulary(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0], va=[1.0, 0.0],

@@ -296,11 +296,23 @@ def graphs(draw):
     return matrix
 
 
+# Blocks of one weight, of a few rows' weights, and of the default size.
+BLOCKS = (1, 7, sel.PAGERANK_BLOCK)
+
+
+def _pagerank_bits(graph, block):
+    """`sel._pagerank_scores(graph)`'s bits, with blocks of `block`
+    weights."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sel, "PAGERANK_BLOCK", block)
+        return _bits(sel._pagerank_scores(graph))
+
+
 @given(graphs())
 def test_pagerank_matches_the_row_loop(matrix):
     want = _bits(oracles.pagerank_scores(matrix))
-    assert _bits(sel._pagerank_scores(matrix)) == want
-    assert _bits(sel._sparse_pagerank_scores(matrix)) == want
+    for block in BLOCKS:
+        assert _pagerank_bits(matrix, block) == want, block
 
 
 def _dense_graph(n, zeros, seed):
@@ -321,10 +333,10 @@ def _dense_graph(n, zeros, seed):
         "35% nonzero", "60% nonzero"])
 def test_pagerank_graphs_match_the_row_loop(matrix):
     want = _bits(oracles.pagerank_scores(matrix))
-    assert _bits(sel._pagerank_scores(matrix)) == want
-    assert _bits(sel._sparse_pagerank_scores(matrix)) == want
-    # Rows given one at a time, as `_rank_select` gives them.
-    assert _bits(sel._sparse_pagerank_scores(iter(matrix))) == want
+    for block in BLOCKS:
+        assert _pagerank_bits(matrix, block) == want, block
+        # Rows given one at a time, as `_rank_select` gives them.
+        assert _pagerank_bits(iter(matrix), block) == want, block
 
 
 @pytest.mark.parametrize("kind", ["max_sim", "eigenvector", "pagerank"])
