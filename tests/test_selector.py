@@ -370,6 +370,25 @@ class TestAblations:
             tracemalloc.stop()
         assert peak <= share * dense, (peak, dense)
 
+    @pytest.mark.parametrize("holders", [0, 7, 15], ids=[
+        "every row dangles", "some rows dangle", "no row dangles"])
+    def test_pagerank_blocks_match_the_oracle(self, monkeypatch, holders):
+        # 15 tweets, `holders` of them sharing `a` and every third of
+        # those `b` too; the others share nothing, so their rows are 0.
+        tweets = [make_tweet(f"t{i:02d}", {f"w{i}", "a"} | (
+            {"b"} if i % 3 == 0 else set()) if i < holders else {f"w{i}"})
+            for i in reversed(range(15))]
+        ordered = sorted(tweets, key=lambda t: t.id)
+        values = oracles.pagerank_scores(oracles.sim2_matrix(ordered))
+        scores = {t.id: float(v) for t, v in zip(ordered, values)}
+        want = [(t.id, s.hex()) for t, s in oracles.rank(tweets, scores, 5)]
+        # Blocks of one weight, of a few rows' weights, and of the default
+        # size, filled from the rows `_rank_select` gives one at a time.
+        for block in (1, 7, sel.PAGERANK_BLOCK):
+            monkeypatch.setattr(sel, "PAGERANK_BLOCK", block)
+            got = sel._rank_select(tweets, 5, "pagerank")
+            assert [(t.id, s.hex()) for t, s in got] == want, block
+
     def test_mmr_uses_corpus_vocabulary(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0], va=[1.0, 0.0],
                     vb=[0.0, 1.0])
