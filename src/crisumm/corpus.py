@@ -30,20 +30,14 @@ POS_TAGS = frozenset({
 _DEFAULT_TAG = "noun"
 KEYWORD_TAGS = frozenset({"noun", "verb", "adjective"})
 
-_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
-_MENTION_RE = re.compile(r"@\S+")
-# Emoji / emoticon codepoint blocks, stripped before tokenization.
-_EMOJI_RE = re.compile(
-    "["
-    "\U0001F000-\U0001F0FF"
-    "\U0001F100-\U0001F1FF"
-    "\U0001F300-\U0001F9FF"
-    "\U0001FA00-\U0001FAFF"
-    "☀-➿"
-    "︀-️"
-    "‍"
-    "]+"
-)
+# What cleaning removes from a piece: a URL or an @-mention, each to the
+# end of the piece, or a run of emoji / emoticon codepoints. The URL
+# prefix is spelled in ASCII case classes: under re.IGNORECASE, `s`
+# would also match `ſ`.
+_REMOVED_RE = re.compile(
+    r"(?:[Hh][Tt][Tt][Pp][Ss]?://|[Ww][Ww][Ww]\.)\S+|@\S+"
+    "|[\U0001F000-\U0001F0FF\U0001F100-\U0001F1FF\U0001F300-\U0001F9FF"
+    "\U0001FA00-\U0001FAFF\u2600-\u27BF\uFE00-\uFE0F\u200D]+")
 # Leading/trailing characters that are not a Unicode letter or digit.
 _EDGE_TRIM_RE = re.compile(r"^[\W_]+|[\W_]+$", re.UNICODE)
 
@@ -137,25 +131,33 @@ class PosLexicon:
 
 
 def preprocess_text(raw: str, stopwords: frozenset[str]) -> list[str]:
-    """Clean one text into ordered lowercase content tokens.
+    """Clean one text into ordered lowercase content tokens: those of
+    each of its whitespace pieces in turn (see `_piece_tokens`)."""
+    return [token for piece in raw.split()
+            for token in _piece_tokens(piece, stopwords)]
+
+
+def _piece_tokens(piece: str, stopwords: frozenset[str]) -> list[str]:
+    """Clean one whitespace piece into its tokens.
 
     URLs, @-mentions, and emoji are removed; hashtags lose the '#' but
-    keep the word; each whitespace-separated piece is lowercased and
-    trimmed of leading/trailing punctuation. Tokens shorter than 3
-    characters, tokens without any letter, and stopwords are dropped.
+    keep the word; each part left is lowercased and trimmed of
+    leading/trailing punctuation. Tokens shorter than 3 characters,
+    tokens without any letter, and stopwords are dropped. A plain ASCII
+    word (`isascii` and `isalnum`) holds nothing to remove or trim.
 
     Cleaning the tokens again gives them back unchanged. That is why
     the trim comes after lowercasing: 'İ' lowercases to 'i' and a
     combining dot, which is not a letter.
     """
-    text = _URL_RE.sub(" ", raw)
-    text = _MENTION_RE.sub(" ", text)
-    text = _EMOJI_RE.sub(" ", text)
+    if piece.isascii() and piece.isalnum():
+        token = piece.lower()
+        return [token] if _kept(token, stopwords) else []
     tokens = []
-    for piece in text.split():
-        piece = _EDGE_TRIM_RE.sub("", piece.lower())
-        if _kept(piece, stopwords):
-            tokens.append(piece)
+    for part in _REMOVED_RE.sub(" ", piece).split():
+        part = _EDGE_TRIM_RE.sub("", part.lower())
+        if _kept(part, stopwords):
+            tokens.append(part)
     return tokens
 
 
@@ -179,16 +181,9 @@ class PieceKeywords(dict):
     """Whitespace piece -> its keywords under one stopword list and
     lexicon; a piece is tokenized the first time it is looked up.
 
-    The patterns `preprocess_text` removes never span whitespace, so a
-    piece's keywords do not depend on its neighbours, and a tweet's
+    `preprocess_text` cleans a text piece by piece, so a tweet's
     keywords are the union of its pieces'. One memo can serve every
     file a command loads.
-
-    A plain ASCII word (`isascii` and `isalnum`) skips the regex passes
-    of `preprocess_text`: none of them matches in it, so its one
-    candidate token is itself, lowercased, kept by the same `_kept` and
-    `PosLexicon.is_keyword` rules. A property test checks the memo
-    against `extract_keywords(preprocess_text(...))`.
     """
 
     __slots__ = ("stopwords", "lexicon")
@@ -199,15 +194,10 @@ class PieceKeywords(dict):
         self.lexicon = lexicon
 
     def __missing__(self, piece: str) -> frozenset[str]:
-        if piece.isascii() and piece.isalnum():
-            token = piece.lower()
-            found = frozenset((token,)) if _kept(token, self.stopwords) \
-                and self.lexicon.is_keyword(token) else _NO_KEYWORDS
-        else:
-            # Most pieces give no keyword; sharing one empty set keeps
-            # the memo small.
-            found = extract_keywords(preprocess_text(piece, self.stopwords),
-                                     self.lexicon) or _NO_KEYWORDS
+        # Most pieces give no keyword; sharing one empty set keeps the
+        # memo small.
+        found = extract_keywords(_piece_tokens(piece, self.stopwords),
+                                 self.lexicon) or _NO_KEYWORDS
         self[piece] = found
         return found
 

@@ -259,13 +259,10 @@ def _sim2_matrix(tweets: Sequence[Tweet]) -> np.ndarray:
 def _power_iterate(step, n: int) -> np.ndarray:
     """Apply `step` from the uniform vector of size n until one step moves
     the iterate by less than POWER_TOLERANCE (L1), for at most
-    POWER_ITERATIONS steps. A step that returns None ends the iteration
-    at the iterate it was given."""
+    POWER_ITERATIONS steps."""
     x = np.full(n, 1.0 / n)
     for _ in range(POWER_ITERATIONS):
         nxt = step(x)
-        if nxt is None:
-            break
         if float(np.sum(np.abs(nxt - x))) < POWER_TOLERANCE:
             return nxt
         x = nxt
@@ -274,11 +271,11 @@ def _power_iterate(step, n: int) -> np.ndarray:
 
 def _eigenvector_scores(matrix: np.ndarray) -> np.ndarray:
     """Principal-eigenvector scores via power iteration; a step to the
-    zero vector ends it."""
-    def step(x: np.ndarray) -> np.ndarray | None:
+    zero vector stays at its iterate, which ends it."""
+    def step(x: np.ndarray) -> np.ndarray:
         nxt = matrix @ x
         norm = float(np.linalg.norm(nxt))
-        return None if norm == 0.0 else nxt / norm
+        return x if norm == 0.0 else nxt / norm
     return _power_iterate(step, matrix.shape[0])
 
 

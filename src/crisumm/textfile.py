@@ -21,10 +21,11 @@ from typing import TextIO
 LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 # A string, a number, a bracket or a line end. A string is one token,
-# so the brackets and digits in it do not count; a number token that is
-# all digits is an integer's.
+# so the brackets and digits in it do not count. A number token ends
+# where json's decoder ends one: a '.' or an exponent joins it only with
+# a digit after it. So a number token of digits alone is an integer's.
 _JSON_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"'
-                         r'|[0-9]+(?:\.[0-9]*)?(?:[eE][-+]?[0-9]*)?|[][{}\n]')
+                         r'|[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|[][{}\n]')
 
 
 class InputError(ValueError):
@@ -120,16 +121,16 @@ def json_faults(path: str | Path, text: str,
                          ) from exc
 
 
-def _long_integer_line(text: str, limit: int) -> int | None:
+def _long_integer_line(text: str, limit: int) -> int:
     """The line of the first integer of JSON `text` that has more than
-    `limit` digits, if any."""
+    `limit` digits: the one the decoder refused, as every value before
+    it decoded."""
     line = 1
     for token in _JSON_TOKEN.findall(text):
         if token == "\n":
             line += 1
         elif token.isdigit() and len(token) > limit:
             return line
-    return None
 
 
 def _too_deep_line(text: str) -> int:
@@ -259,11 +260,11 @@ def csv_text(rows: Iterable[Iterable]) -> str:
 
 def _first_undecodable_line(path: Path) -> int:
     # bytes.splitlines() breaks on \n, \r and \r\n only, as text mode
-    # does, and no UTF-8 sequence spans those bytes.
+    # does, and no UTF-8 sequence spans those bytes: a file that is not
+    # UTF-8 has a line that is not.
     lines = path.read_bytes().splitlines()
     for lineno, line in enumerate(lines, start=1):
         try:
             line.decode("utf-8")
         except UnicodeDecodeError:
             return lineno
-    return len(lines)

@@ -1,8 +1,7 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written in plain Python with naive algorithms and
-deliberately shares no code with the package under test, but for
-`piece_keywords`, which is the package's own regex path.
+deliberately shares no code with the package under test.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from crisumm.corpus import (DisasterDataset, Tweet, extract_keywords,
-                            preprocess_text)
+from crisumm.corpus import DisasterDataset, Tweet
 from crisumm.embeddings import EmbeddingTable
 from crisumm.textfile import InputError, content_lines
 
@@ -33,7 +31,7 @@ def tweet_ids(summary) -> tuple:
 
 # --- tweet keywords ---------------------------------------------------
 
-_URL = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+_URL = re.compile(r"(?:[Hh][Tt][Tt][Pp][Ss]?://|[Ww][Ww][Ww]\.)\S+")
 _MENTION = re.compile(r"@\S+")
 _EMOJI = re.compile("[\U0001F000-\U0001F0FF\U0001F100-\U0001F1FF"
                     "\U0001F300-\U0001F9FF\U0001FA00-\U0001FAFF"
@@ -41,31 +39,31 @@ _EMOJI = re.compile("[\U0001F000-\U0001F0FF\U0001F100-\U0001F1FF"
 _EDGE = re.compile(r"^[\W_]+|[\W_]+$")
 
 
-def tweet_keywords(raw: str, stopwords, tags: dict) -> frozenset:
-    """The keywords of one whole tweet text, tokenized in one pass.
+def tweet_tokens(raw: str, stopwords) -> list:
+    """The tokens of one whole text, in order, cleaned in three passes.
 
     URLs, then mentions, then emoji runs become spaces; each remaining
     whitespace piece is lowercased and loses its leading and trailing
-    non-alphanumerics. A token is a keyword if it has 3 or more
-    characters, holds a letter, is no stopword, and `tags` (word ->
-    part of speech, default noun) makes it a noun, verb or adjective.
+    non-alphanumerics. A token has 3 or more characters, holds a
+    letter, and is no stopword.
     """
     text = _EMOJI.sub(" ", _MENTION.sub(" ", _URL.sub(" ", raw)))
-    keywords = set()
+    tokens = []
     for piece in text.split():
         token = _EDGE.sub("", piece.lower())
         if (len(token) >= 3 and any(ch.isalpha() for ch in token)
-                and token not in stopwords
-                and tags.get(token, "noun") in ("noun", "verb",
-                                                "adjective")):
-            keywords.add(token)
-    return frozenset(keywords)
+                and token not in stopwords):
+            tokens.append(token)
+    return tokens
 
 
-def piece_keywords(piece: str, stopwords, lexicon) -> frozenset:
-    """The keywords of one whitespace piece by `preprocess_text`'s regex
-    passes: what the piece memo's shortcut must give without them."""
-    return extract_keywords(preprocess_text(piece, stopwords), lexicon)
+def tweet_keywords(raw: str, stopwords, tags: dict) -> frozenset:
+    """The keywords of one whole text: its `tweet_tokens` that `tags`
+    (word -> part of speech, default noun) makes a noun, verb or
+    adjective."""
+    return frozenset(token for token in tweet_tokens(raw, stopwords)
+                     if tags.get(token, "noun") in ("noun", "verb",
+                                                    "adjective"))
 
 
 def _check_strings(path, record, kind, keys, lineno):

@@ -1382,6 +1382,37 @@ class TestExitCodes:
         assert code == 1
         assert err == "error: vec.txt:2: not valid UTF-8\n"
 
+    @pytest.mark.parametrize("header, message", [
+        ("3 x", "non-integer header field"),
+        ("3", "header must be 'vocab_size dimension'"),
+        ("3 0", "header values out of range"),
+    ])
+    def test_bad_embedding_header_names_file_and_line(
+            self, tmp_path, capsys, data_dir, header, message):
+        bad = tmp_path / "vec.txt"
+        bad.write_text(header + "\nflood 0.1 0.2 0.3\n", encoding="utf-8")
+        code, out, err = run(capsys, "summarize",
+                             "--dataset", str(data_dir / "target.jsonl"),
+                             "--ontology", str(data_dir / "ontology.json"),
+                             "--embeddings", str(bad),
+                             "--out-json", str(tmp_path / "s.json"),
+                             "--out-text", str(tmp_path / "s.txt"))
+        assert (code, out) == (1, "")
+        assert err == f"error: vec.txt:1: {message}\n"
+
+    @pytest.mark.parametrize("entry", [{}, {"id": ""}, {"id": " \t"}],
+                             ids=["no id", "empty", "whitespace"])
+    def test_blank_category_id_names_file(self, tmp_path, capsys, data_dir,
+                                          entry):
+        bad = tmp_path / "ontology.json"
+        bad.write_text(json.dumps({"categories": [
+            {**entry, "keywords": ["flood"]}]}), encoding="utf-8")
+        code, out, err = run(capsys, "categorize",
+                             "--dataset", str(data_dir / "target.jsonl"),
+                             "--ontology", str(bad))
+        assert (code, out) == (1, "")
+        assert err == "error: ontology.json: category without an id\n"
+
     @pytest.mark.parametrize("name, argv", INPUT_COMMANDS)
     def test_undecodable_input_names_file_and_line(self, tmp_path, capsys,
                                                    data_dir, name, argv):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from crisumm import corpus
-from crisumm.corpus import (_EMOJI_RE, _MENTION_RE, _URL_RE, DisasterDataset,
+from crisumm.corpus import (_REMOVED_RE, DisasterDataset,
                             PieceKeywords, PosLexicon, Tweet,
                             extract_keywords,
                             load_lexicon, load_stopwords, load_tweets,
@@ -313,11 +313,11 @@ def _any_case(word: str):
                        for ch in word)).map("".join)
 
 
-# One whitespace piece: plain ASCII words, which the memo decides
+# One whitespace piece: plain ASCII words, which `_piece_tokens` decides
 # without the regexes (among them digit-only and 2-character words and
 # stopwords), next to pieces that are almost plain words (`K` and `İ`
-# change on lowercasing; `_` is trimmed; `ſ` is an `s` to the case-blind
-# URL pattern) and URL prefixes in any case, bare or not, and mentions.
+# change on lowercasing; `_` is trimmed; `ſ` is no `s` to the URL
+# pattern) and URL prefixes in any case, bare or not, and mentions.
 pieces = st.lists(st.one_of(
     st.sampled_from(["http://", "https://", "www."]).flatmap(_any_case),
     st.sampled_from(["@", "#", "_", ".", ":", "/", "😢", "ſ", "K", "İ",
@@ -351,15 +351,20 @@ class TestPieceKeywords:
             [tweet_keywords(text, stopwords, lexicon.tags) for text in texts]
 
     @settings(max_examples=1000)
+    @given(raw=st.one_of(tweet_texts, pieces))
+    def test_tokens_equal_the_whole_text_oracle(self, stopwords, raw):
+        assert preprocess_text(raw, stopwords) == \
+            oracles.tweet_tokens(raw, stopwords)
+
+    @settings(max_examples=1000)
     @given(piece=pieces)
     def test_memo_matches_the_regex_path(self, stopwords, lexicon, piece):
         memo = PieceKeywords(stopwords, lexicon)
-        assert memo[piece] == oracles.piece_keywords(piece, stopwords,
-                                                     lexicon)
+        assert memo[piece] == tweet_keywords(piece, stopwords, lexicon.tags)
 
     @pytest.mark.parametrize("piece, keywords", [
         ("http://", {"http"}), ("HTTPS://", {"https"}), ("wWw.", {"www"}),
-        ("hTTp://x", set()), ("Www.a", set()), ("httpſ://x", set()),
+        ("hTTp://x", set()), ("Www.a", set()), ("httpſ://x", {"httpſ://x"}),
         ("@", set()), ("@http://x", set()), ("@flood", set()),
         ("Flood", {"flood"}), ("NH10", {"nh10"}), ("2015", set()),
         ("ab", set()), ("The", set()), ("quickly", set()),
@@ -367,7 +372,7 @@ class TestPieceKeywords:
     ])
     def test_piece_shapes(self, stopwords, lexicon, piece, keywords):
         assert PieceKeywords(stopwords, lexicon)[piece] == keywords
-        assert oracles.piece_keywords(piece, stopwords, lexicon) == keywords
+        assert tweet_keywords(piece, stopwords, lexicon.tags) == keywords
 
     def test_regex_whitespace_is_str_whitespace(self):
         every = "".join(map(chr, range(0x110000)))
@@ -377,10 +382,9 @@ class TestPieceKeywords:
     @given(text=st.lists(st.one_of(st.sampled_from(FRAGMENTS + SEPARATORS),
                                    st.text(max_size=4))).map("".join))
     def test_removed_patterns_never_span_whitespace(self, text):
-        for pattern in (_URL_RE, _MENTION_RE, _EMOJI_RE):
-            for match in pattern.finditer(text):
-                assert not any(ch.isspace() for ch in match.group()), \
-                    (pattern.pattern, match.group())
+        for match in _REMOVED_RE.finditer(text):
+            assert not any(ch.isspace() for ch in match.group()), \
+                match.group()
 
 
 # Tweet lines: one of each fault (not JSON, trailing data, not an

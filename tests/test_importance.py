@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from crisumm.categorizer import classify_corpus
 from crisumm.corpus import DisasterDataset
-from crisumm.importance import (ImportanceVector, build_training_pairs,
-                                category_shares, fit, predict_importance)
+from crisumm.importance import (ImportanceVector, _apportion,
+                                build_training_pairs, category_shares, fit,
+                                predict_importance)
 from crisumm.ontology import Category, Ontology
 
 from conftest import options
@@ -172,6 +173,13 @@ class TestFit:
                            match="^non-finite regression coefficients$"):
             fit([(0.0, math.nan), (1.0, 3.0)], options(regression_kind=kind))
 
+    def test_one_non_finite_coefficient_rejected(self):
+        # No feature variance: the slope is 0.0, the intercept infinite.
+        with pytest.raises(ValueError,
+                           match="^non-finite regression coefficients$"):
+            fit([(0.5, math.inf), (0.5, 1.0)],
+                options(regression_kind="linear"))
+
     def test_too_few_pairs_rejected(self):
         for kind in ("linear", "ridge", "bayesian"):
             with pytest.raises(ValueError, match="at least 2"):
@@ -275,6 +283,12 @@ class TestPredictImportance:
                                  {"a": 0.1, "b": 0.3, "c": 0.2},
                                  {"a": 5, "b": 5, "c": 5}, 4)
         assert vec.counts == {"a": 1, "b": 2, "c": 1}
+
+    def test_apportion_stops_with_every_category_at_its_cap(self):
+        # predict_importance refuses such a summary length first.
+        counts = _apportion({"a": 2.0, "b": 1.0}, {"a": 0.7, "b": 0.3},
+                            {"a": 2, "b": 1}, 5)
+        assert counts == {"a": 2, "b": 1}
 
     def test_shortfall_reported(self):
         model = linear(1.0, 0.0)

@@ -342,6 +342,16 @@ class TestAblations:
                            options(selector_kind="eigenvector"))
         assert picks[0][0].id == "hub"
 
+    def test_eigenvector_without_shared_keywords_scores_uniformly(self):
+        # The graph has no edge: the first step goes to the zero vector,
+        # which ends the iteration at the uniform start.
+        emb = EmbeddingTable(dimension=1, vectors={})
+        tweets = [make_tweet(f"t{i}", {w}) for i, w in enumerate("abc")]
+        picks = select_one(tweets, 3, set(), emb,
+                           options(selector_kind="eigenvector"))
+        assert [(t.id, score) for t, score in picks] == \
+            [("t0", 1 / 3), ("t1", 1 / 3), ("t2", 1 / 3)]
+
     def test_pagerank_prefers_hub(self):
         emb = EmbeddingTable(dimension=1, vectors={})
         hub = make_tweet("hub", {"a", "b", "c"})

@@ -79,6 +79,19 @@ class TestReadJson:
         assert str(excinfo.value) == \
             f"v.json:3: a JSON integer has more than {INT_DIGITS} digits"
 
+    @needs_int_digit_limit
+    @pytest.mark.parametrize("tail", [".", "e", "E+", ".e1"])
+    def test_integer_cut_short_of_a_float_names_its_line(self, tmp_path,
+                                                         tail):
+        # A '.' or an exponent with no digit after it ends the integer.
+        path = tmp_path / "v.json"
+        path.write_text(f'[1,\n{"9" * (INT_DIGITS + 1)}{tail}]',
+                        encoding="utf-8")
+        with pytest.raises(InputError) as excinfo:
+            read_json(path)
+        assert str(excinfo.value) == \
+            f"v.json:2: a JSON integer has more than {INT_DIGITS} digits"
+
     def test_value(self, tmp_path):
         path = tmp_path / "v.json"
         path.write_text('{"a": [1, "b"]}', encoding="utf-8")
@@ -108,6 +121,35 @@ class TestByteOrderMark:
         path.write_bytes(b"\xef\xbb\xbfflood\nqu\xffake\n")
         with pytest.raises(InputError, match=r"^words.txt:2: not valid"):
             read_text(path)
+
+
+class TestUndecodableLine:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("bytes") / "words.txt"
+
+    @settings(max_examples=300)
+    @given(data=st.lists(st.sampled_from([
+        b"a", b"\n", b"\r", b"\r\n", b"\xef\xbb\xbf", b"\xc3\xa9", b"\xc3",
+        b"\xa9", b"\xe2\x82", b"\xe2\x82\xac", b"\xed\xa0\x80", b"\xff",
+    ]), max_size=10).map(b"".join))
+    def test_names_the_line_of_the_first_bad_byte(self, path, data):
+        # Every file that is not UTF-8 names a line: the one, counted as
+        # text mode counts lines, holding the first byte UTF-8 refuses.
+        path.write_bytes(data)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = data[:exc.start]
+            line = 1 + before.count(b"\n") + before.count(b"\r") \
+                - before.count(b"\r\n")
+            with pytest.raises(InputError) as excinfo:
+                read_text(path)
+            assert str(excinfo.value) == f"words.txt:{line}: not valid UTF-8"
+        else:
+            assert read_text(path) == \
+                data.decode("utf-8-sig").replace("\r\n", "\n") \
+                .replace("\r", "\n")
 
 
 def indented(value) -> str:
